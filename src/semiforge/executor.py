@@ -1,10 +1,30 @@
 """Run untrusted snippets in a throwaway subprocess sandbox.
 
-Every execution gets a fresh temporary working directory, a process
-group of its own, an address-space ceiling and a hard cap on bytes
-written to stdout. The cap is enforced with RLIMIT_FSIZE set to one
-byte above the configured limit: a run that fills the extra byte is
+Every execution gets a fresh temporary working directory, a session and
+process group of its own, an address-space ceiling and a hard cap on
+bytes written to stdout. The cap is enforced with RLIMIT_FSIZE set to
+one byte above the configured limit: a run that fills the extra byte is
 reported as an overflow instead of being silently truncated.
+
+The child is launched as ``python -I -S -B -X utf8 -c <launcher>
+snippet.py``: it ignores ``PYTHON*`` variables and user site-packages,
+skips ``site`` (so solutions see only the standard library, and
+start-up costs no ``.pth`` imports), writes no bytecode and reads and
+writes UTF-8. ``site`` is also what defines the ``exit`` and ``quit``
+builtins, which solutions often end with, so the launcher binds both to
+``sys.exit`` and then runs the snippet as ``__main__`` with the same
+``__file__`` and ``sys.argv`` a plain script run would give it. The
+other interactive builtins ``site`` adds (``help``, ``copyright``,
+``credits``, ``license``) stay undefined. Its stdin, stdout and
+stderr are files in the working directory, so the parent never
+services a pipe. The parent waits on a pidfd of the child with
+``poll``, which returns as soon as the child exits, and bounds the wait
+by the wall timeout; pidfds need Linux 5.3 or later, and elsewhere
+``execute`` raises ``SandboxSetupFailure``. On every exit, timed out
+or not, the whole process group is killed while the leader is still an
+unreaped zombie (so its group id cannot have been reused), and only
+then is the leader reaped: a background process forked by the snippet
+does not outlive the call.
 
 Call-based snippets are wrapped in a small driver that parses the
 input line as a Python literal, calls the named function (unpacking
@@ -16,6 +36,7 @@ from __future__ import annotations
 
 import ast
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -31,6 +52,18 @@ from .errors import SemiforgeError
 MODES = ("stdin", "call")
 
 _SHIM_TEMPLATE = None
+
+# Run as ``python -c _LAUNCHER snippet.py``. Compiling the file as a
+# module keeps ``from __future__`` imports valid; the launcher's own
+# names are deleted so the snippet starts from a clean ``__main__``.
+_LAUNCHER = (
+    "import builtins, sys\n"
+    "builtins.exit = builtins.quit = sys.exit\n"
+    "del sys.argv[0]\n"
+    "__file__ = sys.argv[0]\n"
+    "del builtins, sys\n"
+    "exec(compile(open(__file__, 'rb').read(), __file__, 'exec'))\n"
+)
 
 
 class InterpreterMissing(SemiforgeError):
@@ -135,8 +168,6 @@ def _child_env(workdir: str) -> dict[str, str]:
     return {
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
         "HOME": workdir,
-        "PYTHONIOENCODING": "utf-8",
-        "PYTHONDONTWRITEBYTECODE": "1",
     }
 
 
@@ -163,6 +194,8 @@ def execute(
     """Run one snippet against one invocation in an isolated subprocess."""
     limits = limits or ResourceLimits()
     python = resolve_interpreter(interpreter)
+    if not hasattr(os, "pidfd_open"):
+        raise SandboxSetupFailure("the sandbox needs os.pidfd_open (Linux 5.3 or later)")
 
     if invocation.mode == "call":
         program = wrap_call_based(code, invocation.function_name, invocation.payload)
@@ -178,21 +211,27 @@ def execute(
 
     try:
         script = os.path.join(workdir, "snippet.py")
+        in_path = os.path.join(workdir, "stdin.txt")
         out_path = os.path.join(workdir, "stdout.txt")
         err_path = os.path.join(workdir, "stderr.txt")
         try:
             with open(script, "w", encoding="utf-8") as fh:
                 fh.write(program)
+            with open(in_path, "w", encoding="utf-8") as fh:
+                fh.write(stdin_payload)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
 
         start = time.monotonic()
-        timed_out = False
         try:
-            with open(out_path, "wb") as out_fh, open(err_path, "wb") as err_fh:
+            with (
+                open(in_path, "rb") as in_fh,
+                open(out_path, "wb") as out_fh,
+                open(err_path, "wb") as err_fh,
+            ):
                 proc = subprocess.Popen(
-                    [python, script],
-                    stdin=subprocess.PIPE,
+                    [python, "-I", "-S", "-B", "-X", "utf8", "-c", _LAUNCHER, script],
+                    stdin=in_fh,
                     stdout=out_fh,
                     stderr=err_fh,
                     cwd=workdir,
@@ -200,13 +239,10 @@ def execute(
                     start_new_session=True,
                     preexec_fn=_make_preexec(limits),
                 )
-                try:
-                    proc.communicate(stdin_payload.encode("utf-8"), timeout=limits.wall_timeout)
-                except subprocess.TimeoutExpired:
-                    timed_out = True
-                    _kill_group(proc)
-                except BrokenPipeError:
-                    proc.wait()
+            try:
+                timed_out = not _wait_exit(proc.pid, limits.wall_timeout)
+            finally:
+                _kill_group(proc)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
         duration = time.monotonic() - start
@@ -234,16 +270,32 @@ def execute(
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def _wait_exit(pid: int, timeout: float) -> bool:
+    """Block until ``pid`` exits or ``timeout`` seconds pass; True if it exited.
+
+    The child is not reaped, so its pid (and group id) stay reserved.
+    ``poll`` rather than ``select``, which cannot take fds >= 1024.
+    """
+    pidfd = os.pidfd_open(pid)
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        return bool(poller.poll(timeout * 1000))
+    finally:
+        os.close(pidfd)
+
+
 def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the child's whole process group, then reap the leader."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
     try:
-        proc.communicate(timeout=5)
+        proc.wait(timeout=5)
     except subprocess.TimeoutExpired:
         proc.kill()
-        proc.communicate()
+        proc.wait()
 
 
 def _read_capped(path: str, cap: int) -> str:

@@ -1,6 +1,7 @@
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from semiforge.executor import (
     InterpreterMissing,
     Invocation,
     ResourceLimits,
+    SandboxSetupFailure,
     execute,
     normalize_output,
     outputs_match,
@@ -107,6 +109,111 @@ def test_child_env_has_no_credentials(monkeypatch):
     result = execute(code, Invocation.stdin(""), FAST)
     assert result.ok
     assert normalize_output(result.stdout) == "None"
+
+
+def test_child_runs_isolated_without_site():
+    code = (
+        "import sys\n"
+        "f = sys.flags\n"
+        "print(f.isolated, f.no_site, f.dont_write_bytecode, f.utf8_mode)"
+    )
+    result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok
+    assert normalize_output(result.stdout) == "1 1 1 1"
+
+
+def test_non_ascii_stdin_stdout_round_trip():
+    result = execute("print(input() + ' ✓')", Invocation.stdin("ünï"), FAST)
+    assert result.ok
+    assert normalize_output(result.stdout) == "ünï ✓"
+
+
+def test_site_packages_hidden_from_snippets():
+    result = execute("import numpy", Invocation.stdin(""), FAST)
+    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert "ModuleNotFoundError" in result.stderr
+
+
+def test_exit_and_quit_builtins_end_the_run():
+    result = execute("print(1)\nexit()", Invocation.stdin(""), FAST)
+    assert result.ok
+    assert normalize_output(result.stdout) == "1"
+    result = execute("print(2)\nquit()\nprint(3)", Invocation.stdin(""), FAST)
+    assert result.ok
+    assert normalize_output(result.stdout) == "2"
+    result = execute("exit(3)", Invocation.stdin(""), FAST)
+    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert result.returncode == 3
+
+
+def test_snippet_runs_as_a_plain_main_script():
+    code = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "names = sorted(k for k in globals() if not k.startswith('__'))\n"
+        "print(__name__, os.path.basename(__file__), sys.argv == [__file__], names)"
+    )
+    result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "__main__ snippet.py True ['annotations', 'os', 'sys']"
+
+
+def test_missing_pidfd_open_is_a_setup_failure(monkeypatch):
+    monkeypatch.delattr(os, "pidfd_open")
+    with pytest.raises(SandboxSetupFailure):
+        execute("print(1)", Invocation.stdin(""), FAST)
+
+
+def _proc_state(pid: int) -> str | None:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def test_forked_background_child_does_not_outlive_run():
+    code = (
+        "import os, time\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    time.sleep(20)\n"
+        "    os._exit(0)\n"
+        "print(pid)"
+    )
+    result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok
+    pid = int(normalize_output(result.stdout))
+    # SIGKILL is delivered asynchronously; allow the scheduler a moment.
+    deadline = time.monotonic() + 2.0
+    while _proc_state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _proc_state(pid) in (None, "Z", "X")
+
+
+def test_concurrent_runs_keep_their_own_output():
+    pause = 0.2
+    code = f"import time\ntext = input()\ntime.sleep({pause})\nprint(text[::-1])"
+
+    def timed(snippet, invocation, limits):
+        started = time.monotonic()
+        result = execute(snippet, invocation, limits)
+        return result, time.monotonic() - started
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        spin_limits = ResourceLimits(wall_timeout=1.0)
+        spinner = pool.submit(timed, "while True:\n    pass", Invocation.stdin(""), spin_limits)
+        runs = [pool.submit(timed, code, Invocation.stdin(f"input-{i}"), FAST) for i in range(8)]
+        spin_result, spin_elapsed = spinner.result(timeout=30)
+        outcomes = [future.result(timeout=30) for future in runs]
+
+    assert spin_result.status is ExecStatus.TIMEOUT
+    assert spin_elapsed <= 2.0
+    for i, (result, elapsed) in enumerate(outcomes):
+        assert result.ok
+        assert normalize_output(result.stdout) == f"input-{i}"[::-1]
+        assert elapsed <= pause + 1.0
 
 
 def test_invocation_validation():
