@@ -47,7 +47,7 @@ from .generation import (
     complete,
     parse_components,
 )
-from .lcs import available_backends, lcs_length
+from .lcs import lcs_length
 from .metrics import EvalProblem, PassAtKReport, evaluate_candidates, pass_at_k
 from .pipeline import PipelineConfig, StageFailure, load_config, run_pipeline
 from .validation import (
@@ -88,7 +88,6 @@ __all__ = [
     "TestCase",
     "ValidatedSample",
     "Verdict",
-    "available_backends",
     "build_generation_prompt",
     "cap_solutions",
     "complete",

@@ -1,113 +1,26 @@
-"""Longest-common-subsequence length kernels.
+"""Exact longest-common-subsequence length, bit-parallel over Python ints.
 
-The instruction-similarity filter computes one LCS per candidate/reference
-pair, and a streaming dedup over tens of thousands of instructions turns
-that into billions of DP cell updates. It is the only CPU-bound inner loop
-in this package (everything else is subprocess or file work), so it gets
-two interchangeable backends:
-
-* ``numba``: the classic two-row scalar DP compiled with ``@njit``.
-* ``numpy``: a row-vectorized DP. The relaxed recurrence
-  ``cur[j] = max(prev[j], prev[j-1] + match[j], cur[j-1])`` is exact for
-  LCS, and its last term is a running maximum, so a row update is one
-  ``np.maximum`` plus ``np.maximum.accumulate``.
-
-The numba backend is the default when numba imports; set
-``SEMIFORGE_NUMBA=0`` to force the numpy path. ``benchmarks/bench_lcs.py``
-times the two against each other.
+The instruction-similarity filter needs one LCS length per
+candidate/reference pair. This is the bit-parallel recurrence of Allison
+& Dix (1986) in the form of Hyyrö (2004): bit j of ``row`` is cleared
+where the DP row over ``b`` steps up by one at column j, so a single
+arbitrary-width integer update per token of ``a`` replaces a scan over
+``b``, and the LCS length is the number of cleared bits.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Sequence
-
-import numpy as np
-
-_OFF_VALUES = {"0", "false", "no", "off"}
+from typing import Hashable, Sequence
 
 
-def _lcs_len_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    if a.size == 0 or b.size == 0:
-        return 0
-    prev = np.zeros(b.size + 1, dtype=np.int64)
-    for ai in a:
-        cur = np.maximum(prev[1:], prev[:-1] + (b == ai))
-        np.maximum.accumulate(cur, out=cur)
-        prev[1:] = cur
-    return int(prev[-1])
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _lcs_len_numba(a: np.ndarray, b: np.ndarray) -> int:  # pragma: no cover - compiled
-        m = b.shape[0]
-        prev = np.zeros(m + 1, dtype=np.int64)
-        cur = np.zeros(m + 1, dtype=np.int64)
-        for i in range(a.shape[0]):
-            ai = a[i]
-            for j in range(1, m + 1):
-                if b[j - 1] == ai:
-                    cur[j] = prev[j - 1] + 1
-                else:
-                    p = prev[j]
-                    c = cur[j - 1]
-                    cur[j] = p if p > c else c
-            prev, cur = cur, prev
-        return prev[m]
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAS_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAS_NUMBA else ("numpy",)
-
-
-def _backend_from_env(value: str | None) -> str:
-    if not _HAS_NUMBA:
-        return "numpy"
-    if value is not None and value.strip().lower() in _OFF_VALUES:
-        return "numpy"
-    return "numba"
-
-
-DEFAULT_BACKEND = _backend_from_env(os.environ.get("SEMIFORGE_NUMBA"))
-
-
-def lcs_length(a: np.ndarray, b: np.ndarray, backend: str | None = None) -> int:
-    """Length of the longest common subsequence of two int64 id arrays."""
-    chosen = backend or DEFAULT_BACKEND
-    if chosen == "numba":
-        if not _HAS_NUMBA:
-            raise ValueError("numba backend requested but numba is not installed")
-        return int(_lcs_len_numba(a, b))
-    if chosen == "numpy":
-        return _lcs_len_numpy(a, b)
-    raise ValueError(f"unknown LCS backend: {chosen!r}")
-
-
-def encode_pair(
-    candidate: Sequence[str], reference: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map two token lists onto one shared integer vocabulary.
-
-    The LCS length only depends on equality between tokens, so any
-    injective encoding gives the same answer.
-    """
-    vocab: dict[str, int] = {}
-    return _encode(candidate, vocab), _encode(reference, vocab)
-
-
-def _encode(tokens: Sequence[str], vocab: dict[str, int]) -> np.ndarray:
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        code = vocab.get(tok)
-        if code is None:
-            code = len(vocab)
-            vocab[tok] = code
-        out[i] = code
-    return out
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of two token sequences."""
+    masks: dict[Hashable, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    row = full
+    for token in a:
+        m = masks.get(token, 0) & row
+        row = ((row + m) | (row - m)) & full
+    return len(b) - row.bit_count()

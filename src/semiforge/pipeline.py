@@ -62,8 +62,8 @@ from .generation import (
 from .validation import (
     EmptyTestCases,
     TestCase,
-    construct_test_cases_with_drops,
-    dedup_instructions_with_drops,
+    construct_test_cases,
+    dedup_instructions,
     validate_refined_code,
 )
 
@@ -174,9 +174,21 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
             fh.write("\n")
 
 
-def _read_rows(path: Path) -> list[dict]:
-    text = path.read_text(encoding="utf-8")
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+def _read_rows(stage: str, path: Path) -> list[dict]:
+    # Split on b"\n" only: rows are written with ensure_ascii=False, so a
+    # string may hold U+2028 or U+0085, which str.splitlines() breaks on.
+    rows = []
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise StageFailure(stage, f"{path} line {n}: {exc.msg}") from exc
+            except UnicodeDecodeError as exc:
+                raise StageFailure(stage, f"{path} line {n}: {exc.reason}") from exc
+    return rows
 
 
 def _map_rows(workers: int, fn, items: list) -> list:
@@ -351,9 +363,7 @@ def _stage_construct(config: PipelineConfig, generate_rows: list[dict]) -> list[
             "input_drops": {},
         }
         try:
-            cases, drops = construct_test_cases_with_drops(
-                row["code"], bundle, limits, config.interpreter
-            )
+            cases, drops = construct_test_cases(row["code"], bundle, limits, config.interpreter)
         except EmptyTestCases as exc:
             return {**base, "status": "drop", "reason": "empty_test_cases", "input_drops": exc.drops}
         except SandboxSetupFailure as exc:
@@ -408,7 +418,7 @@ def _stage_validate(config: PipelineConfig, construct_rows: list[dict]) -> list[
 
 def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict]:
     ok_rows = [row for row in validate_rows if row["status"] == "ok"]
-    retained, dropped = dedup_instructions_with_drops(
+    retained = dedup_instructions(
         ok_rows,
         threshold=config.dedup_threshold,
         compare=config.dedup_compare,
@@ -554,7 +564,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
         path = stage_path(out_dir, stage)
         if not path.is_file():
             raise StageFailure(stage, f"missing stage file {path}; run earlier stages first")
-        rows[stage] = _read_rows(path)
+        rows[stage] = _read_rows(stage, path)
         loaded.append(stage)
 
     for stage in STAGES[start_idx : stop_idx + 1]:

@@ -25,7 +25,7 @@ from .executor import (
     outputs_match,
 )
 from .generation import CALL_BASED, AnswerType, GenerationBundle
-from .lcs import encode_pair, lcs_length
+from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
 
@@ -85,13 +85,16 @@ def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
     return Invocation.stdin(raw_input)
 
 
-def construct_test_cases_with_drops(
+def construct_test_cases(
     original_code: str,
     bundle: GenerationBundle,
     limits: ResourceLimits | None = None,
     interpreter: str | None = None,
 ) -> tuple[list[TestCase], Counter]:
-    """Like construct_test_cases, but also report why inputs were dropped."""
+    """Execute the original code on every raw input; keep the Ok pairs.
+
+    Returns the cases and a count of dropped inputs by exit status.
+    """
     cases: list[TestCase] = []
     drops: Counter = Counter()
     for raw_input in bundle.raw_inputs:
@@ -106,17 +109,6 @@ def construct_test_cases_with_drops(
             f"all {len(bundle.raw_inputs)} inputs failed: {dict(drops)}", drops=dict(drops)
         )
     return cases, drops
-
-
-def construct_test_cases(
-    original_code: str,
-    bundle: GenerationBundle,
-    limits: ResourceLimits | None = None,
-    interpreter: str | None = None,
-) -> list[TestCase]:
-    """Execute the original code on every raw input; keep the Ok pairs."""
-    cases, _ = construct_test_cases_with_drops(original_code, bundle, limits, interpreter)
-    return cases
 
 
 _FAIL_BY_STATUS = {
@@ -149,12 +141,11 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def rouge_l(candidate: Sequence[str], reference: Sequence[str], backend: str | None = None) -> float:
+def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:
     """LCS-based F1 between two token lists; 0.0 when either is empty."""
     if not candidate or not reference:
         return 0.0
-    a, b = encode_pair(candidate, reference)
-    lcs = int(lcs_length(a, b, backend=backend))
+    lcs = lcs_length(candidate, reference)
     if lcs == 0:
         return 0.0
     precision = lcs / len(candidate)
@@ -162,8 +153,8 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str], backend: str | N
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_l_text(candidate: str, reference: str, backend: str | None = None) -> float:
-    return rouge_l(tokenize(candidate), tokenize(reference), backend=backend)
+def rouge_l_text(candidate: str, reference: str) -> float:
+    return rouge_l(tokenize(candidate), tokenize(reference))
 
 
 def _f1_upper_bound(len_a: int, len_b: int) -> float:
@@ -178,34 +169,22 @@ def dedup_instructions(
     samples: Iterable,
     threshold: float = DEFAULT_DEDUP_THRESHOLD,
     compare: str = "retained",
-    backend: str | None = None,
     key=None,
-):
+) -> list:
     """Streaming greedy dedup on sample.instruction similarity.
 
     A sample is kept iff its maximal ROUGE-L against the comparison set
-    stays at or below the threshold. The comparison set is previously
-    retained instructions by default; ``compare="all"`` checks against
-    every previously seen instruction instead. ``key`` extracts the
-    instruction text from a sample (defaults to ``.instruction``).
+    stays at or below the threshold; the kept samples are returned in
+    input order. The comparison set is previously retained instructions
+    by default; ``compare="all"`` checks against every previously seen
+    instruction instead. ``key`` extracts the instruction text from a
+    sample (defaults to ``.instruction``).
     """
-    retained, _ = dedup_instructions_with_drops(samples, threshold, compare, backend, key)
-    return retained
-
-
-def dedup_instructions_with_drops(
-    samples: Iterable,
-    threshold: float = DEFAULT_DEDUP_THRESHOLD,
-    compare: str = "retained",
-    backend: str | None = None,
-    key=None,
-):
     if compare not in ("retained", "all"):
         raise ValueError(f"unknown comparison set: {compare!r}")
     if key is None:
         key = lambda sample: sample.instruction
     retained = []
-    dropped = []
     pool: list[list[str]] = []
     for sample in samples:
         tokens = tokenize(key(sample))
@@ -213,14 +192,13 @@ def dedup_instructions_with_drops(
         for prior in pool:
             if _f1_upper_bound(len(tokens), len(prior)) <= threshold:
                 continue
-            if rouge_l(tokens, prior, backend=backend) > threshold:
+            if rouge_l(tokens, prior) > threshold:
                 duplicate = True
                 break
         if duplicate:
-            dropped.append(sample)
             if compare == "all":
                 pool.append(tokens)
         else:
             retained.append(sample)
             pool.append(tokens)
-    return retained, dropped
+    return retained

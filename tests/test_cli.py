@@ -62,6 +62,18 @@ def test_run_resume_from(tmp_path, golden_config_path, capsys):
     assert "after_dedup: 21" in capsys.readouterr().out
 
 
+def test_truncated_stage_file_exits_2(tmp_path, golden_config_path, capsys):
+    assert run_cli("ingest", "--config", golden_config_path, "--out", tmp_path) == 0
+    path = tmp_path / "stage_ingest.jsonl"
+    path.write_bytes(path.read_bytes()[:-40])
+    capsys.readouterr()
+    code = run_cli("generate", "--config", golden_config_path, "--out", tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage ingest: ")
+    assert "stage_ingest.jsonl line 33: " in err
+
+
 def test_report_text_and_json(tmp_path, capsys):
     funnel = GOLDEN / "funnel_stats.json"
     assert run_cli("report", "--funnel", funnel) == 0

@@ -10,6 +10,8 @@ from semiforge.pipeline import (
     STAGES,
     PipelineConfig,
     StageFailure,
+    _read_rows,
+    _write_rows,
     canonical_stage,
     load_config,
     run_pipeline,
@@ -128,6 +130,34 @@ def test_resume_without_stage_files(tmp_path, golden_config_path):
         run_pipeline(config)
     assert excinfo.value.stage == "ingest"
     assert "run earlier stages first" in str(excinfo.value)
+
+
+def truncate_mid_row(path) -> int:
+    """Cut a stage file halfway through its middle row; return that row's line number."""
+    lines = path.read_bytes().split(b"\n")
+    cut = len(lines) // 2
+    path.write_bytes(b"\n".join(lines[:cut] + [lines[cut][: len(lines[cut]) // 2]]))
+    return cut + 1
+
+
+@pytest.mark.parametrize("stage", ["ingest", "generate", "construct", "validate", "dedup"])
+def test_truncated_stage_file_fails_naming_line(golden_run, golden_run_copy, stage):
+    config, _, _ = golden_run
+    line = truncate_mid_row(stage_path(golden_run_copy, stage))
+    resumed = PipelineConfig.from_dict(config.to_dict())
+    resumed.out_dir = str(golden_run_copy)
+    resumed.resume_from = STAGES[STAGES.index(stage) + 1]
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed)
+    assert excinfo.value.stage == stage
+    assert f"stage_{stage}.jsonl line {line}: " in str(excinfo.value)
+
+
+def test_stage_rows_keep_unicode_line_separators(tmp_path):
+    rows = [{"instruction": "one\u2028two\x85three\u2029four", "status": "ok"}, {"status": "drop"}]
+    path = stage_path(tmp_path, "dedup")
+    _write_rows(path, rows)
+    assert _read_rows("dedup", path) == rows
 
 
 def test_stop_after_ingest(tmp_path, golden_config_path):

@@ -11,9 +11,7 @@ from semiforge.validation import (
     ValidatedSample,
     Verdict,
     construct_test_cases,
-    construct_test_cases_with_drops,
     dedup_instructions,
-    dedup_instructions_with_drops,
     invocation_for,
     rouge_l,
     rouge_l_text,
@@ -39,14 +37,14 @@ def bundle_for(code, inputs, answer=None):
 
 def test_construct_executes_original():
     bundle = bundle_for("print(int(input()) * 2)", ["2", "5", "0"])
-    cases = construct_test_cases("print(int(input()) * 2)", bundle, FAST)
+    cases, _ = construct_test_cases("print(int(input()) * 2)", bundle, FAST)
     assert [c.expected_output for c in cases] == ["4", "10", "0"]
     assert all(c.invocation.mode == "stdin" for c in cases)
 
 
 def test_construct_drops_crashing_inputs():
     bundle = bundle_for("print(int(input()) * 2)", ["2", "oops", "5"])
-    cases, drops = construct_test_cases_with_drops("print(int(input()) * 2)", bundle, FAST)
+    cases, drops = construct_test_cases("print(int(input()) * 2)", bundle, FAST)
     assert [c.expected_output for c in cases] == ["4", "10"]
     assert drops == {"runtime_error": 1}
 
@@ -55,7 +53,7 @@ def test_construct_call_based_uses_repr():
     answer = AnswerType.call_based("join_up")
     code = "def join_up(items):\n    return '-'.join(items)"
     bundle = bundle_for(code, ["(['a', 'b'],)"], answer)
-    cases = construct_test_cases(code, bundle, FAST)
+    cases, _ = construct_test_cases(code, bundle, FAST)
     assert cases[0].expected_output == "'a-b'"
     assert cases[0].invocation.function_name == "join_up"
 
@@ -209,11 +207,11 @@ def test_dedup_threshold_is_strict():
     assert len(drops) == 1
 
 
-def test_dedup_with_drops_partition():
+def test_dedup_returns_retained_list():
     samples = [Sample("one two three four"), Sample("one two three four five"), Sample("zz yy")]
-    retained, dropped = dedup_instructions_with_drops(samples, threshold=0.7)
+    retained = dedup_instructions(iter(samples), threshold=0.7)
+    assert isinstance(retained, list)
     assert retained == [samples[0], samples[2]]
-    assert dropped == [samples[1]]
 
 
 def test_dedup_compare_all_consults_dropped():
