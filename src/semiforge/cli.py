@@ -23,6 +23,7 @@ from .pipeline import (
     DATASET_FILE,
     STAGES,
     PipelineConfig,
+    _read_rows,
     load_config,
     run_pipeline,
     stage_path,
@@ -92,7 +93,7 @@ def _print_stage_summary(config: PipelineConfig, stages: list[str]) -> None:
         path = stage_path(config.out_dir, stage)
         if not path.is_file():
             continue
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+        rows = _read_rows(stage, path)
         kept = sum(1 for row in rows if row.get("status") == "ok")
         print(f"{stage}: {kept}/{len(rows)} rows kept -> {path}")
 

@@ -113,10 +113,3 @@ def order_records(records: Sequence, strategy: OrderingStrategy) -> list:
         return _shuffled(items, np.random.default_rng(strategy.seed))
 
     raise ValueError(f"unknown ordering strategy: {kind!r}")
-
-
-def select_scale(records: Sequence, n: int, strategy: OrderingStrategy) -> list:
-    """First n records of the strategy-ordered stream (nested prefixes)."""
-    if n < 0:
-        raise ValueError("scale must be >= 0")
-    return order_records(records, strategy)[:n]

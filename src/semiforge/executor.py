@@ -34,7 +34,6 @@ result.
 
 from __future__ import annotations
 
-import ast
 import os
 import select
 import shutil
@@ -314,8 +313,3 @@ def normalize_output(text: str) -> str:
 def outputs_match(actual: str, expected: str) -> bool:
     """Compare two program outputs modulo trailing-whitespace noise."""
     return normalize_output(actual) == normalize_output(expected)
-
-
-def parse_args_literal(args_line: str):
-    """Parse a call-mode input line exactly as the call driver would."""
-    return ast.literal_eval(args_line.strip())

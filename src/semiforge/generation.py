@@ -311,10 +311,6 @@ def _completion_from_response(response) -> Completion:
         raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
 
 
-def complete(client: CompletionClient, request: CompletionRequest) -> Completion:
-    return client.complete(request)
-
-
 _HEADER = re.compile(r"^###\s+(?P<name>[^#].*?)\s*:?\s*$")
 _INPUT_HEADER = re.compile(r"^####\s+Input\b.*$", re.IGNORECASE)
 _FUNCTION_NAME = re.compile(r"^function\s+name\s*:\s*(?P<name>.+?)\s*$", re.IGNORECASE)

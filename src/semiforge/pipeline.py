@@ -1,11 +1,15 @@
 """Staged, resumable pipeline: ingest through emit.
 
-Each stage persists its full row list (kept and dropped records alike)
-to ``stage_<name>.jsonl`` in the output directory. Funnel statistics
-are recomputed from those rows, so a run resumed from any stage is
-byte-identical to a cold run. A fatal error anywhere is raised as
-StageFailure carrying the stage name; per-record failures only become
-drop rows.
+One corpus solution moves through ingest -> generate -> construct ->
+validate -> dedup as a *unit row*: one flat dict that each stage
+extends with its own fields (see UNIT_FIELDS) and a new status and
+reason, never rebuilds. Order and emit turn the kept rows into dataset
+records. Each stage persists its full row list (kept and dropped
+records alike) to ``stage_<name>.jsonl`` in the output directory.
+Funnel statistics are recomputed from those rows, so a run resumed
+from any stage is byte-identical to a cold run. A fatal error anywhere
+is raised as StageFailure carrying the stage name; per-record failures
+only become drop rows.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
@@ -39,11 +44,11 @@ from .executor import (
 )
 from .generation import (
     TEMPLATE_VERSION,
+    AnswerType,
     AuthMissing,
     CompletionRequest,
     EmptyCode,
     EndpointUnreachable,
-    GenerationBundle,
     LiveClient,
     MissingFunctionName,
     MissingSection,
@@ -55,7 +60,6 @@ from .generation import (
     ReplayMiss,
     UnknownAnswerType,
     build_generation_prompt,
-    complete,
     parse_components,
     prompt_digest,
 )
@@ -71,7 +75,20 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "generate", "construct", "validate", "dedup", "order", "emit")
 _STAGE_ALIASES = {"construct-cases": "construct", "construct_cases": "construct"}
-_ROW_STAGES = ("ingest", "generate", "construct", "validate", "dedup")
+
+# The fields each stage adds to the unit row. Every row also holds
+# "status" ("ok" or "drop") and "reason" (null, or why the unit dropped);
+# an ok row holds exactly the fields of its stage and the stages before
+# it. A stage runs on its predecessor's ok rows only, so a drop row may
+# lack the fields its stage would have added.
+UNIT_FIELDS = {
+    "ingest": ("unit_id", "problem_id", "solution_index", "seq", "code"),
+    "generate": ("prompt_sha256", "instruction", "refined_code", "answer_type", "raw_inputs"),
+    "construct": ("test_cases", "input_drops"),
+    "validate": ("difficulty", "case_index"),
+    "dedup": (),
+}
+_OK_FIELDS = dict(zip(UNIT_FIELDS, accumulate(UNIT_FIELDS.values())))
 
 DATASET_FILE = "dataset.jsonl"
 FUNNEL_FILE = "funnel.json"
@@ -175,6 +192,7 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 
 
 def _read_rows(stage: str, path: Path) -> list[dict]:
+    """Parse a stage file; a row ``stage`` could not have written is a StageFailure."""
     # Split on b"\n" only: rows are written with ensure_ascii=False, so a
     # string may hold U+2028 or U+0085, which str.splitlines() breaks on.
     rows = []
@@ -183,12 +201,37 @@ def _read_rows(stage: str, path: Path) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StageFailure(stage, f"{path} line {n}: {exc.msg}") from exc
             except UnicodeDecodeError as exc:
                 raise StageFailure(stage, f"{path} line {n}: {exc.reason}") from exc
+            if not isinstance(row, dict):
+                raise StageFailure(stage, f"{path} line {n}: row is not a JSON object")
+            missing = _missing_fields(stage, row)
+            if missing:
+                raise StageFailure(stage, f"{path} line {n}: row lacks {', '.join(missing)}")
+            rows.append(row)
     return rows
+
+
+def _missing_fields(stage: str, row: dict) -> list[str]:
+    if stage not in _OK_FIELDS:  # order rows are dataset records, not unit rows
+        return []
+    needed = _OK_FIELDS[stage] if row.get("status") == "ok" else ("unit_id",)
+    return [key for key in needed + ("status", "reason") if key not in row]
+
+
+def _ok(row: dict, **fields) -> dict:
+    return {**row, **fields, "status": "ok", "reason": None}
+
+
+def _drop(row: dict, reason: str, **fields) -> dict:
+    return {**row, **fields, "status": "drop", "reason": reason}
+
+
+def _ok_rows(rows: list[dict]) -> list[dict]:
+    return [row for row in rows if row["status"] == "ok"]
 
 
 def _map_rows(workers: int, fn, items: list) -> list:
@@ -211,7 +254,7 @@ def _stage_ingest(config: PipelineConfig) -> list[dict]:
                     "unit_id": f"{problem.problem_id}:{index}",
                     "problem_id": problem.problem_id,
                     "solution_index": index,
-                    "description": problem.description,
+                    "seq": len(rows),
                     "code": solution.code,
                     "status": "ok",
                     "reason": None,
@@ -253,22 +296,12 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     )
     client = _make_client(config)
 
-    def work(item) -> dict:
-        seq, row = item
-        base = {
-            "unit_id": row["unit_id"],
-            "problem_id": row["problem_id"],
-            "solution_index": row["solution_index"],
-            "seq": seq,
-            "code": row["code"],
-            "prompt_sha256": None,
-            "bundle": None,
-        }
+    def work(row: dict) -> dict:
         try:
             prompt = build_generation_prompt(row["code"], template)
         except EmptyCode:
-            return {**base, "status": "drop", "reason": "empty_code"}
-        base["prompt_sha256"] = prompt_digest(prompt)
+            return _drop(row, "empty_code")
+        digest = prompt_digest(prompt)
         request = CompletionRequest(
             prompt=prompt,
             temperature=config.temperature,
@@ -277,43 +310,23 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
             model_id=config.model_id,
         )
         try:
-            completion = complete(client, request)
+            completion = client.complete(request)
         except (ReplayMiss, AuthMissing, EndpointUnreachable) as exc:
             raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
         try:
             bundle = parse_components(completion.text)
         except ParseError as exc:
-            return {**base, "status": "drop", "reason": _parse_drop_reason(exc)}
-        return {
-            **base,
-            "status": "ok",
-            "reason": None,
-            "bundle": {
-                "instruction": bundle.instruction,
-                "refined_code": bundle.refined_code,
-                "answer_type": {
-                    "kind": bundle.answer_type.kind,
-                    "function_name": bundle.answer_type.function_name,
-                },
-                "raw_inputs": list(bundle.raw_inputs),
-            },
-        }
+            return _drop(row, _parse_drop_reason(exc), prompt_sha256=digest)
+        return _ok(
+            row,
+            prompt_sha256=digest,
+            instruction=bundle.instruction,
+            refined_code=bundle.refined_code,
+            answer_type=asdict(bundle.answer_type),
+            raw_inputs=list(bundle.raw_inputs),
+        )
 
-    return _map_rows(config.workers, work, list(enumerate(ingest_rows)))
-
-
-def _bundle_from_row(row: dict) -> GenerationBundle:
-    from .generation import AnswerType
-
-    bundle = row["bundle"]
-    at = bundle["answer_type"]
-    return GenerationBundle(
-        instruction=bundle["instruction"],
-        refined_code=bundle["refined_code"],
-        answer_type=AnswerType(kind=at["kind"], function_name=at.get("function_name")),
-        raw_inputs=tuple(bundle["raw_inputs"]),
-        raw_completion="",
-    )
+    return _map_rows(config.workers, work, _ok_rows(ingest_rows))
 
 
 def _case_to_dict(case: TestCase) -> dict:
@@ -346,78 +359,43 @@ def _check_interpreter(config: PipelineConfig, stage: str) -> None:
 def _stage_construct(config: PipelineConfig, generate_rows: list[dict]) -> list[dict]:
     _check_interpreter(config, "construct")
     limits = config.limits()
-    ok_rows = [row for row in generate_rows if row["status"] == "ok"]
 
     def work(row: dict) -> dict:
-        bundle = _bundle_from_row(row)
-        base = {
-            "unit_id": row["unit_id"],
-            "problem_id": row["problem_id"],
-            "solution_index": row["solution_index"],
-            "seq": row["seq"],
-            "code": row["code"],
-            "instruction": bundle.instruction,
-            "refined_code": bundle.refined_code,
-            "answer_type": dict(row["bundle"]["answer_type"]),
-            "test_cases": [],
-            "input_drops": {},
-        }
+        answer_type = AnswerType(**row["answer_type"])
         try:
-            cases, drops = construct_test_cases(row["code"], bundle, limits, config.interpreter)
+            cases, drops = construct_test_cases(
+                row["code"], answer_type, row["raw_inputs"], limits, config.interpreter
+            )
         except EmptyTestCases as exc:
-            return {**base, "status": "drop", "reason": "empty_test_cases", "input_drops": exc.drops}
+            return _drop(row, "empty_test_cases", input_drops=exc.drops)
         except SandboxSetupFailure as exc:
             logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-            return {**base, "status": "drop", "reason": "sandbox_failure"}
-        return {
-            **base,
-            "status": "ok",
-            "reason": None,
-            "test_cases": [_case_to_dict(c) for c in cases],
-            "input_drops": dict(drops),
-        }
+            return _drop(row, "sandbox_failure")
+        return _ok(row, test_cases=[_case_to_dict(c) for c in cases], input_drops=dict(drops))
 
-    return _map_rows(config.workers, work, ok_rows)
+    return _map_rows(config.workers, work, _ok_rows(generate_rows))
 
 
 def _stage_validate(config: PipelineConfig, construct_rows: list[dict]) -> list[dict]:
     _check_interpreter(config, "validate")
     limits = config.limits()
-    ok_rows = [row for row in construct_rows if row["status"] == "ok"]
 
     def work(row: dict) -> dict:
         cases = [_case_from_dict(c) for c in row["test_cases"]]
-        base = {
-            "unit_id": row["unit_id"],
-            "problem_id": row["problem_id"],
-            "solution_index": row["solution_index"],
-            "seq": row["seq"],
-            "instruction": row["instruction"],
-            "refined_code": row["refined_code"],
-            "answer_type": dict(row["answer_type"]),
-            "test_cases": list(row["test_cases"]),
-            "difficulty": len(cases),
-            "case_index": None,
-        }
         try:
             verdict = validate_refined_code(row["refined_code"], cases, limits, config.interpreter)
         except SandboxSetupFailure as exc:
             logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-            return {**base, "status": "drop", "reason": "sandbox_failure"}
+            return _drop(row, "sandbox_failure")
         if verdict.passed:
-            return {**base, "status": "ok", "reason": None}
-        return {
-            **base,
-            "status": "drop",
-            "reason": verdict.reason.value,
-            "case_index": verdict.case_index,
-        }
+            return _ok(row, difficulty=len(cases), case_index=None)
+        return _drop(row, verdict.reason.value, difficulty=len(cases), case_index=verdict.case_index)
 
-    return _map_rows(config.workers, work, ok_rows)
+    return _map_rows(config.workers, work, _ok_rows(construct_rows))
 
 
 def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict]:
-    ok_rows = [row for row in validate_rows if row["status"] == "ok"]
+    ok_rows = _ok_rows(validate_rows)
     retained = dedup_instructions(
         ok_rows,
         threshold=config.dedup_threshold,
@@ -425,32 +403,14 @@ def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict
         key=lambda row: row["instruction"],
     )
     retained_ids = {id(row) for row in retained}
-    rows = []
-    for row in ok_rows:
-        kept = id(row) in retained_ids
-        rows.append(
-            {
-                "unit_id": row["unit_id"],
-                "problem_id": row["problem_id"],
-                "solution_index": row["solution_index"],
-                "seq": row["seq"],
-                "instruction": row["instruction"],
-                "refined_code": row["refined_code"],
-                "answer_type": dict(row["answer_type"]),
-                "test_cases": list(row["test_cases"]),
-                "difficulty": row["difficulty"],
-                "status": "ok" if kept else "drop",
-                "reason": None if kept else "near_duplicate",
-            }
-        )
-    return rows
+    return [row if id(row) in retained_ids else _drop(row, "near_duplicate") for row in ok_rows]
 
 
 def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
+    if config.scale is not None and config.scale < 0:
+        raise StageFailure("order", f"scale must be >= 0, got {config.scale}")
     records = []
-    for row in dedup_rows:
-        if row["status"] != "ok":
-            continue
+    for row in _ok_rows(dedup_rows):
         records.append(
             DatasetRecord(
                 instruction=row["instruction"],
@@ -513,7 +473,7 @@ def _funnel_from_rows(rows: Mapping[str, list[dict]]) -> FunnelStats:
 
 def _write_events(out_dir: Path, rows: Mapping[str, list[dict]]) -> None:
     with open(out_dir / EVENTS_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for stage in _ROW_STAGES:
+        for stage in UNIT_FIELDS:
             for row in rows.get(stage, []):
                 event = {
                     "stage": stage,

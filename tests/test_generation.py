@@ -22,7 +22,6 @@ from semiforge.generation import (
     ReplayMiss,
     UnknownAnswerType,
     build_generation_prompt,
-    complete,
     parse_components,
     prompt_digest,
 )
@@ -256,7 +255,7 @@ class StubClient:
 def test_recording_client_persists(tmp_path):
     request = CompletionRequest(prompt="record me")
     client = RecordingClient(StubClient("stored text"), tmp_path / "store")
-    completion = complete(client, request)
+    completion = client.complete(request)
     assert completion.text == "stored text"
     replay = ReplayClient(tmp_path / "store").complete(request)
     assert replay.text == "stored text"

@@ -8,6 +8,7 @@ from semiforge.pipeline import (
     FUNNEL_FILE,
     MANIFEST_FILE,
     STAGES,
+    UNIT_FIELDS,
     PipelineConfig,
     StageFailure,
     _read_rows,
@@ -153,8 +154,82 @@ def test_truncated_stage_file_fails_naming_line(golden_run, golden_run_copy, sta
     assert f"stage_{stage}.jsonl line {line}: " in str(excinfo.value)
 
 
+def resumed_from(config, out_dir, stage):
+    resumed = PipelineConfig.from_dict(config.to_dict())
+    resumed.out_dir = str(out_dir)
+    resumed.resume_from = stage
+    return resumed
+
+
+@pytest.mark.parametrize(
+    "make_row, problem",
+    [
+        (lambda ok: [1, 2], "row is not a JSON object"),
+        (lambda ok: "text", "row is not a JSON object"),
+        (lambda ok: {k: v for k, v in ok.items() if k != "instruction"}, "row lacks instruction"),
+    ],
+    ids=["array", "string", "ok_row_without_instruction"],
+)
+def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, make_row, problem):
+    config, _, _ = golden_run
+    path = stage_path(golden_run_copy, "validate")
+    rows = load_jsonl(path)
+    ok = next(row for row in rows if row["status"] == "ok")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(make_row(ok)) + "\n")
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed_from(config, golden_run_copy, "dedup"))
+    assert excinfo.value.stage == "validate"
+    assert f"stage_validate.jsonl line {len(rows) + 1}: {problem}" in str(excinfo.value)
+
+
+def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
+    path = stage_path(tmp_path, "construct")
+    _write_rows(path, [{"unit_id": "p:0", "status": "drop", "reason": "sandbox_failure"}])
+    assert len(_read_rows("construct", path)) == 1
+    _write_rows(path, [{"unit_id": "p:0", "status": "drop"}])
+    with pytest.raises(StageFailure, match="line 1: row lacks reason"):
+        _read_rows("construct", path)
+
+
+def test_stages_extend_the_unit_row(golden_run):
+    _, out_dir, _ = golden_run
+    stages = list(UNIT_FIELDS)
+    fields = {"status", "reason"}
+    for index, stage in enumerate(stages):
+        fields |= set(UNIT_FIELDS[stage])
+        rows = load_jsonl(stage_path(out_dir, stage))
+        for row in rows:
+            if row["status"] == "ok":
+                assert set(row) == fields, (stage, row["unit_id"])
+        if index == 0:
+            continue
+        before = {row["unit_id"]: row for row in load_jsonl(stage_path(out_dir, stages[index - 1]))}
+        for row in rows:
+            source = {k: v for k, v in before[row["unit_id"]].items() if k not in ("status", "reason")}
+            assert {k: row[k] for k in source if k in row} == source, (stage, row["unit_id"])
+
+
+def test_scale_slices_ordered_records(golden_run, golden_run_copy):
+    config, _, _ = golden_run
+    resumed = resumed_from(config, golden_run_copy, "order")
+    golden = (GOLDEN / "dataset.jsonl").read_bytes()
+    lines = golden.splitlines(keepends=True)
+    for scale, expected in ((0, b""), (5, b"".join(lines[:5])), (100, golden)):
+        resumed.scale = scale
+        run_pipeline(resumed)
+        assert (golden_run_copy / DATASET_FILE).read_bytes() == expected, scale
+    resumed.scale = -1
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed)
+    assert excinfo.value.stage == "order"
+    assert "scale must be >= 0" in str(excinfo.value)
+
+
 def test_stage_rows_keep_unicode_line_separators(tmp_path):
-    rows = [{"instruction": "one\u2028two\x85three\u2029four", "status": "ok"}, {"status": "drop"}]
+    ok = dict.fromkeys(field for fields in UNIT_FIELDS.values() for field in fields)
+    ok.update(unit_id="p:0", instruction="one\u2028two\x85three\u2029four", status="ok", reason=None)
+    rows = [ok, {"unit_id": "p:1", "status": "drop", "reason": "near_duplicate"}]
     path = stage_path(tmp_path, "dedup")
     _write_rows(path, rows)
     assert _read_rows("dedup", path) == rows

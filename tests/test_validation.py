@@ -1,20 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiforge.dataset import Provenance
 from semiforge.executor import Invocation, ResourceLimits
 from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.validation import (
     EmptyTestCases,
     FailReason,
     TestCase as Case,
-    ValidatedSample,
     Verdict,
     construct_test_cases,
     dedup_instructions,
     invocation_for,
     rouge_l,
-    rouge_l_text,
     tokenize,
     validate_refined_code,
 )
@@ -37,14 +34,18 @@ def bundle_for(code, inputs, answer=None):
 
 def test_construct_executes_original():
     bundle = bundle_for("print(int(input()) * 2)", ["2", "5", "0"])
-    cases, _ = construct_test_cases("print(int(input()) * 2)", bundle, FAST)
+    cases, _ = construct_test_cases(
+        "print(int(input()) * 2)", bundle.answer_type, bundle.raw_inputs, FAST
+    )
     assert [c.expected_output for c in cases] == ["4", "10", "0"]
     assert all(c.invocation.mode == "stdin" for c in cases)
 
 
 def test_construct_drops_crashing_inputs():
     bundle = bundle_for("print(int(input()) * 2)", ["2", "oops", "5"])
-    cases, drops = construct_test_cases("print(int(input()) * 2)", bundle, FAST)
+    cases, drops = construct_test_cases(
+        "print(int(input()) * 2)", bundle.answer_type, bundle.raw_inputs, FAST
+    )
     assert [c.expected_output for c in cases] == ["4", "10"]
     assert drops == {"runtime_error": 1}
 
@@ -53,7 +54,7 @@ def test_construct_call_based_uses_repr():
     answer = AnswerType.call_based("join_up")
     code = "def join_up(items):\n    return '-'.join(items)"
     bundle = bundle_for(code, ["(['a', 'b'],)"], answer)
-    cases, _ = construct_test_cases(code, bundle, FAST)
+    cases, _ = construct_test_cases(code, bundle.answer_type, bundle.raw_inputs, FAST)
     assert cases[0].expected_output == "'a-b'"
     assert cases[0].invocation.function_name == "join_up"
 
@@ -61,7 +62,7 @@ def test_construct_call_based_uses_repr():
 def test_construct_all_crash_raises_empty():
     bundle = bundle_for("print(10 // int(input()))", ["0", "x"])
     with pytest.raises(EmptyTestCases) as excinfo:
-        construct_test_cases("print(10 // int(input()))", bundle, FAST)
+        construct_test_cases("print(10 // int(input()))", bundle.answer_type, bundle.raw_inputs, FAST)
     assert excinfo.value.drops == {"runtime_error": 2}
 
 
@@ -112,43 +113,22 @@ def test_validate_requires_cases():
         validate_refined_code("print(1)", [], FAST)
 
 
-def test_validated_sample_difficulty_must_match():
-    with pytest.raises(ValueError):
-        ValidatedSample(
-            instruction="x",
-            refined_code="y",
-            test_cases=tuple(DOUBLE_CASES),
-            difficulty=2,
-            provenance=Provenance("p", 0, 0),
-            answer_type=AnswerType.standard_input(),
-        )
-    sample = ValidatedSample(
-        instruction="x",
-        refined_code="y",
-        test_cases=tuple(DOUBLE_CASES),
-        difficulty=3,
-        provenance=Provenance("p", 0, 0),
-        answer_type=AnswerType.standard_input(),
-    )
-    assert sample.difficulty == 3
-
-
 # ------------------------------------------------------------------ ROUGE
 
 def test_rouge_frozen_values():
-    assert rouge_l_text("the cat sat", "the cat sat") == 1.0
-    assert rouge_l_text("", "anything") == 0.0
-    assert rouge_l_text("alpha beta", "") == 0.0
-    assert rouge_l_text("aaa bbb", "ccc ddd") == 0.0
+    assert rouge_l(tokenize("the cat sat"), tokenize("the cat sat")) == 1.0
+    assert rouge_l(tokenize(""), tokenize("anything")) == 0.0
+    assert rouge_l(tokenize("alpha beta"), tokenize("")) == 0.0
+    assert rouge_l(tokenize("aaa bbb"), tokenize("ccc ddd")) == 0.0
     # LCS=3 over 4/4 tokens: P=R=3/4, F1=0.75
-    assert rouge_l_text("a b c d", "a b x d") == pytest.approx(0.75)
+    assert rouge_l(tokenize("a b c d"), tokenize("a b x d")) == pytest.approx(0.75)
     # Case-insensitive tokenization
-    assert rouge_l_text("The CAT", "the cat") == 1.0
+    assert rouge_l(tokenize("The CAT"), tokenize("the cat")) == 1.0
 
 
 def test_rouge_token_and_text_agree():
-    assert rouge_l(tokenize("Some Words Here"), tokenize("some words there")) == rouge_l_text(
-        "Some Words Here", "some words there"
+    assert rouge_l(tokenize("Some Words Here"), tokenize("some words there")) == rouge_l(
+        ["some", "words", "here"], ["some", "words", "there"]
     )
 
 
@@ -160,21 +140,21 @@ token_texts = st.lists(
 @given(token_texts, token_texts)
 @settings(max_examples=150)
 def test_rouge_matches_oracle(a, b):
-    assert rouge_l_text(a, b) == rouge_oracle(a, b)
+    assert rouge_l(tokenize(a), tokenize(b)) == rouge_oracle(a, b)
 
 
 @given(token_texts, token_texts)
 @settings(max_examples=80)
 def test_rouge_symmetric_and_bounded(a, b):
-    score = rouge_l_text(a, b)
-    assert score == rouge_l_text(b, a)
+    score = rouge_l(tokenize(a), tokenize(b))
+    assert score == rouge_l(tokenize(b), tokenize(a))
     assert 0.0 <= score <= 1.0
 
 
 @given(token_texts)
 @settings(max_examples=40)
 def test_rouge_identity(a):
-    assert rouge_l_text(a, a) == (1.0 if a.split() else 0.0)
+    assert rouge_l(tokenize(a), tokenize(a)) == (1.0 if a.split() else 0.0)
 
 
 # ------------------------------------------------------------------ dedup
