@@ -25,11 +25,12 @@ from .pipeline import (
     PipelineConfig,
     _read_rows,
     load_config,
+    read_json_lines,
+    require_fields,
     run_pipeline,
     stage_path,
 )
 from .validation import TestCase
-from .executor import Invocation
 
 logger = logging.getLogger(__name__)
 
@@ -94,7 +95,7 @@ def _print_stage_summary(config: PipelineConfig, stages: list[str]) -> None:
         if not path.is_file():
             continue
         rows = _read_rows(stage, path)
-        kept = sum(1 for row in rows if row.get("status") == "ok")
+        kept = sum(1 for row in rows if row.get("status", "ok") == "ok")  # order rows: all kept
         print(f"{stage}: {kept}/{len(rows)} rows kept -> {path}")
 
 
@@ -120,38 +121,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalProblem]:
-    problem_rows = [
-        json.loads(line)
-        for line in Path(problems_path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    """Read the eval inputs; a malformed row fails naming its file and line."""
+    try:
+        problem_rows = read_json_lines(problems_path, _eval_problem)
+        candidate_rows = read_json_lines(
+            candidates_path, lambda row: require_fields(row, ("problem_id", "candidate_code"))
+        )
+    except (OSError, ValueError) as exc:
+        raise SemiforgeError(str(exc)) from exc
     grouped: dict[str, list[str]] = {}
-    for line in Path(candidates_path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for row in candidate_rows:
         grouped.setdefault(row["problem_id"], []).append(row["candidate_code"])
-    problems = []
-    for row in problem_rows:
-        cases = tuple(
-            TestCase(
-                invocation=Invocation(
-                    mode=case["mode"],
-                    payload=case["payload"],
-                    function_name=case.get("function_name"),
-                ),
-                expected_output=case["expected_output"],
-            )
-            for case in row["test_cases"]
-        )
-        problems.append(
-            EvalProblem(
-                problem_id=row["problem_id"],
-                test_cases=cases,
-                candidates=tuple(grouped.get(row["problem_id"], ())),
-            )
-        )
-    return problems
+    return [
+        EvalProblem(problem_id=pid, test_cases=cases, candidates=tuple(grouped.get(pid, ())))
+        for pid, cases in problem_rows
+    ]
+
+
+def _eval_problem(row) -> tuple[str, tuple[TestCase, ...]]:
+    require_fields(row, ("problem_id", "test_cases"))
+    if not isinstance(row["test_cases"], list):
+        raise ValueError("test_cases is not a JSON array")
+    return row["problem_id"], tuple(TestCase.from_dict(case) for case in row["test_cases"])
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -11,8 +11,10 @@ Three input layouts are understood:
 * ``generic``: newline-delimited JSON with ``problem_id``,
   ``description`` and ``solutions`` (strings or objects).
 
-Malformed records are skipped with a warning; only an entirely empty
-parse is fatal.
+JSONL files are split at line feeds only: a row written with
+``ensure_ascii=False`` may hold U+2028, which ``str.splitlines()`` breaks
+on. Malformed records are skipped with a warning; only an entirely
+empty parse is fatal.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ class EmptyCorpus(SemiforgeError):
 
 
 class InvalidCap(SemiforgeError):
+    pass
+
+
+class UnknownTokenMode(SemiforgeError):
     pass
 
 
@@ -133,7 +139,7 @@ def _load_codecontest(root: Path, language: str) -> list[Problem]:
     if not root.is_file():
         raise UnknownFormat(f"codecontest format expects a .jsonl file, got {root}")
     problems = []
-    for lineno, line in enumerate(root.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(root.read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -168,7 +174,7 @@ def _load_generic(root: Path, language: str) -> list[Problem]:
     if not root.is_file():
         raise UnknownFormat(f"generic format expects a .jsonl file, got {root}")
     problems = []
-    for lineno, line in enumerate(root.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(root.read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -205,7 +211,7 @@ def _solution_size(solution: Solution, token_mode: str) -> int:
         return solution.token_count
     if token_mode == "bytes":
         return len(solution.code.encode("utf-8"))
-    raise ValueError(f"unknown token mode: {token_mode!r}")
+    raise UnknownTokenMode(f"unknown token mode: {token_mode!r}")
 
 
 def filter_problems(
@@ -232,31 +238,16 @@ def normalize_description(text: str) -> str:
     return " ".join(text.split())
 
 
-def merge_duplicate_problems(
-    problems: Iterable[Problem],
-    key: str = "normalized_description",
-    id_map: Mapping[str, str] | None = None,
-) -> list[Problem]:
-    """Collapse problems sharing a merge key, concatenating their solutions.
+def merge_duplicate_problems(problems: Iterable[Problem]) -> list[Problem]:
+    """Collapse problems whose normalized descriptions match, concatenating their solutions.
 
     The first occurrence wins the id and description; solution order is the
     concatenation of occurrence order, which keeps the later cap stable.
-    With ``key="explicit_id_map"``, problems map to a group via ``id_map``
-    (ids absent from the map stay alone).
     """
-    if key == "normalized_description":
-        key_of = lambda p: normalize_description(p.description)
-    elif key == "explicit_id_map":
-        if id_map is None:
-            raise ValueError("explicit_id_map merge requires an id map")
-        key_of = lambda p: id_map.get(p.problem_id, p.problem_id)
-    else:
-        raise ValueError(f"unknown merge key: {key!r}")
-
     order: list[str] = []
     groups: dict[str, Problem] = {}
     for problem in problems:
-        k = key_of(problem)
+        k = normalize_description(problem.description)
         if k not in groups:
             groups[k] = problem
             order.append(k)
@@ -315,4 +306,4 @@ def write_corpus(problems: Iterable[Problem], path: str | Path) -> int:
 
 def read_corpus(path: str | Path) -> list[Problem]:
     text = Path(path).read_text(encoding="utf-8")
-    return [problem_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
+    return [problem_from_dict(json.loads(line)) for line in text.split("\n") if line.strip()]

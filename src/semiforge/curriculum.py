@@ -1,8 +1,9 @@
 """Ordering strategies for training data emission.
 
-All randomized strategies draw from numpy's default_rng (the PCG64
-generator), so a (strategy, seed) pair reproduces the same permutation
-on any platform. Sorts are stable: ties keep their pipeline order.
+Records are the dicts ``dataset.record`` returns. All randomized
+strategies draw from numpy's default_rng (the PCG64 generator), so a
+(strategy, seed) pair reproduces the same permutation on any platform.
+Sorts are stable: ties keep their pipeline order.
 """
 
 from __future__ import annotations
@@ -38,24 +39,22 @@ class OrderingStrategy:
             raise ValueError(f"unknown ordering strategy: {self.kind!r}")
 
 
-def _difficulty(record, strategy_kind: str) -> int:
-    value = getattr(record, "difficulty", None)
+def _difficulty(record: dict, strategy_kind: str) -> int:
+    value = record["difficulty"]
     if value is None:
         raise MissingProvenance(f"{strategy_kind} needs a difficulty on every record")
     return value
 
 
-def _seq(record, strategy_kind: str) -> int:
-    prov = getattr(record, "provenance", None)
-    seq = getattr(prov, "seq", None)
+def _seq(record: dict, strategy_kind: str) -> int:
+    seq = record["provenance"]["seq"]
     if seq is None:
         raise MissingProvenance(f"{strategy_kind} needs a generation sequence number on every record")
     return seq
 
 
-def _problem_id(record, strategy_kind: str) -> str:
-    prov = getattr(record, "provenance", None)
-    pid = getattr(prov, "problem_id", None)
+def _problem_id(record: dict, strategy_kind: str) -> str:
+    pid = record["provenance"]["problem_id"]
     if not pid:
         raise MissingProvenance(f"{strategy_kind} needs a problem id on every record")
     return pid
@@ -80,7 +79,7 @@ def order_records(records: Sequence, strategy: OrderingStrategy) -> list:
     if kind == "semi_ranked":
         return rank_by_difficulty(items)
 
-    if kind == "semi_unranked":
+    if kind in ("semi_unranked", "all_shuffled"):
         return _shuffled(items, np.random.default_rng(strategy.seed))
 
     if kind == "ni_shuffled":
@@ -104,12 +103,9 @@ def order_records(records: Sequence, strategy: OrderingStrategy) -> list:
         return sorted(items, key=lambda r: _seq(r, kind))
 
     if kind == "combined_si_then_semi":
-        si_block = [r for r in items if getattr(r, "source", None) == "si"]
-        rest = [r for r in items if getattr(r, "source", None) != "si"]
+        si_block = [r for r in items if r["source"] == "si"]
+        rest = [r for r in items if r["source"] != "si"]
         si_block = sorted(si_block, key=lambda r: _seq(r, kind))
         return si_block + rank_by_difficulty(rest)
-
-    if kind == "all_shuffled":
-        return _shuffled(items, np.random.default_rng(strategy.seed))
 
     raise ValueError(f"unknown ordering strategy: {kind!r}")

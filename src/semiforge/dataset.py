@@ -1,10 +1,11 @@
-"""Final dataset records, JSONL emission, and the funnel report.
+"""Dataset records, JSONL emission, and the funnel report.
 
-DatasetRecord is the unit trainers consume: an instruction paired with
-code, tagged with its source stream (semi, ni, si) and enough
-provenance to reconstruct any ordering. Semi records additionally keep
-their test cases so correctness can be re-checked from the emitted
-file alone.
+A dataset record is the plain JSON object one line of ``dataset.jsonl``
+holds: an instruction paired with code, tagged with its source stream
+(semi, ni, si) and enough provenance to reconstruct any ordering. Semi
+records additionally keep their test cases so correctness can be
+re-checked from the emitted file alone. ``record`` is the one place
+that format is checked and completed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import SemiforgeError
 
@@ -27,88 +28,55 @@ class InvalidStats(SemiforgeError):
     pass
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a record came from: corpus problem, solution slot, generation order."""
+def record(obj) -> dict:
+    """Turn a JSON value read from a file into the record that gets written.
 
-    problem_id: str
-    solution_index: int | None = None
-    seq: int | None = None
-
-
-@dataclass(frozen=True)
-class DatasetRecord:
-    instruction: str
-    code: str
-    source: str
-    provenance: Provenance
-    difficulty: int | None = None
-    n_test_cases: int | None = None
-    answer_type: Mapping | None = None
-    test_cases: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown record source: {self.source!r}")
-        if self.source == "semi":
-            if self.difficulty is None or self.n_test_cases is None:
-                raise ValueError("semi records must carry difficulty and n_test_cases")
-            if self.difficulty != self.n_test_cases:
-                raise ValueError("semi difficulty must equal the test-case count")
-
-
-def record_to_dict(record: DatasetRecord) -> dict:
+    Optional keys get their defaults and unknown keys are dropped; a
+    value that cannot be a record raises ValueError naming the defect.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    missing = [key for key in ("instruction", "code", "source") if key not in obj]
+    if missing:
+        raise ValueError(f"record lacks {', '.join(missing)}")
+    if obj["source"] not in SOURCES:
+        raise ValueError(f"unknown record source: {obj['source']!r}")
+    prov = obj.get("provenance") or {}
+    if not isinstance(prov, dict):
+        raise ValueError("record provenance is not a JSON object")
+    if obj["source"] == "semi":
+        if obj.get("difficulty") is None or obj.get("n_test_cases") is None:
+            raise ValueError("semi records must carry difficulty and n_test_cases")
+        if obj["difficulty"] != obj["n_test_cases"]:
+            raise ValueError("semi difficulty must equal the test-case count")
     return {
-        "instruction": record.instruction,
-        "code": record.code,
-        "source": record.source,
-        "difficulty": record.difficulty,
-        "n_test_cases": record.n_test_cases,
-        "answer_type": dict(record.answer_type) if record.answer_type else None,
-        "test_cases": [dict(c) for c in record.test_cases],
+        "instruction": obj["instruction"],
+        "code": obj["code"],
+        "source": obj["source"],
+        "difficulty": obj.get("difficulty"),
+        "n_test_cases": obj.get("n_test_cases"),
+        "answer_type": obj.get("answer_type") or None,
+        "test_cases": obj.get("test_cases") or [],
         "provenance": {
-            "problem_id": record.provenance.problem_id,
-            "solution_index": record.provenance.solution_index,
-            "seq": record.provenance.seq,
+            "problem_id": prov.get("problem_id", ""),
+            "solution_index": prov.get("solution_index"),
+            "seq": prov.get("seq"),
         },
     }
 
 
-def record_from_dict(obj: Mapping) -> DatasetRecord:
-    prov = obj.get("provenance") or {}
-    return DatasetRecord(
-        instruction=obj["instruction"],
-        code=obj["code"],
-        source=obj["source"],
-        difficulty=obj.get("difficulty"),
-        n_test_cases=obj.get("n_test_cases"),
-        answer_type=obj.get("answer_type"),
-        test_cases=tuple(obj.get("test_cases") or ()),
-        provenance=Provenance(
-            problem_id=prov.get("problem_id", ""),
-            solution_index=prov.get("solution_index"),
-            seq=prov.get("seq"),
-        ),
-    )
-
-
-def emit_jsonl(records: Iterable[DatasetRecord], path: str | Path) -> int:
+def emit_jsonl(records: Iterable[dict], path: str | Path) -> int:
     """Write records one JSON object per line; byte-stable for equal input."""
     count = 0
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(json.dumps(record_to_dict(record), ensure_ascii=False, sort_keys=True))
+            for rec in records:
+                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
                 fh.write("\n")
                 count += 1
     except OSError as exc:
         raise IoFailure(f"could not write {path}: {exc}") from exc
     return count
-
-
-def read_jsonl(path: str | Path) -> list[DatasetRecord]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 STAGE_FIELDS = ("loaded_codes", "generated_ok", "with_test_cases", "refined_passed", "after_dedup")

@@ -3,9 +3,10 @@
 One corpus solution moves through ingest -> generate -> construct ->
 validate -> dedup as a *unit row*: one flat dict that each stage
 extends with its own fields (see UNIT_FIELDS) and a new status and
-reason, never rebuilds. Order and emit turn the kept rows into dataset
-records. Each stage persists its full row list (kept and dropped
-records alike) to ``stage_<name>.jsonl`` in the output directory.
+reason, never rebuilds. Order turns the kept rows into dataset records
+(see dataset.record) and emit writes them as they are. Each stage
+persists its full row list (kept and dropped records alike) to
+``stage_<name>.jsonl`` in the output directory.
 Funnel statistics are recomputed from those rows, so a run resumed
 from any stage is byte-identical to a cold run. A fatal error anywhere
 is raised as StageFailure carrying the stage name; per-record failures
@@ -26,22 +27,9 @@ from typing import Mapping
 
 from . import corpus as corpus_mod
 from .curriculum import OrderingStrategy, order_records
-from .dataset import (
-    DatasetRecord,
-    FunnelStats,
-    Provenance,
-    emit_jsonl,
-    read_jsonl,
-    record_from_dict,
-    record_to_dict,
-)
+from .dataset import FunnelStats, emit_jsonl, record
 from .errors import SemiforgeError
-from .executor import (
-    Invocation,
-    ResourceLimits,
-    SandboxSetupFailure,
-    resolve_interpreter,
-)
+from .executor import ResourceLimits, SandboxSetupFailure, resolve_interpreter
 from .generation import (
     TEMPLATE_VERSION,
     AnswerType,
@@ -102,6 +90,10 @@ class StageFailure(SemiforgeError):
         self.stage = stage
 
 
+class InvalidConfig(SemiforgeError):
+    pass
+
+
 def canonical_stage(name: str) -> str:
     stage = _STAGE_ALIASES.get(name, name)
     if stage not in STAGES:
@@ -129,7 +121,6 @@ class PipelineConfig:
     max_tokens: int = 2048
     max_solution_tokens: int = 1000
     token_mode: str = "whitespace"
-    merge_key: str = "normalized_description"
     solution_cap: int = 25
     wall_timeout: float = 5.0
     memory_bytes: int = 256 * 1024 * 1024
@@ -159,7 +150,7 @@ class PipelineConfig:
         known = {f for f in cls.__dataclass_fields__}
         unknown = sorted(set(obj) - known)
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            raise InvalidConfig(f"unknown config keys: {', '.join(unknown)}")
         return cls(**obj)
 
 
@@ -169,9 +160,12 @@ _PATH_KEYS = ("corpus_path", "out_dir", "template_path", "replay_store", "si_pat
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a JSON config; relative paths resolve against the file's directory."""
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"could not read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ValueError(f"config must be a JSON object: {path}")
+        raise InvalidConfig(f"config must be a JSON object: {path}")
     base = path.resolve().parent
     for key in _PATH_KEYS:
         value = obj.get(key)
@@ -191,8 +185,12 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
             fh.write("\n")
 
 
-def _read_rows(stage: str, path: Path) -> list[dict]:
-    """Parse a stage file; a row ``stage`` could not have written is a StageFailure."""
+def read_json_lines(path: str | Path, check) -> list:
+    """Parse a JSON-lines file, passing each value through ``check``.
+
+    A line that is not JSON, or whose value ``check`` rejects with
+    ValueError, raises ValueError naming the file and line.
+    """
     # Split on b"\n" only: rows are written with ensure_ascii=False, so a
     # string may hold U+2028 or U+0085, which str.splitlines() breaks on.
     rows = []
@@ -201,25 +199,38 @@ def _read_rows(stage: str, path: Path) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                rows.append(check(json.loads(line)))
             except json.JSONDecodeError as exc:
-                raise StageFailure(stage, f"{path} line {n}: {exc.msg}") from exc
-            except UnicodeDecodeError as exc:
-                raise StageFailure(stage, f"{path} line {n}: {exc.reason}") from exc
-            if not isinstance(row, dict):
-                raise StageFailure(stage, f"{path} line {n}: row is not a JSON object")
-            missing = _missing_fields(stage, row)
-            if missing:
-                raise StageFailure(stage, f"{path} line {n}: row lacks {', '.join(missing)}")
-            rows.append(row)
+                raise ValueError(f"{path} line {n}: {exc.msg}") from exc
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path} line {n}: {exc}") from exc
     return rows
 
 
-def _missing_fields(stage: str, row: dict) -> list[str]:
-    if stage not in _OK_FIELDS:  # order rows are dataset records, not unit rows
-        return []
-    needed = _OK_FIELDS[stage] if row.get("status") == "ok" else ("unit_id",)
-    return [key for key in needed + ("status", "reason") if key not in row]
+def require_fields(row, keys) -> dict:
+    """Return ``row`` if it is a JSON object holding every key, else raise ValueError."""
+    if not isinstance(row, dict):
+        raise ValueError("row is not a JSON object")
+    missing = [key for key in keys if key not in row]
+    if missing:
+        raise ValueError(f"row lacks {', '.join(missing)}")
+    return row
+
+
+def _check_row(stage: str, row) -> dict:
+    if stage == "order":  # order rows are dataset records, not unit rows
+        return record(row)
+    ok = isinstance(row, dict) and row.get("status") == "ok"
+    needed = _OK_FIELDS[stage] if ok else ("unit_id",)
+    return require_fields(row, needed + ("status", "reason"))
+
+
+def _read_rows(stage: str, path: Path) -> list[dict]:
+    """Parse a stage file; a row ``stage`` could not have written is a StageFailure."""
+    try:
+        return read_json_lines(path, lambda row: _check_row(stage, row))
+    except (OSError, ValueError) as exc:
+        raise StageFailure(stage, str(exc)) from exc
 
 
 def _ok(row: dict, **fields) -> dict:
@@ -244,7 +255,7 @@ def _map_rows(workers: int, fn, items: list) -> list:
 def _stage_ingest(config: PipelineConfig) -> list[dict]:
     problems = corpus_mod.load_corpus(config.corpus_path, config.corpus_format, config.language)
     problems = corpus_mod.filter_problems(problems, config.max_solution_tokens, config.token_mode)
-    problems = corpus_mod.merge_duplicate_problems(problems, config.merge_key)
+    problems = corpus_mod.merge_duplicate_problems(problems)
     problems = corpus_mod.cap_solutions(problems, config.solution_cap)
     rows = []
     for problem in problems:
@@ -329,26 +340,6 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     return _map_rows(config.workers, work, _ok_rows(ingest_rows))
 
 
-def _case_to_dict(case: TestCase) -> dict:
-    return {
-        "mode": case.invocation.mode,
-        "payload": case.invocation.payload,
-        "function_name": case.invocation.function_name,
-        "expected_output": case.expected_output,
-    }
-
-
-def _case_from_dict(obj: Mapping) -> TestCase:
-    return TestCase(
-        invocation=Invocation(
-            mode=obj["mode"],
-            payload=obj["payload"],
-            function_name=obj.get("function_name"),
-        ),
-        expected_output=obj["expected_output"],
-    )
-
-
 def _check_interpreter(config: PipelineConfig, stage: str) -> None:
     try:
         resolve_interpreter(config.interpreter)
@@ -371,7 +362,7 @@ def _stage_construct(config: PipelineConfig, generate_rows: list[dict]) -> list[
         except SandboxSetupFailure as exc:
             logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
             return _drop(row, "sandbox_failure")
-        return _ok(row, test_cases=[_case_to_dict(c) for c in cases], input_drops=dict(drops))
+        return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
 
     return _map_rows(config.workers, work, _ok_rows(generate_rows))
 
@@ -381,7 +372,7 @@ def _stage_validate(config: PipelineConfig, construct_rows: list[dict]) -> list[
     limits = config.limits()
 
     def work(row: dict) -> dict:
-        cases = [_case_from_dict(c) for c in row["test_cases"]]
+        cases = [TestCase.from_dict(c) for c in row["test_cases"]]
         try:
             verdict = validate_refined_code(row["refined_code"], cases, limits, config.interpreter)
         except SandboxSetupFailure as exc:
@@ -409,26 +400,25 @@ def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict
 def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
     if config.scale is not None and config.scale < 0:
         raise StageFailure("order", f"scale must be >= 0, got {config.scale}")
-    records = []
-    for row in _ok_rows(dedup_rows):
-        records.append(
-            DatasetRecord(
-                instruction=row["instruction"],
-                code=row["refined_code"],
-                source="semi",
-                difficulty=row["difficulty"],
-                n_test_cases=row["difficulty"],
-                answer_type=row["answer_type"],
-                test_cases=tuple(row["test_cases"]),
-                provenance=Provenance(
-                    problem_id=row["problem_id"],
-                    solution_index=row["solution_index"],
-                    seq=row["seq"],
-                ),
-            )
-        )
+    records = [
+        {
+            "instruction": row["instruction"],
+            "code": row["refined_code"],
+            "source": "semi",
+            "difficulty": row["difficulty"],
+            "n_test_cases": row["difficulty"],
+            "answer_type": row["answer_type"],
+            "test_cases": row["test_cases"],
+            "provenance": {
+                "problem_id": row["problem_id"],
+                "solution_index": row["solution_index"],
+                "seq": row["seq"],
+            },
+        }
+        for row in _ok_rows(dedup_rows)
+    ]
     if config.si_path:
-        records.extend(read_jsonl(config.si_path))
+        records.extend(_read_rows("order", Path(config.si_path)))
     try:
         strategy = OrderingStrategy(kind=config.order, seed=config.seed)
     except ValueError as exc:
@@ -436,12 +426,11 @@ def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
     ordered = order_records(records, strategy)
     if config.scale is not None:
         ordered = ordered[: config.scale]
-    return [record_to_dict(record) for record in ordered]
+    return ordered
 
 
 def _stage_emit(config: PipelineConfig, order_rows: list[dict]) -> list[dict]:
-    records = [record_from_dict(row) for row in order_rows]
-    count = emit_jsonl(records, Path(config.out_dir) / DATASET_FILE)
+    count = emit_jsonl(order_rows, Path(config.out_dir) / DATASET_FILE)
     logger.info("emitted %d records", count)
     return order_rows
 

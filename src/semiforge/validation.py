@@ -29,6 +29,10 @@ from .lcs import lcs_length
 DEFAULT_DEDUP_THRESHOLD = 0.7
 
 
+class UnknownCompareSet(SemiforgeError):
+    pass
+
+
 class EmptyTestCases(SemiforgeError):
     def __init__(self, message: str, drops: dict | None = None):
         super().__init__(message)
@@ -39,6 +43,25 @@ class EmptyTestCases(SemiforgeError):
 class TestCase:
     invocation: Invocation
     expected_output: str
+
+    def to_dict(self) -> dict:
+        return {
+            "mode": self.invocation.mode,
+            "payload": self.invocation.payload,
+            "function_name": self.invocation.function_name,
+            "expected_output": self.expected_output,
+        }
+
+    @classmethod
+    def from_dict(cls, obj) -> "TestCase":
+        """Decode a stored case; a value that is not one raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("test case is not a JSON object")
+        missing = [key for key in ("mode", "payload", "expected_output") if key not in obj]
+        if missing:
+            raise ValueError(f"test case lacks {', '.join(missing)}")
+        invocation = Invocation(obj["mode"], obj["payload"], obj.get("function_name"))
+        return cls(invocation=invocation, expected_output=obj["expected_output"])
 
 
 class FailReason(str, Enum):
@@ -161,7 +184,7 @@ def dedup_instructions(
     sample (defaults to ``.instruction``).
     """
     if compare not in ("retained", "all"):
-        raise ValueError(f"unknown comparison set: {compare!r}")
+        raise UnknownCompareSet(f"unknown comparison set: {compare!r}")
     if key is None:
         key = lambda sample: sample.instruction
     retained = []

@@ -23,7 +23,7 @@ from semiforge.corpus import (
     write_corpus,
 )
 from semiforge.curriculum import STRATEGIES, OrderingStrategy, order_records
-from semiforge.dataset import FunnelStats, read_jsonl, record_to_dict, retention_ratios
+from semiforge.dataset import FunnelStats, retention_ratios
 from semiforge.executor import ExecStatus, Invocation, ResourceLimits, execute, normalize_output
 from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.metrics import pass_at_k
@@ -203,22 +203,22 @@ def test_criterion_05_dedup_soundness():
 
 def test_criterion_06_curriculum_invariants():
     started = time.monotonic()
-    records = read_jsonl(GOLDEN / "dataset.jsonl")
+    records = load_jsonl(GOLDEN / "dataset.jsonl")
     ok = True
 
     ranked = order_records(records, OrderingStrategy("semi_ranked"))
-    difficulties = [r.difficulty for r in ranked]
+    difficulties = [r["difficulty"] for r in ranked]
     ok &= difficulties == sorted(difficulties, reverse=True)
     # Stable ties: within a difficulty class the original order is kept.
     position = {id(r): i for i, r in enumerate(records)}
     for d in set(difficulties):
-        block = [position[id(r)] for r in ranked if r.difficulty == d]
+        block = [position[id(r)] for r in ranked if r["difficulty"] == d]
         ok &= block == sorted(block)
 
     def render(rs):
-        return "\n".join(json.dumps(record_to_dict(r), sort_keys=True) for r in rs)
+        return "\n".join(json.dumps(r, sort_keys=True) for r in rs)
 
-    key = lambda r: (r.provenance.problem_id, r.provenance.seq)
+    key = lambda r: (r["provenance"]["problem_id"], r["provenance"]["seq"])
     for kind in STRATEGIES:
         strategy = OrderingStrategy(kind, seed=42)
         ordered = order_records(records, strategy)

@@ -40,9 +40,12 @@ def test_staged_subcommands_match_single_run(tmp_path, golden_config_path, capsy
 def test_stage_summaries_report_kept_counts(tmp_path, golden_config_path, capsys):
     assert run_cli("ingest", "--config", golden_config_path, "--out", tmp_path) == 0
     assert run_cli("generate", "--config", golden_config_path, "--out", tmp_path) == 0
+    assert run_cli("validate", "--config", golden_config_path, "--out", tmp_path) == 0
+    assert run_cli("rank", "--config", golden_config_path, "--out", tmp_path) == 0
     out = capsys.readouterr().out
     assert "ingest: 33/33 rows kept" in out
     assert "generate: 30/33 rows kept" in out
+    assert "order: 21/21 rows kept" in out
 
 
 def test_flag_overrides_config(tmp_path, golden_config_path):
@@ -85,6 +88,69 @@ def test_stage_row_not_an_object_exits_2(tmp_path, golden_config_path, capsys):
     assert code == 2
     assert err.startswith("error: stage validate: ")
     assert "stage_validate.jsonl line 29: row is not a JSON object" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("warp_speed", True, "unknown config keys: warp_speed"),
+        ("token_mode", "chars", "stage ingest: unknown token mode: 'chars'"),
+        ("dedup_compare", "everything", "stage dedup: unknown comparison set: 'everything'"),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, golden_config_path, capsys, key, value, message):
+    config = json.loads(golden_config_path.read_text(encoding="utf-8"))
+    config.update({key: value, "corpus_path": str(golden_config_path.parent / config["corpus_path"])})
+    config["replay_store"] = str(golden_config_path.parent / config["replay_store"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli("run", "--config", path, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_unparsable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 1,', encoding="utf-8")
+    code = run_cli("run", "--config", path, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: could not read config {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "resume_from, si_row, message",
+    [
+        ("order", {"instruction": "x", "code": "y", "source": "semi", "difficulty": 2, "n_test_cases": 1},
+         "si.jsonl line 1: semi difficulty must equal the test-case count"),
+        ("order", {"code": "y", "source": "si"}, "si.jsonl line 1: record lacks instruction"),
+        ("order", {"instruction": "x", "code": "y", "source": "si", "provenance": 7},
+         "si.jsonl line 1: record provenance is not a JSON object"),
+        ("emit", None, "stage_order.jsonl line 1: record lacks instruction"),
+    ],
+    ids=["difficulty_mismatch", "si_without_instruction", "provenance_not_object", "order_row"],
+)
+def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_from, si_row, message):
+    if si_row is None:
+        rows = load_jsonl(golden_run_copy / "stage_order.jsonl")
+        del rows[0]["instruction"]
+        _write_rows(golden_run_copy / "stage_order.jsonl", rows)
+        si_flags = ()
+    else:
+        si = golden_run_copy / "si.jsonl"
+        si.write_text(json.dumps(si_row) + "\n", encoding="utf-8")
+        si_flags = ("--si", si)
+    code = run_cli(
+        "run", "--config", golden_config_path, "--out", golden_run_copy, "--resume-from", resume_from, *si_flags
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage order: ")
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -162,6 +228,57 @@ def test_eval_command(tmp_path, capsys):
     assert blob["pass_at_k"]["1"] == pytest.approx(0.5)
     assert blob["pass_at_k"]["2"] == pytest.approx(1.0)
     assert blob["problems"][0]["c"] == 1
+
+
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+DOUBLE_CASE = {"mode": "stdin", "payload": "2", "function_name": None, "expected_output": "4"}
+
+
+def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    code = "print(int(input()) * 2)  # twice\u2028over"
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": code}])
+    assert run_cli("eval", "--problems", problems, "--candidates", candidates) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["problems"][0]["n"] == 1
+    assert blob["problems"][0]["c"] == 1
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ({"problem_id": "d", "test_cases": [{"mode": "stdin", "payload": "2"}]},
+         "problems.jsonl line 1: test case lacks expected_output"),
+        ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "mode": "socket"}]},
+         "problems.jsonl line 1: unknown execution mode: 'socket'"),
+        ({"test_cases": []}, "problems.jsonl line 1: row lacks problem_id"),
+        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases is not a JSON array"),
+    ],
+    ids=["case_without_expected_output", "unknown_mode", "no_problem_id", "cases_not_array"],
+)
+def test_eval_malformed_problem_exits_2(tmp_path, capsys, problem, message):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [problem])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_eval_malformed_candidate_exits_2(tmp_path, capsys):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text(json.dumps({"problem_id": "d"}) + "\n{\n", encoding="utf-8")
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "candidates.jsonl line 1: row lacks candidate_code" in err
 
 
 def test_eval_insufficient_candidates(tmp_path, capsys):

@@ -46,6 +46,22 @@ def test_load_generic_jsonl():
     assert sum(len(p.solutions) for p in problems) == 33
 
 
+@pytest.mark.parametrize("format", ["generic", "codecontest"])
+def test_jsonl_rows_keep_unicode_line_separators(tmp_path, caplog, format):
+    names = ("problem_id", "description") if format == "generic" else ("name", "description")
+    rows = [
+        {names[0]: "sep", names[1]: "Read\u2028two\u0085lines.", "solutions": []},
+        "not an object",
+        {names[0]: "next", names[1]: "Plain.", "solutions": []},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+    problems = load_corpus(path, format)
+    assert [p.problem_id for p in problems] == ["sep", "next"]
+    assert problems[0].description == "Read\u2028two\u0085lines."
+    assert "skipping line 2 of corpus.jsonl" in caplog.text
+
+
 def test_unknown_format_and_missing_path(tmp_path):
     with pytest.raises(UnknownFormat):
         load_corpus(TEST_DATA / "apps_small", "leetcode")
@@ -102,16 +118,6 @@ def test_merge_by_normalized_description():
     assert [s.code for s in merged[0].solutions] == ["a", "b", "c"]
     # First occurrence keeps its own description verbatim.
     assert merged[0].description == "Sum two integers.\n"
-
-
-def test_merge_by_explicit_id_map():
-    problems = [
-        make_problem("x1", "one", ["a"]),
-        make_problem("x2", "two", ["b"]),
-    ]
-    merged = merge_duplicate_problems(problems, key="explicit_id_map", id_map={"x2": "x1"})
-    assert [p.problem_id for p in merged] == ["x1"]
-    assert [s.code for s in merged[0].solutions] == ["a", "b"]
 
 
 descriptions = st.lists(

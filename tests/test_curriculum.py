@@ -10,26 +10,30 @@ from semiforge.curriculum import (
     order_records,
     rank_by_difficulty,
 )
-from semiforge.dataset import DatasetRecord, Provenance, record_to_dict
+from semiforge.dataset import record
 
 
 def semi(problem_id, seq, difficulty):
-    return DatasetRecord(
-        instruction=f"task {seq}",
-        code=f"print({seq})",
-        source="semi",
-        provenance=Provenance(problem_id, 0, seq),
-        difficulty=difficulty,
-        n_test_cases=difficulty,
+    return record(
+        {
+            "instruction": f"task {seq}",
+            "code": f"print({seq})",
+            "source": "semi",
+            "provenance": {"problem_id": problem_id, "solution_index": 0, "seq": seq},
+            "difficulty": difficulty,
+            "n_test_cases": difficulty,
+        }
     )
 
 
 def si(seq):
-    return DatasetRecord(
-        instruction=f"generated {seq}",
-        code=f"print({seq})",
-        source="si",
-        provenance=Provenance(f"si-{seq}", None, seq),
+    return record(
+        {
+            "instruction": f"generated {seq}",
+            "code": f"print({seq})",
+            "source": "si",
+            "provenance": {"problem_id": f"si-{seq}", "seq": seq},
+        }
     )
 
 
@@ -44,7 +48,7 @@ MIXED = [
 
 
 def ids(records):
-    return [(r.provenance.problem_id, r.provenance.seq) for r in records]
+    return [(r["provenance"]["problem_id"], r["provenance"]["seq"]) for r in records]
 
 
 def test_strategy_names():
@@ -65,10 +69,10 @@ def test_strategy_validation():
 
 def test_rank_by_difficulty_descending_and_stable():
     ranked = rank_by_difficulty(MIXED)
-    difficulties = [r.difficulty for r in ranked]
+    difficulties = [r["difficulty"] for r in ranked]
     assert difficulties == [4, 3, 3, 2, 2, 1]
     # Ties keep input order: seq 1 before seq 2 (both difficulty 3), 0 before 4.
-    assert [r.provenance.seq for r in ranked] == [5, 1, 2, 0, 4, 3]
+    assert [r["provenance"]["seq"] for r in ranked] == [5, 1, 2, 0, 4, 3]
 
 
 def test_rank_missing_difficulty():
@@ -106,7 +110,7 @@ def test_ni_shuffled_matches_reference_algorithm():
     ids_in_order = []
     by_problem = {}
     for record in MIXED:
-        pid = record.provenance.problem_id
+        pid = record["provenance"]["problem_id"]
         if pid not in by_problem:
             by_problem[pid] = []
             ids_in_order.append(pid)
@@ -122,14 +126,14 @@ def test_ni_shuffled_matches_reference_algorithm():
 def test_si_generated_order_sorts_by_seq():
     records = [si(3), si(0), si(2), si(1)]
     ordered = order_records(records, OrderingStrategy("si_generated_order"))
-    assert [r.provenance.seq for r in ordered] == [0, 1, 2, 3]
+    assert [r["provenance"]["seq"] for r in ordered] == [0, 1, 2, 3]
 
 
 def test_combined_si_then_semi():
     records = [semi("pa", 0, 2), si(10), semi("pb", 1, 5), si(4)]
     ordered = order_records(records, OrderingStrategy("combined_si_then_semi"))
-    assert [r.source for r in ordered] == ["si", "si", "semi", "semi"]
-    assert [r.provenance.seq for r in ordered] == [4, 10, 1, 0]
+    assert [r["source"] for r in ordered] == ["si", "si", "semi", "semi"]
+    assert [r["provenance"]["seq"] for r in ordered] == [4, 10, 1, 0]
 
 
 @pytest.mark.parametrize("kind", STRATEGIES)
@@ -140,9 +144,9 @@ def test_every_strategy_permutes(kind):
 
 
 def test_order_leaves_input_unmodified():
-    before = [record_to_dict(r) for r in MIXED]
+    before = json.dumps(MIXED)
     order_records(MIXED, OrderingStrategy("all_shuffled", seed=2))
-    assert [record_to_dict(r) for r in MIXED] == before
+    assert json.dumps(MIXED) == before
 
 
 @pytest.mark.parametrize("kind", STRATEGIES)
@@ -157,7 +161,7 @@ def test_select_scale_prefix_nesting(kind):
 def test_byte_exact_reproducibility():
     strategy = OrderingStrategy("all_shuffled", seed=21)
     render = lambda rs: "\n".join(
-        json.dumps(record_to_dict(r), sort_keys=True) for r in order_records(rs, strategy)
+        json.dumps(r, sort_keys=True) for r in order_records(rs, strategy)
     )
     assert render(MIXED) == render(MIXED)
 

@@ -4,79 +4,98 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge.dataset import (
-    DatasetRecord,
     FunnelStats,
     InvalidStats,
     IoFailure,
-    Provenance,
     emit_jsonl,
     funnel_report,
-    read_jsonl,
-    record_from_dict,
-    record_to_dict,
+    record,
     retention_ratios,
 )
+from tests.conftest import load_jsonl
 
 
 def semi_record(difficulty=1, seq=0):
-    return DatasetRecord(
-        instruction="do the thing",
-        code="print(1)",
-        source="semi",
-        provenance=Provenance(problem_id="p1", solution_index=0, seq=seq),
-        difficulty=difficulty,
-        n_test_cases=difficulty,
-        answer_type={"kind": "standard_input", "function_name": None},
-        test_cases=(
-            {"mode": "stdin", "payload": "1", "function_name": None, "expected_output": "1"},
-        ),
+    return record(
+        {
+            "instruction": "do the thing",
+            "code": "print(1)",
+            "source": "semi",
+            "provenance": {"problem_id": "p1", "solution_index": 0, "seq": seq},
+            "difficulty": difficulty,
+            "n_test_cases": difficulty,
+            "answer_type": {"kind": "standard_input", "function_name": None},
+            "test_cases": [
+                {"mode": "stdin", "payload": "1", "function_name": None, "expected_output": "1"}
+            ],
+        }
     )
 
 
 def test_semi_record_requires_matching_difficulty():
-    with pytest.raises(ValueError):
-        DatasetRecord(
-            instruction="x",
-            code="y",
-            source="semi",
-            provenance=Provenance("p", 0, 0),
-            difficulty=3,
-            n_test_cases=2,
-        )
-    with pytest.raises(ValueError):
-        DatasetRecord(
-            instruction="x",
-            code="y",
-            source="semi",
-            provenance=Provenance("p", 0, 0),
-        )
+    base = {"instruction": "x", "code": "y", "source": "semi"}
+    with pytest.raises(ValueError, match="difficulty must equal"):
+        record({**base, "difficulty": 3, "n_test_cases": 2})
+    with pytest.raises(ValueError, match="must carry difficulty"):
+        record(base)
+    with pytest.raises(ValueError, match="must carry difficulty"):
+        record({**base, "difficulty": None, "n_test_cases": None})
 
 
 def test_unknown_source_rejected():
-    with pytest.raises(ValueError):
-        DatasetRecord(
-            instruction="x", code="y", source="scraped", provenance=Provenance("p", 0, 0)
-        )
+    with pytest.raises(ValueError, match="unknown record source"):
+        record({"instruction": "x", "code": "y", "source": "scraped"})
+
+
+@pytest.mark.parametrize(
+    "value, problem",
+    [
+        ([1, 2], "record is not a JSON object"),
+        ({"code": "y", "source": "si"}, "record lacks instruction"),
+        ({"instruction": "x"}, "record lacks code, source"),
+        ({"instruction": "x", "code": "y", "source": "si", "provenance": [1]}, "provenance is not"),
+    ],
+)
+def test_record_names_its_first_defect(value, problem):
+    with pytest.raises(ValueError, match=problem):
+        record(value)
 
 
 def test_record_round_trip():
-    record = semi_record()
-    back = record_from_dict(record_to_dict(record))
-    assert record_to_dict(back) == record_to_dict(record)
-    assert back.answer_type["kind"] == "standard_input"
-    assert back.test_cases[0]["payload"] == "1"
+    once = semi_record()
+    assert record(once) == once
+    assert record(json.loads(json.dumps(once))) == once
+    assert once["answer_type"]["kind"] == "standard_input"
+    assert once["test_cases"][0]["payload"] == "1"
+
+
+def test_record_fills_defaults_and_drops_unknown_keys():
+    rec = record(
+        {"instruction": "x", "code": "y", "source": "ni", "answer_type": {}, "extra": 1}
+    )
+    assert rec == {
+        "instruction": "x",
+        "code": "y",
+        "source": "ni",
+        "difficulty": None,
+        "n_test_cases": None,
+        "answer_type": None,
+        "test_cases": [],
+        "provenance": {"problem_id": "", "solution_index": None, "seq": None},
+    }
 
 
 def test_si_record_without_difficulty():
-    record = DatasetRecord(
-        instruction="write a poem function",
-        code="def poem():\n    return 'hi'",
-        source="si",
-        provenance=Provenance("si-1", None, 4),
+    rec = record(
+        {
+            "instruction": "write a poem function",
+            "code": "def poem():\n    return 'hi'",
+            "source": "si",
+            "provenance": {"problem_id": "si-1", "seq": 4},
+        }
     )
-    back = record_from_dict(record_to_dict(record))
-    assert back.difficulty is None
-    assert back.provenance.seq == 4
+    assert rec["difficulty"] is None
+    assert rec["provenance"]["seq"] == 4
 
 
 def test_emit_and_read_jsonl(tmp_path):
@@ -85,8 +104,7 @@ def test_emit_and_read_jsonl(tmp_path):
     path.parent.mkdir()
     count = emit_jsonl(records, path)
     assert count == 3
-    back = read_jsonl(path)
-    assert [record_to_dict(r) for r in back] == [record_to_dict(r) for r in records]
+    assert [record(obj) for obj in load_jsonl(path)] == records
 
 
 def test_emit_is_byte_stable(tmp_path):

@@ -9,6 +9,7 @@ from semiforge.pipeline import (
     MANIFEST_FILE,
     STAGES,
     UNIT_FIELDS,
+    InvalidConfig,
     PipelineConfig,
     StageFailure,
     _read_rows,
@@ -226,6 +227,108 @@ def test_scale_slices_ordered_records(golden_run, golden_run_copy):
     assert "scale must be >= 0" in str(excinfo.value)
 
 
+# Partial self-instruct records: optional keys missing, an unknown key,
+# an empty answer type. The expected lines are what the previous record
+# model (a frozen dataclass round-trip) wrote for this file.
+PARTIAL_SI = [
+    {"instruction": "Print hello.", "code": "print('hello')", "source": "si", "provenance": {"seq": 2}},
+    {
+        "instruction": "Add two numbers.",
+        "code": "def add(a, b):\n    return a + b",
+        "source": "si",
+        "answer_type": {},
+        "provenance": {"problem_id": "si-1", "seq": 0},
+        "note": "unknown key",
+    },
+    {
+        "instruction": "Echo a line.",
+        "code": "print(input())",
+        "source": "si",
+        "difficulty": 1,
+        "provenance": {"problem_id": "si-2", "solution_index": 3, "seq": 1},
+    },
+]
+PARTIAL_SI_EMITTED = (
+    b'{"answer_type": null, "code": "def add(a, b):\\n    return a + b", "difficulty": null, '
+    b'"instruction": "Add two numbers.", "n_test_cases": null, "provenance": {"problem_id": '
+    b'"si-1", "seq": 0, "solution_index": null}, "source": "si", "test_cases": []}\n'
+    b'{"answer_type": null, "code": "print(input())", "difficulty": 1, "instruction": '
+    b'"Echo a line.", "n_test_cases": null, "provenance": {"problem_id": "si-2", "seq": 1, '
+    b'"solution_index": 3}, "source": "si", "test_cases": []}\n'
+    b'{"answer_type": null, "code": "print(\'hello\')", "difficulty": null, "instruction": '
+    b'"Print hello.", "n_test_cases": null, "provenance": {"problem_id": "", "seq": 2, '
+    b'"solution_index": null}, "source": "si", "test_cases": []}\n'
+)
+
+
+def write_si(path, records, ensure_ascii=True):
+    path.write_text(
+        "".join(json.dumps(r, ensure_ascii=ensure_ascii) + "\n" for r in records), encoding="utf-8"
+    )
+    return path
+
+
+def test_partial_si_records_emit_unchanged(golden_run, golden_run_copy):
+    config, _, _ = golden_run
+    resumed = resumed_from(config, golden_run_copy, "order")
+    resumed.si_path = str(write_si(golden_run_copy / "si.jsonl", PARTIAL_SI))
+    resumed.order = "combined_si_then_semi"
+    run_pipeline(resumed)
+    golden = (GOLDEN / "dataset.jsonl").read_bytes()
+    assert (golden_run_copy / DATASET_FILE).read_bytes() == PARTIAL_SI_EMITTED + golden
+    resumed.resume_from = "emit"
+    run_pipeline(resumed)
+    assert (golden_run_copy / DATASET_FILE).read_bytes() == PARTIAL_SI_EMITTED + golden
+
+
+def test_si_record_with_line_separator_is_emitted(golden_run, golden_run_copy):
+    config, _, _ = golden_run
+    resumed = resumed_from(config, golden_run_copy, "order")
+    si = {"instruction": "Read\u2028two lines.", "code": "print(1)", "source": "si", "provenance": {"seq": 0}}
+    resumed.si_path = str(write_si(golden_run_copy / "si.jsonl", [si], ensure_ascii=False))
+    resumed.order = "combined_si_then_semi"
+    run_pipeline(resumed)
+    first = load_jsonl(golden_run_copy / DATASET_FILE)[0]
+    assert first["instruction"] == "Read\u2028two lines."
+
+
+BAD_SI = {
+    "difficulty_mismatch": (
+        {"instruction": "x", "code": "y", "source": "semi", "difficulty": 3, "n_test_cases": 2},
+        "semi difficulty must equal the test-case count",
+    ),
+    "no_instruction": ({"code": "y", "source": "si"}, "record lacks instruction"),
+    "provenance_not_object": (
+        {"instruction": "x", "code": "y", "source": "si", "provenance": "si-1"},
+        "record provenance is not a JSON object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SI))
+def test_bad_si_record_fails_naming_line(golden_run, golden_run_copy, case):
+    config, _, _ = golden_run
+    bad, problem = BAD_SI[case]
+    resumed = resumed_from(config, golden_run_copy, "order")
+    resumed.si_path = str(write_si(golden_run_copy / "si.jsonl", [PARTIAL_SI[0], bad]))
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed)
+    assert excinfo.value.stage == "order"
+    assert f"si.jsonl line 2: {problem}" in str(excinfo.value)
+
+
+def test_order_row_without_instruction_fails_emit(golden_run, golden_run_copy):
+    config, _, _ = golden_run
+    path = stage_path(golden_run_copy, "order")
+    rows = load_jsonl(path)
+    del rows[0]["instruction"]
+    _write_rows(path, rows)
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed_from(config, golden_run_copy, "emit"))
+    assert excinfo.value.stage == "order"
+    assert "stage_order.jsonl line 1: record lacks instruction" in str(excinfo.value)
+
+
 def test_stage_rows_keep_unicode_line_separators(tmp_path):
     ok = dict.fromkeys(field for fields in UNIT_FIELDS.values() for field in fields)
     ok.update(unit_id="p:0", instruction="one\u2028two\x85three\u2029four", status="ok", reason=None)
@@ -345,7 +448,7 @@ def test_config_round_trip():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="unknown config keys: warp_speed"):
         PipelineConfig.from_dict({"corpus_path": "x", "warp_speed": True})
 
 
