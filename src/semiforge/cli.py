@@ -30,7 +30,7 @@ from .pipeline import (
     run_pipeline,
     stage_path,
 )
-from .validation import TestCase
+from .validation import COMPARE_SETS, TestCase, decode_test_cases
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--interpreter", help="interpreter for sandboxed runs")
     parser.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run timeout seconds")
     parser.add_argument("--threshold", type=float, help="ROUGE-L dedup threshold")
-    parser.add_argument("--compare", choices=("retained", "all"), help="dedup comparison set")
+    parser.add_argument("--compare", choices=COMPARE_SETS, help="dedup comparison set")
     parser.add_argument("--order", help="ordering strategy")
     parser.add_argument("--seed", type=int, help="RNG seed for randomized orderings")
     parser.add_argument("--scale", type=int, help="emit only the first N ordered records")
@@ -140,9 +140,7 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
 
 def _eval_problem(row) -> tuple[str, tuple[TestCase, ...]]:
     require_fields(row, ("problem_id", "test_cases"))
-    if not isinstance(row["test_cases"], list):
-        raise ValueError("test_cases is not a JSON array")
-    return row["problem_id"], tuple(TestCase.from_dict(case) for case in row["test_cases"])
+    return row["problem_id"], tuple(decode_test_cases(row["test_cases"]))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -6,25 +6,39 @@ bytes written to stdout. The cap is enforced with RLIMIT_FSIZE set to
 one byte above the configured limit: a run that fills the extra byte is
 reported as an overflow instead of being silently truncated.
 
-The child is launched as ``python -I -S -B -X utf8 -c <launcher>
-snippet.py``: it ignores ``PYTHON*`` variables and user site-packages,
-skips ``site`` (so solutions see only the standard library, and
-start-up costs no ``.pth`` imports), writes no bytecode and reads and
-writes UTF-8. ``site`` is also what defines the ``exit`` and ``quit``
-builtins, which solutions often end with, so the launcher binds both to
-``sys.exit`` and then runs the snippet as ``__main__`` with the same
-``__file__`` and ``sys.argv`` a plain script run would give it. The
-other interactive builtins ``site`` adds (``help``, ``copyright``,
-``credits``, ``license``) stay undefined. Its stdin, stdout and
-stderr are files in the working directory, so the parent never
-services a pipe. The parent waits on a pidfd of the child with
-``poll``, which returns as soon as the child exits, and bounds the wait
-by the wall timeout; pidfds need Linux 5.3 or later, and elsewhere
-``execute`` raises ``SandboxSetupFailure``. On every exit, timed out
-or not, the whole process group is killed while the leader is still an
-unreaped zombie (so its group id cannot have been reused), and only
-then is the leader reaped: a background process forked by the snippet
-does not outlive the call.
+Runs are forked from a fork server (``_SERVER``): one single-threaded
+``python -I -S -B -X utf8`` interpreter per ``sandbox(interpreter)``
+block, shared by every thread inside it, so a run costs a ``fork``
+instead of an interpreter start-up. The flags make it ignore
+``PYTHON*`` variables and user site-packages, skip ``site`` (so
+solutions see only the standard library), write no bytecode and use
+UTF-8; its environment holds only ``PATH``, so credentials never reach
+it. It imports nothing with per-process state, so each child starts
+like a fresh interpreter, with one exception: the ``str`` hash secret
+is drawn once per server, so runs in one block share it and runs in
+separate blocks (the pipeline opens one per sandbox stage) do not. The
+server is started with a real ``fork``, not ``vfork``, which would
+charge it the parent's RSS high-water mark, and it is reaped when its
+block ends, so ``RUSAGE_CHILDREN`` covers every run. ``execute``
+outside any block starts a server for that one call.
+
+Each child calls ``setsid``, enters the working directory, sets the
+rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
+``stderr.txt`` over fds 0-2 (dropping the server's command pipes),
+sets ``HOME`` and rebuilds ``sys.std*``. It binds the ``exit`` and
+``quit`` builtins, which ``site`` would have defined, to ``sys.exit``
+(``help`` and the like stay undefined), runs the snippet in a new
+``__main__`` with the ``__file__`` and ``sys.argv`` of a script run,
+and ends as the interpreter does.
+
+The parent waits on a pidfd of the child with ``poll``, which returns
+as soon as the child exits, and bounds the wait by the wall timeout;
+pidfds need Linux 5.3 or later, and elsewhere ``execute`` raises
+``SandboxSetupFailure``, as it does when the server is gone. On every
+exit the server kills the child's process group and the child while
+the child is an unreaped zombie (so its group id cannot have been
+reused), and only then reaps it: a background process forked by the
+snippet does not outlive the call.
 
 Call-based snippets are wrapped in a small driver that parses the
 input line as a Python literal, calls the named function (unpacking
@@ -34,6 +48,8 @@ result.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import os
 import select
 import shutil
@@ -41,6 +57,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -52,17 +69,100 @@ MODES = ("stdin", "call")
 
 _SHIM_TEMPLATE = None
 
-# Run as ``python -c _LAUNCHER snippet.py``. Compiling the file as a
-# module keeps ``from __future__`` imports valid; the launcher's own
-# names are deleted so the snippet starts from a clean ``__main__``.
-_LAUNCHER = (
-    "import builtins, sys\n"
-    "builtins.exit = builtins.quit = sys.exit\n"
-    "del sys.argv[0]\n"
-    "__file__ = sys.argv[0]\n"
-    "del builtins, sys\n"
-    "exec(compile(open(__file__, 'rb').read(), __file__, 'exec'))\n"
-)
+# The fork server, run as ``python -I -S -B -X utf8 -c _SERVER``. Its
+# stdin and stdout are the command and answer pipes. Each command is a
+# marshalled tuple answered by one marshalled value: ("run", workdir,
+# memory, fsize) forks a child for the snippet staged in workdir and
+# answers its pid; ("reap", pid) kills the child's group and the child,
+# reaps it and answers its exit code. A str answer is an error. The
+# server first answers its own pid, to show that it started.
+_SERVER = r"""
+import atexit, builtins, marshal, os, resource, sys
+
+def run(workdir, memory, fsize):
+    os.setsid()
+    os.chdir(workdir)
+    for limit, value in ((resource.RLIMIT_AS, memory), (resource.RLIMIT_FSIZE, fsize), (resource.RLIMIT_CORE, 0)):
+        resource.setrlimit(limit, (value, value))
+    for fd, name in enumerate(("stdin.txt", "stdout.txt", "stderr.txt")):
+        staged = os.open(name, os.O_WRONLY if fd else os.O_RDONLY)
+        os.dup2(staged, fd)
+        os.close(staged)
+    os.environ["HOME"] = workdir
+    text = dict(encoding="utf-8", newline="\n", closefd=False)
+    sys.stdin = sys.__stdin__ = open(0, "r", errors="surrogateescape", **text)
+    sys.stdout = sys.__stdout__ = open(1, "w", errors="surrogateescape", **text)
+    sys.stderr = sys.__stderr__ = open(2, "w", 1, errors="backslashreplace", **text)
+    builtins.exit = builtins.quit = sys.exit
+    script = os.path.join(workdir, "snippet.py")
+    sys.argv = [script]
+    main = sys.modules["__main__"] = type(sys)("__main__")
+    main.__file__ = script
+    try:
+        with open(script, "rb") as fh:
+            source = fh.read()
+        exec(compile(source, script, "exec"), vars(main))
+        status = 0
+    except SystemExit as exc:
+        status = exc.code
+        if status is None:
+            status = 0
+        elif not isinstance(status, int):
+            print(status, file=sys.stderr)
+            status = 1
+    except BaseException as exc:
+        exc.__traceback__ = exc.__traceback__.tb_next  # drop this frame
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        status = 1
+    # The interpreter's own exit sequence: join non-daemon threads, run
+    # atexit handlers, flush stdout (exit 120 if that fails).
+    if "threading" in sys.modules:
+        sys.modules["threading"]._shutdown()
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None and not sys.stdout.closed:
+            sys.stdout.flush()
+    except Exception:
+        status = 120
+    try:
+        sys.stderr.flush()
+    except Exception:
+        pass
+    return status
+
+def reap(pid):
+    for kill in (os.killpg, os.kill):
+        try:
+            kill(pid, 9)  # SIGKILL; the signal module would import enum
+        except (ProcessLookupError, PermissionError):
+            pass
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+def serve():
+    commands = sys.stdin.buffer
+    os.write(1, marshal.dumps(os.getpid()))
+    while True:
+        try:
+            op, *args = marshal.load(commands)
+        except EOFError:
+            return
+        try:
+            if op == "reap":
+                answer = reap(*args)
+            else:
+                answer = os.fork()
+                if answer == 0:
+                    status = 1
+                    try:
+                        status = run(*args)
+                    finally:
+                        os._exit(status & 0xFF)
+        except OSError as exc:
+            answer = f"{op}: {exc}"
+        os.write(1, marshal.dumps(answer))
+
+serve()
+"""
 
 
 class InterpreterMissing(SemiforgeError):
@@ -162,26 +262,96 @@ def resolve_interpreter(interpreter: str | None = None) -> str:
     return found
 
 
-def _child_env(workdir: str) -> dict[str, str]:
-    # Deliberately minimal: the child must not inherit credentials.
-    return {
-        "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-        "HOME": workdir,
-    }
+class _Server:
+    """A running fork server and the pipes to it; see ``_SERVER``."""
+
+    def __init__(self, python: str):
+        try:
+            # Any uid change (here a no-op one) makes _posixsubprocess fork
+            # instead of vfork, with no Python code between fork and exec.
+            # A session of its own keeps a terminal's Ctrl-C to the parent
+            # from killing the server mid-run.
+            self._proc = subprocess.Popen(
+                [python, "-I", "-S", "-B", "-X", "utf8", "-c", _SERVER],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                env={"PATH": os.environ.get("PATH", "/usr/bin:/bin")},
+                start_new_session=True,
+                user=os.geteuid(),
+            )
+        except OSError as exc:
+            raise SandboxSetupFailure(f"could not start the sandbox server: {exc}") from exc
+        self._lock = threading.Lock()
+        try:
+            self._exchange()
+        except SandboxSetupFailure:
+            self.close()
+            raise
+
+    def _exchange(self, *command):
+        """Send ``command`` (if any) and return the server's answer."""
+        with self._lock:
+            try:
+                if command:
+                    marshal.dump(command, self._proc.stdin)
+                    self._proc.stdin.flush()
+                answer = marshal.load(self._proc.stdout)
+            except (OSError, EOFError, ValueError) as exc:
+                raise SandboxSetupFailure(f"the sandbox server is gone: {exc!r}") from exc
+        if isinstance(answer, str):
+            raise SandboxSetupFailure(f"the sandbox server failed: {answer}")
+        return answer
+
+    def run(self, workdir: str, limits: ResourceLimits) -> tuple[bool, int]:
+        """Run the snippet staged in ``workdir``; return (timed out, exit code)."""
+        pid = self._exchange("run", workdir, limits.memory_bytes, limits.output_bytes + 1)
+        try:
+            timed_out = not _wait_exit(pid, limits.wall_timeout)
+        finally:
+            try:
+                returncode = self._exchange("reap", pid)
+            except SandboxSetupFailure:
+                # The server died mid-run; its orphaned child would run on.
+                with contextlib.suppress(OSError):
+                    os.killpg(pid, signal.SIGKILL)
+                raise
+        return timed_out, returncode
+
+    def close(self) -> None:
+        """End the server (it exits at EOF on its commands) and reap it."""
+        self._proc.communicate()
 
 
-def _make_preexec(limits: ResourceLimits):
-    import resource
+# Interpreter path -> [server, open sandbox() blocks]. Module-level so
+# that execute(), whose signature predates the server, finds the server
+# of the block it runs in, whichever thread calls it.
+_servers: dict[str, list] = {}
+_servers_lock = threading.Lock()
 
-    mem = limits.memory_bytes
-    fsize = limits.output_bytes + 1
 
-    def preexec() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (mem, mem))
-        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
-        resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+@contextlib.contextmanager
+def sandbox(interpreter: str | None = None):
+    """Fork every ``execute`` for ``interpreter`` in the block from one server.
 
-    return preexec
+    Blocks nest and may be entered from several threads: the first
+    starts the server, the last to end closes and reaps it. Raises
+    ``InterpreterMissing`` or ``SandboxSetupFailure`` if the server
+    cannot start.
+    """
+    python = resolve_interpreter(interpreter)
+    with _servers_lock:
+        entry = _servers.get(python)
+        if entry is None:
+            entry = _servers[python] = [_Server(python), 0]
+        entry[1] += 1
+    try:
+        yield entry[0]
+    finally:
+        with _servers_lock:
+            entry[1] -= 1
+            if entry[1] == 0:
+                del _servers[python]
+                entry[0].close()
 
 
 def execute(
@@ -190,9 +360,8 @@ def execute(
     limits: ResourceLimits | None = None,
     interpreter: str | None = None,
 ) -> ExecResult:
-    """Run one snippet against one invocation in an isolated subprocess."""
+    """Run one snippet against one invocation in a forked sandbox child."""
     limits = limits or ResourceLimits()
-    python = resolve_interpreter(interpreter)
     if not hasattr(os, "pidfd_open"):
         raise SandboxSetupFailure("the sandbox needs os.pidfd_open (Linux 5.3 or later)")
 
@@ -209,39 +378,20 @@ def execute(
         raise SandboxSetupFailure(f"could not create sandbox directory: {exc}") from exc
 
     try:
-        script = os.path.join(workdir, "snippet.py")
-        in_path = os.path.join(workdir, "stdin.txt")
         out_path = os.path.join(workdir, "stdout.txt")
         err_path = os.path.join(workdir, "stderr.txt")
+        staged = {"snippet.py": program, "stdin.txt": stdin_payload, "stdout.txt": "", "stderr.txt": ""}
         try:
-            with open(script, "w", encoding="utf-8") as fh:
-                fh.write(program)
-            with open(in_path, "w", encoding="utf-8") as fh:
-                fh.write(stdin_payload)
+            for name, text in staged.items():
+                with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
 
         start = time.monotonic()
         try:
-            with (
-                open(in_path, "rb") as in_fh,
-                open(out_path, "wb") as out_fh,
-                open(err_path, "wb") as err_fh,
-            ):
-                proc = subprocess.Popen(
-                    [python, "-I", "-S", "-B", "-X", "utf8", "-c", _LAUNCHER, script],
-                    stdin=in_fh,
-                    stdout=out_fh,
-                    stderr=err_fh,
-                    cwd=workdir,
-                    env=_child_env(workdir),
-                    start_new_session=True,
-                    preexec_fn=_make_preexec(limits),
-                )
-            try:
-                timed_out = not _wait_exit(proc.pid, limits.wall_timeout)
-            finally:
-                _kill_group(proc)
+            with sandbox(interpreter) as server:
+                timed_out, returncode = server.run(workdir, limits)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
         duration = time.monotonic() - start
@@ -254,7 +404,7 @@ def execute(
             status = ExecStatus.TIMEOUT
         elif overflow:
             status = ExecStatus.OUTPUT_OVERFLOW
-        elif proc.returncode != 0:
+        elif returncode != 0:
             status = ExecStatus.RUNTIME_ERROR
         else:
             status = ExecStatus.OK
@@ -262,7 +412,7 @@ def execute(
             status=status,
             stdout=stdout,
             stderr=stderr,
-            returncode=None if timed_out else proc.returncode,
+            returncode=None if timed_out else returncode,
             duration=duration,
         )
     finally:
@@ -282,19 +432,6 @@ def _wait_exit(pid: int, timeout: float) -> bool:
         return bool(poller.poll(timeout * 1000))
     finally:
         os.close(pidfd)
-
-
-def _kill_group(proc: subprocess.Popen) -> None:
-    """SIGKILL the child's whole process group, then reap the leader."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-    try:
-        proc.wait(timeout=5)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
 
 
 def _read_capped(path: str, cap: int) -> str:

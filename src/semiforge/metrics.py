@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SemiforgeError
-from .executor import ResourceLimits
+from .executor import ResourceLimits, sandbox
 from .validation import TestCase, validate_refined_code
 
 
@@ -112,11 +112,12 @@ def evaluate_candidates(
         i, candidate = job
         return validate_refined_code(candidate, entries[i].test_cases, limits, interpreter).passed
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(passes, jobs))
-    else:
-        outcomes = [passes(job) for job in jobs]
+    with sandbox(interpreter):
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(passes, jobs))
+        else:
+            outcomes = [passes(job) for job in jobs]
 
     correct = [0] * len(entries)
     for (i, _), passed in zip(jobs, outcomes):

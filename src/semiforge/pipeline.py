@@ -29,7 +29,7 @@ from . import corpus as corpus_mod
 from .curriculum import OrderingStrategy, order_records
 from .dataset import FunnelStats, emit_jsonl, record
 from .errors import SemiforgeError
-from .executor import ResourceLimits, SandboxSetupFailure, resolve_interpreter
+from .executor import ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
     TEMPLATE_VERSION,
     AnswerType,
@@ -52,9 +52,10 @@ from .generation import (
     prompt_digest,
 )
 from .validation import (
+    COMPARE_SETS,
     EmptyTestCases,
-    TestCase,
     construct_test_cases,
+    decode_test_cases,
     dedup_instructions,
     validate_refined_code,
 )
@@ -90,14 +91,14 @@ class StageFailure(SemiforgeError):
         self.stage = stage
 
 
-class InvalidConfig(SemiforgeError):
+class InvalidConfig(SemiforgeError, ValueError):
     pass
 
 
 def canonical_stage(name: str) -> str:
     stage = _STAGE_ALIASES.get(name, name)
     if stage not in STAGES:
-        raise ValueError(f"unknown stage: {name!r} (expected one of {', '.join(STAGES)})")
+        raise InvalidConfig(f"unknown stage: {name!r} (expected one of {', '.join(STAGES)})")
     return stage
 
 
@@ -222,7 +223,10 @@ def _check_row(stage: str, row) -> dict:
         return record(row)
     ok = isinstance(row, dict) and row.get("status") == "ok"
     needed = _OK_FIELDS[stage] if ok else ("unit_id",)
-    return require_fields(row, needed + ("status", "reason"))
+    require_fields(row, needed + ("status", "reason"))
+    if ok and stage == "construct":  # the cases validate will run
+        decode_test_cases(row["test_cases"])
+    return row
 
 
 def _read_rows(stage: str, path: Path) -> list[dict]:
@@ -340,15 +344,7 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     return _map_rows(config.workers, work, _ok_rows(ingest_rows))
 
 
-def _check_interpreter(config: PipelineConfig, stage: str) -> None:
-    try:
-        resolve_interpreter(config.interpreter)
-    except SemiforgeError as exc:
-        raise StageFailure(stage, str(exc)) from exc
-
-
 def _stage_construct(config: PipelineConfig, generate_rows: list[dict]) -> list[dict]:
-    _check_interpreter(config, "construct")
     limits = config.limits()
 
     def work(row: dict) -> dict:
@@ -364,15 +360,15 @@ def _stage_construct(config: PipelineConfig, generate_rows: list[dict]) -> list[
             return _drop(row, "sandbox_failure")
         return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
 
-    return _map_rows(config.workers, work, _ok_rows(generate_rows))
+    with sandbox(config.interpreter):
+        return _map_rows(config.workers, work, _ok_rows(generate_rows))
 
 
 def _stage_validate(config: PipelineConfig, construct_rows: list[dict]) -> list[dict]:
-    _check_interpreter(config, "validate")
     limits = config.limits()
 
     def work(row: dict) -> dict:
-        cases = [TestCase.from_dict(c) for c in row["test_cases"]]
+        cases = decode_test_cases(row["test_cases"])
         try:
             verdict = validate_refined_code(row["refined_code"], cases, limits, config.interpreter)
         except SandboxSetupFailure as exc:
@@ -382,7 +378,8 @@ def _stage_validate(config: PipelineConfig, construct_rows: list[dict]) -> list[
             return _ok(row, difficulty=len(cases), case_index=None)
         return _drop(row, verdict.reason.value, difficulty=len(cases), case_index=verdict.case_index)
 
-    return _map_rows(config.workers, work, _ok_rows(construct_rows))
+    with sandbox(config.interpreter):
+        return _map_rows(config.workers, work, _ok_rows(construct_rows))
 
 
 def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict]:
@@ -492,15 +489,18 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
     stages are loaded from their stage files. ``stop_after`` truncates
     the run after the named stage.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     start = canonical_stage(config.resume_from) if config.resume_from else "ingest"
     stop = canonical_stage(stop_after) if stop_after else "emit"
     start_idx = STAGES.index(start)
     stop_idx = STAGES.index(stop)
     if start_idx > stop_idx:
-        raise ValueError(f"resume stage {start!r} is after stop stage {stop!r}")
+        raise InvalidConfig(f"resume stage {start!r} is after stop stage {stop!r}")
+    # Checked here, not only by dedup itself, so that a bad value costs no sandbox runs.
+    if config.dedup_compare not in COMPARE_SETS:
+        raise StageFailure("dedup", f"unknown comparison set: {config.dedup_compare!r}")
+
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: dict[str, list[dict]] = {}
     loaded: list[str] = []

@@ -27,6 +27,7 @@ from .generation import CALL_BASED, AnswerType
 from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
+COMPARE_SETS = ("retained", "all")
 
 
 class UnknownCompareSet(SemiforgeError):
@@ -62,6 +63,13 @@ class TestCase:
             raise ValueError(f"test case lacks {', '.join(missing)}")
         invocation = Invocation(obj["mode"], obj["payload"], obj.get("function_name"))
         return cls(invocation=invocation, expected_output=obj["expected_output"])
+
+
+def decode_test_cases(value) -> list[TestCase]:
+    """Decode a stored ``test_cases`` array; anything else raises ValueError."""
+    if not isinstance(value, list):
+        raise ValueError("test_cases is not a JSON array")
+    return [TestCase.from_dict(case) for case in value]
 
 
 class FailReason(str, Enum):
@@ -183,7 +191,7 @@ def dedup_instructions(
     instruction instead. ``key`` extracts the instruction text from a
     sample (defaults to ``.instruction``).
     """
-    if compare not in ("retained", "all"):
+    if compare not in COMPARE_SETS:
         raise UnknownCompareSet(f"unknown comparison set: {compare!r}")
     if key is None:
         key = lambda sample: sample.instruction

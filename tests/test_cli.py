@@ -110,6 +110,31 @@ def test_bad_config_value_exits_2(tmp_path, golden_config_path, capsys, key, val
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "stage_construct.jsonl").exists()
+
+
+def test_unknown_resume_stage_exits_2(tmp_path, golden_config_path, capsys):
+    code = run_cli("run", "--config", golden_config_path, "--out", tmp_path, "--resume-from", "bogus")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: unknown stage: 'bogus'")
+    assert "Traceback" not in err
+
+
+def test_construct_case_without_expected_output_exits_2(golden_run_copy, golden_config_path, capsys):
+    path = golden_run_copy / "stage_construct.jsonl"
+    rows = load_jsonl(path)
+    line, row = next((n, row) for n, row in enumerate(rows, 1) if row["status"] == "ok")
+    del row["test_cases"][0]["expected_output"]
+    _write_rows(path, rows)
+    code = run_cli(
+        "run", "--config", golden_config_path, "--out", golden_run_copy, "--resume-from", "validate"
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage construct: ")
+    assert f"stage_construct.jsonl line {line}: test case lacks expected_output" in err
+    assert "Traceback" not in err
 
 
 def test_unparsable_config_exits_2(tmp_path, capsys):

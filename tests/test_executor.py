@@ -1,5 +1,7 @@
 import os
+import signal
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,8 +18,12 @@ from semiforge.executor import (
     normalize_output,
     outputs_match,
     resolve_interpreter,
+    sandbox,
     wrap_call_based,
 )
+from semiforge.metrics import EvalProblem, evaluate_candidates
+from semiforge.pipeline import PipelineConfig, run_pipeline
+from semiforge.validation import TestCase as Case
 
 FAST = ResourceLimits(wall_timeout=5.0)
 
@@ -189,6 +195,127 @@ def test_forked_background_child_does_not_outlive_run():
     while _proc_state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _proc_state(pid) in (None, "Z", "X")
+
+
+def _live_children() -> set[int]:
+    """Pids whose parent is this process, zombies included."""
+    me = str(os.getpid())
+    children = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if stat.rsplit(")", 1)[1].split()[1] == me:
+            children.add(int(entry))
+    return children
+
+
+def test_snippet_sees_only_fds_0_to_2():
+    code = (
+        "import os\n"
+        "open_fds = []\n"
+        "for fd in range(64):\n"
+        "    try:\n"
+        "        os.fstat(fd)\n"
+        "    except OSError:\n"
+        "        continue\n"
+        "    open_fds.append(fd)\n"
+        "print(open_fds)"
+    )
+    with sandbox():
+        result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "[0, 1, 2]"
+
+
+def test_str_hash_is_shared_within_a_block_only():
+    code = "print(hash('semiforge'))"
+    blocks = []
+    for _ in range(2):
+        with sandbox():
+            blocks.append([execute(code, Invocation.stdin(""), FAST).stdout for _ in range(2)])
+    assert blocks[0][0] == blocks[0][1]
+    assert blocks[1][0] == blocks[1][1]
+    assert blocks[0][0] != blocks[1][0]
+
+
+def test_random_is_seeded_per_run():
+    code = "import random\nprint(random.random())"
+    with sandbox():
+        first = execute(code, Invocation.stdin(""), FAST)
+        second = execute(code, Invocation.stdin(""), FAST)
+    assert first.ok and second.ok
+    assert first.stdout != second.stdout
+
+
+def test_non_daemon_thread_output_is_captured():
+    code = (
+        "import threading, time\n"
+        "def late():\n"
+        "    time.sleep(0.2)\n"
+        "    print('late')\n"
+        "threading.Thread(target=late).start()\n"
+        "print('main')"
+    )
+    result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "main\nlate"
+
+
+def test_no_child_process_outlives_a_call(golden_run, golden_run_copy):
+    before = _live_children()
+    assert execute("print(1)", Invocation.stdin(""), FAST).ok
+    assert _live_children() - before == set()
+
+    cases = (Case(Invocation.stdin("2"), "4"),)
+    problems = [EvalProblem("double", cases, ("print(2 * int(input()))", "print(5)"))]
+    report = evaluate_candidates(problems, workers=2)
+    assert report.problems[0].c == 1
+    assert _live_children() - before == set()
+
+    config, _, _ = golden_run
+    resumed = PipelineConfig.from_dict(config.to_dict())
+    resumed.out_dir = str(golden_run_copy)
+    resumed.resume_from = "validate"
+    run_pipeline(resumed, stop_after="validate")
+    assert _live_children() - before == set()
+
+
+def test_racing_calls_share_and_close_servers():
+    # Calls outside any block race to start, share and close servers.
+    before = _live_children()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            runs = [pool.submit(execute, f"print({i})", Invocation.stdin(""), FAST) for i in range(24)]
+            outputs = [normalize_output(run.result(timeout=60).stdout) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs == [str(i) for i in range(24)]
+    assert _live_children() - before == set()
+
+
+def test_dead_server_is_a_setup_failure():
+    errors = []
+
+    def attempt():
+        try:
+            execute("print(1)", Invocation.stdin(""), FAST)
+        except SandboxSetupFailure as exc:
+            errors.append(exc)
+
+    with sandbox():
+        server_pid = int(execute("import os\nprint(os.getppid())", Invocation.stdin(""), FAST).stdout)
+        os.kill(server_pid, signal.SIGKILL)
+        # A daemon thread, so that a hanging call fails the test instead of blocking it.
+        worker = threading.Thread(target=attempt, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    assert len(errors) == 1
 
 
 def test_concurrent_runs_keep_their_own_output():
