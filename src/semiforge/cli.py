@@ -15,77 +15,46 @@ import logging
 import sys
 from pathlib import Path
 
-from .dataset import FunnelStats, funnel_report
+from .dataset import FunnelStats, atomic_write, funnel_report, read_json_lines, require_fields
 from .errors import SemiforgeError
 from .executor import ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
-from .pipeline import (
-    DATASET_FILE,
-    STAGES,
-    PipelineConfig,
-    _read_rows,
-    load_config,
-    read_json_lines,
-    require_fields,
-    run_pipeline,
-    stage_path,
-)
+from .pipeline import DATASET_FILE, STAGES, PipelineConfig, _read_rows, load_config, run_pipeline, stage_path
 from .validation import COMPARE_SETS, TestCase, decode_test_cases
 
 logger = logging.getLogger(__name__)
 
-_OVERRIDE_FIELDS = {
-    "corpus": "corpus_path",
-    "format": "corpus_format",
-    "language": "language",
-    "out": "out_dir",
-    "template": "template_path",
-    "input_count": "input_count",
-    "client": "client_mode",
-    "replay_store": "replay_store",
-    "endpoint": "endpoint",
-    "model": "model_id",
-    "interpreter": "interpreter",
-    "wall_timeout": "wall_timeout",
-    "threshold": "dedup_threshold",
-    "compare": "dedup_compare",
-    "order": "order",
-    "seed": "seed",
-    "scale": "scale",
-    "si": "si_path",
-    "workers": "workers",
-}
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """Add one flag per overridable config field; each flag's dest is its field."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--corpus", help="corpus archive path")
-    parser.add_argument("--format", choices=("apps", "codecontest", "generic"), help="corpus layout")
-    parser.add_argument("--language", help="corpus language tag (default python)")
-    parser.add_argument("--out", help="output directory for stage files and the dataset")
-    parser.add_argument("--template", help="prompt template file (default: built-in)")
+    parser.add_argument("--corpus", dest="corpus_path", help="corpus archive path")
+    parser.add_argument(
+        "--format", dest="corpus_format", choices=("apps", "codecontest", "generic"), help="corpus layout"
+    )
+    parser.add_argument("--language", dest="language", help="corpus language tag (default python)")
+    parser.add_argument("--out", dest="out_dir", help="output directory for stage files and the dataset")
+    parser.add_argument("--template", dest="template_path", help="prompt template file (default: built-in)")
     parser.add_argument("--input-count", type=int, dest="input_count", help="test inputs to request")
-    parser.add_argument("--client", choices=("replay", "live"), help="completion client mode")
+    parser.add_argument("--client", dest="client_mode", choices=("replay", "live"), help="completion client mode")
     parser.add_argument("--replay-store", dest="replay_store", help="replay fixture directory")
-    parser.add_argument("--endpoint", help="live chat-completion endpoint URL")
-    parser.add_argument("--model", help="model id sent to the live endpoint")
-    parser.add_argument("--interpreter", help="interpreter for sandboxed runs")
+    parser.add_argument("--endpoint", dest="endpoint", help="live chat-completion endpoint URL")
+    parser.add_argument("--model", dest="model_id", help="model id sent to the live endpoint")
+    parser.add_argument("--interpreter", dest="interpreter", help="interpreter for sandboxed runs")
     parser.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run timeout seconds")
-    parser.add_argument("--threshold", type=float, help="ROUGE-L dedup threshold")
-    parser.add_argument("--compare", choices=COMPARE_SETS, help="dedup comparison set")
-    parser.add_argument("--order", help="ordering strategy")
-    parser.add_argument("--seed", type=int, help="RNG seed for randomized orderings")
-    parser.add_argument("--scale", type=int, help="emit only the first N ordered records")
-    parser.add_argument("--si", help="self-instruct records file to merge before ordering")
-    parser.add_argument("--workers", type=int, help="worker pool width")
+    parser.add_argument("--threshold", type=float, dest="dedup_threshold", help="ROUGE-L dedup threshold")
+    parser.add_argument("--compare", dest="dedup_compare", choices=COMPARE_SETS, help="dedup comparison set")
+    parser.add_argument("--order", dest="order", help="ordering strategy")
+    parser.add_argument("--seed", type=int, dest="seed", help="RNG seed for randomized orderings")
+    parser.add_argument("--scale", type=int, dest="scale", help="emit only the first N ordered records")
+    parser.add_argument("--si", dest="si_path", help="self-instruct records file to merge before ordering")
+    parser.add_argument("--workers", type=int, dest="workers", help="worker pool width")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    for flag, field in _OVERRIDE_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config, field, value)
+    for name, value in vars(args).items():
+        if name in PipelineConfig.__dataclass_fields__ and value is not None:
+            setattr(config, name, value)
     return config
 
 
@@ -112,8 +81,6 @@ def _cmd_slice(args: argparse.Namespace, resume_from: str | None, stop_after: st
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.resume_from:
-        config.resume_from = args.resume_from
     stats = run_pipeline(config)
     print(funnel_report(stats))
     print(f"dataset -> {Path(config.out_dir) / DATASET_FILE}")
@@ -144,7 +111,10 @@ def _eval_problem(row) -> tuple[str, tuple[TestCase, ...]]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ks = [int(part) for part in args.k.split(",") if part.strip()]
+    try:
+        ks = [int(part) for part in args.k.split(",") if part.strip()]
+    except ValueError as exc:
+        raise SemiforgeError(f"--k takes comma-separated integers, got {args.k!r}") from exc
     problems = _load_eval_problems(args.problems, args.candidates)
     limits = ResourceLimits(wall_timeout=args.wall_timeout) if args.wall_timeout else None
     report = evaluate_candidates(
@@ -156,14 +126,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     )
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.write(payload + "\n")
         print(f"report -> {args.out}")
     print(payload)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    stats = FunnelStats.from_dict(json.loads(Path(args.funnel).read_text(encoding="utf-8")))
+    try:
+        stats = FunnelStats.from_dict(json.loads(Path(args.funnel).read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise SemiforgeError(f"could not read funnel {args.funnel}: {exc}") from exc
     print(funnel_report(stats, format=args.format))
     return 0
 

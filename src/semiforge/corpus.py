@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .dataset import emit_jsonl, read_json_lines, require_fields
 from .errors import SemiforgeError
 
 logger = logging.getLogger(__name__)
@@ -295,15 +296,11 @@ def problem_from_dict(obj: Mapping) -> Problem:
 
 
 def write_corpus(problems: Iterable[Problem], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for problem in problems:
-            fh.write(json.dumps(problem_to_dict(problem), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            n += 1
-    return n
+    return emit_jsonl((problem_to_dict(problem) for problem in problems), path)
 
 
 def read_corpus(path: str | Path) -> list[Problem]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [problem_from_dict(json.loads(line)) for line in text.split("\n") if line.strip()]
+    """Read a corpus ``write_corpus`` wrote; a malformed line raises ValueError naming it."""
+    return read_json_lines(
+        path, lambda obj: problem_from_dict(require_fields(obj, ("problem_id", "description", "solutions")))
+    )

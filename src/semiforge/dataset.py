@@ -1,4 +1,4 @@
-"""Dataset records, JSONL emission, and the funnel report.
+"""Dataset records, the files semiforge reads and writes, and the funnel report.
 
 A dataset record is the plain JSON object one line of ``dataset.jsonl``
 holds: an instruction paired with code, tagged with its source stream
@@ -6,11 +6,17 @@ holds: an instruction paired with code, tagged with its source stream
 records additionally keep their test cases so correctness can be
 re-checked from the emitted file alone. ``record`` is the one place
 that format is checked and completed.
+
+Every file semiforge writes goes through ``atomic_write``, and every
+JSON-lines file through ``emit_jsonl`` and ``read_json_lines``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -65,18 +71,79 @@ def record(obj) -> dict:
     }
 
 
+@contextmanager
+def atomic_write(path: str | Path):
+    """Yield a UTF-8 text handle whose contents replace ``path`` when the block ends.
+
+    The handle writes a temp file in ``path``'s directory, which is then
+    ``os.replace``d over ``path``: a crash of the process leaves the old
+    file or the new one, never a part (nothing is fsynced, so a crash of
+    the machine may). The temp name holds the pid and thread id, so
+    concurrent writers never share one, and it is created afresh with
+    "x", so it gets the mode plain ``open`` gives. On failure the temp
+    file is removed; an OSError or an unencodable string raises
+    IoFailure naming ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    created = False
+    try:
+        # Only this thread writes this name, so one that exists was left by
+        # a crashed process whose pid this one reuses.
+        tmp.unlink(missing_ok=True)
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            created = True
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if created:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, (OSError, UnicodeError)):
+            raise IoFailure(f"could not write {path}: {exc}") from exc
+        raise
+
+
 def emit_jsonl(records: Iterable[dict], path: str | Path) -> int:
     """Write records one JSON object per line; byte-stable for equal input."""
     count = 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
-                count += 1
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
+            count += 1
     return count
+
+
+def read_json_lines(path: str | Path, check) -> list:
+    """Parse a JSON-lines file, passing each value through ``check``.
+
+    A line that is not JSON, or whose value ``check`` rejects with
+    ValueError, raises ValueError naming the file and line.
+    """
+    # Split on b"\n" only: rows are written with ensure_ascii=False, so a
+    # string may hold U+2028 or U+0085, which str.splitlines() breaks on.
+    rows = []
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(check(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {n}: {exc.msg}") from exc
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path} line {n}: {exc}") from exc
+    return rows
+
+
+def require_fields(row, keys) -> dict:
+    """Return ``row`` if it is a JSON object holding every key, else raise ValueError."""
+    if not isinstance(row, dict):
+        raise ValueError("row is not a JSON object")
+    missing = [key for key in keys if key not in row]
+    if missing:
+        raise ValueError(f"row lacks {', '.join(missing)}")
+    return row
 
 
 STAGE_FIELDS = ("loaded_codes", "generated_ok", "with_test_cases", "refined_passed", "after_dedup")
@@ -109,6 +176,7 @@ class FunnelStats:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "FunnelStats":
+        require_fields(obj, STAGE_FIELDS)
         return cls(
             **{name: int(obj[name]) for name in STAGE_FIELDS},
             drop_reasons={k: dict(v) for k, v in obj.get("drop_reasons", {}).items()},

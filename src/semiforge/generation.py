@@ -25,6 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Protocol
 
+from .dataset import atomic_write
 from .errors import SemiforgeError
 
 logger = logging.getLogger(__name__)
@@ -214,8 +215,8 @@ class RecordingClient:
     def complete(self, request: CompletionRequest) -> Completion:
         completion = self.inner.complete(request)
         self.store.mkdir(parents=True, exist_ok=True)
-        path = self.store / f"{prompt_digest(request.prompt)}.txt"
-        path.write_text(completion.text, encoding="utf-8")
+        with atomic_write(self.store / f"{prompt_digest(request.prompt)}.txt") as fh:
+            fh.write(completion.text)
         return completion
 
 

@@ -66,19 +66,8 @@ class PassAtKReport:
         }
 
 
-def _as_eval_problem(entry, index: int) -> EvalProblem:
-    if isinstance(entry, EvalProblem):
-        return entry
-    test_cases, candidates = entry
-    return EvalProblem(
-        problem_id=f"problem-{index}",
-        test_cases=tuple(test_cases),
-        candidates=tuple(candidates),
-    )
-
-
 def evaluate_candidates(
-    problems: Sequence,
+    problems: Sequence[EvalProblem],
     limits: ResourceLimits | None = None,
     ks: Sequence[int] = (1,),
     interpreter: str | None = None,
@@ -92,9 +81,8 @@ def evaluate_candidates(
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1:
         raise InvalidArgs(f"every k must be >= 1, got {ks[0]}")
-    entries = [_as_eval_problem(p, i) for i, p in enumerate(problems)]
     k_max = ks[-1]
-    for entry in entries:
+    for entry in problems:
         if not entry.test_cases:
             raise InvalidArgs(f"{entry.problem_id} has no test cases")
         if len(entry.candidates) < k_max:
@@ -104,13 +92,13 @@ def evaluate_candidates(
 
     jobs = [
         (i, candidate)
-        for i, entry in enumerate(entries)
+        for i, entry in enumerate(problems)
         for candidate in entry.candidates
     ]
 
     def passes(job) -> bool:
         i, candidate = job
-        return validate_refined_code(candidate, entries[i].test_cases, limits, interpreter).passed
+        return validate_refined_code(candidate, problems[i].test_cases, limits, interpreter).passed
 
     with sandbox(interpreter):
         if workers > 1:
@@ -119,14 +107,14 @@ def evaluate_candidates(
         else:
             outcomes = [passes(job) for job in jobs]
 
-    correct = [0] * len(entries)
+    correct = [0] * len(problems)
     for (i, _), passed in zip(jobs, outcomes):
         if passed:
             correct[i] += 1
 
     evals = tuple(
         ProblemEval(problem_id=entry.problem_id, n=len(entry.candidates), c=correct[i])
-        for i, entry in enumerate(entries)
+        for i, entry in enumerate(problems)
     )
     estimates = {
         k: float(np.mean([pass_at_k(p.n, p.c, k) for p in evals])) for k in ks

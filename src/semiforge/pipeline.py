@@ -27,7 +27,7 @@ from typing import Mapping
 
 from . import corpus as corpus_mod
 from .curriculum import OrderingStrategy, order_records
-from .dataset import FunnelStats, emit_jsonl, record
+from .dataset import FunnelStats, atomic_write, emit_jsonl, read_json_lines, record, require_fields
 from .errors import SemiforgeError
 from .executor import ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
@@ -177,45 +177,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def stage_path(out_dir: str | Path, stage: str) -> Path:
     return Path(out_dir) / f"stage_{stage}.jsonl"
-
-
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-
-
-def read_json_lines(path: str | Path, check) -> list:
-    """Parse a JSON-lines file, passing each value through ``check``.
-
-    A line that is not JSON, or whose value ``check`` rejects with
-    ValueError, raises ValueError naming the file and line.
-    """
-    # Split on b"\n" only: rows are written with ensure_ascii=False, so a
-    # string may hold U+2028 or U+0085, which str.splitlines() breaks on.
-    rows = []
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(check(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {n}: {exc.msg}") from exc
-            except ValueError as exc:  # UnicodeDecodeError included
-                raise ValueError(f"{path} line {n}: {exc}") from exc
-    return rows
-
-
-def require_fields(row, keys) -> dict:
-    """Return ``row`` if it is a JSON object holding every key, else raise ValueError."""
-    if not isinstance(row, dict):
-        raise ValueError("row is not a JSON object")
-    missing = [key for key in keys if key not in row]
-    if missing:
-        raise ValueError(f"row lacks {', '.join(missing)}")
-    return row
 
 
 def _check_row(stage: str, row) -> dict:
@@ -458,17 +419,12 @@ def _funnel_from_rows(rows: Mapping[str, list[dict]]) -> FunnelStats:
 
 
 def _write_events(out_dir: Path, rows: Mapping[str, list[dict]]) -> None:
-    with open(out_dir / EVENTS_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for stage in UNIT_FIELDS:
-            for row in rows.get(stage, []):
-                event = {
-                    "stage": stage,
-                    "unit_id": row["unit_id"],
-                    "status": row["status"],
-                    "reason": row.get("reason"),
-                }
-                fh.write(json.dumps(event, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+    events = (
+        {"stage": stage, "unit_id": row["unit_id"], "status": row["status"], "reason": row.get("reason")}
+        for stage in UNIT_FIELDS
+        for row in rows.get(stage, [])
+    )
+    emit_jsonl(events, out_dir / EVENTS_FILE)
 
 
 _RUNNERS = {
@@ -508,8 +464,6 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
     timings: dict[str, float] = {}
 
     for stage in STAGES[:start_idx]:
-        if stage == "emit":
-            continue
         path = stage_path(out_dir, stage)
         if not path.is_file():
             raise StageFailure(stage, f"missing stage file {path}; run earlier stages first")
@@ -520,22 +474,22 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
         began = time.monotonic()
         try:
             result = _RUNNERS[stage](config, rows)
+            if stage != "emit":
+                emit_jsonl(result, stage_path(out_dir, stage))
         except StageFailure:
             raise
         except SemiforgeError as exc:
             raise StageFailure(stage, str(exc)) from exc
         timings[stage] = round(time.monotonic() - began, 3)
         rows[stage] = result
-        if stage != "emit":
-            _write_rows(stage_path(out_dir, stage), result)
         executed.append(stage)
         logger.info("stage %s: %d rows (%.3fs)", stage, len(result), timings[stage])
 
     stats: FunnelStats | None = None
     if stop_idx >= STAGES.index("dedup"):
         stats = _funnel_from_rows(rows)
-        funnel_payload = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
-        (out_dir / FUNNEL_FILE).write_text(funnel_payload + "\n", encoding="utf-8")
+        with atomic_write(out_dir / FUNNEL_FILE) as fh:
+            fh.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
     _write_events(out_dir, rows)
 
@@ -552,7 +506,6 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
         "timings_sec": timings,
         "row_counts": {stage: len(stage_rows) for stage, stage_rows in rows.items()},
     }
-    (out_dir / MANIFEST_FILE).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / MANIFEST_FILE) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return stats

@@ -22,6 +22,7 @@ from .executor import (
     execute,
     normalize_output,
     outputs_match,
+    sandbox,
 )
 from .generation import CALL_BASED, AnswerType
 from .lcs import lcs_length
@@ -112,13 +113,14 @@ def construct_test_cases(
     """
     cases: list[TestCase] = []
     drops: Counter = Counter()
-    for raw_input in raw_inputs:
-        invocation = invocation_for(answer_type, raw_input)
-        result = execute(original_code, invocation, limits, interpreter)
-        if result.ok:
-            cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
-        else:
-            drops[result.status.value] += 1
+    with sandbox(interpreter):
+        for raw_input in raw_inputs:
+            invocation = invocation_for(answer_type, raw_input)
+            result = execute(original_code, invocation, limits, interpreter)
+            if result.ok:
+                cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
+            else:
+                drops[result.status.value] += 1
     if not cases:
         raise EmptyTestCases(
             f"all {len(raw_inputs)} inputs failed: {dict(drops)}", drops=dict(drops)
@@ -142,12 +144,13 @@ def validate_refined_code(
     """Pass iff every case executes Ok and matches; stop at the first failure."""
     if not test_cases:
         raise ValueError("validation needs at least one test case")
-    for index, case in enumerate(test_cases):
-        result = execute(refined_code, case.invocation, limits, interpreter)
-        if not result.ok:
-            return Verdict.fail(index, _FAIL_BY_STATUS[result.status])
-        if not outputs_match(result.stdout, case.expected_output):
-            return Verdict.fail(index, FailReason.WRONG_OUTPUT)
+    with sandbox(interpreter):
+        for index, case in enumerate(test_cases):
+            result = execute(refined_code, case.invocation, limits, interpreter)
+            if not result.ok:
+                return Verdict.fail(index, _FAIL_BY_STATUS[result.status])
+            if not outputs_match(result.stdout, case.expected_output):
+                return Verdict.fail(index, FailReason.WRONG_OUTPUT)
     return Verdict.pass_()
 
 

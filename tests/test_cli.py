@@ -1,9 +1,12 @@
+import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
-from semiforge.cli import main
-from semiforge.pipeline import _write_rows
+from semiforge.cli import _config_from_args, build_parser, main
+from semiforge.dataset import emit_jsonl
+from semiforge.pipeline import PipelineConfig
 from tests.conftest import GOLDEN, load_jsonl
 
 
@@ -46,6 +49,44 @@ def test_stage_summaries_report_kept_counts(tmp_path, golden_config_path, capsys
     assert "ingest: 33/33 rows kept" in out
     assert "generate: 30/33 rows kept" in out
     assert "order: 21/21 rows kept" in out
+
+
+# (flag, value given, config field, value expected in the field)
+CONFIG_FLAGS = [
+    ("--corpus", "c.jsonl", "corpus_path", "c.jsonl"),
+    ("--format", "apps", "corpus_format", "apps"),
+    ("--language", "cpp", "language", "cpp"),
+    ("--out", "o", "out_dir", "o"),
+    ("--template", "t.txt", "template_path", "t.txt"),
+    ("--input-count", "3", "input_count", 3),
+    ("--client", "live", "client_mode", "live"),
+    ("--replay-store", "store", "replay_store", "store"),
+    ("--endpoint", "http://localhost:1", "endpoint", "http://localhost:1"),
+    ("--model", "m", "model_id", "m"),
+    ("--interpreter", "python3", "interpreter", "python3"),
+    ("--wall-timeout", "1.5", "wall_timeout", 1.5),
+    ("--threshold", "0.5", "dedup_threshold", 0.5),
+    ("--compare", "all", "dedup_compare", "all"),
+    ("--order", "random", "order", "random"),
+    ("--seed", "9", "seed", 9),
+    ("--scale", "5", "scale", 5),
+    ("--si", "si.jsonl", "si_path", "si.jsonl"),
+    ("--workers", "3", "workers", 3),
+    ("--resume-from", "dedup", "resume_from", "dedup"),
+]
+
+
+def test_every_config_flag_is_listed():
+    parser = build_parser()
+    run = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    fields = PipelineConfig.__dataclass_fields__
+    assert {a.option_strings[0] for a in run._actions if a.dest in fields} == {f[0] for f in CONFIG_FLAGS}
+
+
+@pytest.mark.parametrize("flag, value, field, expected", CONFIG_FLAGS, ids=[f[0] for f in CONFIG_FLAGS])
+def test_config_flag_sets_its_field(flag, value, field, expected):
+    config = _config_from_args(build_parser().parse_args(["run", flag, value]))
+    assert config == replace(PipelineConfig(), **{field: expected})
 
 
 def test_flag_overrides_config(tmp_path, golden_config_path):
@@ -126,7 +167,7 @@ def test_construct_case_without_expected_output_exits_2(golden_run_copy, golden_
     rows = load_jsonl(path)
     line, row = next((n, row) for n, row in enumerate(rows, 1) if row["status"] == "ok")
     del row["test_cases"][0]["expected_output"]
-    _write_rows(path, rows)
+    emit_jsonl(rows, path)
     code = run_cli(
         "run", "--config", golden_config_path, "--out", golden_run_copy, "--resume-from", "validate"
     )
@@ -135,6 +176,18 @@ def test_construct_case_without_expected_output_exits_2(golden_run_copy, golden_
     assert err.startswith("error: stage construct: ")
     assert f"stage_construct.jsonl line {line}: test case lacks expected_output" in err
     assert "Traceback" not in err
+
+
+def test_unwritable_stage_file_exits_2(golden_run_copy, golden_config_path, capsys):
+    path = golden_run_copy / "stage_dedup.jsonl"
+    path.unlink()
+    path.mkdir()
+    code = run_cli("run", "--config", golden_config_path, "--out", golden_run_copy, "--resume-from", "dedup")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: stage dedup: could not write {path}: ")
+    assert "Traceback" not in err
+    assert not list(golden_run_copy.glob("*.tmp"))
 
 
 def test_unparsable_config_exits_2(tmp_path, capsys):
@@ -163,7 +216,7 @@ def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_
     if si_row is None:
         rows = load_jsonl(golden_run_copy / "stage_order.jsonl")
         del rows[0]["instruction"]
-        _write_rows(golden_run_copy / "stage_order.jsonl", rows)
+        emit_jsonl(rows, golden_run_copy / "stage_order.jsonl")
         si_flags = ()
     else:
         si = golden_run_copy / "si.jsonl"
@@ -195,7 +248,7 @@ def test_stage_summary_reads_rows_with_line_separators(tmp_path, golden_config_p
     rows = load_jsonl(path)
     ok = next(row for row in rows if row["status"] == "ok")
     ok["instruction"] = ok["instruction"].replace(" ", "\u2028", 1)
-    _write_rows(path, rows)
+    emit_jsonl(rows, path)
     capsys.readouterr()
     assert run_cli("validate", "--config", golden_config_path, "--out", tmp_path) == 0
     out = capsys.readouterr().out
@@ -212,6 +265,25 @@ def test_report_text_and_json(tmp_path, capsys):
     assert run_cli("report", "--funnel", funnel, "--format", "json") == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["stages"]["after_dedup"] == 21
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        (json.dumps({"loaded_codes": 3}), "row lacks generated_ok"),
+    ],
+    ids=["missing_file", "missing_count"],
+)
+def test_report_unreadable_funnel_exits_2(tmp_path, capsys, content, message):
+    funnel = tmp_path / "funnel.json"
+    if content is not None:
+        funnel.write_text(content, encoding="utf-8")
+    code = run_cli("report", "--funnel", funnel)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: could not read funnel {funnel}: ")
+    assert message in err
 
 
 def test_eval_command(tmp_path, capsys):
@@ -304,6 +376,25 @@ def test_eval_malformed_candidate_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "candidates.jsonl line 1: row lacks candidate_code" in err
+
+
+def test_eval_bad_k_exits_2(tmp_path, capsys):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates, "--k", "1,x")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --k takes comma-separated integers, got '1,x'")
+
+
+def test_eval_unwritable_out_exits_2(tmp_path, capsys):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
+    out = tmp_path / "missing" / "report.json"
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: could not write {out}: ")
 
 
 def test_eval_insufficient_candidates(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +120,24 @@ def test_emit_is_byte_stable(tmp_path):
 def test_emit_unwritable_path(tmp_path):
     with pytest.raises(IoFailure):
         emit_jsonl([semi_record()], tmp_path / "missing" / "dataset.jsonl")
+
+
+def test_concurrent_writers_leave_one_whole_payload(tmp_path):
+    path = tmp_path / "shared.jsonl"
+    payloads = [[{"writer": w, "row": i, "pad": "x" * 64} for i in range(2000)] for w in range(8)]
+    barrier = threading.Barrier(len(payloads))
+
+    def write(rows):
+        barrier.wait()
+        emit_jsonl(rows, path)
+
+    threads = [threading.Thread(target=write, args=(rows,)) for rows in payloads]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert load_jsonl(path) in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.jsonl"]
 
 
 PUBLISHED = FunnelStats(

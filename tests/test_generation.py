@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiforge.dataset import IoFailure
 from semiforge.generation import (
     AnswerType,
     AuthMissing,
@@ -259,6 +260,14 @@ def test_recording_client_persists(tmp_path):
     assert completion.text == "stored text"
     replay = ReplayClient(tmp_path / "store").complete(request)
     assert replay.text == "stored text"
+
+
+def test_recording_client_failed_write_leaves_no_fixture(tmp_path):
+    store = tmp_path / "store"
+    client = RecordingClient(StubClient("lone surrogate \ud800"), store)
+    with pytest.raises(IoFailure, match="could not write"):
+        client.complete(CompletionRequest(prompt="record me"))
+    assert list(store.iterdir()) == []
 
 
 class FakeResponse:

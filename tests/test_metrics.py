@@ -111,14 +111,14 @@ def test_evaluate_candidates_basic():
     assert blob["problems"][0]["problem_id"] == "double"
 
 
-def test_evaluate_accepts_bare_tuples_and_averages():
+def test_evaluate_averages_over_problems():
     problems = [
-        (DOUBLE_CASES, (GOOD, WRONG)),
-        (DOUBLE_CASES, (CRASH, WRONG)),
+        EvalProblem("good-or-wrong", DOUBLE_CASES, (GOOD, WRONG)),
+        EvalProblem("crash-or-wrong", DOUBLE_CASES, (CRASH, WRONG)),
     ]
     report = evaluate_candidates(problems, ks=(1,))
     assert [p.c for p in report.problems] == [1, 0]
-    assert report.problems[0].problem_id == "problem-0"
+    assert report.problems[0].problem_id == "good-or-wrong"
     assert report.estimates[1] == pytest.approx((0.5 + 0.0) / 2)
 
 

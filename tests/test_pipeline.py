@@ -1,7 +1,12 @@
+import errno
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
 
+from semiforge.dataset import IoFailure, emit_jsonl
 from semiforge.pipeline import (
     DATASET_FILE,
     EVENTS_FILE,
@@ -13,7 +18,6 @@ from semiforge.pipeline import (
     PipelineConfig,
     StageFailure,
     _read_rows,
-    _write_rows,
     canonical_stage,
     load_config,
     run_pipeline,
@@ -186,9 +190,9 @@ def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, make_
 
 def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
     path = stage_path(tmp_path, "construct")
-    _write_rows(path, [{"unit_id": "p:0", "status": "drop", "reason": "sandbox_failure"}])
+    emit_jsonl([{"unit_id": "p:0", "status": "drop", "reason": "sandbox_failure"}], path)
     assert len(_read_rows("construct", path)) == 1
-    _write_rows(path, [{"unit_id": "p:0", "status": "drop"}])
+    emit_jsonl([{"unit_id": "p:0", "status": "drop"}], path)
     with pytest.raises(StageFailure, match="line 1: row lacks reason"):
         _read_rows("construct", path)
 
@@ -322,7 +326,7 @@ def test_order_row_without_instruction_fails_emit(golden_run, golden_run_copy):
     path = stage_path(golden_run_copy, "order")
     rows = load_jsonl(path)
     del rows[0]["instruction"]
-    _write_rows(path, rows)
+    emit_jsonl(rows, path)
     with pytest.raises(StageFailure) as excinfo:
         run_pipeline(resumed_from(config, golden_run_copy, "emit"))
     assert excinfo.value.stage == "order"
@@ -334,7 +338,7 @@ def test_stage_rows_keep_unicode_line_separators(tmp_path):
     ok.update(unit_id="p:0", instruction="one\u2028two\x85three\u2029four", status="ok", reason=None)
     rows = [ok, {"unit_id": "p:1", "status": "drop", "reason": "near_duplicate"}]
     path = stage_path(tmp_path, "dedup")
-    _write_rows(path, rows)
+    emit_jsonl(rows, path)
     assert _read_rows("dedup", path) == rows
 
 
@@ -414,6 +418,46 @@ def test_missing_interpreter_fails_construct(golden_run, golden_run_copy):
     with pytest.raises(StageFailure) as excinfo:
         run_pipeline(resumed)
     assert excinfo.value.stage == "construct"
+
+
+@pytest.mark.parametrize(
+    "target, failure, message",
+    [
+        ("stage_dedup.jsonl", StageFailure, "stage dedup: could not write"),
+        ("stage_order.jsonl", StageFailure, "stage order: could not write"),
+        (DATASET_FILE, StageFailure, "stage emit: could not write"),
+        (FUNNEL_FILE, IoFailure, "could not write"),
+        (EVENTS_FILE, IoFailure, "could not write"),
+        (MANIFEST_FILE, IoFailure, "could not write"),
+    ],
+)
+def test_failed_replace_keeps_the_old_file(golden_run, golden_run_copy, monkeypatch, target, failure, message):
+    config, _, _ = golden_run
+    written = ("stage_dedup.jsonl", "stage_order.jsonl", DATASET_FILE, FUNNEL_FILE, EVENTS_FILE, MANIFEST_FILE)
+    for name in written:
+        (golden_run_copy / name).write_text("old\n", encoding="utf-8")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == target:
+            raise OSError(errno.EIO, "injected failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(failure, match=f"{message} {golden_run_copy / target}: .*injected failure"):
+        run_pipeline(resumed_from(config, golden_run_copy, "dedup"))
+    assert (golden_run_copy / target).read_text(encoding="utf-8") == "old\n"
+    assert not list(golden_run_copy.glob("*.tmp"))
+
+
+def test_outputs_have_the_mode_plain_open_gives(golden_run, tmp_path):
+    _, out_dir, _ = golden_run
+    probe = tmp_path / "probe"
+    with open(probe, "w", encoding="utf-8"):
+        pass
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out_dir.iterdir()}
+    assert modes == dict.fromkeys(modes, stat.S_IMODE(probe.stat().st_mode))
+    assert not list(out_dir.glob("*.tmp"))
 
 
 def test_manifest_contents(golden_run):

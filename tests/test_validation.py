@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiforge import executor
 from semiforge.executor import Invocation, ResourceLimits
 from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.validation import (
@@ -31,6 +32,26 @@ def bundle_for(code, inputs, answer=None):
 
 
 # ------------------------------------------------------------ construction
+
+@pytest.mark.parametrize("phase", ["construct", "validate"])
+def test_one_call_starts_one_sandbox_server(monkeypatch, phase):
+    starts = []
+
+    class CountingServer(executor._Server):
+        def __init__(self, python):
+            starts.append(python)
+            super().__init__(python)
+
+    monkeypatch.setattr(executor, "_Server", CountingServer)
+    inputs = ["1", "2", "3", "4"]
+    if phase == "construct":
+        cases, _ = construct_test_cases("print(input())", AnswerType.standard_input(), inputs, FAST)
+        assert len(cases) == 4
+    else:
+        cases = [Case(Invocation.stdin(raw), raw) for raw in inputs]
+        assert validate_refined_code("print(input())", cases, FAST).passed
+    assert len(starts) == 1
+
 
 def test_construct_executes_original():
     bundle = bundle_for("print(int(input()) * 2)", ["2", "5", "0"])
