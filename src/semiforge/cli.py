@@ -15,11 +15,14 @@ import logging
 import sys
 from pathlib import Path
 
+from .corpus import FORMATS
 from .dataset import FunnelStats, atomic_write, funnel_report, read_json_lines, require_fields
 from .errors import SemiforgeError
 from .executor import ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
-from .pipeline import DATASET_FILE, STAGES, PipelineConfig, _read_rows, load_config, run_pipeline, stage_path
+from .pipeline import (
+    CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, _read_rows, load_config, run_pipeline, stage_path
+)
 from .validation import COMPARE_SETS, TestCase, decode_test_cases
 
 logger = logging.getLogger(__name__)
@@ -28,14 +31,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Add one flag per overridable config field; each flag's dest is its field."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--corpus", dest="corpus_path", help="corpus archive path")
-    parser.add_argument(
-        "--format", dest="corpus_format", choices=("apps", "codecontest", "generic"), help="corpus layout"
-    )
+    parser.add_argument("--format", dest="corpus_format", choices=FORMATS, help="corpus layout")
     parser.add_argument("--language", dest="language", help="corpus language tag (default python)")
     parser.add_argument("--out", dest="out_dir", help="output directory for stage files and the dataset")
     parser.add_argument("--template", dest="template_path", help="prompt template file (default: built-in)")
     parser.add_argument("--input-count", type=int, dest="input_count", help="test inputs to request")
-    parser.add_argument("--client", dest="client_mode", choices=("replay", "live"), help="completion client mode")
+    parser.add_argument("--client", dest="client_mode", choices=CLIENT_MODES, help="completion client mode")
     parser.add_argument("--replay-store", dest="replay_store", help="replay fixture directory")
     parser.add_argument("--endpoint", dest="endpoint", help="live chat-completion endpoint URL")
     parser.add_argument("--model", dest="model_id", help="model id sent to the live endpoint")
@@ -116,7 +117,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SemiforgeError(f"--k takes comma-separated integers, got {args.k!r}") from exc
     problems = _load_eval_problems(args.problems, args.candidates)
-    limits = ResourceLimits(wall_timeout=args.wall_timeout) if args.wall_timeout else None
+    try:
+        limits = ResourceLimits(wall_timeout=args.wall_timeout) if args.wall_timeout is not None else None
+    except ValueError as exc:
+        raise SemiforgeError(str(exc)) from exc
     report = evaluate_candidates(
         problems,
         limits=limits,

@@ -25,12 +25,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .dataset import emit_jsonl, read_json_lines, require_fields
+from .dataset import emit_jsonl
 from .errors import SemiforgeError
 
 logger = logging.getLogger(__name__)
 
 FORMATS = ("apps", "codecontest", "generic")
+TOKEN_MODES = ("whitespace", "bytes")
 DEFAULT_MAX_TOKENS = 1000
 DEFAULT_SOLUTION_CAP = 25
 
@@ -48,10 +49,6 @@ class EmptyCorpus(SemiforgeError):
 
 
 class InvalidCap(SemiforgeError):
-    pass
-
-
-class UnknownTokenMode(SemiforgeError):
     pass
 
 
@@ -212,7 +209,7 @@ def _solution_size(solution: Solution, token_mode: str) -> int:
         return solution.token_count
     if token_mode == "bytes":
         return len(solution.code.encode("utf-8"))
-    raise UnknownTokenMode(f"unknown token mode: {token_mode!r}")
+    raise ValueError(f"unknown token mode: {token_mode!r}")
 
 
 def filter_problems(
@@ -261,7 +258,7 @@ def merge_duplicate_problems(problems: Iterable[Problem]) -> list[Problem]:
 def cap_solutions(problems: Iterable[Problem], cap: int = DEFAULT_SOLUTION_CAP) -> list[Problem]:
     """Keep at most the first ``cap`` solutions of every problem."""
     if cap < 1:
-        raise InvalidCap(f"cap must be >= 1, got {cap}")
+        raise InvalidCap(f"solution_cap must be >= 1, got {cap!r}")
     return [replace(p, solutions=p.solutions[:cap]) for p in problems]
 
 
@@ -278,29 +275,5 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
-def problem_from_dict(obj: Mapping) -> Problem:
-    return Problem(
-        problem_id=obj["problem_id"],
-        description=obj["description"],
-        source=obj.get("source", "generic"),
-        special_judge=bool(obj.get("special_judge", False)),
-        solutions=tuple(
-            Solution(
-                code=s["code"],
-                token_count=int(s.get("token_count", len(s["code"].split()))),
-                origin=s.get("origin", ""),
-            )
-            for s in obj["solutions"]
-        ),
-    )
-
-
 def write_corpus(problems: Iterable[Problem], path: str | Path) -> int:
     return emit_jsonl((problem_to_dict(problem) for problem in problems), path)
-
-
-def read_corpus(path: str | Path) -> list[Problem]:
-    """Read a corpus ``write_corpus`` wrote; a malformed line raises ValueError naming it."""
-    return read_json_lines(
-        path, lambda obj: problem_from_dict(require_fields(obj, ("problem_id", "description", "solutions")))
-    )

@@ -8,7 +8,6 @@ Sorts are stable: ties keep their pipeline order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,16 +26,6 @@ STRATEGIES = (
 
 class MissingProvenance(SemiforgeError):
     pass
-
-
-@dataclass(frozen=True)
-class OrderingStrategy:
-    kind: str
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGIES:
-            raise ValueError(f"unknown ordering strategy: {self.kind!r}")
 
 
 def _difficulty(record: dict, strategy_kind: str) -> int:
@@ -71,21 +60,20 @@ def _shuffled(items: list, rng: np.random.Generator) -> list:
     return [items[i] for i in order]
 
 
-def order_records(records: Sequence, strategy: OrderingStrategy) -> list:
-    """Apply one ordering strategy; always a permutation of the input."""
+def order_records(records: Sequence, kind: str, seed: int = 0) -> list:
+    """Apply one ordering strategy (one of STRATEGIES); always a permutation of the input."""
     items = list(records)
-    kind = strategy.kind
 
     if kind == "semi_ranked":
         return rank_by_difficulty(items)
 
     if kind in ("semi_unranked", "all_shuffled"):
-        return _shuffled(items, np.random.default_rng(strategy.seed))
+        return _shuffled(items, np.random.default_rng(seed))
 
     if kind == "ni_shuffled":
         # Problems first: shuffle problem ids, lay out each problem's
         # records contiguously, then shuffle the record stream once.
-        rng = np.random.default_rng(strategy.seed)
+        rng = np.random.default_rng(seed)
         ids: list[str] = []
         by_problem: dict[str, list] = {}
         for record in items:

@@ -215,8 +215,9 @@ class ResourceLimits:
     output_bytes: int = 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.wall_timeout <= 0 or self.memory_bytes <= 0 or self.output_bytes <= 0:
-            raise ValueError("resource limits must be positive")
+        for name, value in vars(self).items():
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,6 @@ class GenerationBundle:
     refined_code: str
     answer_type: AnswerType
     raw_inputs: tuple[str, ...]
-    raw_completion: str
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ class PromptTemplate:
 
     def __post_init__(self) -> None:
         if self.input_count < 1:
-            raise ValueError("input_count must be >= 1")
+            raise ValueError(f"input_count must be >= 1, got {self.input_count!r}")
         if self.preamble.count("{{original_code}}") != 1:
             raise ValueError("template must contain exactly one {{original_code}} slot")
 
@@ -173,11 +172,11 @@ class CompletionRequest:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
+            raise ValueError(f"top_p must be in (0, 1], got {self.top_p!r}")
         if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens!r}")
 
 
 @dataclass(frozen=True)
@@ -404,5 +403,4 @@ def parse_components(raw: str) -> GenerationBundle:
         refined_code=refined_code,
         answer_type=answer_type,
         raw_inputs=raw_inputs,
-        raw_completion=raw,
     )

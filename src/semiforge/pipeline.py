@@ -8,9 +8,10 @@ reason, never rebuilds. Order turns the kept rows into dataset records
 persists its full row list (kept and dropped records alike) to
 ``stage_<name>.jsonl`` in the output directory.
 Funnel statistics are recomputed from those rows, so a run resumed
-from any stage is byte-identical to a cold run. A fatal error anywhere
-is raised as StageFailure carrying the stage name; per-record failures
-only become drop rows.
+from any stage is byte-identical to a cold run. A bad config value is
+raised as InvalidConfig before any stage runs (PipelineConfig.check); a
+fatal error in a stage is raised as StageFailure carrying the stage
+name; per-record failures only become drop rows.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
 from . import corpus as corpus_mod
-from .curriculum import OrderingStrategy, order_records
+from .curriculum import STRATEGIES, order_records
 from .dataset import FunnelStats, atomic_write, emit_jsonl, read_json_lines, record, require_fields
 from .errors import SemiforgeError
 from .executor import ResourceLimits, SandboxSetupFailure, sandbox
@@ -95,16 +96,39 @@ class InvalidConfig(SemiforgeError, ValueError):
     pass
 
 
-def canonical_stage(name: str) -> str:
+def _check_choice(field: str, noun: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise InvalidConfig(f"unknown {noun}: {value!r} ({field} must be one of {', '.join(choices)})")
+
+
+def canonical_stage(name: str, field: str = "stage") -> str:
     stage = _STAGE_ALIASES.get(name, name)
-    if stage not in STAGES:
-        raise InvalidConfig(f"unknown stage: {name!r} (expected one of {', '.join(STAGES)})")
+    _check_choice(field, "stage", stage, STAGES)
     return stage
+
+
+CLIENT_MODES = ("replay", "live")
+
+# The JSON values each type named in a field annotation accepts, and what they are called.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
+_JSON_NAMES = {"str": "a string", "int": "an integer", "float": "a number", "bool": "a boolean", "None": "null"}
+
+# (field, what its values name, the values a run accepts)
+_CHOICES = (
+    ("corpus_format", "corpus format", corpus_mod.FORMATS),
+    ("token_mode", "token mode", corpus_mod.TOKEN_MODES),
+    ("client_mode", "client mode", CLIENT_MODES),
+    ("dedup_compare", "comparison set", COMPARE_SETS),
+    ("order", "ordering strategy", STRATEGIES),
+)
 
 
 @dataclass
 class PipelineConfig:
-    """Every knob of one pipeline run; echoed into the run manifest."""
+    """Every knob of one pipeline run; echoed into the run manifest.
+
+    ``check`` is the one place that decides which values a run accepts.
+    """
 
     corpus_path: str = ""
     corpus_format: str = "generic"
@@ -143,6 +167,36 @@ class PipelineConfig:
             output_bytes=self.output_bytes,
         )
 
+    def request(self, prompt: str) -> CompletionRequest:
+        return CompletionRequest(prompt, self.temperature, self.top_p, self.max_tokens, self.model_id)
+
+    def check(self) -> None:
+        """Raise InvalidConfig, naming the field and its value, unless a run accepts every value.
+
+        Paths are left to the stage that reads them: a resumed run does
+        not read them all. Range rules come from the types a run builds.
+        """
+        for field in fields(self):
+            value = getattr(self, field.name)
+            names = field.type.split(" | ")
+            kinds = tuple(_JSON_TYPES[name] for name in names)
+            if isinstance(value, bool) != ("bool" in names) or not isinstance(value, kinds):
+                wanted = " or ".join(_JSON_NAMES[name] for name in names)
+                raise InvalidConfig(f"{field.name} must be {wanted}, got {value!r}")
+        for field, noun, choices in _CHOICES:
+            _check_choice(field, noun, getattr(self, field), choices)
+        if self.resume_from:
+            canonical_stage(self.resume_from, "resume_from")
+        if self.scale is not None and self.scale < 0:
+            raise InvalidConfig(f"scale must be >= 0, got {self.scale!r}")
+        try:
+            corpus_mod.cap_solutions((), self.solution_cap)
+            PromptTemplate("{{original_code}}", input_count=self.input_count)
+            self.request("check")
+            self.limits()
+        except (ValueError, corpus_mod.InvalidCap) as exc:
+            raise InvalidConfig(str(exc)) from exc
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -170,7 +224,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = path.resolve().parent
     for key in _PATH_KEYS:
         value = obj.get(key)
-        if value and not Path(value).is_absolute():
+        if isinstance(value, str) and value and not Path(value).is_absolute():
             obj[key] = str(base / value)
     return PipelineConfig.from_dict(obj)
 
@@ -244,12 +298,8 @@ def _stage_ingest(config: PipelineConfig) -> list[dict]:
 def _make_client(config: PipelineConfig):
     if config.client_mode == "replay":
         return ReplayClient(config.replay_store)
-    if config.client_mode == "live":
-        client = LiveClient(config.endpoint)
-        if config.record_completions:
-            return RecordingClient(client, config.replay_store)
-        return client
-    raise StageFailure("generate", f"unknown client mode: {config.client_mode!r}")
+    client = LiveClient(config.endpoint)
+    return RecordingClient(client, config.replay_store) if config.record_completions else client
 
 
 def _parse_drop_reason(exc: ParseError) -> str:
@@ -278,15 +328,8 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
         except EmptyCode:
             return _drop(row, "empty_code")
         digest = prompt_digest(prompt)
-        request = CompletionRequest(
-            prompt=prompt,
-            temperature=config.temperature,
-            top_p=config.top_p,
-            max_tokens=config.max_tokens,
-            model_id=config.model_id,
-        )
         try:
-            completion = client.complete(request)
+            completion = client.complete(config.request(prompt))
         except (ReplayMiss, AuthMissing, EndpointUnreachable) as exc:
             raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
         try:
@@ -356,8 +399,6 @@ def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict
 
 
 def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
-    if config.scale is not None and config.scale < 0:
-        raise StageFailure("order", f"scale must be >= 0, got {config.scale}")
     records = [
         {
             "instruction": row["instruction"],
@@ -377,11 +418,7 @@ def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
     ]
     if config.si_path:
         records.extend(_read_rows("order", Path(config.si_path)))
-    try:
-        strategy = OrderingStrategy(kind=config.order, seed=config.seed)
-    except ValueError as exc:
-        raise StageFailure("order", str(exc)) from exc
-    ordered = order_records(records, strategy)
+    ordered = order_records(records, config.order, config.seed)
     if config.scale is not None:
         ordered = ordered[: config.scale]
     return ordered
@@ -445,15 +482,13 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
     stages are loaded from their stage files. ``stop_after`` truncates
     the run after the named stage.
     """
+    config.check()
     start = canonical_stage(config.resume_from) if config.resume_from else "ingest"
-    stop = canonical_stage(stop_after) if stop_after else "emit"
+    stop = canonical_stage(stop_after, "stop_after") if stop_after else "emit"
     start_idx = STAGES.index(start)
     stop_idx = STAGES.index(stop)
     if start_idx > stop_idx:
         raise InvalidConfig(f"resume stage {start!r} is after stop stage {stop!r}")
-    # Checked here, not only by dedup itself, so that a bad value costs no sandbox runs.
-    if config.dedup_compare not in COMPARE_SETS:
-        raise StageFailure("dedup", f"unknown comparison set: {config.dedup_compare!r}")
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -478,7 +513,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
                 emit_jsonl(result, stage_path(out_dir, stage))
         except StageFailure:
             raise
-        except SemiforgeError as exc:
+        except (SemiforgeError, OSError) as exc:
             raise StageFailure(stage, str(exc)) from exc
         timings[stage] = round(time.monotonic() - began, 3)
         rows[stage] = result

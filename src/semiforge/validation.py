@@ -31,10 +31,6 @@ DEFAULT_DEDUP_THRESHOLD = 0.7
 COMPARE_SETS = ("retained", "all")
 
 
-class UnknownCompareSet(SemiforgeError):
-    pass
-
-
 class EmptyTestCases(SemiforgeError):
     def __init__(self, message: str, drops: dict | None = None):
         super().__init__(message)
@@ -195,7 +191,7 @@ def dedup_instructions(
     sample (defaults to ``.instruction``).
     """
     if compare not in COMPARE_SETS:
-        raise UnknownCompareSet(f"unknown comparison set: {compare!r}")
+        raise ValueError(f"unknown comparison set: {compare!r}")
     if key is None:
         key = lambda sample: sample.instruction
     retained = []

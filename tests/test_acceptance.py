@@ -22,7 +22,7 @@ from semiforge.corpus import (
     merge_duplicate_problems,
     write_corpus,
 )
-from semiforge.curriculum import STRATEGIES, OrderingStrategy, order_records
+from semiforge.curriculum import STRATEGIES, order_records
 from semiforge.dataset import FunnelStats, retention_ratios
 from semiforge.executor import ExecStatus, Invocation, ResourceLimits, execute, normalize_output
 from semiforge.generation import AnswerType, GenerationBundle
@@ -159,7 +159,6 @@ def test_criterion_04_construction_soundness(golden_run):
         refined_code="print(10 // int(input()))",
         answer_type=AnswerType.standard_input(),
         raw_inputs=("0", "zero"),
-        raw_completion="",
     )
     with pytest.raises(EmptyTestCases):
         construct_test_cases(
@@ -206,7 +205,7 @@ def test_criterion_06_curriculum_invariants():
     records = load_jsonl(GOLDEN / "dataset.jsonl")
     ok = True
 
-    ranked = order_records(records, OrderingStrategy("semi_ranked"))
+    ranked = order_records(records, "semi_ranked")
     difficulties = [r["difficulty"] for r in ranked]
     ok &= difficulties == sorted(difficulties, reverse=True)
     # Stable ties: within a difficulty class the original order is kept.
@@ -220,13 +219,12 @@ def test_criterion_06_curriculum_invariants():
 
     key = lambda r: (r["provenance"]["problem_id"], r["provenance"]["seq"])
     for kind in STRATEGIES:
-        strategy = OrderingStrategy(kind, seed=42)
-        ordered = order_records(records, strategy)
+        ordered = order_records(records, kind, seed=42)
         ok &= sorted(map(key, ordered)) == sorted(map(key, records))
-        ok &= render(ordered) == render(order_records(records, strategy))
+        ok &= render(ordered) == render(order_records(records, kind, seed=42))
         for small, large in ((5, 10), (10, 20), (5, 20)):
-            ok &= render(order_records(records, strategy)[:small]) == render(
-                order_records(records, strategy)[:large][:small]
+            ok &= render(order_records(records, kind, seed=42)[:small]) == render(
+                order_records(records, kind, seed=42)[:large][:small]
             )
     elapsed = time.monotonic() - started
     record(

@@ -1,6 +1,6 @@
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -132,26 +132,71 @@ def test_stage_row_not_an_object_exits_2(tmp_path, golden_config_path, capsys):
     assert "Traceback" not in err
 
 
+def write_golden_config(tmp_path, golden_config_path, **overrides):
+    """The golden config with absolute paths, out_dir under tmp_path and ``overrides`` applied."""
+    config = json.loads(golden_config_path.read_text(encoding="utf-8"))
+    for key in ("corpus_path", "replay_store"):
+        config[key] = str(golden_config_path.parent / config[key])
+    config["out_dir"] = str(tmp_path / "out")
+    config.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
         ("warp_speed", True, "unknown config keys: warp_speed"),
-        ("token_mode", "chars", "stage ingest: unknown token mode: 'chars'"),
-        ("dedup_compare", "everything", "stage dedup: unknown comparison set: 'everything'"),
+        ("token_mode", "chars", "unknown token mode: 'chars'"),
+        ("dedup_compare", "everything", "unknown comparison set: 'everything'"),
+        ("input_count", 0, "input_count must be >= 1, got 0"),
+        ("wall_timeout", 0, "wall_timeout must be > 0, got 0"),
+        ("memory_bytes", 0, "memory_bytes must be > 0, got 0"),
+        ("output_bytes", 0, "output_bytes must be > 0, got 0"),
+        ("temperature", -1, "temperature must be >= 0, got -1"),
+        ("top_p", 0, "top_p must be in (0, 1], got 0"),
+        ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
+        ("dedup_threshold", "x", "dedup_threshold must be a number, got 'x'"),
+        ("order", "bogus", "unknown ordering strategy: 'bogus'"),
+        ("scale", -1, "scale must be >= 0, got -1"),
+        ("corpus_format", "zip", "unknown corpus format: 'zip'"),
+        ("client_mode", "cloud", "unknown client mode: 'cloud'"),
+        ("solution_cap", 0, "solution_cap must be >= 1, got 0"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, golden_config_path, capsys, key, value, message):
-    config = json.loads(golden_config_path.read_text(encoding="utf-8"))
-    config.update({key: value, "corpus_path": str(golden_config_path.parent / config["corpus_path"])})
-    config["replay_store"] = str(golden_config_path.parent / config["replay_store"])
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    code = run_cli("run", "--config", path, "--out", tmp_path / "out")
+    path = write_golden_config(tmp_path, golden_config_path, **{key: value})
+    code = run_cli("run", "--config", path)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {message}")
+    assert key in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out" / "stage_construct.jsonl").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda field: field.name)
+def test_wrong_json_type_exits_2_before_ingest(tmp_path, golden_config_path, capsys, field):
+    # JSON true is the wrong type for every field but a boolean one, and 1 is the wrong type for that.
+    value = 1 if field.type == "bool" else True
+    path = write_golden_config(tmp_path, golden_config_path, **{field.name: value})
+    code = run_cli("run", "--config", path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field.name} must be ")
+    assert not list(tmp_path.rglob("stage_ingest.jsonl"))
+
+
+def test_missing_template_exits_2(tmp_path, golden_config_path, capsys):
+    template = tmp_path / "nonexistent.txt"
+    path = write_golden_config(tmp_path, golden_config_path, template_path=str(template))
+    code = run_cli("run", "--config", path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage generate: ")
+    assert str(template) in err
+    assert "Traceback" not in err
 
 
 def test_unknown_resume_stage_exits_2(tmp_path, golden_config_path, capsys):
@@ -236,7 +281,7 @@ def test_negative_scale_exits_2(tmp_path, golden_config_path, capsys):
     code = run_cli("run", "--config", golden_config_path, "--out", tmp_path, "--scale", "-1")
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: stage order: scale must be >= 0")
+    assert err.startswith("error: scale must be >= 0")
     assert "Traceback" not in err
     assert not (tmp_path / "dataset.jsonl").exists()
 
@@ -395,6 +440,17 @@ def test_eval_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: could not write {out}: ")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_eval_bad_wall_timeout_exits_2(tmp_path, capsys, value):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates, "--wall-timeout", value)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: wall_timeout must be > 0, got {float(value)}")
+    assert "Traceback" not in err
 
 
 def test_eval_insufficient_candidates(tmp_path, capsys):

@@ -15,9 +15,7 @@ from semiforge.corpus import (
     load_corpus,
     merge_duplicate_problems,
     normalize_description,
-    problem_from_dict,
     problem_to_dict,
-    read_corpus,
     write_corpus,
 )
 from tests.conftest import TEST_DATA
@@ -103,6 +101,11 @@ def test_filter_byte_mode():
     assert [s.code for s in kept[0].solutions] == ["abc def"]
 
 
+def test_filter_unknown_token_mode():
+    with pytest.raises(ValueError, match="unknown token mode: 'chars'"):
+        filter_problems([make_problem("p", "task", ["print(1)"])], token_mode="chars")
+
+
 def test_normalize_description_collapses_whitespace():
     assert normalize_description("  Sum \t two\n integers. ") == "Sum two integers."
 
@@ -146,10 +149,9 @@ def test_round_trip_serialization(tmp_path):
     problems = [make_problem("p1", "desc", ["print(1)"], special=True)]
     path = tmp_path / "corpus.jsonl"
     write_corpus(problems, path)
-    back = read_corpus(path)
+    back = load_corpus(path, "generic")
     assert [problem_to_dict(p) for p in back] == [problem_to_dict(p) for p in problems]
-    reparsed = problem_from_dict(json.loads(path.read_text().splitlines()[0]))
-    assert reparsed.special_judge is True
+    assert back[0].special_judge is True
 
 
 def test_solution_token_count():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from semiforge.curriculum import (
     STRATEGIES,
     MissingProvenance,
-    OrderingStrategy,
     order_records,
     rank_by_difficulty,
 )
@@ -64,7 +63,7 @@ def test_strategy_names():
 
 def test_strategy_validation():
     with pytest.raises(ValueError):
-        OrderingStrategy("hardest_first")
+        order_records(MIXED, "hardest_first")
 
 
 def test_rank_by_difficulty_descending_and_stable():
@@ -81,21 +80,21 @@ def test_rank_missing_difficulty():
 
 
 def test_semi_ranked_equals_rank():
-    assert ids(order_records(MIXED, OrderingStrategy("semi_ranked"))) == ids(
+    assert ids(order_records(MIXED, "semi_ranked")) == ids(
         rank_by_difficulty(MIXED)
     )
 
 
 def test_seeded_strategies_reproducible():
     for kind in ("semi_unranked", "ni_shuffled", "all_shuffled"):
-        first = order_records(MIXED, OrderingStrategy(kind, seed=11))
-        second = order_records(MIXED, OrderingStrategy(kind, seed=11))
+        first = order_records(MIXED, kind, seed=11)
+        second = order_records(MIXED, kind, seed=11)
         assert ids(first) == ids(second)
 
 
 def test_seed_changes_shuffle():
     outcomes = {
-        tuple(ids(order_records(MIXED, OrderingStrategy("all_shuffled", seed=s))))
+        tuple(ids(order_records(MIXED, "all_shuffled", seed=s)))
         for s in range(8)
     }
     assert len(outcomes) > 1
@@ -119,19 +118,19 @@ def test_ni_shuffled_matches_reference_algorithm():
     assembled = [r for pid in shuffled_ids for r in by_problem[pid]]
     expected = [assembled[i] for i in rng.permutation(len(assembled))]
 
-    ordered = order_records(MIXED, OrderingStrategy("ni_shuffled", seed=seed))
+    ordered = order_records(MIXED, "ni_shuffled", seed=seed)
     assert ids(ordered) == ids(expected)
 
 
 def test_si_generated_order_sorts_by_seq():
     records = [si(3), si(0), si(2), si(1)]
-    ordered = order_records(records, OrderingStrategy("si_generated_order"))
+    ordered = order_records(records, "si_generated_order")
     assert [r["provenance"]["seq"] for r in ordered] == [0, 1, 2, 3]
 
 
 def test_combined_si_then_semi():
     records = [semi("pa", 0, 2), si(10), semi("pb", 1, 5), si(4)]
-    ordered = order_records(records, OrderingStrategy("combined_si_then_semi"))
+    ordered = order_records(records, "combined_si_then_semi")
     assert [r["source"] for r in ordered] == ["si", "si", "semi", "semi"]
     assert [r["provenance"]["seq"] for r in ordered] == [4, 10, 1, 0]
 
@@ -139,29 +138,27 @@ def test_combined_si_then_semi():
 @pytest.mark.parametrize("kind", STRATEGIES)
 def test_every_strategy_permutes(kind):
     records = MIXED if kind != "si_generated_order" else [si(i) for i in range(6)]
-    ordered = order_records(records, OrderingStrategy(kind, seed=5))
+    ordered = order_records(records, kind, seed=5)
     assert sorted(ids(ordered)) == sorted(ids(records))
 
 
 def test_order_leaves_input_unmodified():
     before = json.dumps(MIXED)
-    order_records(MIXED, OrderingStrategy("all_shuffled", seed=2))
+    order_records(MIXED, "all_shuffled", seed=2)
     assert json.dumps(MIXED) == before
 
 
 @pytest.mark.parametrize("kind", STRATEGIES)
 def test_select_scale_prefix_nesting(kind):
     records = MIXED if kind != "si_generated_order" else [si(i) for i in range(6)]
-    strategy = OrderingStrategy(kind, seed=9)
-    smaller = order_records(records, strategy)[:2]
-    larger = order_records(records, strategy)[:5]
+    smaller = order_records(records, kind, seed=9)[:2]
+    larger = order_records(records, kind, seed=9)[:5]
     assert ids(larger)[:2] == ids(smaller)
 
 
 def test_byte_exact_reproducibility():
-    strategy = OrderingStrategy("all_shuffled", seed=21)
     render = lambda rs: "\n".join(
-        json.dumps(r, sort_keys=True) for r in order_records(rs, strategy)
+        json.dumps(r, sort_keys=True) for r in order_records(rs, "all_shuffled", seed=21)
     )
     assert render(MIXED) == render(MIXED)
 
@@ -174,5 +171,5 @@ seqs = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=12,
 def test_shuffles_are_permutations(seq_values, seed):
     records = [semi(f"p{v % 4}", v, v % 5 + 1) for v in seq_values]
     for kind in ("semi_unranked", "ni_shuffled", "all_shuffled"):
-        ordered = order_records(records, OrderingStrategy(kind, seed=seed))
+        ordered = order_records(records, kind, seed=seed)
         assert sorted(ids(ordered)) == sorted(ids(records))

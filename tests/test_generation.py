@@ -94,7 +94,6 @@ def test_parse_round_trip():
     assert bundle.refined_code == "print(sum(map(int, input().split())))"
     assert bundle.answer_type == AnswerType.standard_input()
     assert bundle.raw_inputs == ("1 2", "3 4")
-    assert bundle.raw_completion == text
 
 
 def test_parse_call_based_function_name():

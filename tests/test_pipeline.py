@@ -225,10 +225,8 @@ def test_scale_slices_ordered_records(golden_run, golden_run_copy):
         run_pipeline(resumed)
         assert (golden_run_copy / DATASET_FILE).read_bytes() == expected, scale
     resumed.scale = -1
-    with pytest.raises(StageFailure) as excinfo:
+    with pytest.raises(InvalidConfig, match="scale must be >= 0, got -1"):
         run_pipeline(resumed)
-    assert excinfo.value.stage == "order"
-    assert "scale must be >= 0" in str(excinfo.value)
 
 
 # Partial self-instruct records: optional keys missing, an unknown key,
@@ -383,9 +381,9 @@ def test_unknown_client_mode(tmp_path, golden_config_path):
     config = load_config(golden_config_path)
     config.out_dir = str(tmp_path)
     config.client_mode = "psychic"
-    with pytest.raises(StageFailure) as excinfo:
+    with pytest.raises(InvalidConfig, match="unknown client mode: 'psychic'"):
         run_pipeline(config, stop_after="generate")
-    assert excinfo.value.stage == "generate"
+    assert not tmp_path.joinpath("stage_ingest.jsonl").exists()
 
 
 def test_replay_miss_fails_generate_stage(tmp_path, golden_config_path):

@@ -27,7 +27,6 @@ def bundle_for(code, inputs, answer=None):
         refined_code=code,
         answer_type=answer or AnswerType.standard_input(),
         raw_inputs=tuple(inputs),
-        raw_completion="",
     )
 
 
@@ -225,6 +224,11 @@ def test_dedup_compare_all_consults_dropped():
     assert kept_retained == [a, c]
     kept_all = dedup_instructions([a, b, c], threshold=0.7, compare="all")
     assert kept_all == [a]
+
+
+def test_dedup_unknown_compare_set():
+    with pytest.raises(ValueError, match="unknown comparison set: 'everything'"):
+        dedup_instructions([], compare="everything")
 
 
 def test_dedup_custom_key():
