@@ -37,7 +37,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--template", dest="template_path", help="prompt template file (default: built-in)")
     parser.add_argument("--input-count", type=int, dest="input_count", help="test inputs to request")
     parser.add_argument("--client", dest="client_mode", choices=CLIENT_MODES, help="completion client mode")
-    parser.add_argument("--replay-store", dest="replay_store", help="replay fixture directory")
+    parser.add_argument("--replay-store", dest="replay_store", help="completion store (live mode adds to it)")
     parser.add_argument("--endpoint", dest="endpoint", help="live chat-completion endpoint URL")
     parser.add_argument("--model", dest="model_id", help="model id sent to the live endpoint")
     parser.add_argument("--interpreter", dest="interpreter", help="interpreter for sandboxed runs")

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import marshal
+import math
 import os
 import select
 import shutil
@@ -216,6 +217,8 @@ class ResourceLimits:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
 
@@ -247,10 +250,10 @@ def wrap_call_based(code: str, function_name: str, args_literal: str) -> str:
     if not function_name.isidentifier():
         raise ValueError(f"not a valid function name: {function_name!r}")
     shim = _load_shim_template()
-    shim = shim.replace("{{user_code}}", code)
     shim = shim.replace("{{function_name}}", function_name)
     shim = shim.replace("{{args_literal}}", repr(args_literal.strip()))
-    return shim
+    # Last, and once: user code may itself contain the placeholders.
+    return shim.replace("{{user_code}}", code, 1)
 
 
 def resolve_interpreter(interpreter: str | None = None) -> str:

@@ -5,25 +5,27 @@ name: Instruction, Refined Code, Answer Type, Test Case Inputs. The
 parser is total: any structural defect raises a typed ParseError, never
 a partial bundle and never an untyped exception.
 
-Two clients are provided. The replay client serves completions from a
-content-addressed fixture directory keyed by the SHA-256 of the prompt,
-which makes pipeline runs deterministic and offline. The live client
-POSTs to a chat-completion endpoint with exponential backoff and
-requires the SEMIFORGE_API_KEY environment variable (checked before any
-network traffic).
+Every completion is asked of a ReplayClient: it serves completions from
+a content-addressed store keyed by the SHA-256 of the prompt, which
+makes pipeline runs deterministic and offline. Given a LiveClient, it
+asks that for a prompt the store lacks and records the answer in the
+store before returning it. The live client POSTs to a chat-completion
+endpoint with exponential backoff and requires the SEMIFORGE_API_KEY
+environment variable (checked before any network traffic).
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping
 
 from .dataset import atomic_write
 from .errors import SemiforgeError
@@ -44,27 +46,34 @@ class EmptyCode(SemiforgeError):
 
 
 class ParseError(SemiforgeError):
-    pass
+    reason = "parse_error"  # the unit's drop reason in the generate stage
 
 
 class MissingSection(ParseError):
     def __init__(self, section: str):
         super().__init__(f"completion is missing the {section!r} section")
         self.section = section
+        self.reason = f"missing_section:{section}"
 
 
 class UnknownAnswerType(ParseError):
+    reason = "unknown_answer_type"
+
     def __init__(self, text: str):
         super().__init__(f"unrecognized answer type: {text!r}")
         self.text = text
 
 
 class NoInputs(ParseError):
+    reason = "no_inputs"
+
     def __init__(self):
         super().__init__("completion contains no test case input blocks")
 
 
 class MissingFunctionName(ParseError):
+    reason = "missing_function_name"
+
     def __init__(self):
         super().__init__("call-based answer without a usable Function Name line")
 
@@ -118,15 +127,13 @@ class GenerationBundle:
 class PromptTemplate:
     """Template text plus the number of inputs to request.
 
-    ``preamble`` holds the template body with three placeholders:
-    ``{{original_code}}`` (exactly once), ``{{input_count}}`` and an
-    optional ``{{exemplars}}`` slot for extra few-shot blocks.
+    ``preamble`` holds the template body with its placeholders:
+    ``{{original_code}}`` (exactly once) and ``{{input_count}}``. An
+    ``{{exemplars}}`` slot is rendered empty.
     """
 
     preamble: str
-    exemplars: tuple[str, ...] = ()
     input_count: int = DEFAULT_INPUT_COUNT
-    version: str = TEMPLATE_VERSION
 
     def __post_init__(self) -> None:
         if self.input_count < 1:
@@ -151,7 +158,7 @@ def build_generation_prompt(original_code: str, template: PromptTemplate | None 
     template = template or PromptTemplate.default()
     text = template.preamble
     text = text.replace("{{input_count}}", str(template.input_count))
-    text = text.replace("{{exemplars}}", "\n\n".join(template.exemplars))
+    text = text.replace("{{exemplars}}", "")
     text = text.replace("{{original_code}}", original_code.rstrip("\n"))
     return re.sub(r"\n{3,}", "\n\n", text)
 
@@ -171,6 +178,8 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
+        if isinstance(self.temperature, float) and not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature!r}")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
@@ -186,35 +195,28 @@ class Completion:
     usage: Mapping[str, int] = field(default_factory=dict)
 
 
-class CompletionClient(Protocol):
-    def complete(self, request: CompletionRequest) -> Completion: ...
-
-
 class ReplayClient:
-    """Serve completions from fixtures/completions/<sha256(prompt)>.txt."""
+    """Serve ``<store>/<sha256(prompt)>.txt``; ask ``live`` for a prompt the store lacks.
 
-    def __init__(self, store: str | Path):
+    A live completion is written to the store before it is returned, so
+    a run that fails later keeps every completion it was given. With no
+    live client, a prompt the store lacks raises ReplayMiss.
+    """
+
+    def __init__(self, store: str | Path, live: LiveClient | None = None):
         self.store = Path(store)
+        self.live = live
 
     def complete(self, request: CompletionRequest) -> Completion:
         digest = prompt_digest(request.prompt)
         path = self.store / f"{digest}.txt"
-        if not path.is_file():
+        if path.is_file():
+            return Completion(text=path.read_text(encoding="utf-8"), finish_reason="replay")
+        if self.live is None:
             raise ReplayMiss(digest)
-        return Completion(text=path.read_text(encoding="utf-8"), finish_reason="replay")
-
-
-class RecordingClient:
-    """Wrap a live client and persist every completion as a replay fixture."""
-
-    def __init__(self, inner: CompletionClient, store: str | Path):
-        self.inner = inner
-        self.store = Path(store)
-
-    def complete(self, request: CompletionRequest) -> Completion:
-        completion = self.inner.complete(request)
+        completion = self.live.complete(request)
         self.store.mkdir(parents=True, exist_ok=True)
-        with atomic_write(self.store / f"{prompt_digest(request.prompt)}.txt") as fh:
+        with atomic_write(path) as fh:
             fh.write(completion.text)
         return completion
 

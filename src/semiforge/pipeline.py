@@ -39,15 +39,10 @@ from .generation import (
     EmptyCode,
     EndpointUnreachable,
     LiveClient,
-    MissingFunctionName,
-    MissingSection,
-    NoInputs,
     ParseError,
     PromptTemplate,
-    RecordingClient,
     ReplayClient,
     ReplayMiss,
-    UnknownAnswerType,
     build_generation_prompt,
     parse_components,
     prompt_digest,
@@ -110,8 +105,8 @@ def canonical_stage(name: str, field: str = "stage") -> str:
 CLIENT_MODES = ("replay", "live")
 
 # The JSON values each type named in a field annotation accepts, and what they are called.
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
-_JSON_NAMES = {"str": "a string", "int": "an integer", "float": "a number", "bool": "a boolean", "None": "null"}
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+_JSON_NAMES = {"str": "a string", "int": "an integer", "float": "a number", "None": "null"}
 
 # (field, what its values name, the values a run accepts)
 _CHOICES = (
@@ -138,7 +133,6 @@ class PipelineConfig:
     input_count: int = 8
     client_mode: str = "replay"
     replay_store: str = "fixtures/completions"
-    record_completions: bool = False
     endpoint: str = ""
     model_id: str = "default"
     temperature: float = 0.7
@@ -180,15 +174,17 @@ class PipelineConfig:
             value = getattr(self, field.name)
             names = field.type.split(" | ")
             kinds = tuple(_JSON_TYPES[name] for name in names)
-            if isinstance(value, bool) != ("bool" in names) or not isinstance(value, kinds):
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 wanted = " or ".join(_JSON_NAMES[name] for name in names)
                 raise InvalidConfig(f"{field.name} must be {wanted}, got {value!r}")
         for field, noun, choices in _CHOICES:
             _check_choice(field, noun, getattr(self, field), choices)
         if self.resume_from:
             canonical_stage(self.resume_from, "resume_from")
-        if self.scale is not None and self.scale < 0:
-            raise InvalidConfig(f"scale must be >= 0, got {self.scale!r}")
+        for name in ("seed", "scale"):  # numpy's SeedSequence rejects a negative seed
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InvalidConfig(f"{name} must be >= 0, got {value!r}")
         try:
             corpus_mod.cap_solutions((), self.solution_cap)
             PromptTemplate("{{original_code}}", input_count=self.input_count)
@@ -295,32 +291,14 @@ def _stage_ingest(config: PipelineConfig) -> list[dict]:
     return rows
 
 
-def _make_client(config: PipelineConfig):
-    if config.client_mode == "replay":
-        return ReplayClient(config.replay_store)
-    client = LiveClient(config.endpoint)
-    return RecordingClient(client, config.replay_store) if config.record_completions else client
-
-
-def _parse_drop_reason(exc: ParseError) -> str:
-    if isinstance(exc, MissingSection):
-        return f"missing_section:{exc.section}"
-    if isinstance(exc, UnknownAnswerType):
-        return "unknown_answer_type"
-    if isinstance(exc, NoInputs):
-        return "no_inputs"
-    if isinstance(exc, MissingFunctionName):
-        return "missing_function_name"
-    return "parse_error"
-
-
 def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dict]:
     template = (
         PromptTemplate.from_file(config.template_path, config.input_count)
         if config.template_path
         else PromptTemplate.default(config.input_count)
     )
-    client = _make_client(config)
+    live = LiveClient(config.endpoint) if config.client_mode == "live" else None
+    client = ReplayClient(config.replay_store, live)
 
     def work(row: dict) -> dict:
         try:
@@ -335,7 +313,7 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
         try:
             bundle = parse_components(completion.text)
         except ParseError as exc:
-            return _drop(row, _parse_drop_reason(exc), prompt_sha256=digest)
+            return _drop(row, exc.reason, prompt_sha256=digest)
         return _ok(
             row,
             prompt_sha256=digest,

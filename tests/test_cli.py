@@ -163,6 +163,11 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         ("corpus_format", "zip", "unknown corpus format: 'zip'"),
         ("client_mode", "cloud", "unknown client mode: 'cloud'"),
         ("solution_cap", 0, "solution_cap must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("wall_timeout", float("nan"), "wall_timeout must be finite, got nan"),
+        ("wall_timeout", float("inf"), "wall_timeout must be finite, got inf"),
+        ("temperature", float("nan"), "temperature must be finite, got nan"),
+        ("record_completions", True, "unknown config keys: record_completions"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, golden_config_path, capsys, key, value, message):
@@ -178,9 +183,8 @@ def test_bad_config_value_exits_2(tmp_path, golden_config_path, capsys, key, val
 
 @pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda field: field.name)
 def test_wrong_json_type_exits_2_before_ingest(tmp_path, golden_config_path, capsys, field):
-    # JSON true is the wrong type for every field but a boolean one, and 1 is the wrong type for that.
-    value = 1 if field.type == "bool" else True
-    path = write_golden_config(tmp_path, golden_config_path, **{field.name: value})
+    # No field takes a boolean.
+    path = write_golden_config(tmp_path, golden_config_path, **{field.name: True})
     code = run_cli("run", "--config", path)
     err = capsys.readouterr().err
     assert code == 2

@@ -369,6 +369,13 @@ def test_wrap_call_based_substitution():
     assert "def f(x):" in wrapped
     assert "{{" not in wrapped
     assert repr("(1, 2)") in wrapped
+    # Placeholders inside the user code or the arguments come back verbatim.
+    code = 'def f(x):\n    return "{{function_name}}{{args_literal}}{{user_code}}" + x'
+    wrapped = wrap_call_based(code, "f", "'{{user_code}}'")
+    assert wrapped.startswith(code + "\n")
+    assert wrapped.count(code) == 1
+    assert "_ast.literal_eval(\"'{{user_code}}'\")" in wrapped
+    assert "_result = f(*_args)" in wrapped
 
 
 def test_parse_args_literal(tmp_path):

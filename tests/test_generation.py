@@ -18,7 +18,6 @@ from semiforge.generation import (
     NoInputs,
     ParseError,
     PromptTemplate,
-    RecordingClient,
     ReplayClient,
     ReplayMiss,
     UnknownAnswerType,
@@ -252,18 +251,18 @@ class StubClient:
         return Completion(text=self.text)
 
 
-def test_recording_client_persists(tmp_path):
+def test_replay_client_records_live_completion(tmp_path):
     request = CompletionRequest(prompt="record me")
-    client = RecordingClient(StubClient("stored text"), tmp_path / "store")
+    client = ReplayClient(tmp_path / "store", live=StubClient("stored text"))
     completion = client.complete(request)
     assert completion.text == "stored text"
     replay = ReplayClient(tmp_path / "store").complete(request)
     assert replay.text == "stored text"
 
 
-def test_recording_client_failed_write_leaves_no_fixture(tmp_path):
+def test_replay_client_failed_write_leaves_no_fixture(tmp_path):
     store = tmp_path / "store"
-    client = RecordingClient(StubClient("lone surrogate \ud800"), store)
+    client = ReplayClient(store, live=StubClient("lone surrogate \ud800"))
     with pytest.raises(IoFailure, match="could not write"):
         client.complete(CompletionRequest(prompt="record me"))
     assert list(store.iterdir()) == []

@@ -2,11 +2,15 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semiforge"
+from semiforge.pipeline import PipelineConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "semiforge"
 
 
 def opens_for_writing(call: ast.Call) -> bool:
@@ -59,3 +63,10 @@ def test_only_dataset_writes_files():
 )
 def test_the_scan_sees_every_write_form(expr, writes):
     assert opens_for_writing(ast.parse(expr, mode="eval").body) is writes
+
+
+def test_readme_configuration_table_lists_every_config_field():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` ", section, re.MULTILINE)
+    assert keys == [field.name for field in fields(PipelineConfig)]

@@ -1,12 +1,14 @@
 import errno
 import json
 import os
+import shutil
 import stat
 from pathlib import Path
 
 import pytest
 
 from semiforge.dataset import IoFailure, emit_jsonl
+from semiforge.generation import prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
     EVENTS_FILE,
@@ -24,6 +26,7 @@ from semiforge.pipeline import (
     stage_path,
 )
 from tests.conftest import FIXTURES, GOLDEN, load_jsonl
+from tests.test_generation import FakeResponse, ok_body
 
 EXPECTED_FUNNEL = (33, 30, 28, 24, 21)
 
@@ -396,6 +399,75 @@ def test_replay_miss_fails_generate_stage(tmp_path, golden_config_path):
     assert excinfo.value.stage == "generate"
     assert "no recorded completion" in str(excinfo.value)
     assert "mp01:0" in str(excinfo.value)
+
+
+def serve_removed_completions(tmp_path, monkeypatch, k, fail_on=None):
+    """Copy the replay store without its first ``k`` fixtures, and stub the endpoint to serve those.
+
+    The stub answers by prompt digest, and with HTTP 400 on its call number
+    ``fail_on``. Returns the store, the removed fixtures' bytes by file
+    name, and the digest of every prompt the endpoint was asked.
+    """
+    store = tmp_path / "store"
+    shutil.copytree(FIXTURES / "completions", store)
+    removed = {}
+    for path in sorted(store.iterdir())[:k]:
+        removed[path.name] = path.read_bytes()
+        path.unlink()
+    asked = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        asked.append(prompt_digest(json["messages"][0]["content"]))
+        if len(asked) == fail_on:
+            return FakeResponse(400)
+        return FakeResponse(200, ok_body(removed[f"{asked[-1]}.txt"].decode("utf-8")))
+
+    monkeypatch.setattr("requests.post", post)
+    monkeypatch.setenv("SEMIFORGE_API_KEY", "test-key")
+    return store, removed, asked
+
+
+def live_config(golden_config_path, store, out_dir):
+    config = load_config(golden_config_path)
+    config.client_mode = "live"
+    config.endpoint = "http://localhost:9/v1/chat/completions"
+    config.replay_store = str(store)
+    config.out_dir = str(out_dir)
+    return config
+
+
+def test_live_run_asks_only_for_missing_completions(tmp_path, golden_config_path, monkeypatch):
+    store, removed, asked = serve_removed_completions(tmp_path, monkeypatch, k=5)
+    config = live_config(golden_config_path, store, tmp_path / "out")
+    assert run_pipeline(config).counts() == EXPECTED_FUNNEL
+    assert sorted(f"{digest}.txt" for digest in asked) == sorted(removed)
+    assert {name: (store / name).read_bytes() for name in removed} == removed
+    golden = (GOLDEN / "dataset.jsonl").read_bytes()
+    assert (tmp_path / "out" / DATASET_FILE).read_bytes() == golden
+
+    # Every completion is in the store now: no credentials needed, no call made.
+    monkeypatch.delenv("SEMIFORGE_API_KEY")
+    config.out_dir = str(tmp_path / "again")
+    run_pipeline(config)
+    assert len(asked) == 5
+    assert (tmp_path / "again" / DATASET_FILE).read_bytes() == golden
+
+
+def test_endpoint_failure_keeps_paid_completions(tmp_path, golden_config_path, monkeypatch):
+    store, removed, asked = serve_removed_completions(tmp_path, monkeypatch, k=5, fail_on=3)
+    config = live_config(golden_config_path, store, tmp_path / "out")
+    config.workers = 1
+    with pytest.raises(StageFailure, match="HTTP 400") as excinfo:
+        run_pipeline(config)
+    assert excinfo.value.stage == "generate"
+    paid = {f"{digest}.txt" for digest in asked[:2]}
+    assert {path.name for path in store.iterdir()} & set(removed) == paid
+    assert not list(store.glob("*.tmp"))
+
+    config.resume_from = "generate"
+    assert run_pipeline(config).counts() == EXPECTED_FUNNEL
+    assert sorted(f"{digest}.txt" for digest in asked[3:]) == sorted(set(removed) - paid)
+    assert (tmp_path / "out" / DATASET_FILE).read_bytes() == (GOLDEN / "dataset.jsonl").read_bytes()
 
 
 def test_empty_corpus_fails_ingest(tmp_path):
