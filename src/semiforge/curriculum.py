@@ -2,15 +2,14 @@
 
 Records are the dicts ``dataset.record`` returns. All randomized
 strategies draw from numpy's default_rng (the PCG64 generator), so a
-(strategy, seed) pair reproduces the same permutation on any platform.
-Sorts are stable: ties keep their pipeline order.
+(strategy, seed) pair reproduces the same permutation on any platform;
+numpy is imported only when one of them runs. Sorts are stable: ties
+keep their pipeline order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from .errors import SemiforgeError
 
@@ -55,7 +54,13 @@ def rank_by_difficulty(samples: Sequence) -> list:
     return sorted(items, key=lambda s: -_difficulty(s, "ranking"))
 
 
-def _shuffled(items: list, rng: np.random.Generator) -> list:
+def _rng(seed: int):
+    import numpy as np  # kept off the import path: only the shuffles need it
+
+    return np.random.default_rng(seed)
+
+
+def _shuffled(items: list, rng) -> list:
     order = rng.permutation(len(items))
     return [items[i] for i in order]
 
@@ -68,12 +73,12 @@ def order_records(records: Sequence, kind: str, seed: int = 0) -> list:
         return rank_by_difficulty(items)
 
     if kind in ("semi_unranked", "all_shuffled"):
-        return _shuffled(items, np.random.default_rng(seed))
+        return _shuffled(items, _rng(seed))
 
     if kind == "ni_shuffled":
         # Problems first: shuffle problem ids, lay out each problem's
         # records contiguously, then shuffle the record stream once.
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         ids: list[str] = []
         by_problem: dict[str, list] = {}
         for record in items:

@@ -224,8 +224,11 @@ class ReplayClient:
 class LiveClient:
     """POST to a chat-completion endpoint with retry and backoff.
 
-    Rate-limit (429) and server (5xx) responses are retried with
+    Network errors such as a refused connection or a timeout, and
+    rate-limit (429) and server (5xx) responses, are retried with
     exponential backoff, honoring a Retry-After header when present.
+    A malformed request (a missing scheme, an invalid URL) and any other
+    HTTP status fail at once.
     """
 
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
@@ -272,6 +275,9 @@ class LiveClient:
                     self.endpoint, json=payload, headers=headers, timeout=self.request_timeout
                 )
             except requests.RequestException as exc:
+                # MissingSchema, InvalidURL and the like describe the request, not the network.
+                if isinstance(exc, ValueError):
+                    raise EndpointUnreachable(f"bad request to {self.endpoint!r}: {exc}") from exc
                 last_error = str(exc)
                 logger.warning("completion attempt %d failed: %s", attempt, exc)
             else:

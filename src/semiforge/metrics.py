@@ -8,11 +8,10 @@ pipeline uses for refined code.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import SemiforgeError
 from .executor import ResourceLimits, sandbox
@@ -35,7 +34,7 @@ def pass_at_k(n: int, c: int, k: int) -> float:
         return 1.0
     if k == 1:
         return c / n
-    return float(1.0 - np.prod(1.0 - k / np.arange(n - c + 1, n + 1, dtype=np.float64)))
+    return 1.0 - math.prod(1.0 - k / i for i in range(n - c + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,5 @@ def evaluate_candidates(
         ProblemEval(problem_id=entry.problem_id, n=len(entry.candidates), c=correct[i])
         for i, entry in enumerate(problems)
     )
-    estimates = {
-        k: float(np.mean([pass_at_k(p.n, p.c, k) for p in evals])) for k in ks
-    }
+    estimates = {k: math.fsum(pass_at_k(p.n, p.c, k) for p in evals) / len(evals) for k in ks}
     return PassAtKReport(estimates=estimates, problems=evals)

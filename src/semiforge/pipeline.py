@@ -185,8 +185,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise InvalidConfig(f"{name} must be >= 0, got {value!r}")
+        if self.client_mode == "live" and not self.endpoint:
+            raise InvalidConfig("endpoint must be non-empty when client_mode is 'live'")
         try:
             corpus_mod.cap_solutions((), self.solution_cap)
+            dedup_instructions((), self.dedup_threshold)
             PromptTemplate("{{original_code}}", input_count=self.input_count)
             self.request("check")
             self.limits()

@@ -9,6 +9,7 @@ case.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -192,6 +193,11 @@ def dedup_instructions(
     """
     if compare not in COMPARE_SETS:
         raise ValueError(f"unknown comparison set: {compare!r}")
+    # A NaN threshold would make every pair look distinct and keep exact duplicates.
+    if not math.isfinite(threshold):
+        raise ValueError(f"dedup_threshold must be finite, got {threshold!r}")
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"dedup_threshold must be in [0, 1], got {threshold!r}")
     if key is None:
         key = lambda sample: sample.instruction
     retained = []

@@ -167,6 +167,10 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         ("wall_timeout", float("nan"), "wall_timeout must be finite, got nan"),
         ("wall_timeout", float("inf"), "wall_timeout must be finite, got inf"),
         ("temperature", float("nan"), "temperature must be finite, got nan"),
+        ("dedup_threshold", float("nan"), "dedup_threshold must be finite, got nan"),
+        ("dedup_threshold", float("inf"), "dedup_threshold must be finite, got inf"),
+        ("dedup_threshold", -1, "dedup_threshold must be in [0, 1], got -1"),
+        ("client_mode", "live", "endpoint must be non-empty when client_mode is 'live'"),
         ("record_completions", True, "unknown config keys: record_completions"),
     ],
 )

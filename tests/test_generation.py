@@ -375,6 +375,17 @@ def test_live_client_client_error_fails_fast(monkeypatch, api_key, no_sleep):
     assert no_sleep == []
 
 
+def test_live_client_bad_url_fails_fast(monkeypatch, api_key, no_sleep):
+    import requests
+
+    calls = patch_post(monkeypatch, [requests.exceptions.MissingSchema("No scheme supplied")])
+    client = LiveClient("example.invalid/v1")
+    with pytest.raises(EndpointUnreachable, match="No scheme supplied"):
+        client.complete(CompletionRequest(prompt="p"))
+    assert len(calls) == 1
+    assert no_sleep == []
+
+
 def test_live_client_malformed_body(monkeypatch, api_key, no_sleep):
     patch_post(monkeypatch, [FakeResponse(200, {"unexpected": True})])
     client = LiveClient("https://example.invalid/v1")

@@ -1,7 +1,10 @@
 """Layout rules that keep one decision in one module."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -70,3 +73,32 @@ def test_readme_configuration_table_lists_every_config_field():
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     keys = re.findall(r"^\| `(\w+)` ", section, re.MULTILINE)
     assert keys == [field.name for field in fields(PipelineConfig)]
+
+
+RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'
+
+
+@pytest.mark.parametrize(
+    "call, loads_numpy",
+    [
+        ("pass", False),
+        (f"order_records({RECORDS}, 'semi_ranked')", False),
+        (f"order_records({RECORDS}, 'ni_shuffled', seed=1)", True),
+    ],
+    ids=["import", "semi_ranked", "ni_shuffled"],
+)
+def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
+    """numpy is most of the package's import time, and only the seeded shuffles need it."""
+    code = "\n".join(
+        ["import sys, semiforge.cli", "from semiforge.curriculum import order_records", call, "print('numpy' in sys.modules)"]
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == [str(loads_numpy)]

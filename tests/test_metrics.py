@@ -1,4 +1,6 @@
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +32,16 @@ def test_matches_enumeration_small():
         for c in range(n + 1):
             for k in range(1, n + 1):
                 assert abs(pass_at_k(n, c, k) - brute_force(n, c, k)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 64, 100, 333, 500, 999, 1000])
+def test_matches_exact_ratio_large_n(n):
+    """1 - C(n-c, k) / C(n, k) in exact arithmetic, where enumeration is out of reach."""
+    for c in range(0, n + 1, max(1, n // 25)):
+        for k in sorted({1, 2, 3, 10, n // 2, n - c, n - c + 1, n - 1, n}):
+            if 1 <= k <= n:
+                exact = 1 - Fraction(comb(n - c, k), comb(n, k))
+                assert abs(pass_at_k(n, c, k) - float(exact)) < 1e-12, (n, c, k)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +132,19 @@ def test_evaluate_averages_over_problems():
     assert [p.c for p in report.problems] == [1, 0]
     assert report.problems[0].problem_id == "good-or-wrong"
     assert report.estimates[1] == pytest.approx((0.5 + 0.0) / 2)
+
+
+def test_evaluate_averages_k_above_one_over_problems():
+    problems = [
+        EvalProblem("two-of-four", DOUBLE_CASES, (GOOD, WRONG, ALSO_GOOD, WRONG)),
+        EvalProblem("one-of-four", DOUBLE_CASES, (WRONG, GOOD, CRASH, WRONG)),
+    ]
+    report = evaluate_candidates(problems, ks=(2, 3), workers=2)
+    assert [(p.n, p.c) for p in report.problems] == [(4, 2), (4, 1)]
+    # pass@2: 1 - C(2,2)/C(4,2) = 5/6 and 1 - C(3,2)/C(4,2) = 1/2.
+    assert report.estimates[2] == pytest.approx((5 / 6 + 1 / 2) / 2, abs=1e-12)
+    # pass@3: n - c = 2 < 3 forces 1, and 1 - C(3,3)/C(4,3) = 3/4.
+    assert report.estimates[3] == pytest.approx((1 + 3 / 4) / 2, abs=1e-12)
 
 
 def test_evaluate_parallel_matches_serial():
