@@ -13,14 +13,19 @@ instead of an interpreter start-up. The flags make it ignore
 ``PYTHON*`` variables and user site-packages, skip ``site`` (so
 solutions see only the standard library), write no bytecode and use
 UTF-8; its environment holds only ``PATH``, so credentials never reach
-it. It imports nothing with per-process state, so each child starts
-like a fresh interpreter, with one exception: the ``str`` hash secret
-is drawn once per server, so runs in one block share it and runs in
-separate blocks (the pipeline opens one per sandbox stage) do not. The
-server is started with a real ``fork``, not ``vfork``, which would
-charge it the parent's RSS high-water mark, and it is reaped when its
-block ends, so ``RUSAGE_CHILDREN`` covers every run. ``execute``
-outside any block starts a server for that one call.
+it. Before serving it imports ``ast``: otherwise every child would
+build the AST types on its first ``compile()`` (~3 ms of CPU), and the
+call shim's ``literal_eval`` would cost each call-based child 15-19 ms
+more to import ``ast`` and the modules it pulls in. ``ast`` holds no
+per-process state (it brings in no ``random`` and no ``threading``),
+so each child still starts like a fresh interpreter, with one
+exception: the ``str`` hash secret is drawn once per server, so runs in
+one block share it and runs in separate blocks (the pipeline opens one
+per sandbox stage) do not. The server is started with a real ``fork``,
+not ``vfork``, which would charge it the parent's RSS high-water mark,
+and it is reaped when its block ends, so ``RUSAGE_CHILDREN`` covers
+every run. ``execute`` outside any block starts a server for that one
+call, and so pays the ``ast`` import too.
 
 Each child calls ``setsid``, enters the working directory, sets the
 rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
@@ -38,7 +43,10 @@ pidfds need Linux 5.3 or later, and elsewhere ``execute`` raises
 exit the server kills the child's process group and the child while
 the child is an unreaped zombie (so its group id cannot have been
 reused), and only then reaps it: a background process forked by the
-snippet does not outlive the call.
+snippet does not outlive the call. At EOF on its commands, which is
+also what it reads when its parent dies, the server does the same to
+every child it has not yet reaped before it exits, so no child runs on
+without its wall limit.
 
 Call-based snippets are wrapped in a small driver that parses the
 input line as a Python literal, calls the named function (unpacking
@@ -79,6 +87,7 @@ _SHIM_TEMPLATE = None
 # server first answers its own pid, to show that it started.
 _SERVER = r"""
 import atexit, builtins, marshal, os, resource, sys
+import ast  # preloaded for the children; see the module docstring
 
 def run(workdir, memory, fsize):
     os.setsid()
@@ -141,26 +150,34 @@ def reap(pid):
 
 def serve():
     commands = sys.stdin.buffer
-    os.write(1, marshal.dumps(os.getpid()))
-    while True:
-        try:
-            op, *args = marshal.load(commands)
-        except EOFError:
-            return
-        try:
-            if op == "reap":
-                answer = reap(*args)
-            else:
-                answer = os.fork()
-                if answer == 0:
-                    status = 1
-                    try:
-                        status = run(*args)
-                    finally:
-                        os._exit(status & 0xFF)
-        except OSError as exc:
-            answer = f"{op}: {exc}"
-        os.write(1, marshal.dumps(answer))
+    running = set()  # forked and not yet reaped
+    try:
+        os.write(1, marshal.dumps(os.getpid()))
+        while True:
+            try:
+                op, *args = marshal.load(commands)
+            except EOFError:
+                return
+            try:
+                if op == "reap":
+                    running.discard(args[0])
+                    answer = reap(*args)
+                else:
+                    answer = os.fork()
+                    if answer == 0:
+                        status = 1
+                        try:
+                            status = run(*args)
+                        finally:
+                            os._exit(status & 0xFF)
+                    running.add(answer)
+            except OSError as exc:
+                answer = f"{op}: {exc}"
+            os.write(1, marshal.dumps(answer))
+    finally:
+        # EOF, or a broken pipe: the parent is done or dead.
+        for pid in running:
+            reap(pid)
 
 serve()
 """
@@ -392,13 +409,13 @@ def execute(
         except OSError as exc:
             raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
 
-        start = time.monotonic()
         try:
             with sandbox(interpreter) as server:
+                start = time.monotonic()
                 timed_out, returncode = server.run(workdir, limits)
+                duration = time.monotonic() - start
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
-        duration = time.monotonic() - start
 
         overflow = os.path.getsize(out_path) > limits.output_bytes
         stdout = _read_capped(out_path, limits.output_bytes)

@@ -1,5 +1,6 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -8,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiforge import executor
 from semiforge.executor import (
     ExecStatus,
     InterpreterMissing,
@@ -62,6 +64,22 @@ def test_call_based_none_prints_nothing():
     result = execute(code, Invocation.call("quiet", "(1,)"), FAST)
     assert result.ok
     assert normalize_output(result.stdout) == ""
+
+
+@pytest.mark.parametrize(
+    "code, name, args",
+    [
+        ("import ast\ndef f(text):\n    return ast.literal_eval(text)[0] + 1", "f", "'[1]'"),
+        ("def _ast(x):\n    return x + 1", "_ast", "1"),
+        ("def ast(x):\n    return x + 1", "ast", "1"),
+    ],
+)
+def test_call_shim_does_not_shadow_user_names(code, name, args):
+    # The shim reads its payload with the server's preloaded ast module,
+    # and binds neither ``ast`` nor ``_ast`` over the snippet's names.
+    result = execute(code, Invocation.call(name, args), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "2"
 
 
 def test_runtime_error_captured():
@@ -250,6 +268,16 @@ def test_random_is_seeded_per_run():
     assert first.stdout != second.stdout
 
 
+def test_server_preloads_ast_and_no_per_process_state():
+    # threading would make every run join threads it never started, and
+    # random would share one PRNG state across the runs of a block.
+    code = 'import sys\nprint([m for m in ("ast", "random", "threading") if m in sys.modules])'
+    with sandbox():
+        result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "['ast']"
+
+
 def test_non_daemon_thread_output_is_captured():
     code = (
         "import threading, time\n"
@@ -318,6 +346,54 @@ def test_dead_server_is_a_setup_failure():
     assert len(errors) == 1
 
 
+def test_duration_excludes_server_start(monkeypatch):
+    start_server = executor._Server.__init__
+
+    def slow_start(self, python):
+        time.sleep(0.5)
+        start_server(self, python)
+
+    monkeypatch.setattr(executor._Server, "__init__", slow_start)
+    result = execute("print(1)", Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert result.duration < 0.5
+
+
+def test_no_child_outlives_a_killed_parent(tmp_path):
+    pid_file = tmp_path / "pid"
+    code = (
+        "import os, time\n"
+        f"with open({str(pid_file)!r}, 'w') as fh:\n"
+        "    fh.write(str(os.getpid()))\n"
+        "while True:\n"
+        "    time.sleep(0.1)"
+    )
+    parent = (
+        "import sys\n"
+        "from semiforge.executor import Invocation, ResourceLimits, execute\n"
+        "execute(sys.argv[1], Invocation.stdin(''), ResourceLimits(wall_timeout=30.0))"
+    )
+    src = os.path.dirname(os.path.dirname(executor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", parent, code], env={**os.environ, "PYTHONPATH": path})
+    pid = None
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pid = int(pid_file.read_text())
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 1.0
+        while _proc_state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _proc_state(pid) in (None, "Z", "X")
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        if pid is not None and _proc_state(pid) not in (None, "Z", "X"):
+            os.killpg(pid, signal.SIGKILL)  # left running: end it for the next test
+
+
 def test_concurrent_runs_keep_their_own_output():
     pause = 0.2
     code = f"import time\ntext = input()\ntime.sleep({pause})\nprint(text[::-1])"
@@ -374,7 +450,7 @@ def test_wrap_call_based_substitution():
     wrapped = wrap_call_based(code, "f", "'{{user_code}}'")
     assert wrapped.startswith(code + "\n")
     assert wrapped.count(code) == 1
-    assert "_ast.literal_eval(\"'{{user_code}}'\")" in wrapped
+    assert "literal_eval(\"'{{user_code}}'\")" in wrapped
     assert "_result = f(*_args)" in wrapped
 
 
