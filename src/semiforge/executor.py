@@ -14,9 +14,9 @@ instead of an interpreter start-up. The flags make it ignore
 solutions see only the standard library), write no bytecode and use
 UTF-8; its environment holds only ``PATH``, so credentials never reach
 it. Before serving it imports ``ast``: otherwise every child would
-build the AST types on its first ``compile()`` (~3 ms of CPU), and the
-call shim's ``literal_eval`` would cost each call-based child 15-19 ms
-more to import ``ast`` and the modules it pulls in. ``ast`` holds no
+build the AST types on its first ``compile()`` (~3 ms of CPU), and
+``literal_eval`` would cost each call-based child 15-19 ms more to
+import ``ast`` and the modules it pulls in. ``ast`` holds no
 per-process state (it brings in no ``random`` and no ``threading``),
 so each child still starts like a fresh interpreter, with one
 exception: the ``str`` hash secret is drawn once per server, so runs in
@@ -34,7 +34,11 @@ sets ``HOME`` and rebuilds ``sys.std*``. It binds the ``exit`` and
 ``quit`` builtins, which ``site`` would have defined, to ``sys.exit``
 (``help`` and the like stay undefined), runs the snippet in a new
 ``__main__`` with the ``__file__`` and ``sys.argv`` of a script run,
-and ends as the interpreter does.
+and ends as the interpreter does. ``snippet.py`` is the code under test
+in both modes: a call-based child then reads the argument literal with
+``ast.literal_eval``, looks the function up in the snippet's globals,
+then the builtins, calls it (a tuple gives the positional arguments)
+and prints ``repr`` of a non-None result, binding no name of its own.
 
 The parent waits on a pidfd of the child with ``poll``, which returns
 as soon as the child exits, and bounds the wait by the wall timeout;
@@ -47,11 +51,6 @@ snippet does not outlive the call. At EOF on its commands, which is
 also what it reads when its parent dies, the server does the same to
 every child it has not yet reaped before it exits, so no child runs on
 without its wall limit.
-
-Call-based snippets are wrapped in a small driver that parses the
-input line as a Python literal, calls the named function (unpacking
-tuples as positional arguments) and prints ``repr`` of a non-None
-result.
 """
 
 from __future__ import annotations
@@ -70,26 +69,25 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 
 from .errors import SemiforgeError
 
 MODES = ("stdin", "call")
 
-_SHIM_TEMPLATE = None
-
 # The fork server, run as ``python -I -S -B -X utf8 -c _SERVER``. Its
 # stdin and stdout are the command and answer pipes. Each command is a
 # marshalled tuple answered by one marshalled value: ("run", workdir,
-# memory, fsize) forks a child for the snippet staged in workdir and
-# answers its pid; ("reap", pid) kills the child's group and the child,
-# reaps it and answers its exit code. A str answer is an error. The
-# server first answers its own pid, to show that it started.
+# memory, fsize, call) forks a child for the snippet staged in workdir
+# and answers its pid, where call is None in stdin mode and (function
+# name, stripped argument literal) in call mode; ("reap", pid) kills the
+# child's group and the child, reaps it and answers its exit code. A str
+# answer is an error. The server first answers its own pid, to show that
+# it started.
 _SERVER = r"""
 import atexit, builtins, marshal, os, resource, sys
 import ast  # preloaded for the children; see the module docstring
 
-def run(workdir, memory, fsize):
+def run(workdir, memory, fsize, call):
     os.setsid()
     os.chdir(workdir)
     for limit, value in ((resource.RLIMIT_AS, memory), (resource.RLIMIT_FSIZE, fsize), (resource.RLIMIT_CORE, 0)):
@@ -111,7 +109,18 @@ def run(workdir, memory, fsize):
     try:
         with open(script, "rb") as fh:
             source = fh.read()
-        exec(compile(source, script, "exec"), vars(main))
+        namespace = vars(main)
+        exec(compile(source, script, "exec"), namespace)
+        if call is not None:
+            name, literal = call
+            args = ast.literal_eval(literal)
+            try:
+                function = namespace[name] if name in namespace else getattr(builtins, name)
+            except AttributeError:
+                raise NameError(f"name {name!r} is not defined") from None
+            result = function(*args) if isinstance(args, tuple) else function(args)
+            if result is not None:
+                print(repr(result))
         status = 0
     except SystemExit as exc:
         status = exc.code
@@ -253,26 +262,6 @@ class ExecResult:
         return self.status is ExecStatus.OK
 
 
-def _load_shim_template() -> str:
-    global _SHIM_TEMPLATE
-    if _SHIM_TEMPLATE is None:
-        _SHIM_TEMPLATE = (
-            resources.files("semiforge.assets").joinpath("call_shim.py.tmpl").read_text("utf-8")
-        )
-    return _SHIM_TEMPLATE
-
-
-def wrap_call_based(code: str, function_name: str, args_literal: str) -> str:
-    """Render the call driver around a call-based snippet."""
-    if not function_name.isidentifier():
-        raise ValueError(f"not a valid function name: {function_name!r}")
-    shim = _load_shim_template()
-    shim = shim.replace("{{function_name}}", function_name)
-    shim = shim.replace("{{args_literal}}", repr(args_literal.strip()))
-    # Last, and once: user code may itself contain the placeholders.
-    return shim.replace("{{user_code}}", code, 1)
-
-
 def resolve_interpreter(interpreter: str | None = None) -> str:
     """Return an absolute interpreter path, defaulting to the running one."""
     if interpreter is None:
@@ -323,9 +312,9 @@ class _Server:
             raise SandboxSetupFailure(f"the sandbox server failed: {answer}")
         return answer
 
-    def run(self, workdir: str, limits: ResourceLimits) -> tuple[bool, int]:
+    def run(self, workdir: str, limits: ResourceLimits, call: tuple[str, str] | None) -> tuple[bool, int]:
         """Run the snippet staged in ``workdir``; return (timed out, exit code)."""
-        pid = self._exchange("run", workdir, limits.memory_bytes, limits.output_bytes + 1)
+        pid = self._exchange("run", workdir, limits.memory_bytes, limits.output_bytes + 1, call)
         try:
             timed_out = not _wait_exit(pid, limits.wall_timeout)
         finally:
@@ -387,11 +376,9 @@ def execute(
         raise SandboxSetupFailure("the sandbox needs os.pidfd_open (Linux 5.3 or later)")
 
     if invocation.mode == "call":
-        program = wrap_call_based(code, invocation.function_name, invocation.payload)
-        stdin_payload = ""
+        call, stdin_payload = (invocation.function_name, invocation.payload.strip()), ""
     else:
-        program = code
-        stdin_payload = invocation.payload
+        call, stdin_payload = None, invocation.payload
 
     try:
         workdir = tempfile.mkdtemp(prefix="semiforge-run-")
@@ -401,7 +388,7 @@ def execute(
     try:
         out_path = os.path.join(workdir, "stdout.txt")
         err_path = os.path.join(workdir, "stderr.txt")
-        staged = {"snippet.py": program, "stdin.txt": stdin_payload, "stdout.txt": "", "stderr.txt": ""}
+        staged = {"snippet.py": code, "stdin.txt": stdin_payload, "stdout.txt": "", "stderr.txt": ""}
         try:
             for name, text in staged.items():
                 with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
@@ -412,7 +399,7 @@ def execute(
         try:
             with sandbox(interpreter) as server:
                 start = time.monotonic()
-                timed_out, returncode = server.run(workdir, limits)
+                timed_out, returncode = server.run(workdir, limits, call)
                 duration = time.monotonic() - start
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc

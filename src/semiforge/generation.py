@@ -17,6 +17,7 @@ environment variable (checked before any network traffic).
 from __future__ import annotations
 
 import hashlib
+import keyword
 import logging
 import math
 import os
@@ -364,7 +365,7 @@ def _parse_answer_type(body: str) -> AnswerType:
             match = _FUNCTION_NAME.match(line.strip())
             if match:
                 name = match.group("name").strip("`'\"")
-                if name.isidentifier():
+                if name.isidentifier() and not keyword.iskeyword(name):
                     return AnswerType.call_based(name)
         raise MissingFunctionName()
     raise UnknownAnswerType(first)

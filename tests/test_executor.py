@@ -21,7 +21,6 @@ from semiforge.executor import (
     outputs_match,
     resolve_interpreter,
     sandbox,
-    wrap_call_based,
 )
 from semiforge.metrics import EvalProblem, evaluate_candidates
 from semiforge.pipeline import PipelineConfig, run_pipeline
@@ -66,20 +65,33 @@ def test_call_based_none_prints_nothing():
     assert normalize_output(result.stdout) == ""
 
 
+_VERBATIM = 'def f(x):\n    return open(__file__).read() + x  # {{function_name}}{{args_literal}}{{user_code}}'
+
+
 @pytest.mark.parametrize(
-    "code, name, args",
+    "code, name, args, expected",
     [
-        ("import ast\ndef f(text):\n    return ast.literal_eval(text)[0] + 1", "f", "'[1]'"),
-        ("def _ast(x):\n    return x + 1", "_ast", "1"),
-        ("def ast(x):\n    return x + 1", "ast", "1"),
+        ("import ast\ndef f(text):\n    return ast.literal_eval(text)[0] + 1", "f", "'[1]'", "2"),
+        ("def _ast(x):\n    return x + 1", "_ast", "1", "2"),
+        ("def ast(x):\n    return x + 1", "ast", "1", "2"),
+        ("def _args(x):\n    return x + 1", "_args", "1", "2"),
+        ("_args = 5\ndef f(x):\n    return x + _args", "f", "1", "6"),
+        ("_result = 5\ndef f(x):\n    return x + _result", "f", "1", "6"),
+        (_VERBATIM, "f", "'{{user_code}}'", repr(_VERBATIM + "{{user_code}}")),
+        ("", "len", "'ab'", "2"),
+    ],
+    ids=[
+        "import-ast", "def-_ast", "def-ast", "def-_args",
+        "global-_args", "global-_result", "placeholders", "builtin-len",
     ],
 )
-def test_call_shim_does_not_shadow_user_names(code, name, args):
-    # The shim reads its payload with the server's preloaded ast module,
-    # and binds neither ``ast`` nor ``_ast`` over the snippet's names.
+def test_call_does_not_shadow_user_names(code, name, args, expected):
+    # The child makes the call itself: snippet.py is exactly the code under
+    # test, no name is bound in its namespace, and the function is looked
+    # up in its globals, then in the builtins.
     result = execute(code, Invocation.call(name, args), FAST)
     assert result.ok, result.stderr
-    assert normalize_output(result.stdout) == "2"
+    assert normalize_output(result.stdout) == expected
 
 
 def test_runtime_error_captured():
@@ -359,7 +371,8 @@ def test_duration_excludes_server_start(monkeypatch):
     assert result.duration < 0.5
 
 
-def test_no_child_outlives_a_killed_parent(tmp_path):
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_no_child_outlives_a_killed_parent(tmp_path, sig):
     pid_file = tmp_path / "pid"
     code = (
         "import os, time\n"
@@ -382,7 +395,7 @@ def test_no_child_outlives_a_killed_parent(tmp_path):
         while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
             time.sleep(0.01)
         pid = int(pid_file.read_text())
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(sig)
         deadline = time.monotonic() + 1.0
         while _proc_state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -440,22 +453,8 @@ def test_resolve_interpreter():
         resolve_interpreter("definitely-not-an-interpreter-zz")
 
 
-def test_wrap_call_based_substitution():
-    wrapped = wrap_call_based("def f(x):\n    return x", "f", "(1, 2)")
-    assert "def f(x):" in wrapped
-    assert "{{" not in wrapped
-    assert repr("(1, 2)") in wrapped
-    # Placeholders inside the user code or the arguments come back verbatim.
-    code = 'def f(x):\n    return "{{function_name}}{{args_literal}}{{user_code}}" + x'
-    wrapped = wrap_call_based(code, "f", "'{{user_code}}'")
-    assert wrapped.startswith(code + "\n")
-    assert wrapped.count(code) == 1
-    assert "literal_eval(\"'{{user_code}}'\")" in wrapped
-    assert "_result = f(*_args)" in wrapped
-
-
 def test_parse_args_literal(tmp_path):
-    # The call shim reads the payload with ast.literal_eval: an expression
+    # The child reads the payload with ast.literal_eval: an expression
     # that is not a literal is rejected before it can run.
     marker = tmp_path / "ran"
     payload = f"__import__('pathlib').Path({str(marker)!r}).touch()"

@@ -141,6 +141,9 @@ def test_call_based_requires_identifier():
         parse_components(make_completion(answer="call-based"))
     with pytest.raises(MissingFunctionName):
         parse_components(make_completion(answer="call-based\nFunction Name: not valid!"))
+    for keyword_name in ("None", "class"):
+        with pytest.raises(MissingFunctionName):
+            parse_components(make_completion(answer=f"call-based\nFunction Name: {keyword_name}"))
 
 
 def test_no_inputs():
