@@ -4,28 +4,36 @@ Every execution gets a fresh temporary working directory, a session and
 process group of its own, an address-space ceiling and a hard cap on
 bytes written to stdout. The cap is enforced with RLIMIT_FSIZE set to
 one byte above the configured limit: a run that fills the extra byte is
-reported as an overflow instead of being silently truncated.
+reported as an overflow, with empty stdout, instead of being silently
+truncated.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
-``python -I -S -B -X utf8`` interpreter per ``sandbox(interpreter)``
-block, shared by every thread inside it, so a run costs a ``fork``
-instead of an interpreter start-up. The flags make it ignore
-``PYTHON*`` variables and user site-packages, skip ``site`` (so
-solutions see only the standard library), write no bytecode and use
-UTF-8; its environment holds only ``PATH``, so credentials never reach
-it. Before serving it imports ``ast``: otherwise every child would
-build the AST types on its first ``compile()`` (~3 ms of CPU), and
-``literal_eval`` would cost each call-based child 15-19 ms more to
-import ``ast`` and the modules it pulls in. ``ast`` holds no
-per-process state (it brings in no ``random`` and no ``threading``),
-so each child still starts like a fresh interpreter, with one
-exception: the ``str`` hash secret is drawn once per server, so runs in
-one block share it and runs in separate blocks (the pipeline opens one
-per sandbox stage) do not. The server is started with a real ``fork``,
-not ``vfork``, which would charge it the parent's RSS high-water mark,
-and it is reaped when its block ends, so ``RUSAGE_CHILDREN`` covers
-every run. ``execute`` outside any block starts a server for that one
-call, and so pays the ``ast`` import too.
+``python -I -S -B -X utf8`` interpreter per ``sandbox(interpreter,
+name)`` block, shared by every thread inside it and by the blocks
+nested in it, so a run costs a ``fork`` instead of an interpreter
+start-up. The flags make it ignore ``PYTHON*`` variables and user
+site-packages, skip ``site`` (so solutions see only the standard
+library), write no bytecode and use UTF-8; its environment holds only
+``PATH``, so credentials never reach it. It answers its pid as soon as
+it starts, and then imports ``ast`` before it serves its first
+command, so the parent goes on, and may start a second server, while
+it loads; the first run of a server may wait for that import. Without
+the preload every child would build the AST types on its first
+``compile()`` (~3 ms of CPU), and ``literal_eval`` would cost each
+call-based child 15-19 ms more to import ``ast`` and the modules it
+pulls in. ``ast`` holds no per-process state (it brings in no
+``random`` and no ``threading``), so each child still starts like a
+fresh interpreter, with one exception: the ``str`` hash secret is
+drawn once per server, so runs in one block share it and runs in
+separate blocks, or in blocks of different names, do not. The pipeline
+opens one named block per sandbox stage and keeps both open while its
+units run. The server is started with a real ``fork``, not ``vfork``,
+which would charge it the parent's RSS high-water mark. The ``exec``
+after the fork still carries the parent's RSS at that moment into the
+server's peak, so ``RUSAGE_CHILDREN``'s ``ru_maxrss`` is at least the
+parent's RSS at any server start. A server is reaped when the last block using it ends, so
+``RUSAGE_CHILDREN`` covers every run. ``execute`` outside any block
+starts a server for that one call, and so pays the ``ast`` import too.
 
 Each child calls ``setsid``, enters the working directory, sets the
 rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
@@ -56,6 +64,7 @@ without its wall limit.
 from __future__ import annotations
 
 import contextlib
+import keyword
 import marshal
 import math
 import os
@@ -82,9 +91,10 @@ MODES = ("stdin", "call")
 # name, stripped argument literal) in call mode; ("reap", pid) kills the
 # child's group and the child, reaps it and answers its exit code. A str
 # answer is an error. The server first answers its own pid, to show that
-# it started.
+# it started, before it imports ast.
 _SERVER = r"""
 import atexit, builtins, marshal, os, resource, sys
+os.write(1, marshal.dumps(os.getpid()))  # started: the parent goes on while ast loads
 import ast  # preloaded for the children; see the module docstring
 
 def run(workdir, memory, fsize, call):
@@ -161,7 +171,6 @@ def serve():
     commands = sys.stdin.buffer
     running = set()  # forked and not yet reaped
     try:
-        os.write(1, marshal.dumps(os.getpid()))
         while True:
             try:
                 op, *args = marshal.load(commands)
@@ -207,6 +216,11 @@ class ExecStatus(str, Enum):
     OUTPUT_OVERFLOW = "output_overflow"
 
 
+def is_function_name(value) -> bool:
+    """True if ``value`` can name a function to call: an identifier that is no keyword."""
+    return isinstance(value, str) and value.isidentifier() and not keyword.iskeyword(value)
+
+
 @dataclass(frozen=True)
 class Invocation:
     """One way of feeding a program: stdin text, or a literal call.
@@ -222,9 +236,12 @@ class Invocation:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown execution mode: {self.mode!r}")
-        if self.mode == "call":
-            if not self.function_name or not self.function_name.isidentifier():
-                raise ValueError(f"call mode needs a valid function name, got {self.function_name!r}")
+        if not isinstance(self.payload, str):
+            raise ValueError(f"payload must be a string, got {self.payload!r}")
+        if self.mode == "call" and not is_function_name(self.function_name):
+            raise ValueError(f"call mode needs a valid function name, got {self.function_name!r}")
+        if self.mode == "stdin" and self.function_name is not None:
+            raise ValueError(f"stdin mode takes no function name, got {self.function_name!r}")
 
     @classmethod
     def stdin(cls, stdin_text: str) -> "Invocation":
@@ -255,7 +272,7 @@ class ExecResult:
     stdout: str
     stderr: str
     returncode: int | None
-    duration: float
+    duration: float  # seconds from the fork to the reap
 
     @property
     def ok(self) -> bool:
@@ -312,9 +329,16 @@ class _Server:
             raise SandboxSetupFailure(f"the sandbox server failed: {answer}")
         return answer
 
-    def run(self, workdir: str, limits: ResourceLimits, call: tuple[str, str] | None) -> tuple[bool, int]:
-        """Run the snippet staged in ``workdir``; return (timed out, exit code)."""
+    def run(
+        self, workdir: str, limits: ResourceLimits, call: tuple[str, str] | None
+    ) -> tuple[bool, int, float]:
+        """Run the snippet staged in ``workdir``; return (timed out, exit code, seconds).
+
+        The seconds run from the fork to the reap, so they leave out the
+        wait for the server's ``ast`` import before its first fork.
+        """
         pid = self._exchange("run", workdir, limits.memory_bytes, limits.output_bytes + 1, call)
+        forked = time.monotonic()
         try:
             timed_out = not _wait_exit(pid, limits.wall_timeout)
         finally:
@@ -325,42 +349,52 @@ class _Server:
                 with contextlib.suppress(OSError):
                     os.killpg(pid, signal.SIGKILL)
                 raise
-        return timed_out, returncode
+        return timed_out, returncode, time.monotonic() - forked
 
     def close(self) -> None:
         """End the server (it exits at EOF on its commands) and reap it."""
         self._proc.communicate()
 
 
-# Interpreter path -> [server, open sandbox() blocks]. Module-level so
-# that execute(), whose signature predates the server, finds the server
-# of the block it runs in, whichever thread calls it.
-_servers: dict[str, list] = {}
+# (interpreter path, block name) -> [server, open sandbox() blocks].
+# Module-level so that execute(), whose signature predates the server,
+# finds the server of the block it runs in, whichever thread calls it.
+_servers: dict[tuple[str, str | None], list] = {}
 _servers_lock = threading.Lock()
+# .name: the name of this thread's innermost named sandbox() block.
+_thread = threading.local()
 
 
 @contextlib.contextmanager
-def sandbox(interpreter: str | None = None):
+def sandbox(interpreter: str | None = None, name: str | None = None):
     """Fork every ``execute`` for ``interpreter`` in the block from one server.
 
     Blocks nest and may be entered from several threads: the first
-    starts the server, the last to end closes and reaps it. Raises
+    starts the server, the last to end closes and reaps it. A block
+    given a ``name`` uses the server of that name, and so do the blocks
+    and calls nested in it on the same thread. Blocks of different
+    names fork from different servers, and so with different ``str``
+    hash secrets, even for the same interpreter. Raises
     ``InterpreterMissing`` or ``SandboxSetupFailure`` if the server
     cannot start.
     """
     python = resolve_interpreter(interpreter)
+    outer = getattr(_thread, "name", None)
+    key = (python, name or outer)
     with _servers_lock:
-        entry = _servers.get(python)
+        entry = _servers.get(key)
         if entry is None:
-            entry = _servers[python] = [_Server(python), 0]
+            entry = _servers[key] = [_Server(python), 0]
         entry[1] += 1
+    _thread.name = key[1]
     try:
         yield entry[0]
     finally:
+        _thread.name = outer
         with _servers_lock:
             entry[1] -= 1
             if entry[1] == 0:
-                del _servers[python]
+                del _servers[key]
                 entry[0].close()
 
 
@@ -398,14 +432,14 @@ def execute(
 
         try:
             with sandbox(interpreter) as server:
-                start = time.monotonic()
-                timed_out, returncode = server.run(workdir, limits, call)
-                duration = time.monotonic() - start
+                timed_out, returncode, duration = server.run(workdir, limits, call)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
 
         overflow = os.path.getsize(out_path) > limits.output_bytes
-        stdout = _read_capped(out_path, limits.output_bytes)
+        # No caller reads an overflowing run's output, and reading the
+        # capped megabyte costs the parent twice that at its peak.
+        stdout = "" if overflow else _read_capped(out_path, limits.output_bytes)
         stderr = _read_capped(err_path, limits.output_bytes)
 
         if timed_out:

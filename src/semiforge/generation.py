@@ -17,7 +17,6 @@ environment variable (checked before any network traffic).
 from __future__ import annotations
 
 import hashlib
-import keyword
 import logging
 import math
 import os
@@ -30,6 +29,7 @@ from typing import Mapping
 
 from .dataset import atomic_write
 from .errors import SemiforgeError
+from .executor import is_function_name
 
 logger = logging.getLogger(__name__)
 
@@ -103,9 +103,8 @@ class AnswerType:
     def __post_init__(self) -> None:
         if self.kind not in (CALL_BASED, STANDARD_INPUT):
             raise ValueError(f"unknown answer type kind: {self.kind!r}")
-        if self.kind == CALL_BASED:
-            if not self.function_name or not self.function_name.isidentifier():
-                raise ValueError("call-based answers need an identifier function name")
+        if self.kind == CALL_BASED and not is_function_name(self.function_name):
+            raise ValueError(f"call-based answers need a function name, got {self.function_name!r}")
 
     @classmethod
     def call_based(cls, function_name: str) -> "AnswerType":
@@ -365,7 +364,7 @@ def _parse_answer_type(body: str) -> AnswerType:
             match = _FUNCTION_NAME.match(line.strip())
             if match:
                 name = match.group("name").strip("`'\"")
-                if name.isidentifier() and not keyword.iskeyword(name):
+                if is_function_name(name):
                     return AnswerType.call_based(name)
         raise MissingFunctionName()
     raise UnknownAnswerType(first)

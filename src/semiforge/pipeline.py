@@ -7,6 +7,10 @@ reason, never rebuilds. Order turns the kept rows into dataset records
 (see dataset.record) and emit writes them as they are. Each stage
 persists its full row list (kept and dropped records alike) to
 ``stage_<name>.jsonl`` in the output directory.
+The sandbox stages a run executes, construct and validate, run as one
+chain (see _run_chain): a unit's task on the worker pool validates the
+unit as soon as construct keeps it, so neither stage waits for the
+other units, and both stage files are written once the chain ends.
 Funnel statistics are recomputed from those rows, so a run resumed
 from any stage is byte-identical to a cold run. A bad config value is
 raised as InvalidConfig before any stage runs (PipelineConfig.check); a
@@ -21,6 +25,7 @@ import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from pathlib import Path
@@ -238,8 +243,13 @@ def _check_row(stage: str, row) -> dict:
     ok = isinstance(row, dict) and row.get("status") == "ok"
     needed = _OK_FIELDS[stage] if ok else ("unit_id",)
     require_fields(row, needed + ("status", "reason"))
-    if ok and stage == "construct":  # the cases validate will run
-        decode_test_cases(row["test_cases"])
+    if ok and stage != "ingest":  # the answer type and cases the sandbox stages run
+        try:
+            AnswerType(**row["answer_type"])
+        except TypeError as exc:
+            raise ValueError(f"answer_type is not an answer type: {exc}") from exc
+    if ok and stage == "construct" and not decode_test_cases(row["test_cases"]):
+        raise ValueError("test_cases is empty")
     return row
 
 
@@ -248,6 +258,17 @@ def _read_rows(stage: str, path: Path) -> list[dict]:
     try:
         return read_json_lines(path, lambda row: _check_row(stage, row))
     except (OSError, ValueError) as exc:
+        raise StageFailure(stage, str(exc)) from exc
+
+
+@contextmanager
+def _failing_as(stage: str):
+    """Raise an error of the block as a StageFailure naming ``stage``."""
+    try:
+        yield
+    except StageFailure:
+        raise
+    except (SemiforgeError, OSError) as exc:
         raise StageFailure(stage, str(exc)) from exc
 
 
@@ -329,42 +350,63 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     return _map_rows(config.workers, work, _ok_rows(ingest_rows))
 
 
-def _stage_construct(config: PipelineConfig, generate_rows: list[dict]) -> list[dict]:
+def _construct_unit(config: PipelineConfig, limits: ResourceLimits, row: dict) -> dict:
+    answer_type = AnswerType(**row["answer_type"])
+    try:
+        cases, drops = construct_test_cases(
+            row["code"], answer_type, row["raw_inputs"], limits, config.interpreter
+        )
+    except EmptyTestCases as exc:
+        return _drop(row, "empty_test_cases", input_drops=exc.drops)
+    except SandboxSetupFailure as exc:
+        logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
+        return _drop(row, "sandbox_failure")
+    return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
+
+
+def _validate_unit(config: PipelineConfig, limits: ResourceLimits, row: dict) -> dict:
+    cases = decode_test_cases(row["test_cases"])
+    try:
+        verdict = validate_refined_code(row["refined_code"], cases, limits, config.interpreter)
+    except SandboxSetupFailure as exc:
+        logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
+        return _drop(row, "sandbox_failure")
+    if verdict.passed:
+        return _ok(row, difficulty=len(cases), case_index=None)
+    return _drop(row, verdict.reason.value, difficulty=len(cases), case_index=verdict.case_index)
+
+
+# The sandbox stages, in order, and what each does to one unit row.
+_UNIT_WORK = {"construct": _construct_unit, "validate": _validate_unit}
+
+
+def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict]) -> dict[str, list[dict]]:
+    """Run each ok row through the sandbox stages of ``chain``, one unit task per row.
+
+    A unit goes on to the next stage as soon as the one before keeps it,
+    so no stage waits for the other units. Each stage forks its runs
+    from a server of its own, started before any unit runs, so that its
+    runs get a ``str`` hash secret of their own. Returns each stage's
+    rows in unit order.
+    """
     limits = config.limits()
 
-    def work(row: dict) -> dict:
-        answer_type = AnswerType(**row["answer_type"])
-        try:
-            cases, drops = construct_test_cases(
-                row["code"], answer_type, row["raw_inputs"], limits, config.interpreter
-            )
-        except EmptyTestCases as exc:
-            return _drop(row, "empty_test_cases", input_drops=exc.drops)
-        except SandboxSetupFailure as exc:
-            logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-            return _drop(row, "sandbox_failure")
-        return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
+    def work(row: dict) -> list[dict]:
+        passed = []
+        for stage in chain:
+            with _failing_as(stage), sandbox(config.interpreter, name=stage):
+                row = _UNIT_WORK[stage](config, limits, row)
+            passed.append(row)
+            if row["status"] != "ok":
+                break
+        return passed
 
-    with sandbox(config.interpreter):
-        return _map_rows(config.workers, work, _ok_rows(generate_rows))
-
-
-def _stage_validate(config: PipelineConfig, construct_rows: list[dict]) -> list[dict]:
-    limits = config.limits()
-
-    def work(row: dict) -> dict:
-        cases = decode_test_cases(row["test_cases"])
-        try:
-            verdict = validate_refined_code(row["refined_code"], cases, limits, config.interpreter)
-        except SandboxSetupFailure as exc:
-            logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-            return _drop(row, "sandbox_failure")
-        if verdict.passed:
-            return _ok(row, difficulty=len(cases), case_index=None)
-        return _drop(row, verdict.reason.value, difficulty=len(cases), case_index=verdict.case_index)
-
-    with sandbox(config.interpreter):
-        return _map_rows(config.workers, work, _ok_rows(construct_rows))
+    with ExitStack() as servers:
+        for stage in chain:
+            with _failing_as(stage):
+                servers.enter_context(sandbox(config.interpreter, name=stage))
+        units = _map_rows(config.workers, work, _ok_rows(rows))
+    return {stage: [unit[index] for unit in units if len(unit) > index] for index, stage in enumerate(chain)}
 
 
 def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict]:
@@ -448,8 +490,6 @@ def _write_events(out_dir: Path, rows: Mapping[str, list[dict]]) -> None:
 _RUNNERS = {
     "ingest": lambda config, rows: _stage_ingest(config),
     "generate": lambda config, rows: _stage_generate(config, rows["ingest"]),
-    "construct": lambda config, rows: _stage_construct(config, rows["generate"]),
-    "validate": lambda config, rows: _stage_validate(config, rows["construct"]),
     "dedup": lambda config, rows: _stage_dedup(config, rows["validate"]),
     "order": lambda config, rows: _stage_order(config, rows["dedup"]),
     "emit": lambda config, rows: _stage_emit(config, rows["order"]),
@@ -486,20 +526,27 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
         rows[stage] = _read_rows(stage, path)
         loaded.append(stage)
 
-    for stage in STAGES[start_idx : stop_idx + 1]:
+    executing = STAGES[start_idx : stop_idx + 1]
+    chain = tuple(stage for stage in executing if stage in _UNIT_WORK)
+    for stage in executing:
+        if stage in rows:  # run in the chain
+            continue
         began = time.monotonic()
-        try:
-            result = _RUNNERS[stage](config, rows)
-            if stage != "emit":
-                emit_jsonl(result, stage_path(out_dir, stage))
-        except StageFailure:
-            raise
-        except (SemiforgeError, OSError) as exc:
-            raise StageFailure(stage, str(exc)) from exc
-        timings[stage] = round(time.monotonic() - began, 3)
-        rows[stage] = result
-        executed.append(stage)
-        logger.info("stage %s: %d rows (%.3fs)", stage, len(result), timings[stage])
+        with _failing_as(stage):
+            if stage in chain:
+                produced = _run_chain(config, chain, rows[STAGES[STAGES.index(stage) - 1]])
+            else:
+                produced = {stage: _RUNNERS[stage](config, rows)}
+        for name, result in produced.items():
+            if name != "emit":
+                with _failing_as(name):
+                    emit_jsonl(result, stage_path(out_dir, name))
+            rows[name] = result
+            executed.append(name)
+        seconds = round(time.monotonic() - began, 3)
+        for name, result in produced.items():
+            timings[name] = seconds
+            logger.info("stage %s: %d rows (%.3fs)", name, len(result), seconds)
 
     stats: FunnelStats | None = None
     if stop_idx >= STAGES.index("dedup"):

@@ -115,6 +115,7 @@ def test_output_overflow_detected():
     code = "print('x' * 2_000_000)"
     result = execute(code, Invocation.stdin(""), ResourceLimits(output_bytes=10_000))
     assert result.status is ExecStatus.OUTPUT_OVERFLOW
+    assert result.stdout == ""
 
 
 def test_memory_limit_enforced():
@@ -269,6 +270,19 @@ def test_str_hash_is_shared_within_a_block_only():
     assert blocks[0][0] == blocks[0][1]
     assert blocks[1][0] == blocks[1][1]
     assert blocks[0][0] != blocks[1][0]
+
+
+def test_named_blocks_fork_from_servers_of_their_own():
+    def run(name=None):
+        with sandbox(name=name):
+            return execute("print(hash('semiforge'))", Invocation.stdin(""), FAST).stdout
+
+    with sandbox(name="a"), sandbox(name="b"):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            in_a = pool.submit(run, "a").result(timeout=30)
+        # An unnamed block uses the server of its thread's innermost named block.
+        assert run() == run("b") != in_a
+    assert executor._servers == {}
 
 
 def test_random_is_seeded_per_run():
@@ -438,6 +452,13 @@ def test_invocation_validation():
         Invocation.call("not an identifier", "(1,)")
     with pytest.raises(ValueError):
         Invocation(mode="call", payload="(1,)", function_name=None)
+    for name in (5, "None", "lambda"):
+        with pytest.raises(ValueError, match="call mode needs a valid function name"):
+            Invocation(mode="call", payload="(1,)", function_name=name)
+    with pytest.raises(ValueError, match="stdin mode takes no function name"):
+        Invocation(mode="stdin", payload="", function_name="f")
+    with pytest.raises(ValueError, match="payload must be a string"):
+        Invocation.stdin(None)
 
 
 def test_limit_validation():

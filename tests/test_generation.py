@@ -217,6 +217,9 @@ def test_answer_type_validation():
         AnswerType(kind="mystery")
     with pytest.raises(ValueError):
         AnswerType(kind="call_based", function_name=None)
+    for name in (5, "None", "1bad"):
+        with pytest.raises(ValueError, match="call-based answers need a function name"):
+            AnswerType(kind="call_based", function_name=name)
 
 
 def test_completion_request_validation():

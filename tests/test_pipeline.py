@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from semiforge import pipeline
 from semiforge.dataset import IoFailure, emit_jsonl
 from semiforge.generation import prompt_digest
 from semiforge.pipeline import (
@@ -169,26 +170,67 @@ def resumed_from(config, out_dir, stage):
     return resumed
 
 
+def with_answer_type(ok, **changes):
+    return {**ok, "answer_type": {**ok["answer_type"], **changes}}
+
+
+def with_case(ok, **changes):
+    case = {"mode": "stdin", "payload": "1", "function_name": None, "expected_output": "1", **changes}
+    return {**ok, "test_cases": [case]}
+
+
 @pytest.mark.parametrize(
-    "make_row, problem",
+    "stage, make_row, problem",
     [
-        (lambda ok: [1, 2], "row is not a JSON object"),
-        (lambda ok: "text", "row is not a JSON object"),
-        (lambda ok: {k: v for k, v in ok.items() if k != "instruction"}, "row lacks instruction"),
+        ("validate", lambda ok: [1, 2], "row is not a JSON object"),
+        ("validate", lambda ok: "text", "row is not a JSON object"),
+        ("validate", lambda ok: {k: v for k, v in ok.items() if k != "instruction"}, "row lacks instruction"),
+        (
+            "generate",
+            lambda ok: with_answer_type(ok, kind="call_based", function_name="1bad"),
+            "call-based answers need a function name, got '1bad'",
+        ),
+        (
+            "generate",
+            lambda ok: with_answer_type(ok, kind="call_based", function_name="None"),
+            "call-based answers need a function name, got 'None'",
+        ),
+        ("generate", lambda ok: with_answer_type(ok, extra=1), "answer_type is not an answer type: "),
+        ("generate", lambda ok: {**ok, "answer_type": "stdin"}, "answer_type is not an answer type: "),
+        (
+            "construct",
+            lambda ok: with_case(ok, mode="call", function_name=5),
+            "call mode needs a valid function name, got 5",
+        ),
+        ("construct", lambda ok: with_case(ok, function_name="f"), "stdin mode takes no function name, got 'f'"),
+        ("construct", lambda ok: with_case(ok, payload=1), "payload must be a string, got 1"),
+        ("construct", lambda ok: {**ok, "test_cases": []}, "test_cases is empty"),
     ],
-    ids=["array", "string", "ok_row_without_instruction"],
+    ids=[
+        "array",
+        "string",
+        "ok_row_without_instruction",
+        "function_name_not_identifier",
+        "function_name_keyword",
+        "answer_type_extra_key",
+        "answer_type_not_object",
+        "case_function_name_not_str",
+        "stdin_case_with_function_name",
+        "case_payload_not_str",
+        "no_test_cases",
+    ],
 )
-def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, make_row, problem):
+def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, stage, make_row, problem):
     config, _, _ = golden_run
-    path = stage_path(golden_run_copy, "validate")
+    path = stage_path(golden_run_copy, stage)
     rows = load_jsonl(path)
     ok = next(row for row in rows if row["status"] == "ok")
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(make_row(ok)) + "\n")
     with pytest.raises(StageFailure) as excinfo:
-        run_pipeline(resumed_from(config, golden_run_copy, "dedup"))
-    assert excinfo.value.stage == "validate"
-    assert f"stage_validate.jsonl line {len(rows) + 1}: {problem}" in str(excinfo.value)
+        run_pipeline(resumed_from(config, golden_run_copy, STAGES[STAGES.index(stage) + 1]))
+    assert excinfo.value.stage == stage
+    assert f"stage_{stage}.jsonl line {len(rows) + 1}: {problem}" in str(excinfo.value)
 
 
 def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
@@ -337,6 +379,7 @@ def test_order_row_without_instruction_fails_emit(golden_run, golden_run_copy):
 def test_stage_rows_keep_unicode_line_separators(tmp_path):
     ok = dict.fromkeys(field for fields in UNIT_FIELDS.values() for field in fields)
     ok.update(unit_id="p:0", instruction="one\u2028two\x85three\u2029four", status="ok", reason=None)
+    ok["answer_type"] = {"kind": "standard_input", "function_name": None}
     rows = [ok, {"unit_id": "p:1", "status": "drop", "reason": "near_duplicate"}]
     path = stage_path(tmp_path, "dedup")
     emit_jsonl(rows, path)
@@ -488,6 +531,87 @@ def test_missing_interpreter_fails_construct(golden_run, golden_run_copy):
     with pytest.raises(StageFailure) as excinfo:
         run_pipeline(resumed)
     assert excinfo.value.stage == "construct"
+    resumed.resume_from = "validate"
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed)
+    assert excinfo.value.stage == "validate"
+
+
+def units_config(golden_config_path, out_dir, codes):
+    """A run resumed at construct over one stdin unit per code, refined to the same code."""
+    ingest = [
+        {"unit_id": f"u{i}:0", "problem_id": f"u{i}", "solution_index": 0, "seq": i, "code": code}
+        for i, code in enumerate(codes)
+    ]
+    generate = [
+        {
+            **row,
+            "prompt_sha256": "0" * 64,
+            "instruction": f"Unit {row['seq']}.",
+            "refined_code": row["code"],
+            "answer_type": {"kind": "standard_input", "function_name": None},
+            "raw_inputs": ["1"],
+        }
+        for row in ingest
+    ]
+    for stage, rows in (("ingest", ingest), ("generate", generate)):
+        emit_jsonl([{**row, "status": "ok", "reason": None} for row in rows], stage_path(out_dir, stage))
+    config = load_config(golden_config_path)
+    config.out_dir = str(out_dir)
+    config.resume_from = "construct"
+    return config
+
+
+def test_construct_and_validate_fork_from_different_servers(tmp_path, golden_config_path):
+    # The same program gives the same output within one server only: it
+    # builds its cases in construct and must fail them in validate.
+    config = units_config(golden_config_path, tmp_path, ['print(hash("semiforge"))', "print(input())"])
+    run_pipeline(config, stop_after="validate")
+    construct = load_jsonl(stage_path(tmp_path, "construct"))
+    validate = load_jsonl(stage_path(tmp_path, "validate"))
+    assert [row["status"] for row in construct] == ["ok", "ok"]
+    assert [(row["status"], row["reason"]) for row in validate] == [("drop", "wrong_output"), ("ok", None)]
+
+
+def test_validate_starts_before_construct_ends(tmp_path, golden_config_path, monkeypatch):
+    # The last unit's construct is slow, so only a barrier between the
+    # stages would hold back unit 0's validate until it ends.
+    codes = [f"print(int(input()) + {i})" for i in range(4)]
+    codes[-1] = "import time\ntime.sleep(0.5)\n" + codes[-1]
+    config = units_config(golden_config_path, tmp_path, codes)
+    config.workers = 2
+    calls = []
+
+    def recorded(name, function):
+        def wrapper(code, *args):
+            unit = codes.index(code)
+            calls.append((name, "start", unit))
+            try:
+                return function(code, *args)
+            finally:
+                calls.append((name, "end", unit))
+
+        return wrapper
+
+    for name in ("construct_test_cases", "validate_refined_code"):
+        monkeypatch.setattr(f"semiforge.pipeline.{name}", recorded(name, getattr(pipeline, name)))
+    run_pipeline(config, stop_after="validate")
+    assert len(calls) == 16
+    first_validate = calls.index(("validate_refined_code", "start", 0))
+    last_construct = calls.index(("construct_test_cases", "end", 3))
+    assert first_validate < last_construct
+
+
+def test_construct_and_validate_run_alone(golden_run, tmp_path, golden_config_path):
+    _, out_dir, _ = golden_run
+    config = load_config(golden_config_path)
+    config.out_dir = str(tmp_path)
+    run_pipeline(config, stop_after="construct")
+    assert not stage_path(tmp_path, "validate").exists()
+    config.resume_from = "validate"
+    run_pipeline(config, stop_after="validate")
+    for stage in ("construct", "validate"):
+        assert stage_path(tmp_path, stage).read_bytes() == stage_path(out_dir, stage).read_bytes(), stage
 
 
 @pytest.mark.parametrize(
