@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .dataset import emit_jsonl
 from .errors import SemiforgeError
 
 logger = logging.getLogger(__name__)
@@ -260,20 +259,3 @@ def cap_solutions(problems: Iterable[Problem], cap: int = DEFAULT_SOLUTION_CAP) 
     if cap < 1:
         raise InvalidCap(f"solution_cap must be >= 1, got {cap!r}")
     return [replace(p, solutions=p.solutions[:cap]) for p in problems]
-
-
-def problem_to_dict(problem: Problem) -> dict:
-    return {
-        "problem_id": problem.problem_id,
-        "description": problem.description,
-        "source": problem.source,
-        "special_judge": problem.special_judge,
-        "solutions": [
-            {"code": s.code, "token_count": s.token_count, "origin": s.origin}
-            for s in problem.solutions
-        ],
-    }
-
-
-def write_corpus(problems: Iterable[Problem], path: str | Path) -> int:
-    return emit_jsonl((problem_to_dict(problem) for problem in problems), path)

@@ -8,32 +8,33 @@ reported as an overflow, with empty stdout, instead of being silently
 truncated.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
-``python -I -S -B -X utf8`` interpreter per ``sandbox(interpreter,
-name)`` block, shared by every thread inside it and by the blocks
-nested in it, so a run costs a ``fork`` instead of an interpreter
-start-up. The flags make it ignore ``PYTHON*`` variables and user
-site-packages, skip ``site`` (so solutions see only the standard
-library), write no bytecode and use UTF-8; its environment holds only
-``PATH``, so credentials never reach it. It answers its pid as soon as
-it starts, and then imports ``ast`` before it serves its first
-command, so the parent goes on, and may start a second server, while
-it loads; the first run of a server may wait for that import. Without
-the preload every child would build the AST types on its first
-``compile()`` (~3 ms of CPU), and ``literal_eval`` would cost each
-call-based child 15-19 ms more to import ``ast`` and the modules it
-pulls in. ``ast`` holds no per-process state (it brings in no
-``random`` and no ``threading``), so each child still starts like a
-fresh interpreter, with one exception: the ``str`` hash secret is
-drawn once per server, so runs in one block share it and runs in
-separate blocks, or in blocks of different names, do not. The pipeline
-opens one named block per sandbox stage and keeps both open while its
-units run. The server is started with a real ``fork``, not ``vfork``,
-which would charge it the parent's RSS high-water mark. The ``exec``
-after the fork still carries the parent's RSS at that moment into the
-server's peak, so ``RUSAGE_CHILDREN``'s ``ru_maxrss`` is at least the
-parent's RSS at any server start. A server is reaped when the last block using it ends, so
-``RUSAGE_CHILDREN`` covers every run. ``execute`` outside any block
-starts a server for that one call, and so pays the ``ast`` import too.
+``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
+instead of an interpreter start-up. ``with sandbox(interpreter) as
+server`` starts one and closes it when the block ends; callers share it
+by passing ``server`` down to ``execute`` (and to the validation
+functions), from any number of threads. A call given no server starts
+one for itself, and so pays the start-up below. The flags make the
+server ignore ``PYTHON*`` variables and user site-packages, skip
+``site`` (so solutions see only the standard library), write no
+bytecode and use UTF-8; its environment holds only ``PATH``, so
+credentials never reach it. It answers its pid as soon as it starts,
+and then imports ``ast`` before it serves its first command, so the
+parent goes on, and may start a second server, while it loads; the
+first run of a server may wait for that import. Without the preload
+every child would build the AST types on its first ``compile()`` (~3 ms
+of CPU), and ``literal_eval`` would cost each call-based child 15-19 ms
+more to import ``ast`` and the modules it pulls in. ``ast`` holds no
+per-process state (it brings in no ``random`` and no ``threading``), so
+each child still starts like a fresh interpreter, with one exception:
+the ``str`` hash secret is drawn once per server, so runs forked from
+one server share it and runs forked from different servers do not. The
+pipeline opens one server per sandbox stage, and both stay open while
+its units run. The server is started with a real ``fork``, not
+``vfork``, which would charge it the parent's RSS high-water mark. The
+``exec`` after the fork still carries the parent's RSS at that moment
+into the server's peak, so ``RUSAGE_CHILDREN``'s ``ru_maxrss`` is at
+least the parent's RSS at any server start. A server is reaped when its
+block ends, so ``RUSAGE_CHILDREN`` covers every run.
 
 Each child calls ``setsid``, enters the working directory, sets the
 rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
@@ -356,55 +357,37 @@ class _Server:
         self._proc.communicate()
 
 
-# (interpreter path, block name) -> [server, open sandbox() blocks].
-# Module-level so that execute(), whose signature predates the server,
-# finds the server of the block it runs in, whichever thread calls it.
-_servers: dict[tuple[str, str | None], list] = {}
-_servers_lock = threading.Lock()
-# .name: the name of this thread's innermost named sandbox() block.
-_thread = threading.local()
-
-
 @contextlib.contextmanager
-def sandbox(interpreter: str | None = None, name: str | None = None):
-    """Fork every ``execute`` for ``interpreter`` in the block from one server.
+def sandbox(interpreter: str | None = None):
+    """Start a fork server for ``interpreter``, yield it, and close it when the block ends.
 
-    Blocks nest and may be entered from several threads: the first
-    starts the server, the last to end closes and reaps it. A block
-    given a ``name`` uses the server of that name, and so do the blocks
-    and calls nested in it on the same thread. Blocks of different
-    names fork from different servers, and so with different ``str``
-    hash secrets, even for the same interpreter. Raises
-    ``InterpreterMissing`` or ``SandboxSetupFailure`` if the server
-    cannot start.
+    Pass the server to ``execute`` to fork a run from it; several
+    threads may use it at once. Every run forked from one server shares
+    its ``str`` hash secret. Raises ``InterpreterMissing`` or
+    ``SandboxSetupFailure`` if the server cannot start.
     """
-    python = resolve_interpreter(interpreter)
-    outer = getattr(_thread, "name", None)
-    key = (python, name or outer)
-    with _servers_lock:
-        entry = _servers.get(key)
-        if entry is None:
-            entry = _servers[key] = [_Server(python), 0]
-        entry[1] += 1
-    _thread.name = key[1]
+    server = _Server(resolve_interpreter(interpreter))
     try:
-        yield entry[0]
+        yield server
     finally:
-        _thread.name = outer
-        with _servers_lock:
-            entry[1] -= 1
-            if entry[1] == 0:
-                del _servers[key]
-                entry[0].close()
+        server.close()
+
+
+def using(server: _Server | None):
+    """A block that yields ``server``, or a server of its own when ``server`` is None."""
+    return sandbox() if server is None else contextlib.nullcontext(server)
 
 
 def execute(
     code: str,
     invocation: Invocation,
     limits: ResourceLimits | None = None,
-    interpreter: str | None = None,
+    server: _Server | None = None,
 ) -> ExecResult:
-    """Run one snippet against one invocation in a forked sandbox child."""
+    """Run one snippet against one invocation in a child forked from ``server``.
+
+    Without a server, the call starts one for itself (see ``sandbox``).
+    """
     limits = limits or ResourceLimits()
     if not hasattr(os, "pidfd_open"):
         raise SandboxSetupFailure("the sandbox needs os.pidfd_open (Linux 5.3 or later)")
@@ -431,8 +414,8 @@ def execute(
             raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
 
         try:
-            with sandbox(interpreter) as server:
-                timed_out, returncode, duration = server.run(workdir, limits, call)
+            with using(server) as forking:
+                timed_out, returncode, duration = forking.run(workdir, limits, call)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
 

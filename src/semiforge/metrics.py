@@ -97,9 +97,9 @@ def evaluate_candidates(
 
     def passes(job) -> bool:
         i, candidate = job
-        return validate_refined_code(candidate, problems[i].test_cases, limits, interpreter).passed
+        return validate_refined_code(candidate, problems[i].test_cases, limits, server).passed
 
-    with sandbox(interpreter):
+    with sandbox(interpreter) as server:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(passes, jobs))

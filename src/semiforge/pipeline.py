@@ -243,7 +243,12 @@ def _check_row(stage: str, row) -> dict:
     ok = isinstance(row, dict) and row.get("status") == "ok"
     needed = _OK_FIELDS[stage] if ok else ("unit_id",)
     require_fields(row, needed + ("status", "reason"))
-    if ok and stage != "ingest":  # the answer type and cases the sandbox stages run
+    if ok and stage != "ingest":  # the code, inputs, answer type and cases the sandbox stages run
+        for key in ("code", "instruction", "refined_code"):
+            if not isinstance(row[key], str):
+                raise ValueError(f"{key} is not a string")
+        if not isinstance(row["raw_inputs"], list) or not all(isinstance(raw, str) for raw in row["raw_inputs"]):
+            raise ValueError("raw_inputs is not an array of strings")
         try:
             AnswerType(**row["answer_type"])
         except TypeError as exc:
@@ -350,12 +355,10 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     return _map_rows(config.workers, work, _ok_rows(ingest_rows))
 
 
-def _construct_unit(config: PipelineConfig, limits: ResourceLimits, row: dict) -> dict:
+def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
     answer_type = AnswerType(**row["answer_type"])
     try:
-        cases, drops = construct_test_cases(
-            row["code"], answer_type, row["raw_inputs"], limits, config.interpreter
-        )
+        cases, drops = construct_test_cases(row["code"], answer_type, row["raw_inputs"], limits, server)
     except EmptyTestCases as exc:
         return _drop(row, "empty_test_cases", input_drops=exc.drops)
     except SandboxSetupFailure as exc:
@@ -364,10 +367,10 @@ def _construct_unit(config: PipelineConfig, limits: ResourceLimits, row: dict) -
     return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
 
 
-def _validate_unit(config: PipelineConfig, limits: ResourceLimits, row: dict) -> dict:
+def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
     cases = decode_test_cases(row["test_cases"])
     try:
-        verdict = validate_refined_code(row["refined_code"], cases, limits, config.interpreter)
+        verdict = validate_refined_code(row["refined_code"], cases, limits, server)
     except SandboxSetupFailure as exc:
         logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
         return _drop(row, "sandbox_failure")
@@ -390,21 +393,22 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
     rows in unit order.
     """
     limits = config.limits()
+    servers = {}  # stage -> the fork server of its runs
 
     def work(row: dict) -> list[dict]:
         passed = []
         for stage in chain:
-            with _failing_as(stage), sandbox(config.interpreter, name=stage):
-                row = _UNIT_WORK[stage](config, limits, row)
+            with _failing_as(stage):
+                row = _UNIT_WORK[stage](limits, servers[stage], row)
             passed.append(row)
             if row["status"] != "ok":
                 break
         return passed
 
-    with ExitStack() as servers:
+    with ExitStack() as stack:
         for stage in chain:
             with _failing_as(stage):
-                servers.enter_context(sandbox(config.interpreter, name=stage))
+                servers[stage] = stack.enter_context(sandbox(config.interpreter))
         units = _map_rows(config.workers, work, _ok_rows(rows))
     return {stage: [unit[index] for unit in units if len(unit) > index] for index, stage in enumerate(chain)}
 

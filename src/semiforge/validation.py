@@ -20,10 +20,11 @@ from .executor import (
     ExecStatus,
     Invocation,
     ResourceLimits,
+    _Server,
     execute,
     normalize_output,
     outputs_match,
-    sandbox,
+    using,
 )
 from .generation import CALL_BASED, AnswerType
 from .lcs import lcs_length
@@ -102,18 +103,19 @@ def construct_test_cases(
     answer_type: AnswerType,
     raw_inputs: Sequence[str],
     limits: ResourceLimits | None = None,
-    interpreter: str | None = None,
+    server: _Server | None = None,
 ) -> tuple[list[TestCase], Counter]:
     """Execute the original code on every raw input; keep the Ok pairs.
 
-    Returns the cases and a count of dropped inputs by exit status.
+    Every run forks from ``server``, or from one server started for this
+    call. Returns the cases and a count of dropped inputs by exit status.
     """
     cases: list[TestCase] = []
     drops: Counter = Counter()
-    with sandbox(interpreter):
+    with using(server) as server:
         for raw_input in raw_inputs:
             invocation = invocation_for(answer_type, raw_input)
-            result = execute(original_code, invocation, limits, interpreter)
+            result = execute(original_code, invocation, limits, server)
             if result.ok:
                 cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
             else:
@@ -136,14 +138,17 @@ def validate_refined_code(
     refined_code: str,
     test_cases: Sequence[TestCase],
     limits: ResourceLimits | None = None,
-    interpreter: str | None = None,
+    server: _Server | None = None,
 ) -> Verdict:
-    """Pass iff every case executes Ok and matches; stop at the first failure."""
+    """Pass iff every case executes Ok and matches; stop at the first failure.
+
+    Every run forks from ``server``, or from one server started for this call.
+    """
     if not test_cases:
         raise ValueError("validation needs at least one test case")
-    with sandbox(interpreter):
+    with using(server) as server:
         for index, case in enumerate(test_cases):
-            result = execute(refined_code, case.invocation, limits, interpreter)
+            result = execute(refined_code, case.invocation, limits, server)
             if not result.ok:
                 return Verdict.fail(index, _FAIL_BY_STATUS[result.status])
             if not outputs_match(result.stdout, case.expected_output):

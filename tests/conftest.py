@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from semiforge import executor, validation
+from semiforge.dataset import emit_jsonl
 from semiforge.pipeline import load_config, run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,54 @@ def rouge_oracle(candidate: str, reference: str) -> float:
 def load_jsonl(path: Path) -> list[dict]:
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+def problem_to_dict(problem) -> dict:
+    return {
+        "problem_id": problem.problem_id,
+        "description": problem.description,
+        "source": problem.source,
+        "special_judge": problem.special_judge,
+        "solutions": [
+            {"code": s.code, "token_count": s.token_count, "origin": s.origin}
+            for s in problem.solutions
+        ],
+    }
+
+
+def write_corpus(problems, path) -> int:
+    """Write problems as a generic-format corpus, one JSON object per line."""
+    return emit_jsonl((problem_to_dict(problem) for problem in problems), path)
+
+
+@pytest.fixture()
+def sandbox_counts(monkeypatch):
+    """Record fork-server starts, runs forked, and calls of ``semiforge.validation.execute``.
+
+    perfbench's tracing wraps that name and reads the code from its first
+    positional argument, so a run forked any other way is missing from
+    the traced ``executor.*`` metrics.
+    """
+    counts = {"starts": [], "runs": [], "calls": []}
+
+    class CountingServer(executor._Server):
+        def __init__(self, python):
+            counts["starts"].append(python)
+            super().__init__(python)
+
+        def run(self, *args):
+            counts["runs"].append(args)
+            return super().run(*args)
+
+    execute = validation.execute
+
+    def counted(*args, **kwargs):
+        counts["calls"].append(args[0])
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "_Server", CountingServer)
+    monkeypatch.setattr(validation, "execute", counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

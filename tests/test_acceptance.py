@@ -20,7 +20,6 @@ from semiforge.corpus import (
     filter_problems,
     load_corpus,
     merge_duplicate_problems,
-    write_corpus,
 )
 from semiforge.curriculum import STRATEGIES, order_records
 from semiforge.dataset import FunnelStats, retention_ratios
@@ -35,7 +34,7 @@ from semiforge.validation import (
     dedup_instructions,
     validate_refined_code,
 )
-from tests.conftest import ACCEPTANCE_LINES, GOLDEN, TEST_DATA, load_jsonl, rouge_oracle
+from tests.conftest import ACCEPTANCE_LINES, GOLDEN, TEST_DATA, load_jsonl, rouge_oracle, write_corpus
 
 
 def record(num: int, description: str, ok: bool, elapsed: float, budget: float | None = None):

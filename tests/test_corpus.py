@@ -15,10 +15,8 @@ from semiforge.corpus import (
     load_corpus,
     merge_duplicate_problems,
     normalize_description,
-    problem_to_dict,
-    write_corpus,
 )
-from tests.conftest import TEST_DATA
+from tests.conftest import TEST_DATA, problem_to_dict, write_corpus
 
 
 def test_load_apps_directory():

@@ -255,8 +255,8 @@ def test_snippet_sees_only_fds_0_to_2():
         "    open_fds.append(fd)\n"
         "print(open_fds)"
     )
-    with sandbox():
-        result = execute(code, Invocation.stdin(""), FAST)
+    with sandbox() as server:
+        result = execute(code, Invocation.stdin(""), FAST, server)
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "[0, 1, 2]"
 
@@ -265,31 +265,32 @@ def test_str_hash_is_shared_within_a_block_only():
     code = "print(hash('semiforge'))"
     blocks = []
     for _ in range(2):
-        with sandbox():
-            blocks.append([execute(code, Invocation.stdin(""), FAST).stdout for _ in range(2)])
+        with sandbox() as server:
+            blocks.append([execute(code, Invocation.stdin(""), FAST, server).stdout for _ in range(2)])
     assert blocks[0][0] == blocks[0][1]
     assert blocks[1][0] == blocks[1][1]
     assert blocks[0][0] != blocks[1][0]
 
 
-def test_named_blocks_fork_from_servers_of_their_own():
-    def run(name=None):
-        with sandbox(name=name):
-            return execute("print(hash('semiforge'))", Invocation.stdin(""), FAST).stdout
+def test_blocks_open_at_once_fork_from_servers_of_their_own():
+    def run(server):
+        return execute("print(hash('semiforge'))", Invocation.stdin(""), FAST, server).stdout
 
-    with sandbox(name="a"), sandbox(name="b"):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            in_a = pool.submit(run, "a").result(timeout=30)
-        # An unnamed block uses the server of its thread's innermost named block.
-        assert run() == run("b") != in_a
-    assert executor._servers == {}
+    with sandbox() as a, sandbox() as b:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run, server) for server in (a, b, a, b)]
+            on_workers = [future.result(timeout=30) for future in runs]
+        # A server gives the same hash on every thread, and each block a hash of its own.
+        assert on_workers[0] == on_workers[2] == run(a)
+        assert on_workers[1] == on_workers[3] == run(b)
+        assert on_workers[0] != on_workers[1]
 
 
 def test_random_is_seeded_per_run():
     code = "import random\nprint(random.random())"
-    with sandbox():
-        first = execute(code, Invocation.stdin(""), FAST)
-        second = execute(code, Invocation.stdin(""), FAST)
+    with sandbox() as server:
+        first = execute(code, Invocation.stdin(""), FAST, server)
+        second = execute(code, Invocation.stdin(""), FAST, server)
     assert first.ok and second.ok
     assert first.stdout != second.stdout
 
@@ -298,8 +299,8 @@ def test_server_preloads_ast_and_no_per_process_state():
     # threading would make every run join threads it never started, and
     # random would share one PRNG state across the runs of a block.
     code = 'import sys\nprint([m for m in ("ast", "random", "threading") if m in sys.modules])'
-    with sandbox():
-        result = execute(code, Invocation.stdin(""), FAST)
+    with sandbox() as server:
+        result = execute(code, Invocation.stdin(""), FAST, server)
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "['ast']"
 
@@ -337,8 +338,8 @@ def test_no_child_process_outlives_a_call(golden_run, golden_run_copy):
     assert _live_children() - before == set()
 
 
-def test_racing_calls_share_and_close_servers():
-    # Calls outside any block race to start, share and close servers.
+def test_racing_calls_close_their_servers():
+    # Calls given no server race to start and close servers of their own.
     before = _live_children()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -357,12 +358,12 @@ def test_dead_server_is_a_setup_failure():
 
     def attempt():
         try:
-            execute("print(1)", Invocation.stdin(""), FAST)
+            execute("print(1)", Invocation.stdin(""), FAST, server)
         except SandboxSetupFailure as exc:
             errors.append(exc)
 
-    with sandbox():
-        server_pid = int(execute("import os\nprint(os.getppid())", Invocation.stdin(""), FAST).stdout)
+    with sandbox() as server:
+        server_pid = int(execute("import os\nprint(os.getppid())", Invocation.stdin(""), FAST, server).stdout)
         os.kill(server_pid, signal.SIGKILL)
         # A daemon thread, so that a hanging call fails the test instead of blocking it.
         worker = threading.Thread(target=attempt, daemon=True)

@@ -147,6 +147,14 @@ def test_evaluate_averages_k_above_one_over_problems():
     assert report.estimates[3] == pytest.approx((1 + 3 / 4) / 2, abs=1e-12)
 
 
+def test_one_evaluation_starts_one_server(sandbox_counts):
+    problems = [EvalProblem("double", DOUBLE_CASES, (GOOD, WRONG, ALSO_GOOD, CRASH))]
+    report = evaluate_candidates(problems, ks=(1,), workers=2)
+    assert report.problems[0].c == 2
+    assert len(sandbox_counts["starts"]) == 1
+    assert len(sandbox_counts["calls"]) == len(sandbox_counts["runs"]) == 6
+
+
 def test_evaluate_parallel_matches_serial():
     problems = [EvalProblem("double", DOUBLE_CASES, (GOOD, WRONG, ALSO_GOOD))]
     serial = evaluate_candidates(problems, ks=(1,), workers=1)

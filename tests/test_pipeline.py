@@ -197,6 +197,11 @@ def with_case(ok, **changes):
         ),
         ("generate", lambda ok: with_answer_type(ok, extra=1), "answer_type is not an answer type: "),
         ("generate", lambda ok: {**ok, "answer_type": "stdin"}, "answer_type is not an answer type: "),
+        ("generate", lambda ok: {**ok, "raw_inputs": [1]}, "raw_inputs is not an array of strings"),
+        ("generate", lambda ok: {**ok, "raw_inputs": "abc"}, "raw_inputs is not an array of strings"),
+        ("generate", lambda ok: {**ok, "code": 5}, "code is not a string"),
+        ("construct", lambda ok: {**ok, "refined_code": None}, "refined_code is not a string"),
+        ("generate", lambda ok: {**ok, "instruction": ["Do it."]}, "instruction is not a string"),
         (
             "construct",
             lambda ok: with_case(ok, mode="call", function_name=5),
@@ -214,6 +219,11 @@ def with_case(ok, **changes):
         "function_name_keyword",
         "answer_type_extra_key",
         "answer_type_not_object",
+        "raw_inputs_item_not_str",
+        "raw_inputs_str",
+        "code_not_str",
+        "refined_code_not_str",
+        "instruction_not_str",
         "case_function_name_not_str",
         "stdin_case_with_function_name",
         "case_payload_not_str",
@@ -379,6 +389,7 @@ def test_order_row_without_instruction_fails_emit(golden_run, golden_run_copy):
 def test_stage_rows_keep_unicode_line_separators(tmp_path):
     ok = dict.fromkeys(field for fields in UNIT_FIELDS.values() for field in fields)
     ok.update(unit_id="p:0", instruction="one\u2028two\x85three\u2029four", status="ok", reason=None)
+    ok.update(code="print(1)", refined_code="print(1)", raw_inputs=[""])
     ok["answer_type"] = {"kind": "standard_input", "function_name": None}
     rows = [ok, {"unit_id": "p:1", "status": "drop", "reason": "near_duplicate"}]
     path = stage_path(tmp_path, "dedup")
@@ -571,6 +582,17 @@ def test_construct_and_validate_fork_from_different_servers(tmp_path, golden_con
     validate = load_jsonl(stage_path(tmp_path, "validate"))
     assert [row["status"] for row in construct] == ["ok", "ok"]
     assert [(row["status"], row["reason"]) for row in validate] == [("drop", "wrong_output"), ("ok", None)]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_cold_run_starts_one_server_per_sandbox_stage(tmp_path, golden_config_path, sandbox_counts, workers):
+    config = load_config(golden_config_path)
+    config.out_dir = str(tmp_path)
+    config.workers = workers
+    assert run_pipeline(config).counts() == EXPECTED_FUNNEL
+    assert len(sandbox_counts["starts"]) == 2
+    assert len(sandbox_counts["calls"]) == len(sandbox_counts["runs"]) > 0
+    assert all(isinstance(code, str) for code in sandbox_counts["calls"])
 
 
 def test_validate_starts_before_construct_ends(tmp_path, golden_config_path, monkeypatch):
