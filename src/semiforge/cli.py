@@ -16,14 +16,14 @@ import sys
 from pathlib import Path
 
 from .corpus import FORMATS
-from .dataset import FunnelStats, atomic_write, funnel_report, read_json_lines, require_fields
+from .dataset import FunnelStats, atomic_write, check_fields, funnel_report, read_json_lines
 from .errors import SemiforgeError
 from .executor import ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
 from .pipeline import (
     CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, _read_rows, load_config, run_pipeline, stage_path
 )
-from .validation import COMPARE_SETS, TestCase, decode_test_cases
+from .validation import COMPARE_SETS, TestCase
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +93,7 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
     try:
         problem_rows = read_json_lines(problems_path, _eval_problem)
         candidate_rows = read_json_lines(
-            candidates_path, lambda row: require_fields(row, ("problem_id", "candidate_code"))
+            candidates_path, lambda row: check_fields(row, {"problem_id": str, "candidate_code": str})
         )
     except (OSError, ValueError) as exc:
         raise SemiforgeError(str(exc)) from exc
@@ -107,8 +107,8 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
 
 
 def _eval_problem(row) -> tuple[str, tuple[TestCase, ...]]:
-    require_fields(row, ("problem_id", "test_cases"))
-    return row["problem_id"], tuple(decode_test_cases(row["test_cases"]))
+    check_fields(row, {"problem_id": str, "test_cases": list[TestCase]})
+    return row["problem_id"], tuple(map(TestCase.from_dict, row["test_cases"]))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -140,7 +140,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         stats = FunnelStats.from_dict(json.loads(Path(args.funnel).read_text(encoding="utf-8")))
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SemiforgeError(f"could not read funnel {args.funnel}: {exc}") from exc
     print(funnel_report(stats, format=args.format))
     return 0

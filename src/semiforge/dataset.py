@@ -5,7 +5,8 @@ holds: an instruction paired with code, tagged with its source stream
 (semi, ni, si) and enough provenance to reconstruct any ordering. Semi
 records additionally keep their test cases so correctness can be
 re-checked from the emitted file alone. ``record`` is the one place
-that format is checked and completed.
+that format is checked and completed, and ``check_fields`` the one check
+of the type of any JSON value read back.
 
 Every file semiforge writes goes through ``atomic_write``, and every
 JSON-lines file through ``emit_jsonl`` and ``read_json_lines``.
@@ -17,13 +18,12 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from types import UnionType
+from typing import Iterable, Literal, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import SemiforgeError
-
-SOURCES = ("semi", "ni", "si")
 
 
 class IoFailure(SemiforgeError):
@@ -34,40 +34,120 @@ class InvalidStats(SemiforgeError):
     pass
 
 
+class Count:
+    """The kind of an integer >= 0 (see check_fields)."""
+
+
+class NonEmpty(list):
+    """The kind of a non-empty array: ``NonEmpty[item kind]`` (see check_fields)."""
+
+
+# What each kind that is a JSON type is called, and whether a value is of it.
+_TYPES = {
+    str: ("a string", lambda value: isinstance(value, str)),
+    int: ("an integer", lambda value: isinstance(value, int)),
+    float: ("a number", lambda value: isinstance(value, (int, float))),
+    Count: ("an integer >= 0", lambda value: isinstance(value, int) and value >= 0),
+    list: ("an array", lambda value: isinstance(value, list)),
+    NonEmpty: ("a non-empty array", lambda value: isinstance(value, list) and len(value) > 0),
+    dict: ("an object", lambda value: isinstance(value, dict)),
+    type(None): ("null", lambda value: value is None),
+}
+
+
+def describe_kind(kind) -> str:
+    """Name a kind of check_fields in words, as its messages do."""
+    origin, args = get_origin(kind) or kind, get_args(kind)
+    if origin is UnionType:
+        return " or ".join(map(describe_kind, args))
+    if origin is Literal:
+        return "one of " + ", ".join(map(repr, args))
+    if hasattr(origin, "from_dict"):
+        return f"a {origin.__name__}"
+    if is_dataclass(origin):
+        return "an object with keys " + ", ".join(get_type_hints(origin))
+    parts = zip(("key", "value") if origin is dict else ("item",), args)
+    return ", ".join([_TYPES[origin][0], *(f"each {part} {describe_kind(arg)}" for part, arg in parts)])
+
+
+def _check_value(name: str, value, kind):
+    """Return ``value`` if it is of ``kind`` (see check_fields), else raise ValueError naming ``name``."""
+    origin, args = get_origin(kind) or kind, get_args(kind)
+    if origin is UnionType:
+        for member in args:
+            try:
+                return _check_value(name, value, member)
+            except ValueError:
+                pass
+    elif origin is Literal:
+        if value in args:
+            return value
+    elif hasattr(origin, "from_dict"):
+        origin.from_dict(value)
+        return value
+    elif is_dataclass(origin):
+        hints = get_type_hints(origin)
+        if isinstance(value, dict) and value.keys() == hints.keys():
+            origin(**check_fields(value, hints, name=name))  # the class's own checks raise ValueError
+            return value
+    elif not isinstance(value, bool) and _TYPES[origin][1](value):  # JSON true and false are of no kind
+        if args:
+            for key, item in value.items() if origin is dict else enumerate(value):
+                if origin is dict:
+                    _check_value(f"{name} key", key, args[0])
+                _check_value(f"{name}[{key!r}]", item, args[-1])
+        return value
+    raise ValueError(f"{name} must be {describe_kind(kind)}, got {value!r}")
+
+
+def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, name: str = "row") -> dict:
+    """Return ``obj`` if it is a JSON object whose keys hold values of the kinds ``schema`` gives.
+
+    A key of ``required`` (all of ``schema`` by default) must be there; keys ``schema`` lacks are
+    left alone. A kind is a JSON type (str, int, float, list, dict, type(None)), Count, a union such
+    as ``str | None``, a Literal of the values allowed, ``list[kind]``, ``NonEmpty[kind]``,
+    ``dict[key kind, kind]``, a class whose ``from_dict`` decodes the value or raises ValueError, or a
+    dataclass: an object holding exactly its fields, of the kinds its annotations give, that passes its
+    own checks. Else raise ValueError "<key> must be <kind>, got <value>".
+    """
+    _check_value(name, obj, dict)
+    for key, kind in schema.items():
+        if key in obj:
+            _check_value(key, obj[key], kind)
+        elif required is None or key in required:
+            raise ValueError(f"{key} must be {describe_kind(kind)}, got nothing")
+    return obj
+
+
+SOURCES = ("semi", "ni", "si")
+
+# The kinds of a record's keys; instruction, code and source are required.
+RECORD_FIELDS = {
+    "instruction": str, "code": str, "source": Literal[SOURCES],
+    "difficulty": Count | None, "n_test_cases": Count | None, "answer_type": dict | None,
+    "test_cases": list | None, "provenance": dict | None,
+}
+PROVENANCE_FIELDS = {"problem_id": str, "solution_index": Count | None, "seq": Count | None}
+
+
 def record(obj) -> dict:
     """Turn a JSON value read from a file into the record that gets written.
 
     Optional keys get their defaults and unknown keys are dropped; a
     value that cannot be a record raises ValueError naming the defect.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    missing = [key for key in ("instruction", "code", "source") if key not in obj]
-    if missing:
-        raise ValueError(f"record lacks {', '.join(missing)}")
-    if obj["source"] not in SOURCES:
-        raise ValueError(f"unknown record source: {obj['source']!r}")
-    prov = obj.get("provenance") or {}
-    if not isinstance(prov, dict):
-        raise ValueError("record provenance is not a JSON object")
+    check_fields(obj, RECORD_FIELDS, required=("instruction", "code", "source"), name="record")
+    prov = check_fields(obj.get("provenance") or {}, PROVENANCE_FIELDS, required=(), name="provenance")
     if obj["source"] == "semi":
         if obj.get("difficulty") is None or obj.get("n_test_cases") is None:
             raise ValueError("semi records must carry difficulty and n_test_cases")
         if obj["difficulty"] != obj["n_test_cases"]:
             raise ValueError("semi difficulty must equal the test-case count")
     return {
-        "instruction": obj["instruction"],
-        "code": obj["code"],
-        "source": obj["source"],
-        "difficulty": obj.get("difficulty"),
-        "n_test_cases": obj.get("n_test_cases"),
+        **{key: obj.get(key) for key in RECORD_FIELDS},
         "answer_type": obj.get("answer_type") or None,
         "test_cases": obj.get("test_cases") or [],
-        "provenance": {
-            "problem_id": prov.get("problem_id", ""),
-            "solution_index": prov.get("solution_index"),
-            "seq": prov.get("seq"),
-        },
+        "provenance": {key: prov.get(key, "" if key == "problem_id" else None) for key in PROVENANCE_FIELDS},
     }
 
 
@@ -136,17 +216,8 @@ def read_json_lines(path: str | Path, check) -> list:
     return rows
 
 
-def require_fields(row, keys) -> dict:
-    """Return ``row`` if it is a JSON object holding every key, else raise ValueError."""
-    if not isinstance(row, dict):
-        raise ValueError("row is not a JSON object")
-    missing = [key for key in keys if key not in row]
-    if missing:
-        raise ValueError(f"row lacks {', '.join(missing)}")
-    return row
-
-
 STAGE_FIELDS = ("loaded_codes", "generated_ok", "with_test_cases", "refined_passed", "after_dedup")
+FUNNEL_FIELDS = {**dict.fromkeys(STAGE_FIELDS, Count), "drop_reasons": dict[str, dict[str, Count]]}
 
 
 @dataclass(frozen=True)
@@ -168,19 +239,15 @@ class FunnelStats:
         )
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in STAGE_FIELDS}
-        out["drop_reasons"] = {
-            stage: dict(sorted(reasons.items())) for stage, reasons in sorted(self.drop_reasons.items())
-        }
-        return out
+        """The funnel.json object; written with sorted keys, so in no order of its own."""
+        drop_reasons = {stage: dict(reasons) for stage, reasons in self.drop_reasons.items()}
+        return {**dict(zip(STAGE_FIELDS, self.counts())), "drop_reasons": drop_reasons}
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "FunnelStats":
-        require_fields(obj, STAGE_FIELDS)
-        return cls(
-            **{name: int(obj[name]) for name in STAGE_FIELDS},
-            drop_reasons={k: dict(v) for k, v in obj.get("drop_reasons", {}).items()},
-        )
+    def from_dict(cls, obj) -> "FunnelStats":
+        """Read what to_dict wrote; a value it could not have written raises ValueError."""
+        check_fields(obj, FUNNEL_FIELDS, required=STAGE_FIELDS, name="funnel")
+        return cls(**{name: obj[name] for name in STAGE_FIELDS}, drop_reasons=obj.get("drop_reasons", {}))
 
 
 def retention_ratios(stats: FunnelStats) -> list[float | None]:
@@ -198,14 +265,9 @@ def funnel_report(stats: FunnelStats, format: str = "text") -> str:
     ratios = retention_ratios(stats)
     if format == "json":
         payload = {
-            "stages": {name: getattr(stats, name) for name in STAGE_FIELDS},
-            "retention_pct": {
-                STAGE_FIELDS[i + 1]: ratios[i] for i in range(len(ratios))
-            },
-            "drop_reasons": {
-                stage: dict(sorted(reasons.items()))
-                for stage, reasons in sorted(stats.drop_reasons.items())
-            },
+            "stages": dict(zip(STAGE_FIELDS, stats.counts())),
+            "retention_pct": dict(zip(STAGE_FIELDS[1:], ratios)),
+            "drop_reasons": stats.to_dict()["drop_reasons"],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     if format != "text":

@@ -26,16 +26,16 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping
+from typing import Literal, Mapping, get_type_hints
 
 from . import corpus as corpus_mod
 from .curriculum import STRATEGIES, order_records
-from .dataset import FunnelStats, atomic_write, emit_jsonl, read_json_lines, record, require_fields
+from .dataset import Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, read_json_lines, record
 from .errors import SemiforgeError
-from .executor import ResourceLimits, SandboxSetupFailure, sandbox
+from .executor import ExecStatus, ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
     TEMPLATE_VERSION,
     AnswerType,
@@ -55,8 +55,8 @@ from .generation import (
 from .validation import (
     COMPARE_SETS,
     EmptyTestCases,
+    TestCase,
     construct_test_cases,
-    decode_test_cases,
     dedup_instructions,
     validate_refined_code,
 )
@@ -66,19 +66,20 @@ logger = logging.getLogger(__name__)
 STAGES = ("ingest", "generate", "construct", "validate", "dedup", "order", "emit")
 _STAGE_ALIASES = {"construct-cases": "construct", "construct_cases": "construct"}
 
-# The fields each stage adds to the unit row. Every row also holds
-# "status" ("ok" or "drop") and "reason" (null, or why the unit dropped);
-# an ok row holds exactly the fields of its stage and the stages before
-# it. A stage runs on its predecessor's ok rows only, so a drop row may
-# lack the fields its stage would have added.
+# The fields each stage adds to the unit row, and their kinds (see dataset.check_fields);
+# difficulty is also the number of test cases. Every row also holds "status", and a "reason":
+# null on an "ok" row, why the unit dropped on a "drop" row. An ok row holds exactly the fields
+# of its stage and the stages before it; a drop row may lack those its stage would have added.
 UNIT_FIELDS = {
-    "ingest": ("unit_id", "problem_id", "solution_index", "seq", "code"),
-    "generate": ("prompt_sha256", "instruction", "refined_code", "answer_type", "raw_inputs"),
-    "construct": ("test_cases", "input_drops"),
-    "validate": ("difficulty", "case_index"),
-    "dedup": (),
+    "ingest": {"unit_id": str, "problem_id": str, "solution_index": Count, "seq": Count, "code": str},
+    "generate": {"prompt_sha256": str, "instruction": str, "refined_code": str, "answer_type": AnswerType,
+                 "raw_inputs": list[str]},
+    "construct": {"test_cases": NonEmpty[TestCase],
+                  "input_drops": dict[Literal[tuple(status.value for status in ExecStatus)], Count]},
+    "validate": {"difficulty": Count, "case_index": Count | None},
+    "dedup": {},
 }
-_OK_FIELDS = dict(zip(UNIT_FIELDS, accumulate(UNIT_FIELDS.values())))
+_ROW_FIELDS = dict(zip(UNIT_FIELDS, accumulate(UNIT_FIELDS.values(), lambda before, added: {**before, **added})))
 
 DATASET_FILE = "dataset.jsonl"
 FUNNEL_FILE = "funnel.json"
@@ -96,31 +97,14 @@ class InvalidConfig(SemiforgeError, ValueError):
     pass
 
 
-def _check_choice(field: str, noun: str, value, choices: tuple) -> None:
-    if value not in choices:
-        raise InvalidConfig(f"unknown {noun}: {value!r} ({field} must be one of {', '.join(choices)})")
-
-
 def canonical_stage(name: str, field: str = "stage") -> str:
     stage = _STAGE_ALIASES.get(name, name)
-    _check_choice(field, "stage", stage, STAGES)
+    if stage not in STAGES:
+        raise InvalidConfig(f"unknown stage: {stage!r} ({field} must be one of {', '.join(STAGES)})")
     return stage
 
 
 CLIENT_MODES = ("replay", "live")
-
-# The JSON values each type named in a field annotation accepts, and what they are called.
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
-_JSON_NAMES = {"str": "a string", "int": "an integer", "float": "a number", "None": "null"}
-
-# (field, what its values name, the values a run accepts)
-_CHOICES = (
-    ("corpus_format", "corpus format", corpus_mod.FORMATS),
-    ("token_mode", "token mode", corpus_mod.TOKEN_MODES),
-    ("client_mode", "client mode", CLIENT_MODES),
-    ("dedup_compare", "comparison set", COMPARE_SETS),
-    ("order", "ordering strategy", STRATEGIES),
-)
 
 
 @dataclass
@@ -131,12 +115,12 @@ class PipelineConfig:
     """
 
     corpus_path: str = ""
-    corpus_format: str = "generic"
+    corpus_format: Literal[corpus_mod.FORMATS] = "generic"
     language: str = "python"
     out_dir: str = "out"
     template_path: str | None = None
     input_count: int = 8
-    client_mode: str = "replay"
+    client_mode: Literal[CLIENT_MODES] = "replay"
     replay_store: str = "fixtures/completions"
     endpoint: str = ""
     model_id: str = "default"
@@ -144,15 +128,15 @@ class PipelineConfig:
     top_p: float = 0.95
     max_tokens: int = 2048
     max_solution_tokens: int = 1000
-    token_mode: str = "whitespace"
+    token_mode: Literal[corpus_mod.TOKEN_MODES] = "whitespace"
     solution_cap: int = 25
     wall_timeout: float = 5.0
     memory_bytes: int = 256 * 1024 * 1024
     output_bytes: int = 1024 * 1024
     interpreter: str | None = None
     dedup_threshold: float = 0.7
-    dedup_compare: str = "retained"
-    order: str = "semi_ranked"
+    dedup_compare: Literal[COMPARE_SETS] = "retained"
+    order: Literal[STRATEGIES] = "semi_ranked"
     seed: int = 0
     scale: int | None = None
     si_path: str | None = None
@@ -173,17 +157,12 @@ class PipelineConfig:
         """Raise InvalidConfig, naming the field and its value, unless a run accepts every value.
 
         Paths are left to the stage that reads them: a resumed run does
-        not read them all. Range rules come from the types a run builds.
+        not read them all. Kinds come from the annotations, range rules from the types a run builds.
         """
-        for field in fields(self):
-            value = getattr(self, field.name)
-            names = field.type.split(" | ")
-            kinds = tuple(_JSON_TYPES[name] for name in names)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                wanted = " or ".join(_JSON_NAMES[name] for name in names)
-                raise InvalidConfig(f"{field.name} must be {wanted}, got {value!r}")
-        for field, noun, choices in _CHOICES:
-            _check_choice(field, noun, getattr(self, field), choices)
+        try:
+            check_fields(vars(self), get_type_hints(PipelineConfig), name="config")
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
         if self.resume_from:
             canonical_stage(self.resume_from, "resume_from")
         for name in ("seed", "scale"):  # numpy's SeedSequence rejects a negative seed
@@ -220,11 +199,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Read a JSON config; relative paths resolve against the file's directory."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = check_fields(json.loads(path.read_text(encoding="utf-8")), {}, name="config")
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"could not read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidConfig(f"config must be a JSON object: {path}")
     base = path.resolve().parent
     for key in _PATH_KEYS:
         value = obj.get(key)
@@ -240,21 +217,12 @@ def stage_path(out_dir: str | Path, stage: str) -> Path:
 def _check_row(stage: str, row) -> dict:
     if stage == "order":  # order rows are dataset records, not unit rows
         return record(row)
-    ok = isinstance(row, dict) and row.get("status") == "ok"
-    needed = _OK_FIELDS[stage] if ok else ("unit_id",)
-    require_fields(row, needed + ("status", "reason"))
-    if ok and stage != "ingest":  # the code, inputs, answer type and cases the sandbox stages run
-        for key in ("code", "instruction", "refined_code"):
-            if not isinstance(row[key], str):
-                raise ValueError(f"{key} is not a string")
-        if not isinstance(row["raw_inputs"], list) or not all(isinstance(raw, str) for raw in row["raw_inputs"]):
-            raise ValueError("raw_inputs is not an array of strings")
-        try:
-            AnswerType(**row["answer_type"])
-        except TypeError as exc:
-            raise ValueError(f"answer_type is not an answer type: {exc}") from exc
-    if ok and stage == "construct" and not decode_test_cases(row["test_cases"]):
-        raise ValueError("test_cases is empty")
+    ok = check_fields(row, {"status": Literal["ok", "drop"]})["status"] == "ok"
+    schema = {**_ROW_FIELDS[stage], "reason": type(None) if ok else str}
+    check_fields(row, schema, required=None if ok else ("unit_id", "reason"))
+    count = len(row.get("test_cases", ()))
+    if row.get("difficulty", count) != count:
+        raise ValueError(f"difficulty must be {count}, the number of test cases, got {row['difficulty']!r}")
     return row
 
 
@@ -368,7 +336,7 @@ def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
 
 
 def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
-    cases = decode_test_cases(row["test_cases"])
+    cases = [TestCase.from_dict(case) for case in row["test_cases"]]
     try:
         verdict = validate_refined_code(row["refined_code"], cases, limits, server)
     except SandboxSetupFailure as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .dataset import check_fields
 from .errors import SemiforgeError
 from .executor import (
     ExecStatus,
@@ -39,6 +40,10 @@ class EmptyTestCases(SemiforgeError):
         self.drops = dict(drops or {})
 
 
+# The kinds of a stored test case's keys (see TestCase.to_dict); function_name may be absent.
+CASE_FIELDS = {"mode": str, "payload": str, "function_name": str | None, "expected_output": str}
+
+
 @dataclass(frozen=True)
 class TestCase:
     invocation: Invocation
@@ -55,20 +60,9 @@ class TestCase:
     @classmethod
     def from_dict(cls, obj) -> "TestCase":
         """Decode a stored case; a value that is not one raises ValueError."""
-        if not isinstance(obj, dict):
-            raise ValueError("test case is not a JSON object")
-        missing = [key for key in ("mode", "payload", "expected_output") if key not in obj]
-        if missing:
-            raise ValueError(f"test case lacks {', '.join(missing)}")
+        check_fields(obj, CASE_FIELDS, required=("mode", "payload", "expected_output"), name="test case")
         invocation = Invocation(obj["mode"], obj["payload"], obj.get("function_name"))
         return cls(invocation=invocation, expected_output=obj["expected_output"])
-
-
-def decode_test_cases(value) -> list[TestCase]:
-    """Decode a stored ``test_cases`` array; anything else raises ValueError."""
-    if not isinstance(value, list):
-        raise ValueError("test_cases is not a JSON array")
-    return [TestCase.from_dict(case) for case in value]
 
 
 class FailReason(str, Enum):

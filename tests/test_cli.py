@@ -6,7 +6,7 @@ import pytest
 
 from semiforge.cli import _config_from_args, build_parser, main
 from semiforge.dataset import emit_jsonl
-from semiforge.pipeline import PipelineConfig
+from semiforge.pipeline import STAGES, PipelineConfig
 from tests.conftest import GOLDEN, load_jsonl
 
 
@@ -128,7 +128,7 @@ def test_stage_row_not_an_object_exits_2(tmp_path, golden_config_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: stage validate: ")
-    assert "stage_validate.jsonl line 29: row is not a JSON object" in err
+    assert "stage_validate.jsonl line 29: row must be an object, got [1, 2]" in err
     assert "Traceback" not in err
 
 
@@ -148,8 +148,14 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
     "key, value, message",
     [
         ("warp_speed", True, "unknown config keys: warp_speed"),
-        ("token_mode", "chars", "unknown token mode: 'chars'"),
-        ("dedup_compare", "everything", "unknown comparison set: 'everything'"),
+        pytest.param(
+            "token_mode", "chars", "token_mode must be one of 'whitespace', 'bytes', got 'chars'",
+            id="token_mode-chars-unknown token mode: 'chars'",
+        ),
+        pytest.param(
+            "dedup_compare", "everything", "dedup_compare must be one of 'retained', 'all', got 'everything'",
+            id="dedup_compare-everything-unknown comparison set: 'everything'",
+        ),
         ("input_count", 0, "input_count must be >= 1, got 0"),
         ("wall_timeout", 0, "wall_timeout must be > 0, got 0"),
         ("memory_bytes", 0, "memory_bytes must be > 0, got 0"),
@@ -158,10 +164,18 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         ("top_p", 0, "top_p must be in (0, 1], got 0"),
         ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
         ("dedup_threshold", "x", "dedup_threshold must be a number, got 'x'"),
-        ("order", "bogus", "unknown ordering strategy: 'bogus'"),
+        pytest.param(
+            "order", "bogus", "order must be one of 'semi_ranked', ", id="order-bogus-unknown ordering strategy: 'bogus'"
+        ),
         ("scale", -1, "scale must be >= 0, got -1"),
-        ("corpus_format", "zip", "unknown corpus format: 'zip'"),
-        ("client_mode", "cloud", "unknown client mode: 'cloud'"),
+        pytest.param(
+            "corpus_format", "zip", "corpus_format must be one of 'apps', 'codecontest', 'generic', got 'zip'",
+            id="corpus_format-zip-unknown corpus format: 'zip'",
+        ),
+        pytest.param(
+            "client_mode", "cloud", "client_mode must be one of 'replay', 'live', got 'cloud'",
+            id="client_mode-cloud-unknown client mode: 'cloud'",
+        ),
         ("solution_cap", 0, "solution_cap must be >= 1, got 0"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("wall_timeout", float("nan"), "wall_timeout must be finite, got nan"),
@@ -227,7 +241,7 @@ def test_construct_case_without_expected_output_exits_2(golden_run_copy, golden_
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: stage construct: ")
-    assert f"stage_construct.jsonl line {line}: test case lacks expected_output" in err
+    assert f"stage_construct.jsonl line {line}: expected_output must be a string, got nothing" in err
     assert "Traceback" not in err
 
 
@@ -258,12 +272,22 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
     [
         ("order", {"instruction": "x", "code": "y", "source": "semi", "difficulty": 2, "n_test_cases": 1},
          "si.jsonl line 1: semi difficulty must equal the test-case count"),
-        ("order", {"code": "y", "source": "si"}, "si.jsonl line 1: record lacks instruction"),
+        ("order", {"code": "y", "source": "si"}, "si.jsonl line 1: instruction must be a string, got nothing"),
         ("order", {"instruction": "x", "code": "y", "source": "si", "provenance": 7},
-         "si.jsonl line 1: record provenance is not a JSON object"),
-        ("emit", None, "stage_order.jsonl line 1: record lacks instruction"),
+         "si.jsonl line 1: provenance must be an object or null, got 7"),
+        ("emit", None, "stage_order.jsonl line 1: instruction must be a string, got nothing"),
+        ("order", {"instruction": 5, "code": "y", "source": "si"}, "si.jsonl line 1: instruction must be a string, got 5"),
+        ("order", {"instruction": "x", "code": "y", "source": "si", "provenance": {"seq": True}},
+         "si.jsonl line 1: seq must be an integer >= 0 or null, got True"),
     ],
-    ids=["difficulty_mismatch", "si_without_instruction", "provenance_not_object", "order_row"],
+    ids=[
+        "difficulty_mismatch",
+        "si_without_instruction",
+        "provenance_not_object",
+        "order_row",
+        "si_instruction_not_str",
+        "si_seq_boolean",
+    ],
 )
 def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_from, si_row, message):
     if si_row is None:
@@ -282,6 +306,50 @@ def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_
     assert code == 2
     assert err.startswith("error: stage order: ")
     assert message in err
+    assert "Traceback" not in err
+
+
+def with_first_case(row, **changes):
+    return {**row, "test_cases": [{**row["test_cases"][0], **changes}, *row["test_cases"][1:]]}
+
+
+# stage file -> how its first ok row is changed, and what the error says of it
+BAD_UNIT_ROWS = {
+    "difficulty_not_integer": ("validate", lambda row: {**row, "difficulty": "x"},
+                               "difficulty must be an integer >= 0, got 'x'"),
+    "input_drops_array": ("construct", lambda row: {**row, "input_drops": [1]}, "input_drops must be an object, "),
+    "difficulty_not_case_count": ("validate", lambda row: {**row, "difficulty": 99},
+                                  "difficulty must be 4, the number of test cases, got 99"),
+    "seq_not_integer": ("validate", lambda row: {**row, "seq": "a"}, "seq must be an integer >= 0, got 'a'"),
+    "problem_id_not_str": ("validate", lambda row: {**row, "problem_id": 5}, "problem_id must be a string, got 5"),
+    "input_drops_unknown_status": ("construct", lambda row: {**row, "input_drops": {"x": "y"}},
+                                   "input_drops key must be one of 'ok', 'runtime_error', 'timeout', "
+                                   "'output_overflow', got 'x'"),
+    "case_index_not_integer": ("validate", lambda row: {**row, "case_index": "q"},
+                               "case_index must be an integer >= 0 or null, got 'q'"),
+    "expected_output_not_str": ("construct", lambda row: with_first_case(row, expected_output=5),
+                                "expected_output must be a string, got 5"),
+    "status_maybe": ("dedup", lambda row: {**row, "status": "maybe"},
+                     "status must be one of 'ok', 'drop', got 'maybe'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_UNIT_ROWS))
+def test_bad_unit_row_exits_2(golden_run_copy, golden_config_path, capsys, case):
+    stage, change, message = BAD_UNIT_ROWS[case]
+    path = golden_run_copy / f"stage_{stage}.jsonl"
+    rows = load_jsonl(path)
+    line = next(n for n, row in enumerate(rows, 1) if row["status"] == "ok")
+    rows[line - 1] = change(rows[line - 1])
+    emit_jsonl(rows, path)
+    resume_from = STAGES[STAGES.index(stage) + 1]
+    code = run_cli(
+        "run", "--config", golden_config_path, "--out", golden_run_copy, "--resume-from", resume_from
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: stage {stage}: ")
+    assert f"stage_{stage}.jsonl line {line}: {message}" in err
     assert "Traceback" not in err
 
 
@@ -320,13 +388,21 @@ def test_report_text_and_json(tmp_path, capsys):
     assert blob["stages"]["after_dedup"] == 21
 
 
+COUNTS = {"loaded_codes": 3, "generated_ok": 2, "with_test_cases": 2, "refined_passed": 1, "after_dedup": 1}
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
         (None, "No such file or directory"),
-        (json.dumps({"loaded_codes": 3}), "row lacks generated_ok"),
+        (json.dumps({"loaded_codes": 3}), "generated_ok must be an integer >= 0, got nothing"),
+        (json.dumps({**COUNTS, "loaded_codes": 3.9}), "loaded_codes must be an integer >= 0, got 3.9"),
+        (json.dumps({**COUNTS, "loaded_codes": True}), "loaded_codes must be an integer >= 0, got True"),
+        (json.dumps({**COUNTS, "drop_reasons": {"generate": {"x": "y"}}}),
+         "drop_reasons['generate']['x'] must be an integer >= 0, got 'y'"),
+        (json.dumps([3, 2, 1]), "funnel must be an object, got [3, 2, 1]"),
     ],
-    ids=["missing_file", "missing_count"],
+    ids=["missing_file", "missing_count", "count_not_integer", "count_boolean", "reason_count_not_integer", "array"],
 )
 def test_report_unreadable_funnel_exits_2(tmp_path, capsys, content, message):
     funnel = tmp_path / "funnel.json"
@@ -402,13 +478,26 @@ def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
     "problem, message",
     [
         ({"problem_id": "d", "test_cases": [{"mode": "stdin", "payload": "2"}]},
-         "problems.jsonl line 1: test case lacks expected_output"),
+         "problems.jsonl line 1: expected_output must be a string, got nothing"),
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "mode": "socket"}]},
          "problems.jsonl line 1: unknown execution mode: 'socket'"),
-        ({"test_cases": []}, "problems.jsonl line 1: row lacks problem_id"),
-        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases is not a JSON array"),
+        ({"test_cases": []}, "problems.jsonl line 1: problem_id must be a string, got nothing"),
+        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases must be an array, each item a TestCase, got None"),
+        ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "expected_output": 1}]},
+         "problems.jsonl line 1: expected_output must be a string, got 1"),
+        ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "function_name": 5}]},
+         "problems.jsonl line 1: function_name must be a string or null, got 5"),
+        ({"problem_id": 5, "test_cases": [DOUBLE_CASE]}, "problems.jsonl line 1: problem_id must be a string, got 5"),
     ],
-    ids=["case_without_expected_output", "unknown_mode", "no_problem_id", "cases_not_array"],
+    ids=[
+        "case_without_expected_output",
+        "unknown_mode",
+        "no_problem_id",
+        "cases_not_array",
+        "expected_output_not_str",
+        "function_name_not_str",
+        "problem_id_not_str",
+    ],
 )
 def test_eval_malformed_problem_exits_2(tmp_path, capsys, problem, message):
     problems = write_jsonl(tmp_path / "problems.jsonl", [problem])
@@ -428,7 +517,28 @@ def test_eval_malformed_candidate_exits_2(tmp_path, capsys):
     code = run_cli("eval", "--problems", problems, "--candidates", candidates)
     err = capsys.readouterr().err
     assert code == 2
-    assert "candidates.jsonl line 1: row lacks candidate_code" in err
+    assert "candidates.jsonl line 1: candidate_code must be a string, got nothing" in err
+
+
+@pytest.mark.parametrize(
+    "candidate, message",
+    [
+        ({"problem_id": "d", "candidate_code": 5}, "candidate_code must be a string, got 5"),
+        ({"problem_id": "d", "candidate_code": None}, "candidate_code must be a string, got None"),
+        ({"problem_id": "d", "candidate_code": ["print(1)"]}, "candidate_code must be a string, got ['print(1)']"),
+        ({"problem_id": 5, "candidate_code": "pass"}, "problem_id must be a string, got 5"),
+    ],
+    ids=["code_integer", "code_null", "code_array", "problem_id_integer"],
+)
+def test_eval_candidate_of_wrong_type_exits_2(tmp_path, capsys, candidate, message):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [candidate])
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert f"candidates.jsonl line 1: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_eval_bad_k_exits_2(tmp_path, capsys):

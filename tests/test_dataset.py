@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import pytest
@@ -44,21 +45,27 @@ def test_semi_record_requires_matching_difficulty():
 
 
 def test_unknown_source_rejected():
-    with pytest.raises(ValueError, match="unknown record source"):
+    with pytest.raises(ValueError, match="source must be one of 'semi', 'ni', 'si', got 'scraped'"):
         record({"instruction": "x", "code": "y", "source": "scraped"})
 
 
 @pytest.mark.parametrize(
     "value, problem",
     [
-        ([1, 2], "record is not a JSON object"),
-        ({"code": "y", "source": "si"}, "record lacks instruction"),
-        ({"instruction": "x"}, "record lacks code, source"),
-        ({"instruction": "x", "code": "y", "source": "si", "provenance": [1]}, "provenance is not"),
+        ([1, 2], "record must be an object, got [1, 2]"),
+        ({"code": "y", "source": "si"}, "instruction must be a string, got nothing"),
+        ({"instruction": "x"}, "code must be a string, got nothing"),
+        ({"instruction": "x", "code": "y", "source": "si", "provenance": [1]}, "provenance must be an object or null, got [1]"),
+    ],
+    ids=[
+        "value0-record is not a JSON object",
+        "value1-record lacks instruction",
+        "value2-record lacks code, source",
+        "value3-provenance is not",
     ],
 )
 def test_record_names_its_first_defect(value, problem):
-    with pytest.raises(ValueError, match=problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
         record(value)
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from semiforge.pipeline import PipelineConfig
+from semiforge.dataset import describe_kind
+from semiforge.pipeline import UNIT_FIELDS, PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semiforge"
@@ -73,6 +74,17 @@ def test_readme_configuration_table_lists_every_config_field():
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     keys = re.findall(r"^\| `(\w+)` ", section, re.MULTILINE)
     assert keys == [field.name for field in fields(PipelineConfig)]
+
+
+def test_readme_unit_row_table_lists_unit_fields():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Output files\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^ *\| (\w+) +\| (.*?) *\| (.*?) *\|$", section, re.MULTILINE)
+    assert list(dict.fromkeys(stage for stage, _, _ in rows[1:])) == list(UNIT_FIELDS)
+    listed = [(stage, field.strip("`"), kind) for stage, field, kind in rows if field.startswith("`")]
+    assert listed == [
+        (stage, field, describe_kind(kind)) for stage, kinds in UNIT_FIELDS.items() for field, kind in kinds.items()
+    ]
 
 
 RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'

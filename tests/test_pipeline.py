@@ -182,9 +182,9 @@ def with_case(ok, **changes):
 @pytest.mark.parametrize(
     "stage, make_row, problem",
     [
-        ("validate", lambda ok: [1, 2], "row is not a JSON object"),
-        ("validate", lambda ok: "text", "row is not a JSON object"),
-        ("validate", lambda ok: {k: v for k, v in ok.items() if k != "instruction"}, "row lacks instruction"),
+        ("validate", lambda ok: [1, 2], "row must be an object, got [1, 2]"),
+        ("validate", lambda ok: "text", "row must be an object, got 'text'"),
+        ("validate", lambda ok: {k: v for k, v in ok.items() if k != "instruction"}, "instruction must be a string, got nothing"),
         (
             "generate",
             lambda ok: with_answer_type(ok, kind="call_based", function_name="1bad"),
@@ -195,21 +195,29 @@ def with_case(ok, **changes):
             lambda ok: with_answer_type(ok, kind="call_based", function_name="None"),
             "call-based answers need a function name, got 'None'",
         ),
-        ("generate", lambda ok: with_answer_type(ok, extra=1), "answer_type is not an answer type: "),
-        ("generate", lambda ok: {**ok, "answer_type": "stdin"}, "answer_type is not an answer type: "),
-        ("generate", lambda ok: {**ok, "raw_inputs": [1]}, "raw_inputs is not an array of strings"),
-        ("generate", lambda ok: {**ok, "raw_inputs": "abc"}, "raw_inputs is not an array of strings"),
-        ("generate", lambda ok: {**ok, "code": 5}, "code is not a string"),
-        ("construct", lambda ok: {**ok, "refined_code": None}, "refined_code is not a string"),
-        ("generate", lambda ok: {**ok, "instruction": ["Do it."]}, "instruction is not a string"),
+        (
+            "generate",
+            lambda ok: with_answer_type(ok, extra=1),
+            "answer_type must be an object with keys kind, function_name, got {",
+        ),
+        (
+            "generate",
+            lambda ok: {**ok, "answer_type": "stdin"},
+            "answer_type must be an object with keys kind, function_name, got 'stdin'",
+        ),
+        ("generate", lambda ok: {**ok, "raw_inputs": [1]}, "raw_inputs[0] must be a string, got 1"),
+        ("generate", lambda ok: {**ok, "raw_inputs": "abc"}, "raw_inputs must be an array, each item a string, got 'abc'"),
+        ("generate", lambda ok: {**ok, "code": 5}, "code must be a string, got 5"),
+        ("construct", lambda ok: {**ok, "refined_code": None}, "refined_code must be a string, got None"),
+        ("generate", lambda ok: {**ok, "instruction": ["Do it."]}, "instruction must be a string, got ['Do it.']"),
         (
             "construct",
             lambda ok: with_case(ok, mode="call", function_name=5),
-            "call mode needs a valid function name, got 5",
+            "function_name must be a string or null, got 5",
         ),
         ("construct", lambda ok: with_case(ok, function_name="f"), "stdin mode takes no function name, got 'f'"),
         ("construct", lambda ok: with_case(ok, payload=1), "payload must be a string, got 1"),
-        ("construct", lambda ok: {**ok, "test_cases": []}, "test_cases is empty"),
+        ("construct", lambda ok: {**ok, "test_cases": []}, "test_cases must be a non-empty array, each item a TestCase, got []"),
     ],
     ids=[
         "array",
@@ -248,7 +256,7 @@ def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
     emit_jsonl([{"unit_id": "p:0", "status": "drop", "reason": "sandbox_failure"}], path)
     assert len(_read_rows("construct", path)) == 1
     emit_jsonl([{"unit_id": "p:0", "status": "drop"}], path)
-    with pytest.raises(StageFailure, match="line 1: row lacks reason"):
+    with pytest.raises(StageFailure, match="line 1: reason must be a string, got nothing"):
         _read_rows("construct", path)
 
 
@@ -354,10 +362,10 @@ BAD_SI = {
         {"instruction": "x", "code": "y", "source": "semi", "difficulty": 3, "n_test_cases": 2},
         "semi difficulty must equal the test-case count",
     ),
-    "no_instruction": ({"code": "y", "source": "si"}, "record lacks instruction"),
+    "no_instruction": ({"code": "y", "source": "si"}, "instruction must be a string, got nothing"),
     "provenance_not_object": (
         {"instruction": "x", "code": "y", "source": "si", "provenance": "si-1"},
-        "record provenance is not a JSON object",
+        "provenance must be an object or null, got 'si-1'",
     ),
 }
 
@@ -383,18 +391,105 @@ def test_order_row_without_instruction_fails_emit(golden_run, golden_run_copy):
     with pytest.raises(StageFailure) as excinfo:
         run_pipeline(resumed_from(config, golden_run_copy, "emit"))
     assert excinfo.value.stage == "order"
-    assert "stage_order.jsonl line 1: record lacks instruction" in str(excinfo.value)
+    assert "stage_order.jsonl line 1: instruction must be a string, got nothing" in str(excinfo.value)
+
+
+# A dedup row as the stages write it: every unit field, each of its type.
+OK_DEDUP_ROW = {
+    "unit_id": "p:0",
+    "problem_id": "p",
+    "solution_index": 0,
+    "seq": 0,
+    "code": "print(1)",
+    "prompt_sha256": "0" * 64,
+    "instruction": "Print one.",
+    "refined_code": "print(1)",
+    "answer_type": {"kind": "standard_input", "function_name": None},
+    "raw_inputs": [""],
+    "test_cases": [{"mode": "stdin", "payload": "", "function_name": None, "expected_output": "1"}],
+    "input_drops": {"timeout": 1},
+    "difficulty": 1,
+    "case_index": None,
+    "status": "ok",
+    "reason": None,
+}
+
+
+# The record order makes of OK_DEDUP_ROW.
+ORDER_RECORD = {
+    "instruction": "Print one.",
+    "code": "print(1)",
+    "source": "semi",
+    "difficulty": 1,
+    "n_test_cases": 1,
+    "answer_type": OK_DEDUP_ROW["answer_type"],
+    "test_cases": OK_DEDUP_ROW["test_cases"],
+    "provenance": {"problem_id": "p", "solution_index": 0, "seq": 0},
+}
+
+
+def stage_row(stage: str, status: str) -> dict:
+    """A row of ``stage`` with ``status``: OK_DEDUP_ROW cut to the fields of an ok row, or ORDER_RECORD."""
+    if stage == "order":
+        return ORDER_RECORD
+    names = {"unit_id", "status", "reason"}
+    for name in STAGES[: STAGES.index(stage) + 1]:
+        names |= set(UNIT_FIELDS.get(name, ()))
+    row = {name: value for name, value in OK_DEDUP_ROW.items() if name in names}
+    return {**row, "status": status, "reason": None if status == "ok" else "near_duplicate"}
 
 
 def test_stage_rows_keep_unicode_line_separators(tmp_path):
-    ok = dict.fromkeys(field for fields in UNIT_FIELDS.values() for field in fields)
-    ok.update(unit_id="p:0", instruction="one\u2028two\x85three\u2029four", status="ok", reason=None)
-    ok.update(code="print(1)", refined_code="print(1)", raw_inputs=[""])
-    ok["answer_type"] = {"kind": "standard_input", "function_name": None}
+    ok = {**OK_DEDUP_ROW, "instruction": "one\u2028two\x85three\u2029four"}
     rows = [ok, {"unit_id": "p:1", "status": "drop", "reason": "near_duplicate"}]
     path = stage_path(tmp_path, "dedup")
     emit_jsonl(rows, path)
     assert _read_rows("dedup", path) == rows
+
+
+# One value of each JSON type, and the types each field of a unit row and of a record takes.
+JSON_VALUES = {"null": None, "boolean": True, "integer": 7, "number": 1.5, "string": "x", "array": [], "object": {}}
+ROW_TYPES = {
+    **dict.fromkeys(("unit_id", "problem_id", "code", "prompt_sha256", "instruction", "refined_code"), {"string"}),
+    **dict.fromkeys(("solution_index", "seq", "difficulty"), {"integer"}),
+    **dict.fromkeys(("raw_inputs", "test_cases"), {"array"}),
+    **dict.fromkeys(("answer_type", "input_drops"), {"object"}),
+    "case_index": {"integer", "null"},
+    "status": {"string"},
+}
+RECORD_TYPES = {
+    **dict.fromkeys(("instruction", "code", "source"), {"string"}),
+    **dict.fromkeys(("difficulty", "n_test_cases"), {"integer", "null"}),
+    "answer_type": {"object", "null"},
+    "test_cases": {"array", "null"},
+    "provenance": {"object", "null"},
+}
+
+
+@pytest.mark.parametrize(
+    "stage, status, field",
+    [
+        (stage, status, field)
+        for stage in UNIT_FIELDS
+        for status in ("ok", "drop")
+        for field in stage_row(stage, status)
+    ]
+    + [("order", "ok", field) for field in ORDER_RECORD],
+)
+def test_field_of_wrong_json_type_fails_naming_file_and_line(tmp_path, stage, status, field):
+    row = stage_row(stage, status)
+    path = stage_path(tmp_path, stage)
+    emit_jsonl([row], path)
+    assert _read_rows(stage, path) == [row]
+    takes = (RECORD_TYPES if stage == "order" else ROW_TYPES).get(field) or {"null" if status == "ok" else "string"}
+    for json_type, value in JSON_VALUES.items():
+        if json_type in takes:
+            continue
+        emit_jsonl([row, {**row, field: value}], path)
+        with pytest.raises(StageFailure) as excinfo:
+            _read_rows(stage, path)
+        assert excinfo.value.stage == stage
+        assert f"{path} line 2: {field} must be " in str(excinfo.value), json_type
 
 
 def test_stop_after_ingest(tmp_path, golden_config_path):
@@ -438,7 +533,7 @@ def test_unknown_client_mode(tmp_path, golden_config_path):
     config = load_config(golden_config_path)
     config.out_dir = str(tmp_path)
     config.client_mode = "psychic"
-    with pytest.raises(InvalidConfig, match="unknown client mode: 'psychic'"):
+    with pytest.raises(InvalidConfig, match="client_mode must be one of 'replay', 'live', got 'psychic'"):
         run_pipeline(config, stop_after="generate")
     assert not tmp_path.joinpath("stage_ingest.jsonl").exists()
 
