@@ -107,7 +107,7 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
 
 
 def _eval_problem(row) -> tuple[str, tuple[TestCase, ...]]:
-    check_fields(row, {"problem_id": str, "test_cases": list[TestCase]})
+    check_fields(row, {"problem_id": str, "test_cases": list})
     return row["problem_id"], tuple(map(TestCase.from_dict, row["test_cases"]))
 
 

@@ -239,9 +239,11 @@ class FunnelStats:
         )
 
     def to_dict(self) -> dict:
-        """The funnel.json object; written with sorted keys, so in no order of its own."""
-        drop_reasons = {stage: dict(reasons) for stage, reasons in self.drop_reasons.items()}
-        return {**dict(zip(STAGE_FIELDS, self.counts())), "drop_reasons": drop_reasons}
+        out = {name: getattr(self, name) for name in STAGE_FIELDS}
+        out["drop_reasons"] = {
+            stage: dict(sorted(reasons.items())) for stage, reasons in sorted(self.drop_reasons.items())
+        }
+        return out
 
     @classmethod
     def from_dict(cls, obj) -> "FunnelStats":
@@ -265,9 +267,14 @@ def funnel_report(stats: FunnelStats, format: str = "text") -> str:
     ratios = retention_ratios(stats)
     if format == "json":
         payload = {
-            "stages": dict(zip(STAGE_FIELDS, stats.counts())),
-            "retention_pct": dict(zip(STAGE_FIELDS[1:], ratios)),
-            "drop_reasons": stats.to_dict()["drop_reasons"],
+            "stages": {name: getattr(stats, name) for name in STAGE_FIELDS},
+            "retention_pct": {
+                STAGE_FIELDS[i + 1]: ratios[i] for i in range(len(ratios))
+            },
+            "drop_reasons": {
+                stage: dict(sorted(reasons.items()))
+                for stage, reasons in sorted(stats.drop_reasons.items())
+            },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     if format != "text":

@@ -8,34 +8,58 @@ reported as an overflow, with empty stdout, instead of being silently
 truncated.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
-``python -I -S -B -X utf8`` interpreter, started with a real ``fork``
-and an environment that holds only ``PATH``. ``with sandbox(interpreter)
-as server`` starts one and closes and reaps it when the block ends;
-callers share it by passing ``server`` down to ``execute`` (and to the
-validation functions), from any number of threads. A call given no
-server starts one for itself. The server answers its pid as soon as it
-starts and then preloads ``ast`` for its children. Runs forked from one
-server share its ``str`` hash secret; the pipeline opens one server per
-sandbox stage. README "Sandbox" gives what each of these choices costs
-and saves.
+``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
+instead of an interpreter start-up. ``with sandbox(interpreter) as
+server`` starts one and closes it when the block ends; callers share it
+by passing ``server`` down to ``execute`` (and to the validation
+functions), from any number of threads. A call given no server starts
+one for itself, and so pays the start-up below. The flags make the
+server ignore ``PYTHON*`` variables and user site-packages, skip
+``site`` (so solutions see only the standard library), write no
+bytecode and use UTF-8; its environment holds only ``PATH``, so
+credentials never reach it. It answers its pid as soon as it starts,
+and then imports ``ast`` before it serves its first command, so the
+parent goes on, and may start a second server, while it loads; the
+first run of a server may wait for that import. Without the preload
+every child would build the AST types on its first ``compile()`` (~3 ms
+of CPU), and ``literal_eval`` would cost each call-based child 15-19 ms
+more to import ``ast`` and the modules it pulls in. ``ast`` holds no
+per-process state (it brings in no ``random`` and no ``threading``), so
+each child still starts like a fresh interpreter, with one exception:
+the ``str`` hash secret is drawn once per server, so runs forked from
+one server share it and runs forked from different servers do not. The
+pipeline opens one server per sandbox stage, and both stay open while
+its units run. The server is started with a real ``fork``, not
+``vfork``, which would charge it the parent's RSS high-water mark. The
+``exec`` after the fork still carries the parent's RSS at that moment
+into the server's peak, so ``RUSAGE_CHILDREN``'s ``ru_maxrss`` is at
+least the parent's RSS at any server start. A server is reaped when its
+block ends, so ``RUSAGE_CHILDREN`` covers every run.
 
 Each child calls ``setsid``, enters the working directory, sets the
 rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
-``stderr.txt`` over fds 0-2, binds ``exit`` and ``quit`` to
-``sys.exit`` and runs ``snippet.py`` as ``__main__``. A call-based child
-then calls the named function (from the snippet's globals, then the
-builtins) on the ``ast.literal_eval`` of the payload (a tuple gives the
-positional arguments) and prints ``repr`` of a non-None result, binding
-no name of its own. The parent waits on a pidfd of the child, bounded
-by the wall timeout; pidfds need Linux 5.3 or later, and elsewhere
-``execute`` raises ``SandboxSetupFailure``, as it does when the server
-is gone. The server kills the child's process group and the child while
+``stderr.txt`` over fds 0-2 (dropping the server's command pipes),
+sets ``HOME`` and rebuilds ``sys.std*``. It binds the ``exit`` and
+``quit`` builtins, which ``site`` would have defined, to ``sys.exit``
+(``help`` and the like stay undefined), runs the snippet in a new
+``__main__`` with the ``__file__`` and ``sys.argv`` of a script run,
+and ends as the interpreter does. ``snippet.py`` is the code under test
+in both modes: a call-based child then reads the argument literal with
+``ast.literal_eval``, looks the function up in the snippet's globals,
+then the builtins, calls it (a tuple gives the positional arguments)
+and prints ``repr`` of a non-None result, binding no name of its own.
+
+The parent waits on a pidfd of the child with ``poll``, which returns
+as soon as the child exits, and bounds the wait by the wall timeout;
+pidfds need Linux 5.3 or later, and elsewhere ``execute`` raises
+``SandboxSetupFailure``, as it does when the server is gone. On every
+exit the server kills the child's process group and the child while
 the child is an unreaped zombie (so its group id cannot have been
 reused), and only then reaps it: a background process forked by the
-snippet does not outlive the call. At EOF on its commands, which is also
-what it reads when its parent dies, it does the same to every child it
-has not reaped before it exits, so no child runs on without its wall
-limit.
+snippet does not outlive the call. At EOF on its commands, which is
+also what it reads when its parent dies, the server does the same to
+every child it has not yet reaped before it exits, so no child runs on
+without its wall limit.
 """
 
 from __future__ import annotations

@@ -137,8 +137,8 @@ class PipelineConfig:
     dedup_threshold: float = 0.7
     dedup_compare: Literal[COMPARE_SETS] = "retained"
     order: Literal[STRATEGIES] = "semi_ranked"
-    seed: int = 0
-    scale: int | None = None
+    seed: Count = 0  # numpy's SeedSequence rejects a negative seed
+    scale: Count | None = None
     si_path: str | None = None
     workers: int = 4
     resume_from: str | None = None
@@ -165,10 +165,6 @@ class PipelineConfig:
             raise InvalidConfig(str(exc)) from exc
         if self.resume_from:
             canonical_stage(self.resume_from, "resume_from")
-        for name in ("seed", "scale"):  # numpy's SeedSequence rejects a negative seed
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise InvalidConfig(f"{name} must be >= 0, got {value!r}")
         if self.client_mode == "live" and not self.endpoint:
             raise InvalidConfig("endpoint must be non-empty when client_mode is 'live'")
         try:
@@ -336,7 +332,7 @@ def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
 
 
 def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
-    cases = [TestCase.from_dict(case) for case in row["test_cases"]]
+    cases = [TestCase.from_dict(case, check=False) for case in row["test_cases"]]  # _read_rows checked them
     try:
         verdict = validate_refined_code(row["refined_code"], cases, limits, server)
     except SandboxSetupFailure as exc:

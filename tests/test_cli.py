@@ -167,7 +167,7 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         pytest.param(
             "order", "bogus", "order must be one of 'semi_ranked', ", id="order-bogus-unknown ordering strategy: 'bogus'"
         ),
-        ("scale", -1, "scale must be >= 0, got -1"),
+        pytest.param("scale", -1, "scale must be an integer >= 0 or null, got -1", id="scale--1-scale must be >= 0, got -1"),
         pytest.param(
             "corpus_format", "zip", "corpus_format must be one of 'apps', 'codecontest', 'generic', got 'zip'",
             id="corpus_format-zip-unknown corpus format: 'zip'",
@@ -177,7 +177,7 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
             id="client_mode-cloud-unknown client mode: 'cloud'",
         ),
         ("solution_cap", 0, "solution_cap must be >= 1, got 0"),
-        ("seed", -1, "seed must be >= 0, got -1"),
+        pytest.param("seed", -1, "seed must be an integer >= 0, got -1", id="seed--1-seed must be >= 0, got -1"),
         ("wall_timeout", float("nan"), "wall_timeout must be finite, got nan"),
         ("wall_timeout", float("inf"), "wall_timeout must be finite, got inf"),
         ("temperature", float("nan"), "temperature must be finite, got nan"),
@@ -357,7 +357,7 @@ def test_negative_scale_exits_2(tmp_path, golden_config_path, capsys):
     code = run_cli("run", "--config", golden_config_path, "--out", tmp_path, "--scale", "-1")
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: scale must be >= 0")
+    assert err.startswith("error: scale must be an integer >= 0")
     assert "Traceback" not in err
     assert not (tmp_path / "dataset.jsonl").exists()
 
@@ -482,7 +482,7 @@ def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "mode": "socket"}]},
          "problems.jsonl line 1: unknown execution mode: 'socket'"),
         ({"test_cases": []}, "problems.jsonl line 1: problem_id must be a string, got nothing"),
-        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases must be an array, each item a TestCase, got None"),
+        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases must be an array, got None"),
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "expected_output": 1}]},
          "problems.jsonl line 1: expected_output must be a string, got 1"),
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "function_name": 5}]},

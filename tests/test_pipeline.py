@@ -288,7 +288,7 @@ def test_scale_slices_ordered_records(golden_run, golden_run_copy):
         run_pipeline(resumed)
         assert (golden_run_copy / DATASET_FILE).read_bytes() == expected, scale
     resumed.scale = -1
-    with pytest.raises(InvalidConfig, match="scale must be >= 0, got -1"):
+    with pytest.raises(InvalidConfig, match="scale must be an integer >= 0 or null, got -1"):
         run_pipeline(resumed)
 
 
