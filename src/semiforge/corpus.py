@@ -1,20 +1,18 @@
 """Load judge-style archives and distill them into a clean problem corpus.
 
-Three input layouts are understood:
+Three input layouts are understood; CORPUS_FIELDS gives the kinds of
+their keys (see dataset.check_fields):
 
 * ``apps``: a directory of per-problem folders, each holding
-  ``question.txt``, ``solutions.json`` (array of code strings) and an
-  optional ``metadata.json`` with a boolean ``special_judge``.
-* ``codecontest``: newline-delimited JSON, one object per problem with
-  ``name``, ``description`` and ``solutions`` entries that carry a
-  ``language`` tag and a ``correct`` flag.
-* ``generic``: newline-delimited JSON with ``problem_id``,
-  ``description`` and ``solutions`` (strings or objects).
+  ``question.txt``, ``solutions.json`` and an optional ``metadata.json``.
+* ``codecontest``: JSON lines, one problem a row, whose solution objects
+  carry a ``language`` tag and a ``correct`` flag.
+* ``generic``: JSON lines whose solutions are code strings or objects.
 
-JSONL files are split at line feeds only: a row written with
-``ensure_ascii=False`` may hold U+2028, which ``str.splitlines()`` breaks
-on. Malformed records are skipped with a warning; only an entirely
-empty parse is fatal.
+JSON-lines files are split at line feeds only (see
+dataset.read_json_lines). A problem or row that is not UTF-8, not JSON,
+or holds a key of the wrong kind is skipped with a warning naming the
+key; only an entirely empty parse is fatal.
 """
 
 from __future__ import annotations
@@ -23,8 +21,9 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
+from .dataset import check_fields
 from .errors import SemiforgeError
 
 logger = logging.getLogger(__name__)
@@ -33,6 +32,21 @@ FORMATS = ("apps", "codecontest", "generic")
 TOKEN_MODES = ("whitespace", "bytes")
 DEFAULT_MAX_TOKENS = 1000
 DEFAULT_SOLUTION_CAP = 25
+
+# The kinds of each format's keys: those of an APPS problem's JSON files and of
+# its metadata.json, or those of a JSON-lines row and of one of its solution objects.
+CORPUS_FIELDS = {
+    "apps": ({"solutions.json": list[str], "metadata.json": dict}, {"special_judge": bool}),
+    "codecontest": (
+        {"name": str | int, "description": str, "special_judge": bool, "solutions": list[dict]},
+        {"code": str, "language": str, "origin": str, "correct": bool},
+    ),
+    "generic": (
+        {"problem_id": str | int, "description": str, "source": str, "special_judge": bool,
+         "solutions": list[str | dict]},
+        {"code": str, "language": str, "origin": str},
+    ),
+}
 
 
 class UnreadablePath(SemiforgeError):
@@ -79,9 +93,15 @@ def load_corpus(path: str | Path, format: str, language: str = "python") -> list
     if format == "apps":
         problems = _load_apps(root)
     elif format == "codecontest":
-        problems = _load_codecontest(root, language)
+        problems = _load_json_lines(
+            root, format, ("name", "description"),
+            lambda s: s.get("correct", False) and _language_matches(s.get("language", ""), language),
+        )
     elif format == "generic":
-        problems = _load_generic(root, language)
+        problems = _load_json_lines(
+            root, format, ("problem_id", "description", "solutions"),
+            lambda s: _language_matches(s.get("language", language), language),
+        )
     else:
         raise UnknownFormat(f"unknown corpus format: {format!r}")
     if not problems:
@@ -92,37 +112,25 @@ def load_corpus(path: str | Path, format: str, language: str = "python") -> list
 def _load_apps(root: Path) -> list[Problem]:
     if not root.is_dir():
         raise UnknownFormat(f"apps format expects a directory, got {root}")
+    file_fields, meta_fields = CORPUS_FIELDS["apps"]
     problems = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-        question = sub / "question.txt"
-        solutions_file = sub / "solutions.json"
-        if not question.is_file() or not solutions_file.is_file():
-            logger.warning("skipping %s: missing question.txt or solutions.json", sub.name)
-            continue
         try:
-            codes = json.loads(solutions_file.read_text(encoding="utf-8"))
-            description = question.read_text(encoding="utf-8")
-        except (OSError, json.JSONDecodeError) as exc:
+            description = (sub / "question.txt").read_text(encoding="utf-8")
+            paths = [sub / name for name in file_fields if (sub / name).is_file()]
+            files = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in paths}
+            check_fields(files, file_fields, required=("solutions.json",))
+            meta = check_fields(files.get("metadata.json", {}), meta_fields, required=())
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError included
             logger.warning("skipping %s: %s", sub.name, exc)
             continue
-        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-            logger.warning("skipping %s: solutions.json is not an array of strings", sub.name)
-            continue
-        special = False
-        meta_file = sub / "metadata.json"
-        if meta_file.is_file():
-            try:
-                meta = json.loads(meta_file.read_text(encoding="utf-8"))
-                special = bool(meta.get("special_judge", False))
-            except (OSError, json.JSONDecodeError) as exc:
-                logger.warning("%s: unreadable metadata.json (%s), assuming no special judge", sub.name, exc)
         problems.append(
             Problem(
                 problem_id=sub.name,
                 description=description,
                 source="apps",
-                solutions=tuple(Solution.from_code(c) for c in codes),
-                special_judge=special,
+                solutions=tuple(Solution.from_code(c) for c in files["solutions.json"]),
+                special_judge=meta.get("special_judge", False),
             )
         )
     return problems
@@ -132,72 +140,31 @@ def _language_matches(tag: str, language: str) -> bool:
     return tag.strip().lower().startswith(language.strip().lower())
 
 
-def _load_codecontest(root: Path, language: str) -> list[Problem]:
+def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -> list[Problem]:
+    """Parse a JSON-lines corpus: rows need the ``required`` keys (the id first); ``keep`` picks solutions."""
     if not root.is_file():
-        raise UnknownFormat(f"codecontest format expects a .jsonl file, got {root}")
+        raise UnknownFormat(f"{format} format expects a .jsonl file, got {root}")
+    row_fields, solution_fields = CORPUS_FIELDS[format]
     problems = []
-    for lineno, line in enumerate(root.read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(root.read_bytes().split(b"\n"), 1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            name = obj["name"]
-            description = obj["description"]
-            raw_solutions = obj.get("solutions", [])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            row = check_fields(json.loads(line), row_fields, required)
+            solutions = [
+                {"code": entry} if isinstance(entry, str) else check_fields(entry, solution_fields, ("code",))
+                for entry in row.get("solutions", [])
+            ]
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
             logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
             continue
-        kept = [
-            Solution.from_code(s["code"], origin=str(s.get("origin", "")))
-            for s in raw_solutions
-            if isinstance(s, Mapping)
-            and s.get("correct", False)
-            and _language_matches(str(s.get("language", "")), language)
-            and isinstance(s.get("code"), str)
-        ]
         problems.append(
             Problem(
-                problem_id=str(name),
-                description=str(description),
-                source="codecontest",
-                solutions=tuple(kept),
-                special_judge=bool(obj.get("special_judge", False)),
-            )
-        )
-    return problems
-
-
-def _load_generic(root: Path, language: str) -> list[Problem]:
-    if not root.is_file():
-        raise UnknownFormat(f"generic format expects a .jsonl file, got {root}")
-    problems = []
-    for lineno, line in enumerate(root.read_text(encoding="utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            problem_id = str(obj["problem_id"])
-            description = str(obj["description"])
-            raw_solutions = obj["solutions"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
-            continue
-        solutions = []
-        for entry in raw_solutions:
-            if isinstance(entry, str):
-                solutions.append(Solution.from_code(entry))
-            elif isinstance(entry, Mapping) and isinstance(entry.get("code"), str):
-                tag = entry.get("language")
-                if tag is not None and not _language_matches(str(tag), language):
-                    continue
-                solutions.append(Solution.from_code(entry["code"], origin=str(entry.get("origin", ""))))
-        problems.append(
-            Problem(
-                problem_id=problem_id,
-                description=description,
-                source=str(obj.get("source", "generic")),
-                solutions=tuple(solutions),
-                special_judge=bool(obj.get("special_judge", False)),
+                problem_id=str(row[required[0]]),
+                description=row["description"],
+                source=row.get("source", format) if "source" in row_fields else format,
+                solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in solutions if keep(s)),
+                special_judge=row.get("special_judge", False),
             )
         )
     return problems

@@ -44,6 +44,7 @@ class NonEmpty(list):
 
 # What each kind that is a JSON type is called, and whether a value is of it.
 _TYPES = {
+    bool: ("true or false", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
     int: ("an integer", lambda value: isinstance(value, int)),
     float: ("a number", lambda value: isinstance(value, (int, float))),
@@ -90,7 +91,7 @@ def _check_value(name: str, value, kind):
         if isinstance(value, dict) and value.keys() == hints.keys():
             origin(**check_fields(value, hints, name=name))  # the class's own checks raise ValueError
             return value
-    elif not isinstance(value, bool) and _TYPES[origin][1](value):  # JSON true and false are of no kind
+    elif isinstance(value, bool) == (origin is bool) and _TYPES[origin][1](value):  # true and false are bool only
         if args:
             for key, item in value.items() if origin is dict else enumerate(value):
                 if origin is dict:
@@ -104,7 +105,7 @@ def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, na
     """Return ``obj`` if it is a JSON object whose keys hold values of the kinds ``schema`` gives.
 
     A key of ``required`` (all of ``schema`` by default) must be there; keys ``schema`` lacks are
-    left alone. A kind is a JSON type (str, int, float, list, dict, type(None)), Count, a union such
+    left alone. A kind is a JSON type (bool, str, int, float, list, dict, type(None)), Count, a union such
     as ``str | None``, a Literal of the values allowed, ``list[kind]``, ``NonEmpty[kind]``,
     ``dict[key kind, kind]``, a class whose ``from_dict`` decodes the value or raises ValueError, or a
     dataclass: an object holding exactly its fields, of the kinds its annotations give, that passes its

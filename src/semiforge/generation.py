@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import atomic_write
+from .dataset import NonEmpty, atomic_write, check_fields
 from .errors import SemiforgeError
 from .executor import is_function_name
 
@@ -308,14 +308,14 @@ def _parse_retry_after(value: str | None) -> float | None:
 
 def _completion_from_response(response) -> Completion:
     try:
-        data = response.json()
-        choice = data["choices"][0]
+        data = check_fields(response.json(), {"choices": NonEmpty[dict], "usage": dict | None}, ("choices",))
+        choice = check_fields(data["choices"][0], {"message": dict, "finish_reason": str | None}, ("message",))
         return Completion(
-            text=choice["message"]["content"],
-            finish_reason=choice.get("finish_reason", "stop"),
-            usage=data.get("usage", {}),
+            text=check_fields(choice["message"], {"content": str})["content"],
+            finish_reason=choice.get("finish_reason") or "stop",
+            usage=data.get("usage") or {},
         )
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except ValueError as exc:  # a body that is not JSON included
         raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
 
 

@@ -119,6 +119,26 @@ def test_truncated_stage_file_exits_2(tmp_path, golden_config_path, capsys):
     assert "stage_ingest.jsonl line 33: " in err
 
 
+def test_ingest_skips_malformed_corpus_rows(tmp_path, golden_config_path, capsys, caplog):
+    good = {"description": "Echo the input.", "solutions": ["print(input())"]}
+    rows = [
+        json.dumps({**good, "problem_id": "a"}).encode(),
+        json.dumps({**good, "problem_id": "b", "solutions": 5}).encode(),
+        json.dumps({**good, "problem_id": "c", "special_judge": "no"}).encode(),
+        b'{"problem_id": "caf\xe9", "description": "x", "solutions": []}',
+        json.dumps({**good, "problem_id": 7, "description": "Echo it twice."}).encode(),
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"\n".join(rows) + b"\n")
+    path = write_golden_config(tmp_path, golden_config_path, corpus_path=str(corpus))
+    assert run_cli("ingest", "--config", path) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert [row["problem_id"] for row in load_jsonl(tmp_path / "out" / "stage_ingest.jsonl")] == ["a", "7"]
+    assert "skipping line 2 of corpus.jsonl: solutions must be an array" in caplog.text
+    assert "skipping line 3 of corpus.jsonl: special_judge must be true or false, got 'no'" in caplog.text
+    assert "skipping line 4 of corpus.jsonl: 'utf-8' codec can't decode" in caplog.text
+
+
 def test_stage_row_not_an_object_exits_2(tmp_path, golden_config_path, capsys):
     assert run_cli("run", "--config", golden_config_path, "--out", tmp_path) == 0
     with open(tmp_path / "stage_validate.jsonl", "a", encoding="utf-8") as fh:

@@ -58,6 +58,95 @@ def test_jsonl_rows_keep_unicode_line_separators(tmp_path, caplog, format):
     assert "skipping line 2 of corpus.jsonl" in caplog.text
 
 
+GOOD_ROWS = {
+    "codecontest": {
+        "name": "good", "description": "Echo.", "special_judge": False,
+        "solutions": [{"code": "print(1)", "language": "python", "origin": "o", "correct": True}],
+    },
+    "generic": {
+        "problem_id": "good", "description": "Echo.", "source": "s", "special_judge": False,
+        "solutions": ["print(1)", {"code": "print(2)", "language": "python", "origin": "o"}],
+    },
+}
+# The JSON kinds each key of a JSON-lines row takes; "solution." marks a solution object's keys.
+KEY_KINDS = {
+    "codecontest": {
+        "name": {"string", "integer"}, "description": {"string"}, "special_judge": {"true"}, "solutions": {"array"},
+        "solution.code": {"string"}, "solution.language": {"string"}, "solution.origin": {"string"},
+        "solution.correct": {"true"},
+    },
+    "generic": {
+        "problem_id": {"string", "integer"}, "description": {"string"}, "source": {"string"},
+        "special_judge": {"true"}, "solutions": {"array"},
+        "solution.code": {"string"}, "solution.language": {"string"}, "solution.origin": {"string"},
+    },
+}
+# A value of each JSON kind.
+SAMPLES = {"string": "no", "integer": 5, "number": 0.5, "true": True, "null": None, "array": [], "object": {}}
+
+
+def bad_row(format, key, value):
+    row = GOOD_ROWS[format]
+    if key.startswith("solution."):
+        return {**row, "solutions": [{**row["solutions"][-1], key.split(".")[1]: value}]}
+    return {**row, key: value}
+
+
+def jsonl_case(format, bad, warning, loaded=("good",), id=None):
+    line = bad if isinstance(bad, bytes) else json.dumps(bad).encode()
+    files = {"corpus.jsonl": line + b"\n" + json.dumps(GOOD_ROWS[format]).encode() + b"\n"}
+    warning = warning and f"skipping line 1 of corpus.jsonl: {warning}"
+    return pytest.param(format, files, warning, list(loaded), id=id)
+
+
+GOOD_APPS = {"question.txt": b"Echo.", "solutions.json": b'["print(1)"]', "metadata.json": b'{"special_judge": false}'}
+
+
+def apps_case(name, data, warning, id):
+    problems = {"good": GOOD_APPS, "bad": {**GOOD_APPS, name: data}}
+    files = {f"{problem}/{file}": content for problem, contents in problems.items() for file, content in contents.items()}
+    return pytest.param("apps", files, f"skipping bad: {warning}", ["good"], id=id)
+
+
+KIND_CASES = [
+    jsonl_case(format, bad_row(format, key, value), f"{key.split('.')[-1]} must be ",
+               id=f"{format}-{key}-{kind}")
+    for format, kinds in KEY_KINDS.items()
+    for key, right in kinds.items()
+    for kind, value in SAMPLES.items()
+    if kind not in right
+] + [
+    jsonl_case("codecontest", {**GOOD_ROWS["codecontest"], "solutions": ["print(1)"]}, "solutions[0] must be an object",
+               id="codecontest-solution-string"),
+    jsonl_case("generic", {**GOOD_ROWS["generic"], "solutions": [5]}, "solutions[0] must be a string or an object",
+               id="generic-solution-integer"),
+    jsonl_case("generic", {**GOOD_ROWS["generic"], "problem_id": 7}, None, loaded=("7", "good"), id="generic-problem_id-7-loads"),
+    jsonl_case("generic", b'{"problem_id": "caf\xe9", "description": "x", "solutions": []}', "'utf-8' codec can't decode",
+               id="generic-non-utf-8-line"),
+    jsonl_case("codecontest", b'{"name": "caf\xe9", "description": "x"}', "'utf-8' codec can't decode",
+               id="codecontest-non-utf-8-line"),
+    apps_case("metadata.json", b'{"special_judge": "no"}', "special_judge must be true or false, got 'no'",
+              id="apps-special_judge-string"),
+    apps_case("metadata.json", b"[]", "metadata.json must be an object, got []", id="apps-metadata-list"),
+    apps_case("solutions.json", b"[1, 2]", "solutions.json[0] must be a string, got 1", id="apps-solutions-numbers"),
+    apps_case("question.txt", b"caf\xe9", "'utf-8' codec can't decode", id="apps-question-non-utf-8"),
+    apps_case("metadata.json", b"{", "Expecting property name", id="apps-metadata-not-json"),
+]
+
+
+@pytest.mark.parametrize("format, files, warning, loaded", KIND_CASES)
+def test_a_value_of_the_wrong_kind_skips_its_row(tmp_path, caplog, format, files, warning, loaded):
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    path = tmp_path / "corpus.jsonl" if format != "apps" else tmp_path
+    assert [p.problem_id for p in load_corpus(path, format)] == loaded
+    if warning is None:
+        assert "skipping" not in caplog.text
+    else:
+        assert warning in caplog.text
+
+
 def test_unknown_format_and_missing_path(tmp_path):
     with pytest.raises(UnknownFormat):
         load_corpus(TEST_DATA / "apps_small", "leetcode")

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge.dataset import (
+    Count,
     FunnelStats,
     InvalidStats,
     IoFailure,
+    check_fields,
+    describe_kind,
     emit_jsonl,
     funnel_report,
     record,
@@ -67,6 +70,20 @@ def test_unknown_source_rejected():
 def test_record_names_its_first_defect(value, problem):
     with pytest.raises(ValueError, match=re.escape(problem)):
         record(value)
+
+
+@pytest.mark.parametrize(
+    "value, kinds",
+    [(True, {bool}), (False, {bool}), (1, {int, float, Count}), (0, {int, float, Count})],
+    ids=["true", "false", "1", "0"],
+)
+def test_true_and_false_are_bool_only(value, kinds):
+    for kind in (bool, str, int, float, Count, list, dict, type(None)):
+        if kind in kinds:
+            assert check_fields({"key": value}, {"key": kind}) == {"key": value}
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"key must be {describe_kind(kind)}, got {value!r}")):
+                check_fields({"key": value}, {"key": kind})
 
 
 def test_record_round_trip():

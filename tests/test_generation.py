@@ -393,10 +393,15 @@ def test_live_client_bad_url_fails_fast(monkeypatch, api_key, no_sleep):
 
 
 def test_live_client_malformed_body(monkeypatch, api_key, no_sleep):
-    patch_post(monkeypatch, [FakeResponse(200, {"unexpected": True})])
-    client = LiveClient("https://example.invalid/v1")
-    with pytest.raises(EndpointUnreachable):
-        client.complete(CompletionRequest(prompt="p"))
+    # Endpoints send a null content for a refusal.
+    for body, problem in (
+        ({"unexpected": True}, "choices must be a non-empty array"),
+        ({"choices": [{"message": {"content": None}}]}, "content must be a string, got None"),
+    ):
+        patch_post(monkeypatch, [FakeResponse(200, body)])
+        client = LiveClient("https://example.invalid/v1")
+        with pytest.raises(EndpointUnreachable, match=f"malformed completion response: {problem}"):
+            client.complete(CompletionRequest(prompt="p"))
 
 
 def test_live_client_invalid_json_body(monkeypatch, api_key, no_sleep):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from semiforge.corpus import CORPUS_FIELDS
 from semiforge.dataset import describe_kind
 from semiforge.pipeline import UNIT_FIELDS, PipelineConfig
 
@@ -85,6 +86,18 @@ def test_readme_unit_row_table_lists_unit_fields():
     assert listed == [
         (stage, field, describe_kind(kind)) for stage, kinds in UNIT_FIELDS.items() for field, kind in kinds.items()
     ]
+
+
+
+def test_readme_corpus_formats_give_every_key_its_kind():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Corpus formats\n", 1)[1].split("\n## ", 1)[0]
+    bullets = dict(re.findall(r"^- \*\*(\w+)\*\*: (.*?)(?=^- |\Z)", section, re.MULTILINE | re.DOTALL))
+    assert list(bullets) == list(CORPUS_FIELDS)
+    for format, (outer, inner) in CORPUS_FIELDS.items():
+        text = " ".join(bullets[format].split())
+        for key, kind in {**outer, **inner}.items():
+            assert f"`{key}` ({describe_kind(kind)})" in text, (format, key)
 
 
 RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'
