@@ -26,15 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output, outputs_match
-from semiforge.generation import (
-    MissingFunctionName,
-    MissingSection,
-    PromptTemplate,
-    UnknownAnswerType,
-    build_generation_prompt,
-    parse_components,
-    prompt_digest,
-)
+from semiforge.generation import ParseError, PromptTemplate, build_generation_prompt, parse_components, prompt_digest
 from semiforge.pipeline import load_config, run_pipeline
 
 FIXTURES = ROOT / "fixtures"
@@ -543,14 +535,11 @@ def flat_units():
 def check_completions() -> None:
     for seq, problem, sol_index, spec in flat_units():
         text = completion_text(spec)
-        if spec["malform"] == "no_refined":
-            expect = MissingSection
-        elif spec["malform"] == "bad_answer":
-            expect = UnknownAnswerType
-        elif spec["malform"] == "no_fn":
-            expect = MissingFunctionName
-        else:
-            expect = None
+        expect = {
+            "no_refined": "missing_section:Refined Code",
+            "bad_answer": "unknown_answer_type",
+            "no_fn": "missing_function_name",
+        }.get(spec["malform"])
         if expect is None:
             bundle = parse_components(text)
             assert bundle.instruction == spec["instruction"], problem["problem_id"]
@@ -560,10 +549,10 @@ def check_completions() -> None:
         else:
             try:
                 parse_components(text)
-            except expect:
-                pass
+            except ParseError as exc:
+                assert exc.reason == expect, (problem["problem_id"], exc.reason)
             else:
-                raise AssertionError(f"{problem['problem_id']} should fail with {expect.__name__}")
+                raise AssertionError(f"{problem['problem_id']} should fail with {expect}")
 
 
 def check_dedup_design() -> None:

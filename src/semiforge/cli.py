@@ -126,7 +126,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         limits=limits,
         ks=ks,
         interpreter=args.interpreter,
-        workers=args.workers or 1,
+        workers=args.workers,
     )
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k", default="1", help="comma-separated k values (default 1)")
     p_eval.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run timeout seconds")
     p_eval.add_argument("--interpreter", help="interpreter for sandboxed runs")
-    p_eval.add_argument("--workers", type=int, help="worker pool width")
+    p_eval.add_argument("--workers", type=int, default=1, help="worker pool width (default 1)")
     p_eval.add_argument("--out", help="write the JSON report here as well")
 
     p_report = sub.add_parser("report", help="render a stored funnel report")

@@ -49,22 +49,6 @@ CORPUS_FIELDS = {
 }
 
 
-class UnreadablePath(SemiforgeError):
-    pass
-
-
-class UnknownFormat(SemiforgeError):
-    pass
-
-
-class EmptyCorpus(SemiforgeError):
-    pass
-
-
-class InvalidCap(SemiforgeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Solution:
     code: str
@@ -89,7 +73,7 @@ def load_corpus(path: str | Path, format: str, language: str = "python") -> list
     """Parse an archive into Problems, keeping only corpus-language solutions."""
     root = Path(path)
     if not root.exists():
-        raise UnreadablePath(f"no such path: {root}")
+        raise SemiforgeError(f"no such path: {root}")
     if format == "apps":
         problems = _load_apps(root)
     elif format == "codecontest":
@@ -103,15 +87,15 @@ def load_corpus(path: str | Path, format: str, language: str = "python") -> list
             lambda s: _language_matches(s.get("language", language), language),
         )
     else:
-        raise UnknownFormat(f"unknown corpus format: {format!r}")
+        raise SemiforgeError(f"unknown corpus format: {format!r}")
     if not problems:
-        raise EmptyCorpus(f"no problems parsed from {root} ({format})")
+        raise SemiforgeError(f"no problems parsed from {root} ({format})")
     return problems
 
 
 def _load_apps(root: Path) -> list[Problem]:
     if not root.is_dir():
-        raise UnknownFormat(f"apps format expects a directory, got {root}")
+        raise SemiforgeError(f"apps format expects a directory, got {root}")
     file_fields, meta_fields = CORPUS_FIELDS["apps"]
     problems = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
@@ -143,7 +127,7 @@ def _language_matches(tag: str, language: str) -> bool:
 def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -> list[Problem]:
     """Parse a JSON-lines corpus: rows need the ``required`` keys (the id first); ``keep`` picks solutions."""
     if not root.is_file():
-        raise UnknownFormat(f"{format} format expects a .jsonl file, got {root}")
+        raise SemiforgeError(f"{format} format expects a .jsonl file, got {root}")
     row_fields, solution_fields = CORPUS_FIELDS[format]
     problems = []
     for lineno, line in enumerate(root.read_bytes().split(b"\n"), 1):
@@ -184,6 +168,8 @@ def filter_problems(
     token_mode: str = "whitespace",
 ) -> list[Problem]:
     """Drop special-judge problems, oversized solutions, then empty problems."""
+    if max_tokens < 1:
+        raise ValueError(f"max_solution_tokens must be >= 1, got {max_tokens!r}")
     out = []
     for problem in problems:
         if problem.special_judge:
@@ -224,5 +210,5 @@ def merge_duplicate_problems(problems: Iterable[Problem]) -> list[Problem]:
 def cap_solutions(problems: Iterable[Problem], cap: int = DEFAULT_SOLUTION_CAP) -> list[Problem]:
     """Keep at most the first ``cap`` solutions of every problem."""
     if cap < 1:
-        raise InvalidCap(f"solution_cap must be >= 1, got {cap!r}")
+        raise ValueError(f"solution_cap must be >= 1, got {cap!r}")
     return [replace(p, solutions=p.solutions[:cap]) for p in problems]

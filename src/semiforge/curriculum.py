@@ -23,28 +23,24 @@ STRATEGIES = (
 )
 
 
-class MissingProvenance(SemiforgeError):
-    pass
-
-
 def _difficulty(record: dict, strategy_kind: str) -> int:
     value = record["difficulty"]
     if value is None:
-        raise MissingProvenance(f"{strategy_kind} needs a difficulty on every record")
+        raise SemiforgeError(f"{strategy_kind} needs a difficulty on every record")
     return value
 
 
 def _seq(record: dict, strategy_kind: str) -> int:
     seq = record["provenance"]["seq"]
     if seq is None:
-        raise MissingProvenance(f"{strategy_kind} needs a generation sequence number on every record")
+        raise SemiforgeError(f"{strategy_kind} needs a generation sequence number on every record")
     return seq
 
 
 def _problem_id(record: dict, strategy_kind: str) -> str:
     pid = record["provenance"]["problem_id"]
     if not pid:
-        raise MissingProvenance(f"{strategy_kind} needs a problem id on every record")
+        raise SemiforgeError(f"{strategy_kind} needs a problem id on every record")
     return pid
 
 

@@ -26,14 +26,6 @@ from typing import Iterable, Literal, Mapping, get_args, get_origin, get_type_hi
 from .errors import SemiforgeError
 
 
-class IoFailure(SemiforgeError):
-    pass
-
-
-class InvalidStats(SemiforgeError):
-    pass
-
-
 class Count:
     """The kind of an integer >= 0 (see check_fields)."""
 
@@ -163,7 +155,7 @@ def atomic_write(path: str | Path):
     concurrent writers never share one, and it is created afresh with
     "x", so it gets the mode plain ``open`` gives. On failure the temp
     file is removed; an OSError or an unencodable string raises
-    IoFailure naming ``path``.
+    SemiforgeError naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -180,7 +172,7 @@ def atomic_write(path: str | Path):
         if created:
             tmp.unlink(missing_ok=True)
         if isinstance(exc, (OSError, UnicodeError)):
-            raise IoFailure(f"could not write {path}: {exc}") from exc
+            raise SemiforgeError(f"could not write {path}: {exc}") from exc
         raise
 
 
@@ -264,7 +256,7 @@ def retention_ratios(stats: FunnelStats) -> list[float | None]:
 
 def funnel_report(stats: FunnelStats, format: str = "text") -> str:
     if not stats.is_monotonic():
-        raise InvalidStats(f"funnel counts must be non-negative and non-increasing: {stats.counts()}")
+        raise SemiforgeError(f"funnel counts must be non-negative and non-increasing: {stats.counts()}")
     ratios = retention_ratios(stats)
     if format == "json":
         payload = {

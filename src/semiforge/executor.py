@@ -202,10 +202,6 @@ serve()
 """
 
 
-class InterpreterMissing(SemiforgeError):
-    pass
-
-
 class SandboxSetupFailure(SemiforgeError):
     pass
 
@@ -286,7 +282,7 @@ def resolve_interpreter(interpreter: str | None = None) -> str:
         return sys.executable
     found = shutil.which(interpreter) if os.sep not in interpreter else interpreter
     if not found or not os.path.isfile(found):
-        raise InterpreterMissing(f"interpreter not found: {interpreter!r}")
+        raise SandboxSetupFailure(f"interpreter not found: {interpreter!r}")
     return found
 
 
@@ -363,8 +359,8 @@ def sandbox(interpreter: str | None = None):
 
     Pass the server to ``execute`` to fork a run from it; several
     threads may use it at once. Every run forked from one server shares
-    its ``str`` hash secret. Raises ``InterpreterMissing`` or
-    ``SandboxSetupFailure`` if the server cannot start.
+    its ``str`` hash secret. Raises ``SandboxSetupFailure`` if the
+    interpreter is not found or the server cannot start.
     """
     server = _Server(resolve_interpreter(interpreter))
     try:

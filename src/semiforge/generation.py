@@ -2,8 +2,8 @@
 
 A completion must contain four `### ` sections, in any order, found by
 name: Instruction, Refined Code, Answer Type, Test Case Inputs. The
-parser is total: any structural defect raises a typed ParseError, never
-a partial bundle and never an untyped exception.
+parser is total: any structural defect raises a ParseError carrying its
+drop reason, never a partial bundle and never another exception.
 
 Every completion is asked of a ReplayClient: it serves completions from
 a content-addressed store keyed by the SHA-256 of the prompt, which
@@ -47,50 +47,9 @@ class EmptyCode(SemiforgeError):
 
 
 class ParseError(SemiforgeError):
-    reason = "parse_error"  # the unit's drop reason in the generate stage
-
-
-class MissingSection(ParseError):
-    def __init__(self, section: str):
-        super().__init__(f"completion is missing the {section!r} section")
-        self.section = section
-        self.reason = f"missing_section:{section}"
-
-
-class UnknownAnswerType(ParseError):
-    reason = "unknown_answer_type"
-
-    def __init__(self, text: str):
-        super().__init__(f"unrecognized answer type: {text!r}")
-        self.text = text
-
-
-class NoInputs(ParseError):
-    reason = "no_inputs"
-
-    def __init__(self):
-        super().__init__("completion contains no test case input blocks")
-
-
-class MissingFunctionName(ParseError):
-    reason = "missing_function_name"
-
-    def __init__(self):
-        super().__init__("call-based answer without a usable Function Name line")
-
-
-class AuthMissing(SemiforgeError):
-    pass
-
-
-class ReplayMiss(SemiforgeError):
-    def __init__(self, digest: str):
-        super().__init__(f"no recorded completion for prompt {digest[:16]}")
-        self.digest = digest
-
-
-class EndpointUnreachable(SemiforgeError):
-    pass
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason  # the unit's drop reason in the generate stage
 
 
 @dataclass(frozen=True)
@@ -200,7 +159,7 @@ class ReplayClient:
 
     A live completion is written to the store before it is returned, so
     a run that fails later keeps every completion it was given. With no
-    live client, a prompt the store lacks raises ReplayMiss.
+    live client, a prompt the store lacks raises SemiforgeError naming its digest.
     """
 
     def __init__(self, store: str | Path, live: LiveClient | None = None):
@@ -213,7 +172,7 @@ class ReplayClient:
         if path.is_file():
             return Completion(text=path.read_text(encoding="utf-8"), finish_reason="replay")
         if self.live is None:
-            raise ReplayMiss(digest)
+            raise SemiforgeError(f"no recorded completion for prompt {digest[:16]}")
         completion = self.live.complete(request)
         self.store.mkdir(parents=True, exist_ok=True)
         with atomic_write(path) as fh:
@@ -252,7 +211,7 @@ class LiveClient:
     def _credential(self) -> str:
         key = self._api_key or os.environ.get(API_KEY_ENV)
         if not key:
-            raise AuthMissing(f"set {API_KEY_ENV} (or pass api_key) before using the live client")
+            raise SemiforgeError(f"set {API_KEY_ENV} (or pass api_key) before using the live client")
         return key
 
     def complete(self, request: CompletionRequest) -> Completion:
@@ -277,14 +236,14 @@ class LiveClient:
             except requests.RequestException as exc:
                 # MissingSchema, InvalidURL and the like describe the request, not the network.
                 if isinstance(exc, ValueError):
-                    raise EndpointUnreachable(f"bad request to {self.endpoint!r}: {exc}") from exc
+                    raise SemiforgeError(f"bad request to {self.endpoint!r}: {exc}") from exc
                 last_error = str(exc)
                 logger.warning("completion attempt %d failed: %s", attempt, exc)
             else:
                 if response.status_code == 200:
                     return _completion_from_response(response)
                 if response.status_code not in self.RETRYABLE:
-                    raise EndpointUnreachable(f"endpoint returned HTTP {response.status_code}")
+                    raise SemiforgeError(f"endpoint returned HTTP {response.status_code}")
                 last_error = f"HTTP {response.status_code}"
                 retry_after = _parse_retry_after(response.headers.get("Retry-After"))
                 if retry_after is not None:
@@ -292,7 +251,7 @@ class LiveClient:
                 logger.warning("completion attempt %d got %s", attempt, last_error)
             if attempt < self.max_attempts:
                 time.sleep(wait)
-        raise EndpointUnreachable(
+        raise SemiforgeError(
             f"giving up after {self.max_attempts} attempts ({last_error})"
         )
 
@@ -316,7 +275,7 @@ def _completion_from_response(response) -> Completion:
             usage=data.get("usage") or {},
         )
     except ValueError as exc:  # a body that is not JSON included
-        raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
+        raise SemiforgeError(f"malformed completion response: {exc}") from exc
 
 
 _HEADER = re.compile(r"^###\s+(?P<name>[^#].*?)\s*:?\s*$")
@@ -366,8 +325,8 @@ def _parse_answer_type(body: str) -> AnswerType:
                 name = match.group("name").strip("`'\"")
                 if is_function_name(name):
                     return AnswerType.call_based(name)
-        raise MissingFunctionName()
-    raise UnknownAnswerType(first)
+        raise ParseError("missing_function_name", "call-based answer without a usable Function Name line")
+    raise ParseError("unknown_answer_type", f"unrecognized answer type: {first!r}")
 
 
 def _parse_inputs(body: str) -> tuple[str, ...]:
@@ -380,35 +339,23 @@ def _parse_inputs(body: str) -> tuple[str, ...]:
         elif current is not None:
             current.append(line)
     if not blocks:
-        raise NoInputs()
+        raise ParseError("no_inputs", "completion contains no test case input blocks")
     return tuple("\n".join(block).strip("\n") for block in blocks)
 
 
 def parse_components(raw: str) -> GenerationBundle:
     """Parse a completion into its four components or raise a ParseError."""
     sections = _split_sections(raw)
-    for name in SECTION_NAMES:
-        if name not in sections:
-            raise MissingSection(name)
-
-    instruction = sections["Instruction"].strip()
-    if not instruction:
-        raise MissingSection("Instruction")
-
-    refined_code = _strip_code_fence(sections["Refined Code"])
-    if not refined_code.strip():
-        raise MissingSection("Refined Code")
-
-    answer_body = sections["Answer Type"]
-    if not answer_body.strip():
-        raise MissingSection("Answer Type")
-    answer_type = _parse_answer_type(answer_body)
-
-    raw_inputs = _parse_inputs(sections["Test Case Inputs"])
-
+    missing = [name for name in SECTION_NAMES if name not in sections]
+    if not missing:
+        sections["Refined Code"] = _strip_code_fence(sections["Refined Code"])
+        # An empty Test Case Inputs section is left to _parse_inputs.
+        missing = [name for name in SECTION_NAMES[:3] if not sections[name].strip()]
+    if missing:
+        raise ParseError(f"missing_section:{missing[0]}", f"completion is missing the {missing[0]!r} section")
     return GenerationBundle(
-        instruction=instruction,
-        refined_code=refined_code,
-        answer_type=answer_type,
-        raw_inputs=raw_inputs,
+        instruction=sections["Instruction"].strip(),
+        refined_code=sections["Refined Code"],
+        answer_type=_parse_answer_type(sections["Answer Type"]),
+        raw_inputs=_parse_inputs(sections["Test Case Inputs"]),
     )

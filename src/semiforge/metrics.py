@@ -18,18 +18,10 @@ from .executor import ResourceLimits, sandbox
 from .validation import TestCase, validate_refined_code
 
 
-class InvalidArgs(SemiforgeError):
-    pass
-
-
-class InsufficientSamples(SemiforgeError):
-    pass
-
-
 def pass_at_k(n: int, c: int, k: int) -> float:
     """Probability that at least one of k draws (from n, c correct) passes."""
     if n < 1 or k < 1 or k > n or c < 0 or c > n:
-        raise InvalidArgs(f"need 1 <= k <= n and 0 <= c <= n, got n={n} c={c} k={k}")
+        raise SemiforgeError(f"need 1 <= k <= n and 0 <= c <= n, got n={n} c={c} k={k}")
     if n - c < k:
         return 1.0
     if k == 1:
@@ -74,18 +66,20 @@ def evaluate_candidates(
 ) -> PassAtKReport:
     """Score candidates per problem and average pass@k across problems."""
     if not ks:
-        raise InvalidArgs("ks must be nonempty")
+        raise SemiforgeError("ks must be nonempty")
     if not problems:
-        raise InvalidArgs("no problems to evaluate")
+        raise SemiforgeError("no problems to evaluate")
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1:
-        raise InvalidArgs(f"every k must be >= 1, got {ks[0]}")
+        raise SemiforgeError(f"every k must be >= 1, got {ks[0]}")
+    if workers < 1:
+        raise SemiforgeError(f"workers must be >= 1, got {workers}")
     k_max = ks[-1]
     for entry in problems:
         if not entry.test_cases:
-            raise InvalidArgs(f"{entry.problem_id} has no test cases")
+            raise SemiforgeError(f"{entry.problem_id} has no test cases")
         if len(entry.candidates) < k_max:
-            raise InsufficientSamples(
+            raise SemiforgeError(
                 f"{entry.problem_id} has {len(entry.candidates)} candidates, need >= {k_max}"
             )
 

@@ -39,15 +39,12 @@ from .executor import ExecStatus, ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
     TEMPLATE_VERSION,
     AnswerType,
-    AuthMissing,
     CompletionRequest,
     EmptyCode,
-    EndpointUnreachable,
     LiveClient,
     ParseError,
     PromptTemplate,
     ReplayClient,
-    ReplayMiss,
     build_generation_prompt,
     parse_components,
     prompt_digest,
@@ -161,19 +158,19 @@ class PipelineConfig:
         """
         try:
             check_fields(vars(self), get_type_hints(PipelineConfig), name="config")
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
-        if self.resume_from:
-            canonical_stage(self.resume_from, "resume_from")
-        if self.client_mode == "live" and not self.endpoint:
-            raise InvalidConfig("endpoint must be non-empty when client_mode is 'live'")
-        try:
+            if self.resume_from:
+                canonical_stage(self.resume_from, "resume_from")
+            if self.client_mode == "live" and not self.endpoint:
+                raise ValueError("endpoint must be non-empty when client_mode is 'live'")
+            if self.workers < 1:
+                raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+            corpus_mod.filter_problems((), self.max_solution_tokens)
             corpus_mod.cap_solutions((), self.solution_cap)
             dedup_instructions((), self.dedup_threshold)
             PromptTemplate("{{original_code}}", input_count=self.input_count)
             self.request("check")
             self.limits()
-        except (ValueError, corpus_mod.InvalidCap) as exc:
+        except ValueError as exc:
             raise InvalidConfig(str(exc)) from exc
 
     def to_dict(self) -> dict:
@@ -301,7 +298,7 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
         digest = prompt_digest(prompt)
         try:
             completion = client.complete(config.request(prompt))
-        except (ReplayMiss, AuthMissing, EndpointUnreachable) as exc:
+        except SemiforgeError as exc:
             raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
         try:
             bundle = parse_components(completion.text)
@@ -480,7 +477,10 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
         raise InvalidConfig(f"resume stage {start!r} is after stop stage {stop!r}")
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say, a file where it or a directory above it should be
+        raise SemiforgeError(f"could not create output directory {out_dir}: {exc}") from exc
 
     rows: dict[str, list[dict]] = {}
     loaded: list[str] = []

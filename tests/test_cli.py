@@ -197,6 +197,9 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
             id="client_mode-cloud-unknown client mode: 'cloud'",
         ),
         ("solution_cap", 0, "solution_cap must be >= 1, got 0"),
+        ("max_solution_tokens", 0, "max_solution_tokens must be >= 1, got 0"),
+        ("workers", 0, "workers must be >= 1, got 0"),
+        ("workers", -2, "workers must be >= 1, got -2"),
         pytest.param("seed", -1, "seed must be an integer >= 0, got -1", id="seed--1-seed must be >= 0, got -1"),
         ("wall_timeout", float("nan"), "wall_timeout must be finite, got nan"),
         ("wall_timeout", float("inf"), "wall_timeout must be finite, got inf"),
@@ -217,6 +220,19 @@ def test_bad_config_value_exits_2(tmp_path, golden_config_path, capsys, key, val
     assert key in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, golden_config_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="utf-8")
+    out = taken / below
+    code = run_cli("run", "--config", golden_config_path, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: could not create output directory {out}: ")
+    assert "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "a file\n"
 
 
 @pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda field: field.name)
@@ -578,6 +594,17 @@ def test_eval_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: could not write {out}: ")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_eval_bad_workers_exits_2(tmp_path, capsys, value):
+    problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates, "--workers", value)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: workers must be >= 1, got {value}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

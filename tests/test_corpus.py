@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge.corpus import (
-    EmptyCorpus,
-    InvalidCap,
     Problem,
     Solution,
-    UnknownFormat,
-    UnreadablePath,
     cap_solutions,
     filter_problems,
     load_corpus,
     merge_duplicate_problems,
     normalize_description,
 )
+from semiforge.errors import SemiforgeError
 from tests.conftest import TEST_DATA, problem_to_dict, write_corpus
 
 
@@ -148,16 +145,16 @@ def test_a_value_of_the_wrong_kind_skips_its_row(tmp_path, caplog, format, files
 
 
 def test_unknown_format_and_missing_path(tmp_path):
-    with pytest.raises(UnknownFormat):
+    with pytest.raises(SemiforgeError, match="unknown corpus format: 'leetcode'"):
         load_corpus(TEST_DATA / "apps_small", "leetcode")
-    with pytest.raises(UnreadablePath):
+    with pytest.raises(SemiforgeError, match="no such path"):
         load_corpus(tmp_path / "nope.jsonl", "generic")
 
 
 def test_empty_corpus(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(SemiforgeError, match="no problems parsed from"):
         load_corpus(empty, "generic")
 
 
@@ -228,7 +225,7 @@ def test_cap_solutions():
     capped = cap_solutions([problem], cap=25)
     assert len(capped[0].solutions) == 25
     assert capped[0].solutions[0].code == "print(0)"
-    with pytest.raises(InvalidCap):
+    with pytest.raises(ValueError, match="solution_cap must be >= 1, got 0"):
         cap_solutions([problem], cap=0)
 
 

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from semiforge.curriculum import (
     STRATEGIES,
-    MissingProvenance,
     order_records,
     rank_by_difficulty,
 )
 from semiforge.dataset import record
+from semiforge.errors import SemiforgeError
 
 
 def semi(problem_id, seq, difficulty):
@@ -75,7 +75,7 @@ def test_rank_by_difficulty_descending_and_stable():
 
 
 def test_rank_missing_difficulty():
-    with pytest.raises(MissingProvenance):
+    with pytest.raises(SemiforgeError, match="needs a difficulty on every record"):
         rank_by_difficulty([si(0)])
 
 

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from semiforge.dataset import (
     Count,
     FunnelStats,
-    InvalidStats,
-    IoFailure,
     check_fields,
     describe_kind,
     emit_jsonl,
@@ -17,6 +15,7 @@ from semiforge.dataset import (
     record,
     retention_ratios,
 )
+from semiforge.errors import SemiforgeError
 from tests.conftest import load_jsonl
 
 
@@ -142,7 +141,7 @@ def test_emit_is_byte_stable(tmp_path):
 
 
 def test_emit_unwritable_path(tmp_path):
-    with pytest.raises(IoFailure):
+    with pytest.raises(SemiforgeError, match="could not write"):
         emit_jsonl([semi_record()], tmp_path / "missing" / "dataset.jsonl")
 
 
@@ -206,7 +205,7 @@ def test_funnel_report_json():
 
 
 def test_funnel_report_rejects_non_monotonic():
-    with pytest.raises(InvalidStats):
+    with pytest.raises(SemiforgeError, match="funnel counts must be non-negative and non-increasing"):
         funnel_report(FunnelStats(1, 2, 3, 4, 5))
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from semiforge import executor
 from semiforge.executor import (
     ExecStatus,
-    InterpreterMissing,
     Invocation,
     ResourceLimits,
     SandboxSetupFailure,
@@ -471,7 +470,7 @@ def test_limit_validation():
 def test_resolve_interpreter():
     assert resolve_interpreter(None) == sys.executable
     assert resolve_interpreter(sys.executable) == sys.executable
-    with pytest.raises(InterpreterMissing):
+    with pytest.raises(SandboxSetupFailure, match="interpreter not found: 'definitely-not-an-interpreter-zz'"):
         resolve_interpreter("definitely-not-an-interpreter-zz")
 
 

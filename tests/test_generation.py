@@ -3,24 +3,17 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiforge.dataset import IoFailure
+from semiforge.errors import SemiforgeError
 from semiforge.generation import (
     AnswerType,
-    AuthMissing,
     Completion,
     CompletionRequest,
     EmptyCode,
-    EndpointUnreachable,
     GenerationBundle,
     LiveClient,
-    MissingFunctionName,
-    MissingSection,
-    NoInputs,
     ParseError,
     PromptTemplate,
     ReplayClient,
-    ReplayMiss,
-    UnknownAnswerType,
     build_generation_prompt,
     parse_components,
     prompt_digest,
@@ -126,23 +119,24 @@ def test_headers_tolerate_case_and_colon():
 
 def test_missing_section_named():
     text = make_completion().replace("### Refined Code", "### Something Else")
-    with pytest.raises(MissingSection) as excinfo:
+    with pytest.raises(ParseError, match="completion is missing the 'Refined Code' section") as excinfo:
         parse_components(text)
-    assert excinfo.value.section == "Refined Code"
+    assert excinfo.value.reason == "missing_section:Refined Code"
 
 
 def test_unknown_answer_type():
-    with pytest.raises(UnknownAnswerType):
+    with pytest.raises(ParseError, match="unrecognized answer type: 'interactive protocol'"):
         parse_components(make_completion(answer="interactive protocol"))
 
 
 def test_call_based_requires_identifier():
-    with pytest.raises(MissingFunctionName):
+    no_name = "call-based answer without a usable Function Name line"
+    with pytest.raises(ParseError, match=no_name):
         parse_components(make_completion(answer="call-based"))
-    with pytest.raises(MissingFunctionName):
+    with pytest.raises(ParseError, match=no_name):
         parse_components(make_completion(answer="call-based\nFunction Name: not valid!"))
     for keyword_name in ("None", "class"):
-        with pytest.raises(MissingFunctionName):
+        with pytest.raises(ParseError, match=no_name):
             parse_components(make_completion(answer=f"call-based\nFunction Name: {keyword_name}"))
 
 
@@ -151,7 +145,7 @@ def test_no_inputs():
         "### Instruction\nDo it.\n\n### Refined Code\n```python\nx = 1\n```\n\n"
         "### Answer Type\nstdin\n\n### Test Case Inputs\nnothing here\n"
     )
-    with pytest.raises(NoInputs):
+    with pytest.raises(ParseError, match="completion contains no test case input blocks"):
         parse_components(text)
 
 
@@ -244,7 +238,7 @@ def test_replay_client_round_trip(tmp_path):
 
 def test_replay_miss_names_digest(tmp_path):
     request = CompletionRequest(prompt="absent prompt")
-    with pytest.raises(ReplayMiss) as excinfo:
+    with pytest.raises(SemiforgeError, match="no recorded completion for prompt") as excinfo:
         ReplayClient(tmp_path).complete(request)
     assert prompt_digest(request.prompt)[:16] in str(excinfo.value)
 
@@ -269,7 +263,7 @@ def test_replay_client_records_live_completion(tmp_path):
 def test_replay_client_failed_write_leaves_no_fixture(tmp_path):
     store = tmp_path / "store"
     client = ReplayClient(store, live=StubClient("lone surrogate \ud800"))
-    with pytest.raises(IoFailure, match="could not write"):
+    with pytest.raises(SemiforgeError, match="could not write"):
         client.complete(CompletionRequest(prompt="record me"))
     assert list(store.iterdir()) == []
 
@@ -319,7 +313,7 @@ def patch_post(monkeypatch, outcomes):
 def test_live_client_requires_credentials(monkeypatch):
     monkeypatch.delenv("SEMIFORGE_API_KEY", raising=False)
     client = LiveClient("https://example.invalid/v1")
-    with pytest.raises(AuthMissing):
+    with pytest.raises(SemiforgeError, match="set SEMIFORGE_API_KEY"):
         client.complete(CompletionRequest(prompt="p"))
 
 
@@ -366,7 +360,7 @@ def test_live_client_honors_retry_after(monkeypatch, api_key, no_sleep):
 def test_live_client_gives_up_after_max_attempts(monkeypatch, api_key, no_sleep):
     patch_post(monkeypatch, [FakeResponse(500)])
     client = LiveClient("https://example.invalid/v1", max_attempts=3)
-    with pytest.raises(EndpointUnreachable) as excinfo:
+    with pytest.raises(SemiforgeError, match="giving up after") as excinfo:
         client.complete(CompletionRequest(prompt="p"))
     assert "3 attempts" in str(excinfo.value)
     assert len(no_sleep) == 2  # no sleep after the final attempt
@@ -375,7 +369,7 @@ def test_live_client_gives_up_after_max_attempts(monkeypatch, api_key, no_sleep)
 def test_live_client_client_error_fails_fast(monkeypatch, api_key, no_sleep):
     calls = patch_post(monkeypatch, [FakeResponse(400)])
     client = LiveClient("https://example.invalid/v1")
-    with pytest.raises(EndpointUnreachable):
+    with pytest.raises(SemiforgeError, match="endpoint returned HTTP 400"):
         client.complete(CompletionRequest(prompt="p"))
     assert len(calls) == 1
     assert no_sleep == []
@@ -386,7 +380,7 @@ def test_live_client_bad_url_fails_fast(monkeypatch, api_key, no_sleep):
 
     calls = patch_post(monkeypatch, [requests.exceptions.MissingSchema("No scheme supplied")])
     client = LiveClient("example.invalid/v1")
-    with pytest.raises(EndpointUnreachable, match="No scheme supplied"):
+    with pytest.raises(SemiforgeError, match="bad request to 'example.invalid/v1': No scheme supplied"):
         client.complete(CompletionRequest(prompt="p"))
     assert len(calls) == 1
     assert no_sleep == []
@@ -400,12 +394,12 @@ def test_live_client_malformed_body(monkeypatch, api_key, no_sleep):
     ):
         patch_post(monkeypatch, [FakeResponse(200, body)])
         client = LiveClient("https://example.invalid/v1")
-        with pytest.raises(EndpointUnreachable, match=f"malformed completion response: {problem}"):
+        with pytest.raises(SemiforgeError, match=f"malformed completion response: {problem}"):
             client.complete(CompletionRequest(prompt="p"))
 
 
 def test_live_client_invalid_json_body(monkeypatch, api_key, no_sleep):
     patch_post(monkeypatch, [FakeResponse(200, ValueError("not json"))])
     client = LiveClient("https://example.invalid/v1")
-    with pytest.raises(EndpointUnreachable):
+    with pytest.raises(SemiforgeError, match="malformed completion response: not json"):
         client.complete(CompletionRequest(prompt="p"))

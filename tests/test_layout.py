@@ -1,6 +1,7 @@
 """Layout rules that keep one decision in one module."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from semiforge.corpus import CORPUS_FIELDS
 from semiforge.dataset import describe_kind
+from semiforge.errors import SemiforgeError
 from semiforge.pipeline import UNIT_FIELDS, PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +129,29 @@ def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
         check=True,
     )
     assert done.stdout.split() == [str(loads_numpy)]
+
+
+def caught_names(tree: ast.AST) -> set[str]:
+    """The names of the classes the ``except`` clauses under ``tree`` catch."""
+    handled = (node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type)
+    return {
+        getattr(name, "id", getattr(name, "attr", None))
+        for handled_type in handled
+        for name in (handled_type.elts if isinstance(handled_type, ast.Tuple) else [handled_type])
+    }
+
+
+def test_every_error_class_is_caught_by_name_or_is_a_builtin_error():
+    # A class that no except names is a SemiforgeError with a longer name; one that is
+    # also a built-in exception, say a ValueError, lets callers catch it as that.
+    modules = [importlib.import_module(f"semiforge.{path.stem}") for path in PACKAGE.glob("[!_]*.py")]
+    caught = set().union(*(caught_names(ast.parse(Path(m.__file__).read_text(encoding="utf-8"))) for m in modules))
+    uncaught = sorted(
+        cls.__name__
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, SemiforgeError) and cls.__module__ == module.__name__
+        and cls.__name__ not in caught
+        and not any(base.__module__ == "builtins" for base in cls.__mro__ if base not in (Exception, BaseException, object))
+    )
+    assert uncaught == []

@@ -5,11 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from semiforge.errors import SemiforgeError
 from semiforge.executor import Invocation, ResourceLimits
 from semiforge.metrics import (
     EvalProblem,
-    InsufficientSamples,
-    InvalidArgs,
     evaluate_candidates,
     pass_at_k,
 )
@@ -65,7 +64,7 @@ def test_k_equals_one_is_exact():
 
 @pytest.mark.parametrize("n,c,k", [(5, 2, 0), (5, 2, 6), (5, -1, 1), (5, 6, 1), (0, 0, 1)])
 def test_invalid_args(n, c, k):
-    with pytest.raises(InvalidArgs):
+    with pytest.raises(SemiforgeError, match="need 1 <= k <= n and 0 <= c <= n"):
         pass_at_k(n, c, k)
 
 
@@ -164,16 +163,19 @@ def test_evaluate_parallel_matches_serial():
 
 def test_insufficient_samples():
     problems = [EvalProblem("double", DOUBLE_CASES, (GOOD,))]
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(SemiforgeError, match="double has 1 candidates, need >= 2"):
         evaluate_candidates(problems, ks=(2,))
 
 
 def test_evaluate_invalid_inputs():
-    with pytest.raises(InvalidArgs):
+    with pytest.raises(SemiforgeError, match="no problems to evaluate"):
         evaluate_candidates([], ks=(1,))
-    with pytest.raises(InvalidArgs):
+    with pytest.raises(SemiforgeError, match="ks must be nonempty"):
         evaluate_candidates([EvalProblem("p", DOUBLE_CASES, (GOOD,))], ks=())
-    with pytest.raises(InvalidArgs):
+    with pytest.raises(SemiforgeError, match="p has no test cases"):
         evaluate_candidates([EvalProblem("p", (), (GOOD,))], ks=(1,))
-    with pytest.raises(InvalidArgs):
+    with pytest.raises(SemiforgeError, match="every k must be >= 1, got 0"):
         evaluate_candidates([EvalProblem("p", DOUBLE_CASES, (GOOD,))], ks=(0,))
+    for workers in (0, -2):
+        with pytest.raises(SemiforgeError, match=f"workers must be >= 1, got {workers}"):
+            evaluate_candidates([EvalProblem("p", DOUBLE_CASES, (GOOD,))], ks=(1,), workers=workers)

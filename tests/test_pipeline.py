@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from semiforge import pipeline
-from semiforge.dataset import IoFailure, emit_jsonl
+from semiforge.dataset import emit_jsonl
+from semiforge.errors import SemiforgeError
 from semiforge.generation import prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
@@ -619,6 +620,22 @@ def test_endpoint_failure_keeps_paid_completions(tmp_path, golden_config_path, m
     assert (tmp_path / "out" / DATASET_FILE).read_bytes() == (GOLDEN / "dataset.jsonl").read_bytes()
 
 
+def test_failed_store_write_names_the_unit(tmp_path, golden_config_path, monkeypatch):
+    store, _, _ = serve_removed_completions(tmp_path, monkeypatch, k=1)
+    config = live_config(golden_config_path, store, tmp_path / "out")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).parent == store:
+            raise OSError(errno.EIO, "injected failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(StageFailure, match=rf"^stage generate: mp\d+:\d+: could not write {store}/.*injected failure"):
+        run_pipeline(config)
+    assert not list(store.glob("*.tmp"))
+
+
 def test_empty_corpus_fails_ingest(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("", encoding="utf-8")
@@ -737,9 +754,9 @@ def test_construct_and_validate_run_alone(golden_run, tmp_path, golden_config_pa
         ("stage_dedup.jsonl", StageFailure, "stage dedup: could not write"),
         ("stage_order.jsonl", StageFailure, "stage order: could not write"),
         (DATASET_FILE, StageFailure, "stage emit: could not write"),
-        (FUNNEL_FILE, IoFailure, "could not write"),
-        (EVENTS_FILE, IoFailure, "could not write"),
-        (MANIFEST_FILE, IoFailure, "could not write"),
+        (FUNNEL_FILE, SemiforgeError, "^could not write"),
+        (EVENTS_FILE, SemiforgeError, "^could not write"),
+        (MANIFEST_FILE, SemiforgeError, "^could not write"),
     ],
 )
 def test_failed_replace_keeps_the_old_file(golden_run, golden_run_copy, monkeypatch, target, failure, message):
