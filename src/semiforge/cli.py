@@ -23,7 +23,7 @@ from .metrics import EvalProblem, evaluate_candidates
 from .pipeline import (
     CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, _read_rows, load_config, run_pipeline, stage_path
 )
-from .validation import COMPARE_SETS, TestCase
+from .validation import TestCase
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +32,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--corpus", dest="corpus_path", help="corpus archive path")
     parser.add_argument("--format", dest="corpus_format", choices=FORMATS, help="corpus layout")
-    parser.add_argument("--language", dest="language", help="corpus language tag (default python)")
     parser.add_argument("--out", dest="out_dir", help="output directory for stage files and the dataset")
     parser.add_argument("--template", dest="template_path", help="prompt template file (default: built-in)")
     parser.add_argument("--input-count", type=int, dest="input_count", help="test inputs to request")
@@ -43,7 +42,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--interpreter", dest="interpreter", help="interpreter for sandboxed runs")
     parser.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run timeout seconds")
     parser.add_argument("--threshold", type=float, dest="dedup_threshold", help="ROUGE-L dedup threshold")
-    parser.add_argument("--compare", dest="dedup_compare", choices=COMPARE_SETS, help="dedup comparison set")
     parser.add_argument("--order", dest="order", help="ordering strategy")
     parser.add_argument("--seed", type=int, dest="seed", help="RNG seed for randomized orderings")
     parser.add_argument("--scale", type=int, dest="scale", help="emit only the first N ordered records")
@@ -89,26 +87,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalProblem]:
-    """Read the eval inputs; a malformed row fails naming its file and line."""
+    """Read the eval inputs; a bad row fails naming its file and line.
+
+    A row is bad if it is malformed, lists a problem a second time, or
+    gives a candidate for no listed problem.
+    """
+    candidates: dict[str, list[str]] = {}  # problem_id -> its candidates, in file order
+
+    def problem(row) -> tuple[str, tuple[TestCase, ...]]:
+        check_fields(row, {"problem_id": str, "test_cases": list})
+        if row["problem_id"] in candidates:
+            raise ValueError(f"problem_id {row['problem_id']!r} is listed twice")
+        candidates[row["problem_id"]] = []
+        return row["problem_id"], tuple(map(TestCase.from_dict, row["test_cases"]))
+
+    def candidate(row) -> None:
+        check_fields(row, {"problem_id": str, "candidate_code": str})
+        if row["problem_id"] not in candidates:
+            raise ValueError(f"problem_id {row['problem_id']!r} names no problem of {problems_path}")
+        candidates[row["problem_id"]].append(row["candidate_code"])
+
     try:
-        problem_rows = read_json_lines(problems_path, _eval_problem)
-        candidate_rows = read_json_lines(
-            candidates_path, lambda row: check_fields(row, {"problem_id": str, "candidate_code": str})
-        )
+        problem_rows = read_json_lines(problems_path, problem)
+        read_json_lines(candidates_path, candidate)
     except (OSError, ValueError) as exc:
         raise SemiforgeError(str(exc)) from exc
-    grouped: dict[str, list[str]] = {}
-    for row in candidate_rows:
-        grouped.setdefault(row["problem_id"], []).append(row["candidate_code"])
-    return [
-        EvalProblem(problem_id=pid, test_cases=cases, candidates=tuple(grouped.get(pid, ())))
-        for pid, cases in problem_rows
-    ]
-
-
-def _eval_problem(row) -> tuple[str, tuple[TestCase, ...]]:
-    check_fields(row, {"problem_id": str, "test_cases": list})
-    return row["problem_id"], tuple(map(TestCase.from_dict, row["test_cases"]))
+    return [EvalProblem(pid, cases, tuple(candidates[pid])) for pid, cases in problem_rows]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -29,7 +29,6 @@ from .errors import SemiforgeError
 logger = logging.getLogger(__name__)
 
 FORMATS = ("apps", "codecontest", "generic")
-TOKEN_MODES = ("whitespace", "bytes")
 DEFAULT_MAX_TOKENS = 1000
 DEFAULT_SOLUTION_CAP = 25
 
@@ -69,8 +68,8 @@ class Problem:
     special_judge: bool = False
 
 
-def load_corpus(path: str | Path, format: str, language: str = "python") -> list[Problem]:
-    """Parse an archive into Problems, keeping only corpus-language solutions."""
+def load_corpus(path: str | Path, format: str) -> list[Problem]:
+    """Parse an archive into Problems, keeping only Python solutions."""
     root = Path(path)
     if not root.exists():
         raise SemiforgeError(f"no such path: {root}")
@@ -79,12 +78,12 @@ def load_corpus(path: str | Path, format: str, language: str = "python") -> list
     elif format == "codecontest":
         problems = _load_json_lines(
             root, format, ("name", "description"),
-            lambda s: s.get("correct", False) and _language_matches(s.get("language", ""), language),
+            lambda s: s.get("correct", False) and _is_python(s.get("language", "")),
         )
     elif format == "generic":
         problems = _load_json_lines(
             root, format, ("problem_id", "description", "solutions"),
-            lambda s: _language_matches(s.get("language", language), language),
+            lambda s: _is_python(s.get("language", "python")),
         )
     else:
         raise SemiforgeError(f"unknown corpus format: {format!r}")
@@ -120,8 +119,8 @@ def _load_apps(root: Path) -> list[Problem]:
     return problems
 
 
-def _language_matches(tag: str, language: str) -> bool:
-    return tag.strip().lower().startswith(language.strip().lower())
+def _is_python(tag: str) -> bool:
+    return tag.strip().lower().startswith("python")
 
 
 def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -> list[Problem]:
@@ -154,19 +153,7 @@ def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -
     return problems
 
 
-def _solution_size(solution: Solution, token_mode: str) -> int:
-    if token_mode == "whitespace":
-        return solution.token_count
-    if token_mode == "bytes":
-        return len(solution.code.encode("utf-8"))
-    raise ValueError(f"unknown token mode: {token_mode!r}")
-
-
-def filter_problems(
-    problems: Iterable[Problem],
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    token_mode: str = "whitespace",
-) -> list[Problem]:
+def filter_problems(problems: Iterable[Problem], max_tokens: int = DEFAULT_MAX_TOKENS) -> list[Problem]:
     """Drop special-judge problems, oversized solutions, then empty problems."""
     if max_tokens < 1:
         raise ValueError(f"max_solution_tokens must be >= 1, got {max_tokens!r}")
@@ -174,9 +161,7 @@ def filter_problems(
     for problem in problems:
         if problem.special_judge:
             continue
-        kept = tuple(
-            s for s in problem.solutions if _solution_size(s, token_mode) <= max_tokens
-        )
+        kept = tuple(s for s in problem.solutions if s.token_count <= max_tokens)
         if not kept:
             continue
         out.append(replace(problem, solutions=kept))
@@ -193,18 +178,21 @@ def merge_duplicate_problems(problems: Iterable[Problem]) -> list[Problem]:
 
     The first occurrence wins the id and description; solution order is the
     concatenation of occurrence order, which keeps the later cap stable.
+    A merged problem whose id an earlier one holds is skipped with a
+    warning, so no two problems give their units the same ids.
     """
-    order: list[str] = []
-    groups: dict[str, Problem] = {}
+    groups: dict[str, Problem] = {}  # in first-occurrence order
     for problem in problems:
         k = normalize_description(problem.description)
-        if k not in groups:
-            groups[k] = problem
-            order.append(k)
+        first = groups.get(k)
+        groups[k] = problem if first is None else replace(first, solutions=first.solutions + problem.solutions)
+    by_id: dict[str, Problem] = {}
+    for problem in groups.values():
+        if problem.problem_id in by_id:
+            logger.warning("skipping problem %s: an earlier problem has that id", problem.problem_id)
         else:
-            first = groups[k]
-            groups[k] = replace(first, solutions=first.solutions + problem.solutions)
-    return [groups[k] for k in order]
+            by_id[problem.problem_id] = problem
+    return list(by_id.values())
 
 
 def cap_solutions(problems: Iterable[Problem], cap: int = DEFAULT_SOLUTION_CAP) -> list[Problem]:

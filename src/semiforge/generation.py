@@ -185,39 +185,26 @@ class LiveClient:
 
     Network errors such as a refused connection or a timeout, and
     rate-limit (429) and server (5xx) responses, are retried with
-    exponential backoff, honoring a Retry-After header when present.
+    exponential backoff, honoring a Retry-After header that gives a
+    finite number of seconds.
     A malformed request (a missing scheme, an invalid URL) and any other
     HTTP status fail at once.
     """
 
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
+    ATTEMPTS = 4
+    BACKOFF_S = 0.5  # the wait after the first failed attempt; it doubles after each
+    TIMEOUT_S = 120.0
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        max_attempts: int = 4,
-        backoff_base: float = 0.5,
-        request_timeout: float = 120.0,
-    ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self._api_key = api_key
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.request_timeout = request_timeout
-
-    def _credential(self) -> str:
-        key = self._api_key or os.environ.get(API_KEY_ENV)
-        if not key:
-            raise SemiforgeError(f"set {API_KEY_ENV} (or pass api_key) before using the live client")
-        return key
 
     def complete(self, request: CompletionRequest) -> Completion:
         import requests
 
-        key = self._credential()
+        key = os.environ.get(API_KEY_ENV)
+        if not key:
+            raise SemiforgeError(f"set {API_KEY_ENV} before using the live client")
         payload = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -227,12 +214,10 @@ class LiveClient:
         }
         headers = {"Authorization": f"Bearer {key}"}
         last_error = "no attempts made"
-        for attempt in range(1, self.max_attempts + 1):
-            wait = self.backoff_base * (2 ** (attempt - 1))
+        for attempt in range(1, self.ATTEMPTS + 1):
+            wait = self.BACKOFF_S * (2 ** (attempt - 1))
             try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.request_timeout
-                )
+                response = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.TIMEOUT_S)
             except requests.RequestException as exc:
                 # MissingSchema, InvalidURL and the like describe the request, not the network.
                 if isinstance(exc, ValueError):
@@ -249,20 +234,18 @@ class LiveClient:
                 if retry_after is not None:
                     wait = retry_after
                 logger.warning("completion attempt %d got %s", attempt, last_error)
-            if attempt < self.max_attempts:
+            if attempt < self.ATTEMPTS:
                 time.sleep(wait)
-        raise SemiforgeError(
-            f"giving up after {self.max_attempts} attempts ({last_error})"
-        )
+        raise SemiforgeError(f"giving up after {self.ATTEMPTS} attempts ({last_error})")
 
 
 def _parse_retry_after(value: str | None) -> float | None:
-    if value is None:
-        return None
+    """Seconds to wait, or None (use the backoff) when ``value`` is absent or not a finite number."""
     try:
-        return max(0.0, float(value))
-    except ValueError:
+        seconds = float(value)
+    except (TypeError, ValueError):
         return None
+    return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
 def _completion_from_response(response) -> Completion:

@@ -50,7 +50,6 @@ from .generation import (
     prompt_digest,
 )
 from .validation import (
-    COMPARE_SETS,
     EmptyTestCases,
     TestCase,
     construct_test_cases,
@@ -61,7 +60,6 @@ from .validation import (
 logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "generate", "construct", "validate", "dedup", "order", "emit")
-_STAGE_ALIASES = {"construct-cases": "construct", "construct_cases": "construct"}
 
 # The fields each stage adds to the unit row, and their kinds (see dataset.check_fields);
 # difficulty is also the number of test cases. Every row also holds "status", and a "reason":
@@ -95,10 +93,9 @@ class InvalidConfig(SemiforgeError, ValueError):
 
 
 def canonical_stage(name: str, field: str = "stage") -> str:
-    stage = _STAGE_ALIASES.get(name, name)
-    if stage not in STAGES:
-        raise InvalidConfig(f"unknown stage: {stage!r} ({field} must be one of {', '.join(STAGES)})")
-    return stage
+    if name not in STAGES:
+        raise InvalidConfig(f"unknown stage: {name!r} ({field} must be one of {', '.join(STAGES)})")
+    return name
 
 
 CLIENT_MODES = ("replay", "live")
@@ -113,7 +110,6 @@ class PipelineConfig:
 
     corpus_path: str = ""
     corpus_format: Literal[corpus_mod.FORMATS] = "generic"
-    language: str = "python"
     out_dir: str = "out"
     template_path: str | None = None
     input_count: int = 8
@@ -125,14 +121,12 @@ class PipelineConfig:
     top_p: float = 0.95
     max_tokens: int = 2048
     max_solution_tokens: int = 1000
-    token_mode: Literal[corpus_mod.TOKEN_MODES] = "whitespace"
     solution_cap: int = 25
     wall_timeout: float = 5.0
     memory_bytes: int = 256 * 1024 * 1024
     output_bytes: int = 1024 * 1024
     interpreter: str | None = None
     dedup_threshold: float = 0.7
-    dedup_compare: Literal[COMPARE_SETS] = "retained"
     order: Literal[STRATEGIES] = "semi_ranked"
     seed: Count = 0  # numpy's SeedSequence rejects a negative seed
     scale: Count | None = None
@@ -258,8 +252,8 @@ def _map_rows(workers: int, fn, items: list) -> list:
 
 
 def _stage_ingest(config: PipelineConfig) -> list[dict]:
-    problems = corpus_mod.load_corpus(config.corpus_path, config.corpus_format, config.language)
-    problems = corpus_mod.filter_problems(problems, config.max_solution_tokens, config.token_mode)
+    problems = corpus_mod.load_corpus(config.corpus_path, config.corpus_format)
+    problems = corpus_mod.filter_problems(problems, config.max_solution_tokens)
     problems = corpus_mod.merge_duplicate_problems(problems)
     problems = corpus_mod.cap_solutions(problems, config.solution_cap)
     rows = []
@@ -376,12 +370,7 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
 
 def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict]:
     ok_rows = _ok_rows(validate_rows)
-    retained = dedup_instructions(
-        ok_rows,
-        threshold=config.dedup_threshold,
-        compare=config.dedup_compare,
-        key=lambda row: row["instruction"],
-    )
+    retained = dedup_instructions(ok_rows, threshold=config.dedup_threshold, key=lambda row: row["instruction"])
     retained_ids = {id(row) for row in retained}
     return [row if id(row) in retained_ids else _drop(row, "near_duplicate") for row in ok_rows]
 

@@ -31,7 +31,6 @@ from .generation import CALL_BASED, AnswerType
 from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
-COMPARE_SETS = ("retained", "all")
 
 
 class EmptyTestCases(SemiforgeError):
@@ -179,20 +178,15 @@ def _f1_upper_bound(len_a: int, len_b: int) -> float:
 def dedup_instructions(
     samples: Iterable,
     threshold: float = DEFAULT_DEDUP_THRESHOLD,
-    compare: str = "retained",
     key=None,
 ) -> list:
     """Streaming greedy dedup on sample.instruction similarity.
 
-    A sample is kept iff its maximal ROUGE-L against the comparison set
-    stays at or below the threshold; the kept samples are returned in
-    input order. The comparison set is previously retained instructions
-    by default; ``compare="all"`` checks against every previously seen
-    instruction instead. ``key`` extracts the instruction text from a
-    sample (defaults to ``.instruction``).
+    A sample is kept iff its maximal ROUGE-L against the previously
+    retained instructions stays at or below the threshold; the kept
+    samples are returned in input order. ``key`` extracts the
+    instruction text from a sample (defaults to ``.instruction``).
     """
-    if compare not in COMPARE_SETS:
-        raise ValueError(f"unknown comparison set: {compare!r}")
     # A NaN threshold would make every pair look distinct and keep exact duplicates.
     if not math.isfinite(threshold):
         raise ValueError(f"dedup_threshold must be finite, got {threshold!r}")
@@ -201,19 +195,12 @@ def dedup_instructions(
     if key is None:
         key = lambda sample: sample.instruction
     retained = []
-    pool: list[list[str]] = []
+    pool: list[list[str]] = []  # the tokens of each retained sample
     for sample in samples:
         tokens = tokenize(key(sample))
-        duplicate = False
         for prior in pool:
-            if _f1_upper_bound(len(tokens), len(prior)) <= threshold:
-                continue
-            if rouge_l(tokens, prior) > threshold:
-                duplicate = True
+            if _f1_upper_bound(len(tokens), len(prior)) > threshold and rouge_l(tokens, prior) > threshold:
                 break
-        if duplicate:
-            if compare == "all":
-                pool.append(tokens)
         else:
             retained.append(sample)
             pool.append(tokens)

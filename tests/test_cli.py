@@ -55,7 +55,6 @@ def test_stage_summaries_report_kept_counts(tmp_path, golden_config_path, capsys
 CONFIG_FLAGS = [
     ("--corpus", "c.jsonl", "corpus_path", "c.jsonl"),
     ("--format", "apps", "corpus_format", "apps"),
-    ("--language", "cpp", "language", "cpp"),
     ("--out", "o", "out_dir", "o"),
     ("--template", "t.txt", "template_path", "t.txt"),
     ("--input-count", "3", "input_count", 3),
@@ -66,7 +65,6 @@ CONFIG_FLAGS = [
     ("--interpreter", "python3", "interpreter", "python3"),
     ("--wall-timeout", "1.5", "wall_timeout", 1.5),
     ("--threshold", "0.5", "dedup_threshold", 0.5),
-    ("--compare", "all", "dedup_compare", "all"),
     ("--order", "random", "order", "random"),
     ("--seed", "9", "seed", 9),
     ("--scale", "5", "scale", 5),
@@ -168,14 +166,9 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
     "key, value, message",
     [
         ("warp_speed", True, "unknown config keys: warp_speed"),
-        pytest.param(
-            "token_mode", "chars", "token_mode must be one of 'whitespace', 'bytes', got 'chars'",
-            id="token_mode-chars-unknown token mode: 'chars'",
-        ),
-        pytest.param(
-            "dedup_compare", "everything", "dedup_compare must be one of 'retained', 'all', got 'everything'",
-            id="dedup_compare-everything-unknown comparison set: 'everything'",
-        ),
+        ("language", "cpp", "unknown config keys: language"),
+        ("token_mode", "chars", "unknown config keys: token_mode"),
+        ("dedup_compare", "everything", "unknown config keys: dedup_compare"),
         ("input_count", 0, "input_count must be >= 1, got 0"),
         ("wall_timeout", 0, "wall_timeout must be > 0, got 0"),
         ("memory_bytes", 0, "memory_bytes must be > 0, got 0"),
@@ -563,8 +556,9 @@ def test_eval_malformed_candidate_exits_2(tmp_path, capsys):
         ({"problem_id": "d", "candidate_code": None}, "candidate_code must be a string, got None"),
         ({"problem_id": "d", "candidate_code": ["print(1)"]}, "candidate_code must be a string, got ['print(1)']"),
         ({"problem_id": 5, "candidate_code": "pass"}, "problem_id must be a string, got 5"),
+        ({"problem_id": "e", "candidate_code": "pass"}, "problem_id 'e' names no problem of "),
     ],
-    ids=["code_integer", "code_null", "code_array", "problem_id_integer"],
+    ids=["code_integer", "code_null", "code_array", "problem_id_integer", "problem_id_unknown"],
 )
 def test_eval_candidate_of_wrong_type_exits_2(tmp_path, capsys, candidate, message):
     problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
@@ -575,6 +569,17 @@ def test_eval_candidate_of_wrong_type_exits_2(tmp_path, capsys, candidate, messa
     assert err.startswith("error: ")
     assert f"candidates.jsonl line 1: {message}" in err
     assert "Traceback" not in err
+
+
+def test_eval_problem_listed_twice_exits_2(tmp_path, capsys):
+    problem = {"problem_id": "d", "test_cases": [DOUBLE_CASE]}
+    problems = write_jsonl(tmp_path / "problems.jsonl", [problem, problem])
+    candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
+    code = run_cli("eval", "--problems", problems, "--candidates", candidates)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {problems} line 2: problem_id 'd' is listed twice")
+    assert captured.out == ""
 
 
 def test_eval_bad_k_exits_2(tmp_path, capsys):

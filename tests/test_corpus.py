@@ -33,6 +33,13 @@ def test_load_codecontest_keeps_correct_python_only(caplog):
     assert len(problems[1].solutions) == 1
 
 
+def test_load_generic_keeps_untagged_and_python_solutions(tmp_path):
+    solutions = ["print(1)", {"code": "int main() {}", "language": "cpp"}, {"code": "print(2)", "language": " Python3"}]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"problem_id": "p", "description": "d", "solutions": solutions}) + "\n", encoding="utf-8")
+    assert [s.code for s in load_corpus(path, "generic")[0].solutions] == ["print(1)", "print(2)"]
+
+
 def test_load_generic_jsonl():
     problems = load_corpus(TEST_DATA.parent.parent / "fixtures" / "mini_corpus" / "problems.jsonl", "generic")
     assert len(problems) == 30
@@ -179,17 +186,6 @@ def test_filter_drops_special_judge_and_long_solutions():
     assert [s.code for s in kept[0].solutions] == ["print(1)"]
 
 
-def test_filter_byte_mode():
-    problems = [make_problem("p", "task", ["abc def", "x" * 50])]
-    kept = filter_problems(problems, max_tokens=10, token_mode="bytes")
-    assert [s.code for s in kept[0].solutions] == ["abc def"]
-
-
-def test_filter_unknown_token_mode():
-    with pytest.raises(ValueError, match="unknown token mode: 'chars'"):
-        filter_problems([make_problem("p", "task", ["print(1)"])], token_mode="chars")
-
-
 def test_normalize_description_collapses_whitespace():
     assert normalize_description("  Sum \t two\n integers. ") == "Sum two integers."
 
@@ -205,6 +201,19 @@ def test_merge_by_normalized_description():
     assert [s.code for s in merged[0].solutions] == ["a", "b", "c"]
     # First occurrence keeps its own description verbatim.
     assert merged[0].description == "Sum two integers.\n"
+
+
+def test_merge_skips_a_problem_whose_id_is_taken(tmp_path, caplog):
+    rows = [
+        {"problem_id": "p1", "description": "Sum two integers.", "solutions": ["a"]},
+        {"problem_id": "p1", "description": "Echo the input.", "solutions": ["b"]},
+        {"problem_id": "p2", "description": "Sum  two integers. ", "solutions": ["c"]},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    merged = merge_duplicate_problems(load_corpus(path, "generic"))
+    assert [(p.problem_id, [s.code for s in p.solutions]) for p in merged] == [("p1", ["a", "c"])]
+    assert "skipping problem p1: an earlier problem has that id" in caplog.text
 
 
 descriptions = st.lists(

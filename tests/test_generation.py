@@ -340,30 +340,31 @@ def test_live_client_retries_with_backoff(monkeypatch, api_key, no_sleep):
             FakeResponse(200, ok_body()),
         ],
     )
-    client = LiveClient("https://example.invalid/v1", backoff_base=0.5)
+    client = LiveClient("https://example.invalid/v1")
     completion = client.complete(CompletionRequest(prompt="p"))
     assert completion.text == "generated"
     assert len(calls) == 3
     assert no_sleep == [0.5, 1.0]  # doubling per attempt
 
 
-def test_live_client_honors_retry_after(monkeypatch, api_key, no_sleep):
+@pytest.mark.parametrize("retry_after, wait", [("3.5", 3.5), ("inf", 0.5)])  # a non-finite value is ignored
+def test_live_client_honors_retry_after(monkeypatch, api_key, no_sleep, retry_after, wait):
     patch_post(
         monkeypatch,
-        [FakeResponse(429, headers={"Retry-After": "3.5"}), FakeResponse(200, ok_body())],
+        [FakeResponse(429, headers={"Retry-After": retry_after}), FakeResponse(200, ok_body())],
     )
-    client = LiveClient("https://example.invalid/v1", backoff_base=0.5)
+    client = LiveClient("https://example.invalid/v1")
     client.complete(CompletionRequest(prompt="p"))
-    assert no_sleep == [3.5]
+    assert no_sleep == [wait]
 
 
 def test_live_client_gives_up_after_max_attempts(monkeypatch, api_key, no_sleep):
     patch_post(monkeypatch, [FakeResponse(500)])
-    client = LiveClient("https://example.invalid/v1", max_attempts=3)
+    client = LiveClient("https://example.invalid/v1")
     with pytest.raises(SemiforgeError, match="giving up after") as excinfo:
         client.complete(CompletionRequest(prompt="p"))
-    assert "3 attempts" in str(excinfo.value)
-    assert len(no_sleep) == 2  # no sleep after the final attempt
+    assert "4 attempts" in str(excinfo.value)
+    assert no_sleep == [0.5, 1.0, 2.0]  # no sleep after the final attempt
 
 
 def test_live_client_client_error_fails_fast(monkeypatch, api_key, no_sleep):

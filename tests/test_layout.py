@@ -115,10 +115,16 @@ RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'
     ids=["import", "semi_ranked", "ni_shuffled"],
 )
 def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
-    """numpy is most of the package's import time, and only the seeded shuffles need it."""
-    code = "\n".join(
-        ["import sys, semiforge.cli", "from semiforge.curriculum import order_records", call, "print('numpy' in sys.modules)"]
-    )
+    """numpy is most of the package's import time, and only the seeded shuffles need it.
+
+    ``requests`` is imported only when a live completion is asked for.
+    """
+    code = "\n".join([
+        "import sys, semiforge.cli",
+        "from semiforge.curriculum import order_records",
+        call,
+        "print('numpy' in sys.modules, 'requests' in sys.modules)",
+    ])
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -128,7 +134,7 @@ def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
         timeout=60,
         check=True,
     )
-    assert done.stdout.split() == [str(loads_numpy)]
+    assert done.stdout.split() == [str(loads_numpy), "False"]
 
 
 def caught_names(tree: ast.AST) -> set[str]:

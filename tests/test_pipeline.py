@@ -123,16 +123,6 @@ def test_resume_from_emit_only(golden_run, golden_run_copy):
     assert (golden_run_copy / DATASET_FILE).read_bytes() == (out_dir / DATASET_FILE).read_bytes()
 
 
-def test_resume_alias_construct_cases(golden_run, golden_run_copy):
-    config, out_dir, _ = golden_run
-    resumed = PipelineConfig.from_dict(config.to_dict())
-    resumed.out_dir = str(golden_run_copy)
-    resumed.resume_from = "construct-cases"
-    stats = run_pipeline(resumed)
-    assert stats.counts() == EXPECTED_FUNNEL
-    assert (golden_run_copy / DATASET_FILE).read_bytes() == (out_dir / DATASET_FILE).read_bytes()
-
-
 def test_resume_without_stage_files(tmp_path, golden_config_path):
     config = load_config(golden_config_path)
     config.out_dir = str(tmp_path)
@@ -515,11 +505,10 @@ def test_stop_after_dedup_writes_funnel(tmp_path, golden_config_path):
 
 
 def test_canonical_stage():
-    assert canonical_stage("construct-cases") == "construct"
-    assert canonical_stage("construct_cases") == "construct"
-    assert canonical_stage("order") == "order"
-    with pytest.raises(ValueError):
-        canonical_stage("polish")
+    assert [canonical_stage(stage) for stage in STAGES] == list(STAGES)
+    for name in ("construct-cases", "construct_cases", "polish"):
+        with pytest.raises(InvalidConfig, match=f"unknown stage: '{name}'"):
+            canonical_stage(name)
 
 
 def test_resume_after_stop_rejected(tmp_path, golden_config_path):

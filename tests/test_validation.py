@@ -214,21 +214,13 @@ def test_dedup_returns_retained_list():
     assert retained == [samples[0], samples[2]]
 
 
-def test_dedup_compare_all_consults_dropped():
+def test_dedup_compares_against_retained_only():
     a = Sample("w1 w2 w3 w4")
     b = Sample("w1 w2 w3 w4 w5")           # dup of a (F1 = 8/9)
-    c = Sample("w1 w2 w3 w4 w5 x1 x2 x3")  # vs a: 8/12 <= 0.7; vs b: 10/13 > 0.7
+    c = Sample("w1 w2 w3 w4 w5 x1 x2 x3")  # vs a: 8/12 <= 0.7; vs the dropped b: 10/13 > 0.7
     assert rouge_oracle(c.instruction, a.instruction) == pytest.approx(2 * 4 / 12)
     assert rouge_oracle(c.instruction, b.instruction) == pytest.approx(2 * 5 / 13)
-    kept_retained = dedup_instructions([a, b, c], threshold=0.7, compare="retained")
-    assert kept_retained == [a, c]
-    kept_all = dedup_instructions([a, b, c], threshold=0.7, compare="all")
-    assert kept_all == [a]
-
-
-def test_dedup_unknown_compare_set():
-    with pytest.raises(ValueError, match="unknown comparison set: 'everything'"):
-        dedup_instructions([], compare="everything")
+    assert dedup_instructions([a, b, c], threshold=0.7) == [a, c]
 
 
 def test_dedup_custom_key():
