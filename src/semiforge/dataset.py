@@ -15,6 +15,7 @@ JSON-lines file through ``emit_jsonl`` and ``read_json_lines``.
 from __future__ import annotations
 
 import json
+import keyword
 import os
 import threading
 from contextlib import contextmanager
@@ -32,6 +33,11 @@ class Count:
 
 class NonEmpty(list):
     """The kind of a non-empty array: ``NonEmpty[item kind]`` (see check_fields)."""
+
+
+def is_function_name(value) -> bool:
+    """True if ``value`` can name a function to call: an identifier that is no keyword."""
+    return isinstance(value, str) and value.isidentifier() and not keyword.iskeyword(value)
 
 
 # What each kind that is a JSON type is called, and whether a value is of it.

@@ -31,10 +31,13 @@ one server share it and runs forked from different servers do not. The
 pipeline opens one server per sandbox stage, and both stay open while
 its units run. The server is started with a real ``fork``, not
 ``vfork``, which would charge it the parent's RSS high-water mark. The
-``exec`` after the fork still carries the parent's RSS at that moment
-into the server's peak, so ``RUSAGE_CHILDREN``'s ``ru_maxrss`` is at
-least the parent's RSS at any server start. A server is reaped when its
-block ends, so ``RUSAGE_CHILDREN`` covers every run.
+``exec`` after the fork still carries the forked copy's RSS into the
+server's peak. A fork copies the page tables of the parent's anonymous
+memory but not those of its file-backed mappings, which the copy faults
+in only if it touches them, so ``RUSAGE_CHILDREN``'s ``ru_maxrss`` is at
+least the parent's anonymous RSS (``RssAnon``), not its whole RSS, at
+any server start. A server is reaped when its block ends, so
+``RUSAGE_CHILDREN`` covers every run.
 
 Each child calls ``setsid``, enters the working directory, sets the
 rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
@@ -65,7 +68,6 @@ without its wall limit.
 from __future__ import annotations
 
 import contextlib
-import keyword
 import marshal
 import math
 import os
@@ -80,6 +82,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
+from .dataset import is_function_name
 from .errors import SemiforgeError
 
 MODES = ("stdin", "call")
@@ -211,11 +214,6 @@ class ExecStatus(str, Enum):
     RUNTIME_ERROR = "runtime_error"
     TIMEOUT = "timeout"
     OUTPUT_OVERFLOW = "output_overflow"
-
-
-def is_function_name(value) -> bool:
-    """True if ``value`` can name a function to call: an identifier that is no keyword."""
-    return isinstance(value, str) and value.isidentifier() and not keyword.iskeyword(value)
 
 
 @dataclass(frozen=True)

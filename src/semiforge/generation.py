@@ -27,9 +27,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import NonEmpty, atomic_write, check_fields
+from .dataset import NonEmpty, atomic_write, check_fields, is_function_name
 from .errors import SemiforgeError
-from .executor import is_function_name
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +185,7 @@ class LiveClient:
     Network errors such as a refused connection or a timeout, and
     rate-limit (429) and server (5xx) responses, are retried with
     exponential backoff, honoring a Retry-After header that gives a
-    finite number of seconds.
+    finite number of seconds, up to MAX_WAIT_S.
     A malformed request (a missing scheme, an invalid URL) and any other
     HTTP status fail at once.
     """
@@ -194,6 +193,7 @@ class LiveClient:
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
     ATTEMPTS = 4
     BACKOFF_S = 0.5  # the wait after the first failed attempt; it doubles after each
+    MAX_WAIT_S = 600.0  # the longest Retry-After honored; time.sleep raises from threading.TIMEOUT_MAX up
     TIMEOUT_S = 120.0
 
     def __init__(self, endpoint: str):
@@ -232,7 +232,7 @@ class LiveClient:
                 last_error = f"HTTP {response.status_code}"
                 retry_after = _parse_retry_after(response.headers.get("Retry-After"))
                 if retry_after is not None:
-                    wait = retry_after
+                    wait = min(retry_after, self.MAX_WAIT_S)
                 logger.warning("completion attempt %d got %s", attempt, last_error)
             if attempt < self.ATTEMPTS:
                 time.sleep(wait)

@@ -358,6 +358,15 @@ def test_live_client_honors_retry_after(monkeypatch, api_key, no_sleep, retry_af
     assert no_sleep == [wait]
 
 
+@pytest.mark.parametrize("retry_after", ["1e10", "9223372036.0"])  # time.sleep raises OverflowError, OSError
+def test_live_client_caps_a_huge_retry_after(monkeypatch, api_key, no_sleep, retry_after):
+    patch_post(monkeypatch, [FakeResponse(429, headers={"Retry-After": retry_after})])
+    client = LiveClient("https://example.invalid/v1")
+    with pytest.raises(SemiforgeError, match="giving up after 4 attempts"):
+        client.complete(CompletionRequest(prompt="p"))
+    assert no_sleep == [LiveClient.MAX_WAIT_S] * 3
+
+
 def test_live_client_gives_up_after_max_attempts(monkeypatch, api_key, no_sleep):
     patch_post(monkeypatch, [FakeResponse(500)])
     client = LiveClient("https://example.invalid/v1")

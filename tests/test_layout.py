@@ -102,6 +102,20 @@ def test_readme_corpus_formats_give_every_key_its_kind():
             assert f"`{key}` ({describe_kind(kind)})" in text, (format, key)
 
 
+def run_fresh(*lines: str) -> str:
+    """Run ``lines`` as a program in a fresh interpreter that imports semiforge from ``src``; return its stdout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return done.stdout
+
+
 RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'
 
 
@@ -119,22 +133,30 @@ def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
 
     ``requests`` is imported only when a live completion is asked for.
     """
-    code = "\n".join([
+    out = run_fresh(
         "import sys, semiforge.cli",
         "from semiforge.curriculum import order_records",
         call,
         "print('numpy' in sys.modules, 'requests' in sys.modules)",
-    ])
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
     )
-    assert done.stdout.split() == [str(loads_numpy), "False"]
+    assert out.split() == [str(loads_numpy), "False"]
+
+
+def test_import_semiforge_loads_no_module_of_the_package():
+    out = run_fresh("import sys, semiforge", "print(sorted(m for m in sys.modules if m.startswith('semiforge.')))")
+    assert out.strip() == "[]"
+
+
+def test_generation_does_not_load_the_sandbox():
+    """Building prompts and parsing completions needs neither the executor nor ``subprocess``."""
+    out = run_fresh("import sys, semiforge.generation", "print('semiforge.executor' in sys.modules, 'subprocess' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("[!_]*.py")))
+def test_each_module_imports_on_its_own(module):
+    """An import cycle fails only for the module imported first, so import each one first."""
+    run_fresh(f"import semiforge.{module}")
 
 
 def caught_names(tree: ast.AST) -> set[str]:
