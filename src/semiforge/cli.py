@@ -21,7 +21,7 @@ from .errors import SemiforgeError
 from .executor import ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
 from .pipeline import (
-    CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, _read_rows, load_config, run_pipeline, stage_path
+    CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, load_config, run_pipeline, stage_path
 )
 from .validation import TestCase
 
@@ -62,9 +62,9 @@ def _print_stage_summary(config: PipelineConfig, stages: list[str]) -> None:
         path = stage_path(config.out_dir, stage)
         if not path.is_file():
             continue
-        rows = _read_rows(stage, path)
-        kept = sum(1 for row in rows if row.get("status", "ok") == "ok")  # order rows: all kept
-        print(f"{stage}: {kept}/{len(rows)} rows kept -> {path}")
+        # The run has just written and checked the file; order rows have no status: all kept.
+        statuses = read_json_lines(path, lambda row: row.get("status", "ok"))
+        print(f"{stage}: {statuses.count('ok')}/{len(statuses)} rows kept -> {path}")
 
 
 def _cmd_slice(args: argparse.Namespace, resume_from: str | None, stop_after: str) -> int:

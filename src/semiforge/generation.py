@@ -10,13 +10,15 @@ a content-addressed store keyed by the SHA-256 of the prompt, which
 makes pipeline runs deterministic and offline. Given a LiveClient, it
 asks that for a prompt the store lacks and records the answer in the
 store before returning it. The live client POSTs to a chat-completion
-endpoint with exponential backoff and requires the SEMIFORGE_API_KEY
-environment variable (checked before any network traffic).
+endpoint with the standard library's urllib, with exponential backoff,
+and requires the SEMIFORGE_API_KEY environment variable (checked before
+any network traffic).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import os
@@ -169,7 +171,10 @@ class ReplayClient:
         digest = prompt_digest(request.prompt)
         path = self.store / f"{digest}.txt"
         if path.is_file():
-            return Completion(text=path.read_text(encoding="utf-8"), finish_reason="replay")
+            try:
+                return Completion(text=path.read_text(encoding="utf-8"), finish_reason="replay")
+            except UnicodeDecodeError as exc:
+                raise SemiforgeError(f"recorded completion {path} is not UTF-8: {exc}") from exc
         if self.live is None:
             raise SemiforgeError(f"no recorded completion for prompt {digest[:16]}")
         completion = self.live.complete(request)
@@ -182,12 +187,13 @@ class ReplayClient:
 class LiveClient:
     """POST to a chat-completion endpoint with retry and backoff.
 
-    Network errors such as a refused connection or a timeout, and
-    rate-limit (429) and server (5xx) responses, are retried with
-    exponential backoff, honoring a Retry-After header that gives a
+    Network errors such as a refused connection, a timeout or a body cut
+    short, and rate-limit (429) and server (5xx) responses, are retried
+    with exponential backoff, honoring a Retry-After header that gives a
     finite number of seconds, up to MAX_WAIT_S.
-    A malformed request (a missing scheme, an invalid URL) and any other
-    HTTP status fail at once.
+    A malformed request (a URL without an http or https scheme, a host
+    and a port above 0, or with a space, a key that is not printable)
+    and any status but 200, a redirect included, fail at once.
     """
 
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
@@ -200,11 +206,16 @@ class LiveClient:
         self.endpoint = endpoint
 
     def complete(self, request: CompletionRequest) -> Completion:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
 
         key = os.environ.get(API_KEY_ENV)
         if not key:
             raise SemiforgeError(f"set {API_KEY_ENV} before using the live client")
+        if not key.isprintable():  # http.client would quote the whole key in its error
+            raise SemiforgeError(f"{API_KEY_ENV} contains a character that is not printable")
         payload = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -212,28 +223,43 @@ class LiveClient:
             "top_p": request.top_p,
             "max_tokens": request.max_tokens,
         }
-        headers = {"Authorization": f"Bearer {key}"}
+        data = json.dumps(payload).encode("utf-8")
+        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):
+                return None  # so a 3xx raises HTTPError, and the key goes to no other URL
+
+        opener = urllib.request.build_opener(RefuseRedirects)
         last_error = "no attempts made"
         for attempt in range(1, self.ATTEMPTS + 1):
             wait = self.BACKOFF_S * (2 ** (attempt - 1))
             try:
-                response = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.TIMEOUT_S)
-            except requests.RequestException as exc:
-                # MissingSchema, InvalidURL and the like describe the request, not the network.
-                if isinstance(exc, ValueError):
-                    raise SemiforgeError(f"bad request to {self.endpoint!r}: {exc}") from exc
-                last_error = str(exc)
-                logger.warning("completion attempt %d failed: %s", attempt, exc)
-            else:
-                if response.status_code == 200:
-                    return _completion_from_response(response)
-                if response.status_code not in self.RETRYABLE:
-                    raise SemiforgeError(f"endpoint returned HTTP {response.status_code}")
-                last_error = f"HTTP {response.status_code}"
-                retry_after = _parse_retry_after(response.headers.get("Retry-After"))
+                # The opener would retry "http://", "foo://x/y" and port 0 as network failures.
+                url = urllib.parse.urlsplit(self.endpoint)  # its port raises ValueError above 65535
+                if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+                    raise ValueError("the URL needs an http or https scheme, a host and a port above 0")
+                post = urllib.request.Request(self.endpoint, data=data, headers=headers)
+                with opener.open(post, timeout=self.TIMEOUT_S) as response:
+                    status, body = response.status, response.read()
+            except urllib.error.HTTPError as exc:  # a status outside 2xx, a redirect included
+                exc.close()
+                if exc.code not in self.RETRYABLE:
+                    raise SemiforgeError(f"endpoint returned HTTP {exc.code}") from exc
+                last_error = f"HTTP {exc.code}"
+                retry_after = _parse_retry_after(exc.headers.get("Retry-After"))
                 if retry_after is not None:
                     wait = min(retry_after, self.MAX_WAIT_S)
                 logger.warning("completion attempt %d got %s", attempt, last_error)
+            except (ValueError, http.client.InvalidURL) as exc:  # a malformed URL, a path with a space
+                raise SemiforgeError(f"bad request to {self.endpoint!r}: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = str(exc)
+                logger.warning("completion attempt %d failed: %s", attempt, exc)
+            else:
+                if status != 200:
+                    raise SemiforgeError(f"endpoint returned HTTP {status}")
+                return _completion_from_body(body)
             if attempt < self.ATTEMPTS:
                 time.sleep(wait)
         raise SemiforgeError(f"giving up after {self.ATTEMPTS} attempts ({last_error})")
@@ -248,16 +274,16 @@ def _parse_retry_after(value: str | None) -> float | None:
     return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
-def _completion_from_response(response) -> Completion:
+def _completion_from_body(body: bytes) -> Completion:
     try:
-        data = check_fields(response.json(), {"choices": NonEmpty[dict], "usage": dict | None}, ("choices",))
+        data = check_fields(json.loads(body), {"choices": NonEmpty[dict], "usage": dict | None}, ("choices",))
         choice = check_fields(data["choices"][0], {"message": dict, "finish_reason": str | None}, ("message",))
         return Completion(
             text=check_fields(choice["message"], {"content": str})["content"],
             finish_reason=choice.get("finish_reason") or "stop",
             usage=data.get("usage") or {},
         )
-    except ValueError as exc:  # a body that is not JSON included
+    except ValueError as exc:  # a body that is not JSON or not UTF-8 included
         raise SemiforgeError(f"malformed completion response: {exc}") from exc
 
 

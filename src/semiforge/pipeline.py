@@ -276,11 +276,14 @@ def _stage_ingest(config: PipelineConfig) -> list[dict]:
 
 
 def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dict]:
-    template = (
-        PromptTemplate.from_file(config.template_path, config.input_count)
-        if config.template_path
-        else PromptTemplate.default(config.input_count)
-    )
+    try:
+        template = (
+            PromptTemplate.from_file(config.template_path, config.input_count)
+            if config.template_path
+            else PromptTemplate.default(config.input_count)
+        )
+    except ValueError as exc:  # no single {{original_code}} slot, or not UTF-8
+        raise StageFailure("generate", f"template {config.template_path}: {exc}") from exc
     live = LiveClient(config.endpoint) if config.client_mode == "live" else None
     client = ReplayClient(config.replay_store, live)
 

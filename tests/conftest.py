@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,80 @@ def sandbox_counts(monkeypatch):
     monkeypatch.setattr(executor, "_Server", CountingServer)
     monkeypatch.setattr(validation, "execute", counted)
     return counts
+
+
+class LoopbackServer:
+    """Scripted answers to each request it receives, and a record of each one.
+
+    ``script`` holds ``(status, headers, body)`` answers given in turn; the
+    last one repeats. A body is bytes, or a dict sent as JSON. A ``Content-Length``
+    in ``headers`` replaces the true one, so a larger value cuts the body
+    short. Assign ``answer`` to compute an answer from the request instead.
+    """
+
+    def __init__(self, url: str):
+        self.url = url
+        self.script: list[tuple[int, dict, object]] = [(200, {}, b"")]
+        self.received: list[dict] = []  # {"method", "path", "headers", "json"}, in arrival order
+        self.lock = threading.Lock()
+
+    def answer(self, request: dict) -> tuple[int, dict, object]:
+        return self.script[min(len(self.received), len(self.script)) - 1]
+
+
+@pytest.fixture()
+def start_loopback_server(monkeypatch):
+    """Start a ThreadingHTTPServer on 127.0.0.1 that serves a new LoopbackServer's answers.
+
+    Each server started stops when the test ends.
+    """
+    monkeypatch.setenv("no_proxy", "*")  # an http_proxy in the environment must not see loopback traffic
+    running = []
+
+    def start() -> LoopbackServer:
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                with state.lock:
+                    state.received.append(
+                        {
+                            "method": self.command,
+                            "path": self.path,
+                            "headers": self.headers,
+                            "json": json.loads(body) if body else None,
+                        }
+                    )
+                    status, headers, payload = state.answer(state.received[-1])
+                if isinstance(payload, dict):
+                    payload = json.dumps(payload).encode("utf-8")
+                self.send_response(status)
+                for name, value in {"Content-Length": str(len(payload)), **headers}.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(payload)
+
+            do_GET = do_POST  # a followed redirect arrives as a GET
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        state = LoopbackServer(f"http://127.0.0.1:{server.server_port}/v1/chat/completions")
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)  # shutdown waits one poll
+        thread.start()
+        running.append((server, thread))
+        return state
+
+    yield start
+    for server, thread in running:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.fixture()
+def loopback_server(start_loopback_server):
+    return start_loopback_server()
 
 
 @pytest.fixture(scope="session")

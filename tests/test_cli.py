@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 from dataclasses import fields, replace
 
 import pytest
@@ -248,6 +249,39 @@ def test_missing_template_exits_2(tmp_path, golden_config_path, capsys):
     assert err.startswith("error: stage generate: ")
     assert str(template) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        (b"{{input_count}} inputs, no code slot", "template must contain exactly one {{original_code}} slot"),
+        (b"\xff{{original_code}}", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["no_slot", "not_utf8"],
+)
+def test_bad_template_exits_2(tmp_path, golden_config_path, capsys, content, problem):
+    template = tmp_path / "template.txt"
+    template.write_bytes(content)
+    path = write_golden_config(tmp_path, golden_config_path, template_path=str(template))
+    code = run_cli("run", "--config", path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: stage generate: template {template}: {problem}")
+    assert err.count("\n") == 1
+
+
+def test_replay_file_not_utf8_exits_2(tmp_path, golden_config_path, capsys):
+    store = tmp_path / "store"
+    shutil.copytree(golden_config_path.parent / "completions", store)
+    corrupt = sorted(store.iterdir())[0]
+    corrupt.write_bytes(b"\xff" + corrupt.read_bytes())
+    path = write_golden_config(tmp_path, golden_config_path, replay_store=str(store))
+    code = run_cli("run", "--config", path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stage generate: ")
+    assert f"recorded completion {corrupt} is not UTF-8" in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_resume_stage_exits_2(tmp_path, golden_config_path, capsys):

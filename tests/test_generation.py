@@ -1,4 +1,6 @@
 import json
+import re
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,18 +270,6 @@ def test_replay_client_failed_write_leaves_no_fixture(tmp_path):
     assert list(store.iterdir()) == []
 
 
-class FakeResponse:
-    def __init__(self, status_code, body=None, headers=None):
-        self.status_code = status_code
-        self._body = body
-        self.headers = headers or {}
-
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
-
-
 def ok_body(text="generated"):
     return {"choices": [{"message": {"content": text}, "finish_reason": "stop"}], "usage": {"total_tokens": 5}}
 
@@ -296,18 +286,12 @@ def api_key(monkeypatch):
     monkeypatch.setenv("SEMIFORGE_API_KEY", "test-key")
 
 
-def patch_post(monkeypatch, outcomes):
-    calls = []
+# A 200 whose Content-Length promises more bytes than the server sends before it closes.
+CUT_SHORT = (200, {"Content-Length": "1000"}, b'{"choices": [')
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append({"url": url, "json": json, "headers": headers})
-        outcome = outcomes[min(len(calls) - 1, len(outcomes) - 1)]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
-    monkeypatch.setattr("requests.post", fake_post)
-    return calls
+def ask(server, prompt="p", **fields):
+    return LiveClient(server.url).complete(CompletionRequest(prompt=prompt, **fields))
 
 
 def test_live_client_requires_credentials(monkeypatch):
@@ -317,99 +301,128 @@ def test_live_client_requires_credentials(monkeypatch):
         client.complete(CompletionRequest(prompt="p"))
 
 
-def test_live_client_success(monkeypatch, api_key, no_sleep):
-    calls = patch_post(monkeypatch, [FakeResponse(200, ok_body("answer text"))])
-    client = LiveClient("https://example.invalid/v1")
-    completion = client.complete(CompletionRequest(prompt="the prompt", model_id="m1"))
+def test_live_client_success(loopback_server, api_key, no_sleep):
+    loopback_server.script = [(200, {}, ok_body("answer text"))]
+    completion = ask(loopback_server, "the prompt", model_id="m1")
     assert completion.text == "answer text"
     assert completion.usage == {"total_tokens": 5}
-    assert len(calls) == 1
-    assert calls[0]["json"]["model"] == "m1"
-    assert calls[0]["json"]["messages"][0]["content"] == "the prompt"
-    assert calls[0]["headers"]["Authorization"] == "Bearer test-key"
+    [sent] = loopback_server.received
+    assert sent["path"] == "/v1/chat/completions"
+    assert sent["json"]["model"] == "m1"
+    assert sent["json"]["messages"][0]["content"] == "the prompt"
+    assert sent["headers"]["Authorization"] == "Bearer test-key"
+    assert sent["headers"]["Content-Type"] == "application/json"
 
 
-def test_live_client_retries_with_backoff(monkeypatch, api_key, no_sleep):
-    import requests
-
-    calls = patch_post(
-        monkeypatch,
-        [
-            requests.ConnectionError("down"),
-            FakeResponse(503),
-            FakeResponse(200, ok_body()),
-        ],
-    )
-    client = LiveClient("https://example.invalid/v1")
-    completion = client.complete(CompletionRequest(prompt="p"))
-    assert completion.text == "generated"
-    assert len(calls) == 3
+def test_live_client_retries_with_backoff(loopback_server, api_key, no_sleep):
+    # A body cut short is a network error; the refused connection is further down.
+    loopback_server.script = [CUT_SHORT, (503, {}, b""), (200, {}, ok_body())]
+    assert ask(loopback_server).text == "generated"
+    assert len(loopback_server.received) == 3
     assert no_sleep == [0.5, 1.0]  # doubling per attempt
 
 
 @pytest.mark.parametrize("retry_after, wait", [("3.5", 3.5), ("inf", 0.5)])  # a non-finite value is ignored
-def test_live_client_honors_retry_after(monkeypatch, api_key, no_sleep, retry_after, wait):
-    patch_post(
-        monkeypatch,
-        [FakeResponse(429, headers={"Retry-After": retry_after}), FakeResponse(200, ok_body())],
-    )
-    client = LiveClient("https://example.invalid/v1")
-    client.complete(CompletionRequest(prompt="p"))
+def test_live_client_honors_retry_after(loopback_server, api_key, no_sleep, retry_after, wait):
+    loopback_server.script = [(429, {"Retry-After": retry_after}, b""), (200, {}, ok_body())]
+    ask(loopback_server)
     assert no_sleep == [wait]
 
 
 @pytest.mark.parametrize("retry_after", ["1e10", "9223372036.0"])  # time.sleep raises OverflowError, OSError
-def test_live_client_caps_a_huge_retry_after(monkeypatch, api_key, no_sleep, retry_after):
-    patch_post(monkeypatch, [FakeResponse(429, headers={"Retry-After": retry_after})])
-    client = LiveClient("https://example.invalid/v1")
+def test_live_client_caps_a_huge_retry_after(loopback_server, api_key, no_sleep, retry_after):
+    loopback_server.script = [(429, {"Retry-After": retry_after}, b"")]
     with pytest.raises(SemiforgeError, match="giving up after 4 attempts"):
-        client.complete(CompletionRequest(prompt="p"))
+        ask(loopback_server)
     assert no_sleep == [LiveClient.MAX_WAIT_S] * 3
 
 
-def test_live_client_gives_up_after_max_attempts(monkeypatch, api_key, no_sleep):
-    patch_post(monkeypatch, [FakeResponse(500)])
-    client = LiveClient("https://example.invalid/v1")
+def test_live_client_gives_up_after_max_attempts(loopback_server, api_key, no_sleep):
+    loopback_server.script = [(500, {}, b"")]
     with pytest.raises(SemiforgeError, match="giving up after") as excinfo:
-        client.complete(CompletionRequest(prompt="p"))
+        ask(loopback_server)
     assert "4 attempts" in str(excinfo.value)
+    assert len(loopback_server.received) == 4
     assert no_sleep == [0.5, 1.0, 2.0]  # no sleep after the final attempt
 
 
-def test_live_client_client_error_fails_fast(monkeypatch, api_key, no_sleep):
-    calls = patch_post(monkeypatch, [FakeResponse(400)])
-    client = LiveClient("https://example.invalid/v1")
+def test_live_client_gives_up_on_a_refused_connection(loopback_server, api_key, no_sleep):
+    with socket.socket() as unheard:
+        unheard.bind(("127.0.0.1", 0))  # bound, not listening: a connect is refused
+        client = LiveClient(f"http://127.0.0.1:{unheard.getsockname()[1]}/v1")
+        with pytest.raises(SemiforgeError, match="giving up after 4 attempts .*Connection refused"):
+            client.complete(CompletionRequest(prompt="p"))
+    assert no_sleep == [0.5, 1.0, 2.0]
+    assert loopback_server.received == []
+
+
+def test_live_client_client_error_fails_fast(loopback_server, api_key, no_sleep):
+    loopback_server.script = [(400, {}, b"")]
     with pytest.raises(SemiforgeError, match="endpoint returned HTTP 400"):
-        client.complete(CompletionRequest(prompt="p"))
-    assert len(calls) == 1
+        ask(loopback_server)
+    assert len(loopback_server.received) == 1
     assert no_sleep == []
 
 
-def test_live_client_bad_url_fails_fast(monkeypatch, api_key, no_sleep):
-    import requests
-
-    calls = patch_post(monkeypatch, [requests.exceptions.MissingSchema("No scheme supplied")])
-    client = LiveClient("example.invalid/v1")
-    with pytest.raises(SemiforgeError, match="bad request to 'example.invalid/v1': No scheme supplied"):
-        client.complete(CompletionRequest(prompt="p"))
-    assert len(calls) == 1
+def test_live_client_other_status_fails_fast(loopback_server, api_key, no_sleep):
+    loopback_server.script = [(201, {}, ok_body())]  # the opener returns a 201 without raising
+    with pytest.raises(SemiforgeError, match="endpoint returned HTTP 201"):
+        ask(loopback_server)
+    assert len(loopback_server.received) == 1
     assert no_sleep == []
 
 
-def test_live_client_malformed_body(monkeypatch, api_key, no_sleep):
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_live_client_refuses_redirects(start_loopback_server, api_key, no_sleep, status):
+    endpoint, elsewhere = start_loopback_server(), start_loopback_server()
+    endpoint.script = [(status, {"Location": elsewhere.url}, b"")]
+    elsewhere.script = [(200, {}, ok_body())]
+    with pytest.raises(SemiforgeError, match=f"endpoint returned HTTP {status}"):
+        ask(endpoint)
+    assert len(endpoint.received) == 1
+    assert elsewhere.received == []  # neither the key nor the prompt goes there
+    assert no_sleep == []
+
+
+def test_live_client_bad_url_fails_fast(loopback_server, api_key, no_sleep):
+    # The opener would retry the first three, port 0 and the last as network errors.
+    needs = "the URL needs an http or https scheme, a host and a port above 0"
+    for url, problem in (
+        ("example.invalid/v1", needs),
+        ("http://", needs),
+        ("foo://x/y", needs),
+        ("https://[::1", "Invalid IPv6 URL"),
+        ("http://127.0.0.1:0/v1", needs),
+        ("http://127.0.0.1:99999/v1", "Port out of range"),
+        (f"{loopback_server.url} b", "URL can't contain control characters"),
+    ):
+        with pytest.raises(SemiforgeError, match=re.escape(f"bad request to {url!r}: {problem}")):
+            LiveClient(url).complete(CompletionRequest(prompt="p"))
+    assert loopback_server.received == []
+    assert no_sleep == []
+
+
+def test_live_client_unprintable_key_fails_fast_without_echoing_it(loopback_server, monkeypatch, no_sleep):
+    monkeypatch.setenv("SEMIFORGE_API_KEY", "secret-key\n")  # as read from a file that ends in a newline
+    with pytest.raises(SemiforgeError, match="SEMIFORGE_API_KEY contains a character that is not printable") as excinfo:
+        ask(loopback_server)
+    assert "secret-key" not in str(excinfo.value)
+    assert loopback_server.received == []
+    assert no_sleep == []
+
+
+def test_live_client_malformed_body(loopback_server, api_key, no_sleep):
     # Endpoints send a null content for a refusal.
     for body, problem in (
         ({"unexpected": True}, "choices must be a non-empty array"),
         ({"choices": [{"message": {"content": None}}]}, "content must be a string, got None"),
     ):
-        patch_post(monkeypatch, [FakeResponse(200, body)])
-        client = LiveClient("https://example.invalid/v1")
+        loopback_server.script = [(200, {}, body)]
         with pytest.raises(SemiforgeError, match=f"malformed completion response: {problem}"):
-            client.complete(CompletionRequest(prompt="p"))
+            ask(loopback_server)
 
 
-def test_live_client_invalid_json_body(monkeypatch, api_key, no_sleep):
-    patch_post(monkeypatch, [FakeResponse(200, ValueError("not json"))])
-    client = LiveClient("https://example.invalid/v1")
-    with pytest.raises(SemiforgeError, match="malformed completion response: not json"):
-        client.complete(CompletionRequest(prompt="p"))
+def test_live_client_invalid_json_body(loopback_server, api_key, no_sleep):
+    loopback_server.script = [(200, {}, b"not json")]
+    with pytest.raises(SemiforgeError, match="malformed completion response: Expecting value: line 1 column 1"):
+        ask(loopback_server)

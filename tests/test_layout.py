@@ -131,15 +131,30 @@ RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'
 def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
     """numpy is most of the package's import time, and only the seeded shuffles need it.
 
-    ``requests`` is imported only when a live completion is asked for.
+    ``urllib.request`` is imported only when a live completion is asked for.
     """
     out = run_fresh(
         "import sys, semiforge.cli",
         "from semiforge.curriculum import order_records",
         call,
-        "print('numpy' in sys.modules, 'requests' in sys.modules)",
+        "print('numpy' in sys.modules, 'urllib.request' in sys.modules)",
     )
     assert out.split() == [str(loads_numpy), "False"]
+
+
+def test_declared_dependencies_are_the_imported_packages():
+    imported = set()  # the top-level names of the absolute imports, those inside functions included
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"semiforge"}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL).group(1)
+    declared = {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', listed)}
+    assert third_party == declared
 
 
 def test_import_semiforge_loads_no_module_of_the_package():

@@ -28,7 +28,7 @@ from semiforge.pipeline import (
     stage_path,
 )
 from tests.conftest import FIXTURES, GOLDEN, load_jsonl
-from tests.test_generation import FakeResponse, ok_body
+from tests.test_generation import ok_body
 
 EXPECTED_FUNNEL = (33, 30, 28, 24, 21)
 
@@ -540,12 +540,12 @@ def test_replay_miss_fails_generate_stage(tmp_path, golden_config_path):
     assert "mp01:0" in str(excinfo.value)
 
 
-def serve_removed_completions(tmp_path, monkeypatch, k, fail_on=None):
-    """Copy the replay store without its first ``k`` fixtures, and stub the endpoint to serve those.
+def serve_removed_completions(tmp_path, monkeypatch, server, k, fail_on=None):
+    """Copy the replay store without its first ``k`` fixtures, and have ``server`` serve those.
 
-    The stub answers by prompt digest, and with HTTP 400 on its call number
-    ``fail_on``. Returns the store, the removed fixtures' bytes by file
-    name, and the digest of every prompt the endpoint was asked.
+    The server answers by prompt digest, and with HTTP 400 to its request
+    number ``fail_on``. Returns the store, the removed fixtures' bytes by
+    file name, and the digest of every prompt the server was asked.
     """
     store = tmp_path / "store"
     shutil.copytree(FIXTURES / "completions", store)
@@ -555,29 +555,29 @@ def serve_removed_completions(tmp_path, monkeypatch, k, fail_on=None):
         path.unlink()
     asked = []
 
-    def post(url, json=None, headers=None, timeout=None):
-        asked.append(prompt_digest(json["messages"][0]["content"]))
+    def answer(request):
+        asked.append(prompt_digest(request["json"]["messages"][0]["content"]))
         if len(asked) == fail_on:
-            return FakeResponse(400)
-        return FakeResponse(200, ok_body(removed[f"{asked[-1]}.txt"].decode("utf-8")))
+            return 400, {}, b""
+        return 200, {}, ok_body(removed[f"{asked[-1]}.txt"].decode("utf-8"))
 
-    monkeypatch.setattr("requests.post", post)
+    server.answer = answer
     monkeypatch.setenv("SEMIFORGE_API_KEY", "test-key")
     return store, removed, asked
 
 
-def live_config(golden_config_path, store, out_dir):
+def live_config(golden_config_path, server, store, out_dir):
     config = load_config(golden_config_path)
     config.client_mode = "live"
-    config.endpoint = "http://localhost:9/v1/chat/completions"
+    config.endpoint = server.url
     config.replay_store = str(store)
     config.out_dir = str(out_dir)
     return config
 
 
-def test_live_run_asks_only_for_missing_completions(tmp_path, golden_config_path, monkeypatch):
-    store, removed, asked = serve_removed_completions(tmp_path, monkeypatch, k=5)
-    config = live_config(golden_config_path, store, tmp_path / "out")
+def test_live_run_asks_only_for_missing_completions(tmp_path, golden_config_path, monkeypatch, loopback_server):
+    store, removed, asked = serve_removed_completions(tmp_path, monkeypatch, loopback_server, k=5)
+    config = live_config(golden_config_path, loopback_server, store, tmp_path / "out")
     assert run_pipeline(config).counts() == EXPECTED_FUNNEL
     assert sorted(f"{digest}.txt" for digest in asked) == sorted(removed)
     assert {name: (store / name).read_bytes() for name in removed} == removed
@@ -592,9 +592,9 @@ def test_live_run_asks_only_for_missing_completions(tmp_path, golden_config_path
     assert (tmp_path / "again" / DATASET_FILE).read_bytes() == golden
 
 
-def test_endpoint_failure_keeps_paid_completions(tmp_path, golden_config_path, monkeypatch):
-    store, removed, asked = serve_removed_completions(tmp_path, monkeypatch, k=5, fail_on=3)
-    config = live_config(golden_config_path, store, tmp_path / "out")
+def test_endpoint_failure_keeps_paid_completions(tmp_path, golden_config_path, monkeypatch, loopback_server):
+    store, removed, asked = serve_removed_completions(tmp_path, monkeypatch, loopback_server, k=5, fail_on=3)
+    config = live_config(golden_config_path, loopback_server, store, tmp_path / "out")
     config.workers = 1
     with pytest.raises(StageFailure, match="HTTP 400") as excinfo:
         run_pipeline(config)
@@ -609,9 +609,9 @@ def test_endpoint_failure_keeps_paid_completions(tmp_path, golden_config_path, m
     assert (tmp_path / "out" / DATASET_FILE).read_bytes() == (GOLDEN / "dataset.jsonl").read_bytes()
 
 
-def test_failed_store_write_names_the_unit(tmp_path, golden_config_path, monkeypatch):
-    store, _, _ = serve_removed_completions(tmp_path, monkeypatch, k=1)
-    config = live_config(golden_config_path, store, tmp_path / "out")
+def test_failed_store_write_names_the_unit(tmp_path, golden_config_path, monkeypatch, loopback_server):
+    store, _, _ = serve_removed_completions(tmp_path, monkeypatch, loopback_server, k=1)
+    config = live_config(golden_config_path, loopback_server, store, tmp_path / "out")
     real_replace = os.replace
 
     def replace(src, dst):
