@@ -129,27 +129,29 @@ def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -
         raise SemiforgeError(f"{format} format expects a .jsonl file, got {root}")
     row_fields, solution_fields = CORPUS_FIELDS[format]
     problems = []
-    for lineno, line in enumerate(root.read_bytes().split(b"\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            row = check_fields(json.loads(line), row_fields, required)
-            solutions = [
-                {"code": entry} if isinstance(entry, str) else check_fields(entry, solution_fields, ("code",))
-                for entry in row.get("solutions", [])
-            ]
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
-            logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
-            continue
-        problems.append(
-            Problem(
-                problem_id=str(row[required[0]]),
-                description=row["description"],
-                source=row.get("source", format) if "source" in row_fields else format,
-                solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in solutions if keep(s)),
-                special_judge=row.get("special_judge", False),
+    with open(root, "rb") as fh:  # split on b"\n" only, as read_json_lines does
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                # Without the newline, a JSON error position counts within the line.
+                row = check_fields(json.loads(line.removesuffix(b"\n")), row_fields, required)
+                solutions = [
+                    {"code": entry} if isinstance(entry, str) else check_fields(entry, solution_fields, ("code",))
+                    for entry in row.get("solutions", [])
+                ]
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+                logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
+                continue
+            problems.append(
+                Problem(
+                    problem_id=str(row[required[0]]),
+                    description=row["description"],
+                    source=row.get("source", format) if "source" in row_fields else format,
+                    solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in solutions if keep(s)),
+                    special_judge=row.get("special_judge", False),
+                )
             )
-        )
     return problems
 
 

@@ -51,9 +51,14 @@ in both modes: a call-based child then reads the argument literal with
 ``ast.literal_eval``, looks the function up in the snippet's globals,
 then the builtins, calls it (a tuple gives the positional arguments)
 and prints ``repr`` of a non-None result, binding no name of its own.
+The parent reads the output through ``stdout.txt`` and ``stderr.txt``
+files it opened before the run, so a snippet that removes or replaces
+them by name changes nothing the parent reads. A run's status is one
+of ``STATUSES``.
 
 The parent waits on a pidfd of the child with ``poll``, which returns
-as soon as the child exits, and bounds the wait by the wall timeout;
+as soon as the child exits, and bounds the wait by the wall timeout
+(at most ``MAX_WALL_TIMEOUT``, 2**31 - 1 ms, the most ``poll`` waits);
 pidfds need Linux 5.3 or later, and elsewhere ``execute`` raises
 ``SandboxSetupFailure``, as it does when the server is gone. On every
 exit the server kills the child's process group and the child while
@@ -80,12 +85,13 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 from .dataset import is_function_name
 from .errors import SemiforgeError
 
 MODES = ("stdin", "call")
+STATUSES = ("ok", "runtime_error", "timeout", "output_overflow")  # of ExecResult.status
+MAX_WALL_TIMEOUT = (2**31 - 1) / 1000  # seconds: poll waits at most 2**31 - 1 ms
 
 # The fork server, run as ``python -I -S -B -X utf8 -c _SERVER``. Its
 # stdin and stdout are the command and answer pipes. Each command is a
@@ -209,13 +215,6 @@ class SandboxSetupFailure(SemiforgeError):
     pass
 
 
-class ExecStatus(str, Enum):
-    OK = "ok"
-    RUNTIME_ERROR = "runtime_error"
-    TIMEOUT = "timeout"
-    OUTPUT_OVERFLOW = "output_overflow"
-
-
 @dataclass(frozen=True)
 class Invocation:
     """One way of feeding a program: stdin text, or a literal call.
@@ -259,11 +258,13 @@ class ResourceLimits:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
+        if self.wall_timeout > MAX_WALL_TIMEOUT:
+            raise ValueError(f"wall_timeout must be <= {MAX_WALL_TIMEOUT}, got {self.wall_timeout!r}")
 
 
 @dataclass(frozen=True)
 class ExecResult:
-    status: ExecStatus
+    status: str  # one of STATUSES
     stdout: str
     stderr: str
     returncode: int | None
@@ -271,7 +272,7 @@ class ExecResult:
 
     @property
     def ok(self) -> bool:
-        return self.status is ExecStatus.OK
+        return self.status == "ok"
 
 
 def resolve_interpreter(interpreter: str | None = None) -> str:
@@ -396,14 +397,16 @@ def execute(
     except OSError as exc:
         raise SandboxSetupFailure(f"could not create sandbox directory: {exc}") from exc
 
-    try:
-        out_path = os.path.join(workdir, "stdout.txt")
-        err_path = os.path.join(workdir, "stderr.txt")
+    with contextlib.ExitStack() as stack:
+        stack.callback(shutil.rmtree, workdir, ignore_errors=True)
         staged = {"snippet.py": code, "stdin.txt": stdin_payload, "stdout.txt": "", "stderr.txt": ""}
         try:
             for name, text in staged.items():
                 with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                     fh.write(text)
+            # Opened before the run: the snippet may remove or replace the files by name.
+            out = stack.enter_context(open(os.path.join(workdir, "stdout.txt"), "rb"))
+            err = stack.enter_context(open(os.path.join(workdir, "stderr.txt"), "rb"))
         except OSError as exc:
             raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
 
@@ -413,20 +416,20 @@ def execute(
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
 
-        overflow = os.path.getsize(out_path) > limits.output_bytes
+        overflow = os.fstat(out.fileno()).st_size > limits.output_bytes
         # No caller reads an overflowing run's output, and reading the
         # capped megabyte costs the parent twice that at its peak.
-        stdout = "" if overflow else _read_capped(out_path, limits.output_bytes)
-        stderr = _read_capped(err_path, limits.output_bytes)
+        stdout = "" if overflow else _read_capped(out, limits.output_bytes)
+        stderr = _read_capped(err, limits.output_bytes)
 
         if timed_out:
-            status = ExecStatus.TIMEOUT
+            status = "timeout"
         elif overflow:
-            status = ExecStatus.OUTPUT_OVERFLOW
+            status = "output_overflow"
         elif returncode != 0:
-            status = ExecStatus.RUNTIME_ERROR
+            status = "runtime_error"
         else:
-            status = ExecStatus.OK
+            status = "ok"
         return ExecResult(
             status=status,
             stdout=stdout,
@@ -434,8 +437,6 @@ def execute(
             returncode=None if timed_out else returncode,
             duration=duration,
         )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _wait_exit(pid: int, timeout: float) -> bool:
@@ -453,9 +454,8 @@ def _wait_exit(pid: int, timeout: float) -> bool:
         os.close(pidfd)
 
 
-def _read_capped(path: str, cap: int) -> str:
-    with open(path, "rb") as fh:
-        return fh.read(cap).decode("utf-8", errors="replace")
+def _read_capped(fh, cap: int) -> str:
+    return fh.read(cap).decode("utf-8", errors="replace")
 
 
 def normalize_output(text: str) -> str:

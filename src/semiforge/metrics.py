@@ -91,7 +91,7 @@ def evaluate_candidates(
 
     def passes(job) -> bool:
         i, candidate = job
-        return validate_refined_code(candidate, problems[i].test_cases, limits, server).passed
+        return validate_refined_code(candidate, problems[i].test_cases, limits, server) is None
 
     with sandbox(interpreter) as server:
         if workers > 1:

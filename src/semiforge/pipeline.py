@@ -35,7 +35,7 @@ from . import corpus as corpus_mod
 from .curriculum import STRATEGIES, order_records
 from .dataset import Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, read_json_lines, record
 from .errors import SemiforgeError
-from .executor import ExecStatus, ResourceLimits, SandboxSetupFailure, sandbox
+from .executor import STATUSES, ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
     TEMPLATE_VERSION,
     AnswerType,
@@ -70,7 +70,7 @@ UNIT_FIELDS = {
     "generate": {"prompt_sha256": str, "instruction": str, "refined_code": str, "answer_type": AnswerType,
                  "raw_inputs": list[str]},
     "construct": {"test_cases": NonEmpty[TestCase],
-                  "input_drops": dict[Literal[tuple(status.value for status in ExecStatus)], Count]},
+                  "input_drops": dict[Literal[STATUSES], Count]},
     "validate": {"difficulty": Count, "case_index": Count | None},
     "dedup": {},
 }
@@ -319,22 +319,16 @@ def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
         cases, drops = construct_test_cases(row["code"], answer_type, row["raw_inputs"], limits, server)
     except EmptyTestCases as exc:
         return _drop(row, "empty_test_cases", input_drops=exc.drops)
-    except SandboxSetupFailure as exc:
-        logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-        return _drop(row, "sandbox_failure")
     return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
 
 
 def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
     cases = [TestCase.from_dict(case, check=False) for case in row["test_cases"]]  # _read_rows checked them
-    try:
-        verdict = validate_refined_code(row["refined_code"], cases, limits, server)
-    except SandboxSetupFailure as exc:
-        logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-        return _drop(row, "sandbox_failure")
-    if verdict.passed:
+    failure = validate_refined_code(row["refined_code"], cases, limits, server)
+    if failure is None:
         return _ok(row, difficulty=len(cases), case_index=None)
-    return _drop(row, verdict.reason.value, difficulty=len(cases), case_index=verdict.case_index)
+    case_index, reason = failure
+    return _drop(row, reason, difficulty=len(cases), case_index=case_index)
 
 
 # The sandbox stages, in order, and what each does to one unit row.
@@ -347,8 +341,9 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
     A unit goes on to the next stage as soon as the one before keeps it,
     so no stage waits for the other units. Each stage forks its runs
     from a server of its own, started before any unit runs, so that its
-    runs get a ``str`` hash secret of their own. Returns each stage's
-    rows in unit order.
+    runs get a ``str`` hash secret of their own. A sandbox failure drops
+    its unit as ``sandbox_failure`` and the other units go on. Returns
+    each stage's rows in unit order.
     """
     limits = config.limits()
     servers = {}  # stage -> the fork server of its runs
@@ -357,7 +352,11 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
         passed = []
         for stage in chain:
             with _failing_as(stage):
-                row = _UNIT_WORK[stage](limits, servers[stage], row)
+                try:
+                    row = _UNIT_WORK[stage](limits, servers[stage], row)
+                except SandboxSetupFailure as exc:
+                    logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
+                    row = _drop(row, "sandbox_failure")
             passed.append(row)
             if row["status"] != "ok":
                 break

@@ -12,13 +12,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .dataset import check_fields
 from .errors import SemiforgeError
 from .executor import (
-    ExecStatus,
     Invocation,
     ResourceLimits,
     _Server,
@@ -65,27 +63,6 @@ class TestCase:
         return cls(invocation=invocation, expected_output=obj["expected_output"])
 
 
-class FailReason(str, Enum):
-    WRONG_OUTPUT = "wrong_output"
-    RUNTIME_ERROR = "runtime_error"
-    TIMEOUT = "timeout"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    case_index: int | None = None
-    reason: FailReason | None = None
-
-    @classmethod
-    def pass_(cls) -> "Verdict":
-        return cls(passed=True)
-
-    @classmethod
-    def fail(cls, case_index: int, reason: FailReason) -> "Verdict":
-        return cls(passed=False, case_index=case_index, reason=reason)
-
-
 def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
     if answer_type.kind == CALL_BASED:
         return Invocation.call(answer_type.function_name, raw_input)
@@ -113,7 +90,7 @@ def construct_test_cases(
             if result.ok:
                 cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
             else:
-                drops[result.status.value] += 1
+                drops[result.status] += 1
     if not cases:
         raise EmptyTestCases(
             f"all {len(raw_inputs)} inputs failed: {dict(drops)}", drops=dict(drops)
@@ -121,22 +98,18 @@ def construct_test_cases(
     return cases, drops
 
 
-_FAIL_BY_STATUS = {
-    ExecStatus.TIMEOUT: FailReason.TIMEOUT,
-    ExecStatus.RUNTIME_ERROR: FailReason.RUNTIME_ERROR,
-    ExecStatus.OUTPUT_OVERFLOW: FailReason.RUNTIME_ERROR,
-}
-
-
 def validate_refined_code(
     refined_code: str,
     test_cases: Sequence[TestCase],
     limits: ResourceLimits | None = None,
     server: _Server | None = None,
-) -> Verdict:
-    """Pass iff every case executes Ok and matches; stop at the first failure.
+) -> tuple[int, str] | None:
+    """Run the code on each case in turn; None if every run is ok and matches.
 
-    Every run forks from ``server``, or from one server started for this call.
+    Otherwise return the index of the first failing case and why it
+    failed: "wrong_output", "timeout", or "runtime_error" (an output
+    overflow included). Every run forks from ``server``, or from one
+    server started for this call.
     """
     if not test_cases:
         raise ValueError("validation needs at least one test case")
@@ -144,10 +117,10 @@ def validate_refined_code(
         for index, case in enumerate(test_cases):
             result = execute(refined_code, case.invocation, limits, server)
             if not result.ok:
-                return Verdict.fail(index, _FAIL_BY_STATUS[result.status])
+                return index, "timeout" if result.status == "timeout" else "runtime_error"
             if not outputs_match(result.stdout, case.expected_output):
-                return Verdict.fail(index, FailReason.WRONG_OUTPUT)
-    return Verdict.pass_()
+                return index, "wrong_output"
+    return None
 
 
 def tokenize(text: str) -> list[str]:

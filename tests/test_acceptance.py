@@ -23,7 +23,7 @@ from semiforge.corpus import (
 )
 from semiforge.curriculum import STRATEGIES, order_records
 from semiforge.dataset import FunnelStats, retention_ratios
-from semiforge.executor import ExecStatus, Invocation, ResourceLimits, execute, normalize_output
+from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output
 from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.metrics import pass_at_k
 from semiforge.pipeline import DATASET_FILE, FUNNEL_FILE, load_config, run_pipeline, stage_path
@@ -106,13 +106,13 @@ def test_criterion_03_mutation_rejection():
             result = execute(entry["original"], inv, limits)
             assert result.ok, f"{entry['name']}: original must pass its own inputs"
             cases.append(Case(inv, normalize_output(result.stdout)))
-        verdict = validate_refined_code(entry["refined"], cases, limits)
+        failure = validate_refined_code(entry["refined"], cases, limits)
         if entry["kind"] == "refactor":
             refactors += 1
-            accepted_refactors += verdict.passed
+            accepted_refactors += failure is None
         else:
             mutants += 1
-            rejected_mutants += not verdict.passed
+            rejected_mutants += failure is not None
     elapsed = time.monotonic() - started
     ok = (
         refactors >= 10
@@ -257,7 +257,7 @@ def test_criterion_08_sandbox_limits():
     spin = execute(
         "while True:\n    pass", Invocation.stdin(""), ResourceLimits(wall_timeout=1.0)
     )
-    ok = spin.status is ExecStatus.TIMEOUT and spin.duration <= 2.0
+    ok = spin.status == "timeout" and spin.duration <= 2.0
 
     probe = "import os\nprint(os.getcwd())\nprint(41 + 1)"
     first = execute(probe, Invocation.stdin(""), ResourceLimits(wall_timeout=5.0))

@@ -197,6 +197,8 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         pytest.param("seed", -1, "seed must be an integer >= 0, got -1", id="seed--1-seed must be >= 0, got -1"),
         ("wall_timeout", float("nan"), "wall_timeout must be finite, got nan"),
         ("wall_timeout", float("inf"), "wall_timeout must be finite, got inf"),
+        ("wall_timeout", 1e10, "wall_timeout must be <= 2147483.647, got 10000000000.0"),
+        ("wall_timeout", 2147483.648, "wall_timeout must be <= 2147483.647, got 2147483.648"),
         ("temperature", float("nan"), "temperature must be finite, got nan"),
         ("dedup_threshold", float("nan"), "dedup_threshold must be finite, got nan"),
         ("dedup_threshold", float("inf"), "dedup_threshold must be finite, got inf"),
@@ -646,14 +648,21 @@ def test_eval_bad_workers_exits_2(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+BAD_WALL_TIMEOUTS = {
+    "0": "wall_timeout must be > 0, got 0.0",
+    "-1": "wall_timeout must be > 0, got -1.0",
+    "1e7": "wall_timeout must be <= 2147483.647, got 10000000.0",
+}
+
+
+@pytest.mark.parametrize("value", list(BAD_WALL_TIMEOUTS))
 def test_eval_bad_wall_timeout_exits_2(tmp_path, capsys, value):
     problems = write_jsonl(tmp_path / "problems.jsonl", [{"problem_id": "d", "test_cases": [DOUBLE_CASE]}])
     candidates = write_jsonl(tmp_path / "candidates.jsonl", [{"problem_id": "d", "candidate_code": "pass"}])
     code = run_cli("eval", "--problems", problems, "--candidates", candidates, "--wall-timeout", value)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: wall_timeout must be > 0, got {float(value)}")
+    assert err.startswith(f"error: {BAD_WALL_TIMEOUTS[value]}")
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +130,8 @@ KIND_CASES = [
                id="generic-non-utf-8-line"),
     jsonl_case("codecontest", b'{"name": "caf\xe9", "description": "x"}', "'utf-8' codec can't decode",
                id="codecontest-non-utf-8-line"),
+    # A JSON error position counts within the line, not past its newline.
+    jsonl_case("generic", b'{"problem_id":', "Expecting value: line 1 column 15 (char 14)", id="generic-cut-line"),
     apps_case("metadata.json", b'{"special_judge": "no"}', "special_judge must be true or false, got 'no'",
               id="apps-special_judge-string"),
     apps_case("metadata.json", b"[]", "metadata.json must be an object, got []", id="apps-metadata-list"),
@@ -149,6 +152,22 @@ def test_a_value_of_the_wrong_kind_skips_its_row(tmp_path, caplog, format, files
         assert "skipping" not in caplog.text
     else:
         assert warning in caplog.text
+
+
+def test_jsonl_loader_holds_one_line_at_a_time(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(10_000):
+            fh.write(json.dumps({"problem_id": f"p{i}", "description": "d" * 200, "solutions": ["print(1)"]}) + "\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        problems = load_corpus(path, "generic")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(problems) == 10_000
+    assert peak - retained < size / 2, (peak - retained, size)
 
 
 def test_unknown_format_and_missing_path(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from semiforge import executor
 from semiforge.executor import (
-    ExecStatus,
     Invocation,
     ResourceLimits,
     SandboxSetupFailure,
@@ -30,7 +29,7 @@ FAST = ResourceLimits(wall_timeout=5.0)
 
 def test_stdin_round_trip():
     result = execute("print(int(input()) * 2)", Invocation.stdin("21"), FAST)
-    assert result.status is ExecStatus.OK
+    assert result.status == "ok"
     assert result.ok
     assert normalize_output(result.stdout) == "42"
     assert result.returncode == 0
@@ -95,7 +94,7 @@ def test_call_does_not_shadow_user_names(code, name, args, expected):
 
 def test_runtime_error_captured():
     result = execute("raise ValueError('boom')", Invocation.stdin(""), FAST)
-    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert result.status == "runtime_error"
     assert not result.ok
     assert result.returncode != 0
     assert "boom" in result.stderr
@@ -105,7 +104,7 @@ def test_timeout_kills_spin_loop():
     started = time.monotonic()
     result = execute("while True:\n    pass", Invocation.stdin(""), ResourceLimits(wall_timeout=1.0))
     elapsed = time.monotonic() - started
-    assert result.status is ExecStatus.TIMEOUT
+    assert result.status == "timeout"
     assert elapsed <= 2.0
     assert result.duration <= 2.0
 
@@ -113,14 +112,58 @@ def test_timeout_kills_spin_loop():
 def test_output_overflow_detected():
     code = "print('x' * 2_000_000)"
     result = execute(code, Invocation.stdin(""), ResourceLimits(output_bytes=10_000))
-    assert result.status is ExecStatus.OUTPUT_OVERFLOW
+    assert result.status == "output_overflow"
     assert result.stdout == ""
+
+
+TAMPER_PRELUDE = "import os, sys\nprint('kept')\nprint('noted', file=sys.stderr)\nsys.stdout.flush()\n"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        "os.remove('stdout.txt')",
+        "os.remove('stdout.txt')\nos.mkdir('stdout.txt')",
+        "os.remove('stderr.txt')\nos.mkdir('stderr.txt')",
+    ],
+    ids=["stdout-removed", "stdout-directory", "stderr-directory"],
+)
+def test_parent_reads_output_the_snippet_removed_or_replaced(tamper):
+    result = execute(TAMPER_PRELUDE + tamper, Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "kept"
+    assert normalize_output(result.stderr) == "noted"
+
+
+def test_fifo_in_place_of_stderr_does_not_block_the_parent():
+    # Opening a FIFO by name blocks until a writer comes, so the run is made
+    # in a fresh interpreter: a hang there fails the test instead of hanging pytest.
+    code = TAMPER_PRELUDE + "os.remove('stderr.txt')\nos.mkfifo('stderr.txt')"
+    parent = (
+        "import sys\n"
+        "from semiforge.executor import Invocation, execute, normalize_output\n"
+        "result = execute(sys.argv[1], Invocation.stdin(''))\n"
+        "print(result.ok, normalize_output(result.stdout), normalize_output(result.stderr))"
+    )
+    src = os.path.dirname(os.path.dirname(executor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", parent, code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the parent blocked on the FIFO")
+    assert done.stdout == "True kept noted\n", done.stderr
 
 
 def test_memory_limit_enforced():
     code = "data = bytearray(1024 * 1024 * 1024)\nprint(len(data))"
     result = execute(code, Invocation.stdin(""), ResourceLimits(memory_bytes=256 * 1024 * 1024))
-    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert result.status == "runtime_error"
 
 
 def test_deterministic_runs_identical():
@@ -165,7 +208,7 @@ def test_non_ascii_stdin_stdout_round_trip():
 
 def test_site_packages_hidden_from_snippets():
     result = execute("import numpy", Invocation.stdin(""), FAST)
-    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert result.status == "runtime_error"
     assert "ModuleNotFoundError" in result.stderr
 
 
@@ -177,7 +220,7 @@ def test_exit_and_quit_builtins_end_the_run():
     assert result.ok
     assert normalize_output(result.stdout) == "2"
     result = execute("exit(3)", Invocation.stdin(""), FAST)
-    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert result.status == "runtime_error"
     assert result.returncode == 3
 
 
@@ -437,7 +480,7 @@ def test_concurrent_runs_keep_their_own_output():
         spin_result, spin_elapsed = spinner.result(timeout=30)
         outcomes = [future.result(timeout=30) for future in runs]
 
-    assert spin_result.status is ExecStatus.TIMEOUT
+    assert spin_result.status == "timeout"
     assert spin_elapsed <= 2.0
     for i, (result, elapsed) in enumerate(outcomes):
         assert result.ok
@@ -462,7 +505,7 @@ def test_invocation_validation():
 
 
 def test_limit_validation():
-    for kwargs in ({"wall_timeout": 0}, {"memory_bytes": -1}, {"output_bytes": 0}):
+    for kwargs in ({"wall_timeout": 0}, {"wall_timeout": 1e10}, {"memory_bytes": -1}, {"output_bytes": 0}):
         with pytest.raises(ValueError):
             ResourceLimits(**kwargs)
 
@@ -480,7 +523,7 @@ def test_parse_args_literal(tmp_path):
     marker = tmp_path / "ran"
     payload = f"__import__('pathlib').Path({str(marker)!r}).touch()"
     result = execute("def f(x):\n    return x", Invocation.call("f", payload), FAST)
-    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert result.status == "runtime_error"
     assert "ValueError" in result.stderr
     assert not marker.exists()
 

@@ -10,6 +10,7 @@ import pytest
 from semiforge import pipeline
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
+from semiforge.executor import SandboxSetupFailure
 from semiforge.generation import prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
@@ -649,8 +650,8 @@ def test_missing_interpreter_fails_construct(golden_run, golden_run_copy):
     assert excinfo.value.stage == "validate"
 
 
-def units_config(golden_config_path, out_dir, codes):
-    """A run resumed at construct over one stdin unit per code, refined to the same code."""
+def units_config(golden_config_path, out_dir, codes, refined=None, raw_inputs=("1",)):
+    """A run resumed at construct over one stdin unit per code, refined to ``refined`` (the same code if None)."""
     ingest = [
         {"unit_id": f"u{i}:0", "problem_id": f"u{i}", "solution_index": 0, "seq": i, "code": code}
         for i, code in enumerate(codes)
@@ -660,9 +661,9 @@ def units_config(golden_config_path, out_dir, codes):
             **row,
             "prompt_sha256": "0" * 64,
             "instruction": f"Unit {row['seq']}.",
-            "refined_code": row["code"],
+            "refined_code": (refined or codes)[row["seq"]],
             "answer_type": {"kind": "standard_input", "function_name": None},
-            "raw_inputs": ["1"],
+            "raw_inputs": list(raw_inputs),
         }
         for row in ingest
     ]
@@ -683,6 +684,47 @@ def test_construct_and_validate_fork_from_different_servers(tmp_path, golden_con
     validate = load_jsonl(stage_path(tmp_path, "validate"))
     assert [row["status"] for row in construct] == ["ok", "ok"]
     assert [(row["status"], row["reason"]) for row in validate] == [("drop", "wrong_output"), ("ok", None)]
+
+
+def test_output_overflow_fails_validation_as_runtime_error(tmp_path, golden_config_path):
+    # The refined code matches case 0 and overflows the output cap on case 1.
+    refined = 'n = input()\nprint(n if n == "1" else "x" * 5000)'
+    config = units_config(golden_config_path, tmp_path, ["print(input())"], [refined], raw_inputs=["1", "2"])
+    config.output_bytes = 1000
+    run_pipeline(config, stop_after="validate")
+    [row] = load_jsonl(stage_path(tmp_path, "validate"))
+    assert (row["status"], row["reason"], row["case_index"], row["difficulty"]) == ("drop", "runtime_error", 1, 2)
+
+
+def test_sandbox_failure_drops_the_unit_and_the_run_goes_on(tmp_path, golden_config_path, monkeypatch):
+    codes = ["print(input())", "print(int(input()) + 1)", "print(int(input()) + 2)"]
+    config = units_config(golden_config_path, tmp_path, codes)
+    failing = {"construct_test_cases": codes[0], "validate_refined_code": codes[1]}
+
+    def failing_on(name, function):
+        def wrapper(code, *args):
+            if code == failing[name]:
+                raise SandboxSetupFailure("the sandbox server is gone")
+            return function(code, *args)
+
+        return wrapper
+
+    for name in failing:
+        monkeypatch.setattr(f"semiforge.pipeline.{name}", failing_on(name, getattr(pipeline, name)))
+    stats = run_pipeline(config, stop_after="dedup")
+    construct, validate = (load_jsonl(stage_path(tmp_path, stage)) for stage in ("construct", "validate"))
+    assert [(row["unit_id"], row["status"], row["reason"]) for row in construct] == [
+        ("u0:0", "drop", "sandbox_failure"),
+        ("u1:0", "ok", None),
+        ("u2:0", "ok", None),
+    ]
+    assert [(row["unit_id"], row["status"], row["reason"]) for row in validate] == [
+        ("u1:0", "drop", "sandbox_failure"),
+        ("u2:0", "ok", None),
+    ]
+    assert stats.counts() == (3, 3, 2, 1, 1)
+    funnel = json.loads((tmp_path / FUNNEL_FILE).read_text(encoding="utf-8"))
+    assert funnel["drop_reasons"] == {"construct": {"sandbox_failure": 1}, "validate": {"sandbox_failure": 1}}
 
 
 @pytest.mark.parametrize("workers", [1, 4])

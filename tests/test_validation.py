@@ -6,9 +6,7 @@ from semiforge.executor import Invocation, ResourceLimits
 from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.validation import (
     EmptyTestCases,
-    FailReason,
     TestCase as Case,
-    Verdict,
     construct_test_cases,
     dedup_instructions,
     invocation_for,
@@ -48,7 +46,7 @@ def test_one_call_starts_one_sandbox_server(monkeypatch, phase):
         assert len(cases) == 4
     else:
         cases = [Case(Invocation.stdin(raw), raw) for raw in inputs]
-        assert validate_refined_code("print(input())", cases, FAST).passed
+        assert validate_refined_code("print(input())", cases, FAST) is None
     assert len(starts) == 1
 
 
@@ -103,29 +101,27 @@ DOUBLE_CASES = [
 
 
 def test_validate_passes_equivalent_code():
-    verdict = validate_refined_code("n = int(input())\nprint(n + n)", DOUBLE_CASES, FAST)
-    assert verdict == Verdict.pass_()
-    assert verdict.passed
+    assert validate_refined_code("n = int(input())\nprint(n + n)", DOUBLE_CASES, FAST) is None
 
 
 def test_validate_wrong_output_reports_index():
     cases = [Case(Invocation.stdin("0"), "0"), Case(Invocation.stdin("2"), "4")]
-    verdict = validate_refined_code("print(int(input()) * 3)", cases, FAST)
-    assert verdict == Verdict.fail(1, FailReason.WRONG_OUTPUT)
+    assert validate_refined_code("print(int(input()) * 3)", cases, FAST) == (1, "wrong_output")
 
 
 def test_validate_runtime_error():
-    verdict = validate_refined_code("raise RuntimeError('no')", DOUBLE_CASES, FAST)
-    assert not verdict.passed
-    assert verdict.case_index == 0
-    assert verdict.reason is FailReason.RUNTIME_ERROR
+    assert validate_refined_code("raise RuntimeError('no')", DOUBLE_CASES, FAST) == (0, "runtime_error")
 
 
 def test_validate_timeout():
-    verdict = validate_refined_code(
-        "while True:\n    pass", DOUBLE_CASES[:1], ResourceLimits(wall_timeout=1.0)
-    )
-    assert verdict.reason is FailReason.TIMEOUT
+    failure = validate_refined_code("while True:\n    pass", DOUBLE_CASES[:1], ResourceLimits(wall_timeout=1.0))
+    assert failure == (0, "timeout")
+
+
+def test_validate_output_overflow_is_a_runtime_error():
+    cases = [Case(Invocation.stdin("1"), "1"), Case(Invocation.stdin("2"), "2")]
+    refined = 'n = input()\nprint(n if n == "1" else "x" * 5000)'
+    assert validate_refined_code(refined, cases, ResourceLimits(output_bytes=1000)) == (1, "runtime_error")
 
 
 def test_validate_requires_cases():
