@@ -66,8 +66,10 @@ the child is an unreaped zombie (so its group id cannot have been
 reused), and only then reaps it: a background process forked by the
 snippet does not outlive the call. At EOF on its commands, which is
 also what it reads when its parent dies, the server does the same to
-every child it has not yet reaped before it exits, so no child runs on
-without its wall limit.
+every child it has not yet reaped, so no child runs on without its wall
+limit, and removes that child's working directory (from its ``run``
+command), which a dead parent would leave behind. It then exits with
+``os._exit``, skipping the interpreter's finalization.
 """
 
 from __future__ import annotations
@@ -179,16 +181,16 @@ def reap(pid):
 
 def serve():
     commands = sys.stdin.buffer
-    running = set()  # forked and not yet reaped
+    running = {}  # pid -> workdir, forked and not yet reaped
     try:
         while True:
             try:
                 op, *args = marshal.load(commands)
             except EOFError:
-                return
+                break
             try:
                 if op == "reap":
-                    running.discard(args[0])
+                    running.pop(args[0], None)
                     answer = reap(*args)
                 else:
                     answer = os.fork()
@@ -198,14 +200,18 @@ def serve():
                             status = run(*args)
                         finally:
                             os._exit(status & 0xFF)
-                    running.add(answer)
+                    running[answer] = args[0]
             except OSError as exc:
                 answer = f"{op}: {exc}"
             os.write(1, marshal.dumps(answer))
     finally:
-        # EOF, or a broken pipe: the parent is done or dead.
-        for pid in running:
+        # EOF, or a broken pipe: the parent is done or dead, and removes
+        # no workdir of a run it has not seen reaped.
+        for pid, workdir in running.items():
             reap(pid)
+            import shutil  # only here, where a parent died mid-run
+            shutil.rmtree(workdir, ignore_errors=True)  # walks by fd, follows no symlink
+    os._exit(0)  # no finalization: the server writes only with os.write and registers no atexit handler
 
 serve()
 """

@@ -35,8 +35,9 @@ from . import corpus as corpus_mod
 from .curriculum import STRATEGIES, order_records
 from .dataset import Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, read_json_lines, record
 from .errors import SemiforgeError
-from .executor import STATUSES, ResourceLimits, SandboxSetupFailure, sandbox
+from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
+    CALL_BASED,
     TEMPLATE_VERSION,
     AnswerType,
     CompletionRequest,
@@ -313,10 +314,17 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     return _map_rows(config.workers, work, _ok_rows(ingest_rows))
 
 
+def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
+    if answer_type.kind == CALL_BASED:
+        return Invocation.call(answer_type.function_name, raw_input)
+    return Invocation.stdin(raw_input)
+
+
 def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
     answer_type = AnswerType(**row["answer_type"])
+    invocations = [invocation_for(answer_type, raw_input) for raw_input in row["raw_inputs"]]
     try:
-        cases, drops = construct_test_cases(row["code"], answer_type, row["raw_inputs"], limits, server)
+        cases, drops = construct_test_cases(row["code"], invocations, limits, server)
     except EmptyTestCases as exc:
         return _drop(row, "empty_test_cases", input_drops=exc.drops)
     return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))

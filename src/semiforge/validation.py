@@ -25,7 +25,6 @@ from .executor import (
     outputs_match,
     using,
 )
-from .generation import CALL_BASED, AnswerType
 from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
@@ -63,20 +62,13 @@ class TestCase:
         return cls(invocation=invocation, expected_output=obj["expected_output"])
 
 
-def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
-    if answer_type.kind == CALL_BASED:
-        return Invocation.call(answer_type.function_name, raw_input)
-    return Invocation.stdin(raw_input)
-
-
 def construct_test_cases(
     original_code: str,
-    answer_type: AnswerType,
-    raw_inputs: Sequence[str],
+    invocations: Sequence[Invocation],
     limits: ResourceLimits | None = None,
     server: _Server | None = None,
 ) -> tuple[list[TestCase], Counter]:
-    """Execute the original code on every raw input; keep the Ok pairs.
+    """Execute the original code on every invocation; keep the Ok pairs.
 
     Every run forks from ``server``, or from one server started for this
     call. Returns the cases and a count of dropped inputs by exit status.
@@ -84,8 +76,7 @@ def construct_test_cases(
     cases: list[TestCase] = []
     drops: Counter = Counter()
     with using(server) as server:
-        for raw_input in raw_inputs:
-            invocation = invocation_for(answer_type, raw_input)
+        for invocation in invocations:
             result = execute(original_code, invocation, limits, server)
             if result.ok:
                 cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
@@ -93,7 +84,7 @@ def construct_test_cases(
                 drops[result.status] += 1
     if not cases:
         raise EmptyTestCases(
-            f"all {len(raw_inputs)} inputs failed: {dict(drops)}", drops=dict(drops)
+            f"all {len(invocations)} inputs failed: {dict(drops)}", drops=dict(drops)
         )
     return cases, drops
 

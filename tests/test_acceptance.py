@@ -24,7 +24,6 @@ from semiforge.corpus import (
 from semiforge.curriculum import STRATEGIES, order_records
 from semiforge.dataset import FunnelStats, retention_ratios
 from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output
-from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.metrics import pass_at_k
 from semiforge.pipeline import DATASET_FILE, FUNNEL_FILE, load_config, run_pipeline, stage_path
 from semiforge.validation import (
@@ -153,16 +152,9 @@ def test_criterion_04_construction_soundness(golden_run):
     with ThreadPoolExecutor(max_workers=8) as pool:
         sound = all(pool.map(recheck, jobs))
 
-    crash_bundle = GenerationBundle(
-        instruction="divide",
-        refined_code="print(10 // int(input()))",
-        answer_type=AnswerType.standard_input(),
-        raw_inputs=("0", "zero"),
-    )
+    crash_inputs = [Invocation.stdin("0"), Invocation.stdin("zero")]
     with pytest.raises(EmptyTestCases):
-        construct_test_cases(
-            "print(10 // int(input()))", crash_bundle.answer_type, crash_bundle.raw_inputs, limits
-        )
+        construct_test_cases("print(10 // int(input()))", crash_inputs, limits)
 
     elapsed = time.monotonic() - started
     record(

@@ -242,13 +242,19 @@ def test_missing_pidfd_open_is_a_setup_failure(monkeypatch):
         execute("print(1)", Invocation.stdin(""), FAST)
 
 
-def _proc_state(pid: int) -> str | None:
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of /proc/<pid>/stat after the command name, from the state on."""
     try:
         with open(f"/proc/{pid}/stat") as fh:
             stat = fh.read()
     except FileNotFoundError:
         return None
-    return stat.rsplit(")", 1)[1].split()[0]
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _proc_state(pid: int) -> str | None:
+    stat = _proc_stat(pid)
+    return stat and stat[0]
 
 
 def test_forked_background_child_does_not_outlive_run():
@@ -430,7 +436,10 @@ def test_duration_excludes_server_start(monkeypatch):
 
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
 def test_no_child_outlives_a_killed_parent(tmp_path, sig):
+    """The server reaps the running child and removes its workdir, which the killed parent cannot."""
     pid_file = tmp_path / "pid"
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
     code = (
         "import os, time\n"
         f"with open({str(pid_file)!r}, 'w') as fh:\n"
@@ -445,18 +454,25 @@ def test_no_child_outlives_a_killed_parent(tmp_path, sig):
     )
     src = os.path.dirname(os.path.dirname(executor.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-c", parent, code], env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(temp_dir)}
+    proc = subprocess.Popen([sys.executable, "-c", parent, code], env=env)
     pid = None
     try:
         deadline = time.monotonic() + 30.0
         while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
             time.sleep(0.01)
         pid = int(pid_file.read_text())
+        server = int(_proc_stat(pid)[1])  # the fork server: the child's parent
+        assert len(list(temp_dir.glob("semiforge-run-*"))) == 1
         proc.send_signal(sig)
         deadline = time.monotonic() + 1.0
         while _proc_state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
             time.sleep(0.01)
         assert _proc_state(pid) in (None, "Z", "X")
+        deadline = time.monotonic() + 5.0
+        while _proc_state(server) not in (None, "Z", "X") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert list(temp_dir.glob("semiforge-run-*")) == []
     finally:
         proc.kill()
         proc.wait(timeout=10)

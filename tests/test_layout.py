@@ -168,6 +168,13 @@ def test_generation_does_not_load_the_sandbox():
     assert out.split() == ["False", "False"]
 
 
+@pytest.mark.parametrize("module", ["metrics", "validation"])
+def test_the_sandbox_layer_does_not_load_generation(module):
+    """Scoring programs never reads a completion, so it loads neither ``generation`` nor ``hashlib`` (OpenSSL)."""
+    out = run_fresh(f"import sys, semiforge.{module}", "print('semiforge.generation' in sys.modules, 'hashlib' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("[!_]*.py")))
 def test_each_module_imports_on_its_own(module):
     """An import cycle fails only for the module imported first, so import each one first."""

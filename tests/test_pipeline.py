@@ -11,7 +11,7 @@ from semiforge import pipeline
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
 from semiforge.executor import SandboxSetupFailure
-from semiforge.generation import prompt_digest
+from semiforge.generation import AnswerType, prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
     EVENTS_FILE,
@@ -24,6 +24,7 @@ from semiforge.pipeline import (
     StageFailure,
     _read_rows,
     canonical_stage,
+    invocation_for,
     load_config,
     run_pipeline,
     stage_path,
@@ -32,6 +33,13 @@ from tests.conftest import FIXTURES, GOLDEN, load_jsonl
 from tests.test_generation import ok_body
 
 EXPECTED_FUNNEL = (33, 30, 28, 24, 21)
+
+
+def test_invocation_for_both_kinds():
+    stdin_inv = invocation_for(AnswerType.standard_input(), "1 2")
+    assert stdin_inv.mode == "stdin" and stdin_inv.payload == "1 2"
+    call_inv = invocation_for(AnswerType.call_based("f"), "(1,)")
+    assert call_inv.mode == "call" and call_inv.function_name == "f"
 
 
 def test_golden_funnel_counts(golden_run):

@@ -3,13 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from semiforge import executor
 from semiforge.executor import Invocation, ResourceLimits
-from semiforge.generation import AnswerType, GenerationBundle
 from semiforge.validation import (
     EmptyTestCases,
     TestCase as Case,
     construct_test_cases,
     dedup_instructions,
-    invocation_for,
     rouge_l,
     tokenize,
     validate_refined_code,
@@ -19,13 +17,8 @@ from tests.conftest import rouge_oracle
 FAST = ResourceLimits(wall_timeout=5.0)
 
 
-def bundle_for(code, inputs, answer=None):
-    return GenerationBundle(
-        instruction="double the number",
-        refined_code=code,
-        answer_type=answer or AnswerType.standard_input(),
-        raw_inputs=tuple(inputs),
-    )
+def stdin_invocations(inputs):
+    return [Invocation.stdin(raw) for raw in inputs]
 
 
 # ------------------------------------------------------------ construction
@@ -42,7 +35,7 @@ def test_one_call_starts_one_sandbox_server(monkeypatch, phase):
     monkeypatch.setattr(executor, "_Server", CountingServer)
     inputs = ["1", "2", "3", "4"]
     if phase == "construct":
-        cases, _ = construct_test_cases("print(input())", AnswerType.standard_input(), inputs, FAST)
+        cases, _ = construct_test_cases("print(input())", stdin_invocations(inputs), FAST)
         assert len(cases) == 4
     else:
         cases = [Case(Invocation.stdin(raw), raw) for raw in inputs]
@@ -51,44 +44,28 @@ def test_one_call_starts_one_sandbox_server(monkeypatch, phase):
 
 
 def test_construct_executes_original():
-    bundle = bundle_for("print(int(input()) * 2)", ["2", "5", "0"])
-    cases, _ = construct_test_cases(
-        "print(int(input()) * 2)", bundle.answer_type, bundle.raw_inputs, FAST
-    )
+    cases, _ = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "5", "0"]), FAST)
     assert [c.expected_output for c in cases] == ["4", "10", "0"]
     assert all(c.invocation.mode == "stdin" for c in cases)
 
 
 def test_construct_drops_crashing_inputs():
-    bundle = bundle_for("print(int(input()) * 2)", ["2", "oops", "5"])
-    cases, drops = construct_test_cases(
-        "print(int(input()) * 2)", bundle.answer_type, bundle.raw_inputs, FAST
-    )
+    cases, drops = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "oops", "5"]), FAST)
     assert [c.expected_output for c in cases] == ["4", "10"]
     assert drops == {"runtime_error": 1}
 
 
 def test_construct_call_based_uses_repr():
-    answer = AnswerType.call_based("join_up")
     code = "def join_up(items):\n    return '-'.join(items)"
-    bundle = bundle_for(code, ["(['a', 'b'],)"], answer)
-    cases, _ = construct_test_cases(code, bundle.answer_type, bundle.raw_inputs, FAST)
+    cases, _ = construct_test_cases(code, [Invocation.call("join_up", "(['a', 'b'],)")], FAST)
     assert cases[0].expected_output == "'a-b'"
     assert cases[0].invocation.function_name == "join_up"
 
 
 def test_construct_all_crash_raises_empty():
-    bundle = bundle_for("print(10 // int(input()))", ["0", "x"])
     with pytest.raises(EmptyTestCases) as excinfo:
-        construct_test_cases("print(10 // int(input()))", bundle.answer_type, bundle.raw_inputs, FAST)
+        construct_test_cases("print(10 // int(input()))", stdin_invocations(["0", "x"]), FAST)
     assert excinfo.value.drops == {"runtime_error": 2}
-
-
-def test_invocation_for_both_kinds():
-    stdin_inv = invocation_for(AnswerType.standard_input(), "1 2")
-    assert stdin_inv.mode == "stdin" and stdin_inv.payload == "1 2"
-    call_inv = invocation_for(AnswerType.call_based("f"), "(1,)")
-    assert call_inv.mode == "call" and call_inv.function_name == "f"
 
 
 # -------------------------------------------------------------- validation
