@@ -128,27 +128,6 @@ def prompt_digest(prompt: str) -> str:
 
 
 @dataclass(frozen=True)
-class CompletionRequest:
-    prompt: str
-    temperature: float = 0.7
-    top_p: float = 0.95
-    max_tokens: int = 2048
-    model_id: str = "default"
-
-    def __post_init__(self) -> None:
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if isinstance(self.temperature, float) and not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature!r}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
-        if not 0 < self.top_p <= 1:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p!r}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens!r}")
-
-
-@dataclass(frozen=True)
 class Completion:
     text: str
     finish_reason: str = "stop"
@@ -167,8 +146,8 @@ class ReplayClient:
         self.store = Path(store)
         self.live = live
 
-    def complete(self, request: CompletionRequest) -> Completion:
-        digest = prompt_digest(request.prompt)
+    def complete(self, prompt: str) -> Completion:
+        digest = prompt_digest(prompt)
         path = self.store / f"{digest}.txt"
         if path.is_file():
             try:
@@ -177,7 +156,7 @@ class ReplayClient:
                 raise SemiforgeError(f"recorded completion {path} is not UTF-8: {exc}") from exc
         if self.live is None:
             raise SemiforgeError(f"no recorded completion for prompt {digest[:16]}")
-        completion = self.live.complete(request)
+        completion = self.live.complete(prompt)
         self.store.mkdir(parents=True, exist_ok=True)
         with atomic_write(path) as fh:
             fh.write(completion.text)
@@ -201,11 +180,16 @@ class LiveClient:
     BACKOFF_S = 0.5  # the wait after the first failed attempt; it doubles after each
     MAX_WAIT_S = 600.0  # the longest Retry-After honored; time.sleep raises from threading.TIMEOUT_MAX up
     TIMEOUT_S = 120.0
+    # The sampling every prompt is sent with.
+    TEMPERATURE = 0.7
+    TOP_P = 0.95
+    MAX_TOKENS = 2048
 
-    def __init__(self, endpoint: str):
+    def __init__(self, endpoint: str, model_id: str):
         self.endpoint = endpoint
+        self.model_id = model_id
 
-    def complete(self, request: CompletionRequest) -> Completion:
+    def complete(self, prompt: str) -> Completion:
         import http.client
         import urllib.error
         import urllib.parse
@@ -217,11 +201,11 @@ class LiveClient:
         if not key.isprintable():  # http.client would quote the whole key in its error
             raise SemiforgeError(f"{API_KEY_ENV} contains a character that is not printable")
         payload = {
-            "model": request.model_id,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "top_p": request.top_p,
-            "max_tokens": request.max_tokens,
+            "model": self.model_id,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.TEMPERATURE,
+            "top_p": self.TOP_P,
+            "max_tokens": self.MAX_TOKENS,
         }
         data = json.dumps(payload).encode("utf-8")
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -38,9 +39,9 @@ from .errors import SemiforgeError
 from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, sandbox
 from .generation import (
     CALL_BASED,
+    DEFAULT_INPUT_COUNT,
     TEMPLATE_VERSION,
     AnswerType,
-    CompletionRequest,
     EmptyCode,
     LiveClient,
     ParseError,
@@ -51,6 +52,7 @@ from .generation import (
     prompt_digest,
 )
 from .validation import (
+    DEFAULT_DEDUP_THRESHOLD,
     EmptyTestCases,
     TestCase,
     construct_test_cases,
@@ -113,21 +115,16 @@ class PipelineConfig:
     corpus_format: Literal[corpus_mod.FORMATS] = "generic"
     out_dir: str = "out"
     template_path: str | None = None
-    input_count: int = 8
+    input_count: int = DEFAULT_INPUT_COUNT
     client_mode: Literal[CLIENT_MODES] = "replay"
     replay_store: str = "fixtures/completions"
     endpoint: str = ""
     model_id: str = "default"
-    temperature: float = 0.7
-    top_p: float = 0.95
-    max_tokens: int = 2048
-    max_solution_tokens: int = 1000
-    solution_cap: int = 25
-    wall_timeout: float = 5.0
-    memory_bytes: int = 256 * 1024 * 1024
-    output_bytes: int = 1024 * 1024
+    max_solution_tokens: int = corpus_mod.DEFAULT_MAX_TOKENS
+    solution_cap: int = corpus_mod.DEFAULT_SOLUTION_CAP
+    wall_timeout: float = ResourceLimits.wall_timeout
     interpreter: str | None = None
-    dedup_threshold: float = 0.7
+    dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
     order: Literal[STRATEGIES] = "semi_ranked"
     seed: Count = 0  # numpy's SeedSequence rejects a negative seed
     scale: Count | None = None
@@ -136,14 +133,7 @@ class PipelineConfig:
     resume_from: str | None = None
 
     def limits(self) -> ResourceLimits:
-        return ResourceLimits(
-            wall_timeout=self.wall_timeout,
-            memory_bytes=self.memory_bytes,
-            output_bytes=self.output_bytes,
-        )
-
-    def request(self, prompt: str) -> CompletionRequest:
-        return CompletionRequest(prompt, self.temperature, self.top_p, self.max_tokens, self.model_id)
+        return ResourceLimits(wall_timeout=self.wall_timeout)
 
     def check(self) -> None:
         """Raise InvalidConfig, naming the field and its value, unless a run accepts every value.
@@ -163,7 +153,6 @@ class PipelineConfig:
             corpus_mod.cap_solutions((), self.solution_cap)
             dedup_instructions((), self.dedup_threshold)
             PromptTemplate("{{original_code}}", input_count=self.input_count)
-            self.request("check")
             self.limits()
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from exc
@@ -180,7 +169,8 @@ class PipelineConfig:
         return cls(**obj)
 
 
-_PATH_KEYS = ("corpus_path", "out_dir", "template_path", "replay_store", "si_path")
+# An interpreter is a path only when it holds a separator; a bare command is looked up on PATH.
+_PATH_KEYS = ("corpus_path", "out_dir", "template_path", "replay_store", "si_path", "interpreter")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -194,7 +184,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     for key in _PATH_KEYS:
         value = obj.get(key)
         if isinstance(value, str) and value and not Path(value).is_absolute():
-            obj[key] = str(base / value)
+            if key != "interpreter" or os.sep in value:
+                obj[key] = str(base / value)
     return PipelineConfig.from_dict(obj)
 
 
@@ -285,7 +276,7 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
         )
     except ValueError as exc:  # no single {{original_code}} slot, or not UTF-8
         raise StageFailure("generate", f"template {config.template_path}: {exc}") from exc
-    live = LiveClient(config.endpoint) if config.client_mode == "live" else None
+    live = LiveClient(config.endpoint, config.model_id) if config.client_mode == "live" else None
     client = ReplayClient(config.replay_store, live)
 
     def work(row: dict) -> dict:
@@ -295,7 +286,7 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
             return _drop(row, "empty_code")
         digest = prompt_digest(prompt)
         try:
-            completion = client.complete(config.request(prompt))
+            completion = client.complete(prompt)
         except SemiforgeError as exc:
             raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
         try:

@@ -172,11 +172,12 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         ("dedup_compare", "everything", "unknown config keys: dedup_compare"),
         ("input_count", 0, "input_count must be >= 1, got 0"),
         ("wall_timeout", 0, "wall_timeout must be > 0, got 0"),
-        ("memory_bytes", 0, "memory_bytes must be > 0, got 0"),
-        ("output_bytes", 0, "output_bytes must be > 0, got 0"),
-        ("temperature", -1, "temperature must be >= 0, got -1"),
-        ("top_p", 0, "top_p must be in (0, 1], got 0"),
-        ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
+        # The sandbox caps and the sampling values are constants of ResourceLimits and LiveClient.
+        pytest.param("memory_bytes", 0, "unknown config keys: memory_bytes", id="memory_bytes-0-memory_bytes must be > 0, got 0"),
+        pytest.param("output_bytes", 0, "unknown config keys: output_bytes", id="output_bytes-0-output_bytes must be > 0, got 0"),
+        pytest.param("temperature", -1, "unknown config keys: temperature", id="temperature--1-temperature must be >= 0, got -1"),
+        pytest.param("top_p", 0, "unknown config keys: top_p", id="top_p-0-top_p must be in (0, 1], got 0"),
+        pytest.param("max_tokens", 0, "unknown config keys: max_tokens", id="max_tokens-0-max_tokens must be >= 1, got 0"),
         ("dedup_threshold", "x", "dedup_threshold must be a number, got 'x'"),
         pytest.param(
             "order", "bogus", "order must be one of 'semi_ranked', ", id="order-bogus-unknown ordering strategy: 'bogus'"
@@ -199,7 +200,9 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         ("wall_timeout", float("inf"), "wall_timeout must be finite, got inf"),
         ("wall_timeout", 1e10, "wall_timeout must be <= 2147483.647, got 10000000000.0"),
         ("wall_timeout", 2147483.648, "wall_timeout must be <= 2147483.647, got 2147483.648"),
-        ("temperature", float("nan"), "temperature must be finite, got nan"),
+        pytest.param(
+            "temperature", float("nan"), "unknown config keys: temperature", id="temperature-nan-temperature must be finite, got nan"
+        ),
         ("dedup_threshold", float("nan"), "dedup_threshold must be finite, got nan"),
         ("dedup_threshold", float("inf"), "dedup_threshold must be finite, got inf"),
         ("dedup_threshold", -1, "dedup_threshold must be in [0, 1], got -1"),

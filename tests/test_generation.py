@@ -9,7 +9,6 @@ from semiforge.errors import SemiforgeError
 from semiforge.generation import (
     AnswerType,
     Completion,
-    CompletionRequest,
     EmptyCode,
     GenerationBundle,
     LiveClient,
@@ -218,47 +217,32 @@ def test_answer_type_validation():
             AnswerType(kind="call_based", function_name=name)
 
 
-def test_completion_request_validation():
-    with pytest.raises(ValueError):
-        CompletionRequest(prompt="", temperature=0.7)
-    with pytest.raises(ValueError):
-        CompletionRequest(prompt="p", temperature=-1.0)
-    with pytest.raises(ValueError):
-        CompletionRequest(prompt="p", max_tokens=0)
-    request = CompletionRequest(prompt="p")
-    assert request.temperature == 0.7
-    assert request.top_p == 0.95
-
-
 def test_replay_client_round_trip(tmp_path):
-    request = CompletionRequest(prompt="hello prompt")
-    (tmp_path / f"{prompt_digest(request.prompt)}.txt").write_text("canned", encoding="utf-8")
-    completion = ReplayClient(tmp_path).complete(request)
+    (tmp_path / f"{prompt_digest('hello prompt')}.txt").write_text("canned", encoding="utf-8")
+    completion = ReplayClient(tmp_path).complete("hello prompt")
     assert completion.text == "canned"
     assert completion.finish_reason == "replay"
 
 
 def test_replay_miss_names_digest(tmp_path):
-    request = CompletionRequest(prompt="absent prompt")
     with pytest.raises(SemiforgeError, match="no recorded completion for prompt") as excinfo:
-        ReplayClient(tmp_path).complete(request)
-    assert prompt_digest(request.prompt)[:16] in str(excinfo.value)
+        ReplayClient(tmp_path).complete("absent prompt")
+    assert prompt_digest("absent prompt")[:16] in str(excinfo.value)
 
 
 class StubClient:
     def __init__(self, text):
         self.text = text
 
-    def complete(self, request):
+    def complete(self, prompt):
         return Completion(text=self.text)
 
 
 def test_replay_client_records_live_completion(tmp_path):
-    request = CompletionRequest(prompt="record me")
     client = ReplayClient(tmp_path / "store", live=StubClient("stored text"))
-    completion = client.complete(request)
+    completion = client.complete("record me")
     assert completion.text == "stored text"
-    replay = ReplayClient(tmp_path / "store").complete(request)
+    replay = ReplayClient(tmp_path / "store").complete("record me")
     assert replay.text == "stored text"
 
 
@@ -266,7 +250,7 @@ def test_replay_client_failed_write_leaves_no_fixture(tmp_path):
     store = tmp_path / "store"
     client = ReplayClient(store, live=StubClient("lone surrogate \ud800"))
     with pytest.raises(SemiforgeError, match="could not write"):
-        client.complete(CompletionRequest(prompt="record me"))
+        client.complete("record me")
     assert list(store.iterdir()) == []
 
 
@@ -290,15 +274,15 @@ def api_key(monkeypatch):
 CUT_SHORT = (200, {"Content-Length": "1000"}, b'{"choices": [')
 
 
-def ask(server, prompt="p", **fields):
-    return LiveClient(server.url).complete(CompletionRequest(prompt=prompt, **fields))
+def ask(server, prompt="p", model_id="m"):
+    return LiveClient(server.url, model_id).complete(prompt)
 
 
 def test_live_client_requires_credentials(monkeypatch):
     monkeypatch.delenv("SEMIFORGE_API_KEY", raising=False)
-    client = LiveClient("https://example.invalid/v1")
+    client = LiveClient("https://example.invalid/v1", "m")
     with pytest.raises(SemiforgeError, match="set SEMIFORGE_API_KEY"):
-        client.complete(CompletionRequest(prompt="p"))
+        client.complete("p")
 
 
 def test_live_client_success(loopback_server, api_key, no_sleep):
@@ -308,8 +292,13 @@ def test_live_client_success(loopback_server, api_key, no_sleep):
     assert completion.usage == {"total_tokens": 5}
     [sent] = loopback_server.received
     assert sent["path"] == "/v1/chat/completions"
-    assert sent["json"]["model"] == "m1"
-    assert sent["json"]["messages"][0]["content"] == "the prompt"
+    assert sent["json"] == {
+        "model": "m1",
+        "messages": [{"role": "user", "content": "the prompt"}],
+        "temperature": 0.7,
+        "top_p": 0.95,
+        "max_tokens": 2048,
+    }
     assert sent["headers"]["Authorization"] == "Bearer test-key"
     assert sent["headers"]["Content-Type"] == "application/json"
 
@@ -349,9 +338,9 @@ def test_live_client_gives_up_after_max_attempts(loopback_server, api_key, no_sl
 def test_live_client_gives_up_on_a_refused_connection(loopback_server, api_key, no_sleep):
     with socket.socket() as unheard:
         unheard.bind(("127.0.0.1", 0))  # bound, not listening: a connect is refused
-        client = LiveClient(f"http://127.0.0.1:{unheard.getsockname()[1]}/v1")
+        client = LiveClient(f"http://127.0.0.1:{unheard.getsockname()[1]}/v1", "m")
         with pytest.raises(SemiforgeError, match="giving up after 4 attempts .*Connection refused"):
-            client.complete(CompletionRequest(prompt="p"))
+            client.complete("p")
     assert no_sleep == [0.5, 1.0, 2.0]
     assert loopback_server.received == []
 
@@ -397,7 +386,7 @@ def test_live_client_bad_url_fails_fast(loopback_server, api_key, no_sleep):
         (f"{loopback_server.url} b", "URL can't contain control characters"),
     ):
         with pytest.raises(SemiforgeError, match=re.escape(f"bad request to {url!r}: {problem}")):
-            LiveClient(url).complete(CompletionRequest(prompt="p"))
+            LiveClient(url, "m").complete("p")
     assert loopback_server.received == []
     assert no_sleep == []
 

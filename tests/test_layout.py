@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -72,16 +73,27 @@ def test_the_scan_sees_every_write_form(expr, writes):
     assert opens_for_writing(ast.parse(expr, mode="eval").body) is writes
 
 
-def test_readme_configuration_table_lists_every_config_field():
+def readme_section(heading: str) -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_configuration_table_lists_every_config_field():
+    section = readme_section("Configuration")
     keys = re.findall(r"^\| `(\w+)` ", section, re.MULTILINE)
     assert keys == [field.name for field in fields(PipelineConfig)]
 
 
+def test_readme_configuration_table_gives_every_default():
+    section = readme_section("Configuration")
+    cells = dict(re.findall(r"^\| `(\w+)` +\| (.*?) +\|", section, re.MULTILINE))
+    words = {"built-in": None, "current Python": None, "none": None}
+    listed = {key: json.loads(cell[1:-1]) if cell.startswith("`") else words[cell] for key, cell in cells.items()}
+    assert listed == PipelineConfig().to_dict()
+
+
 def test_readme_unit_row_table_lists_unit_fields():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Output files\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Output files")
     rows = re.findall(r"^ *\| (\w+) +\| (.*?) *\| (.*?) *\|$", section, re.MULTILINE)
     assert list(dict.fromkeys(stage for stage, _, _ in rows[1:])) == list(UNIT_FIELDS)
     listed = [(stage, field.strip("`"), kind) for stage, field, kind in rows if field.startswith("`")]
@@ -92,8 +104,7 @@ def test_readme_unit_row_table_lists_unit_fields():
 
 
 def test_readme_corpus_formats_give_every_key_its_kind():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Corpus formats\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Corpus formats")
     bullets = dict(re.findall(r"^- \*\*(\w+)\*\*: (.*?)(?=^- |\Z)", section, re.MULTILINE | re.DOTALL))
     assert list(bullets) == list(CORPUS_FIELDS)
     for format, (outer, inner) in CORPUS_FIELDS.items():

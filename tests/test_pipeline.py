@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from semiforge import pipeline
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
-from semiforge.executor import SandboxSetupFailure
+from semiforge.executor import SandboxSetupFailure, resolve_interpreter
 from semiforge.generation import AnswerType, prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
@@ -695,10 +696,9 @@ def test_construct_and_validate_fork_from_different_servers(tmp_path, golden_con
 
 
 def test_output_overflow_fails_validation_as_runtime_error(tmp_path, golden_config_path):
-    # The refined code matches case 0 and overflows the output cap on case 1.
-    refined = 'n = input()\nprint(n if n == "1" else "x" * 5000)'
+    # The refined code matches case 0 and overflows the 1 MiB output cap on case 1.
+    refined = 'n = input()\nprint(n if n == "1" else "x" * (2 << 20))'
     config = units_config(golden_config_path, tmp_path, ["print(input())"], [refined], raw_inputs=["1", "2"])
-    config.output_bytes = 1000
     run_pipeline(config, stop_after="validate")
     [row] = load_jsonl(stage_path(tmp_path, "validate"))
     assert (row["status"], row["reason"], row["case_index"], row["difficulty"]) == ("drop", "runtime_error", 1, 2)
@@ -867,6 +867,20 @@ def test_load_config_resolves_paths(golden_config_path):
     config = load_config(golden_config_path)
     assert config.corpus_path == str(FIXTURES / "mini_corpus" / "problems.jsonl")
     assert config.replay_store == str(FIXTURES / "completions")
+
+
+def test_load_config_resolves_an_interpreter_path_but_not_a_command(tmp_path, monkeypatch):
+    cfgdir = tmp_path.resolve() / "cfgdir"
+    (cfgdir / "venv").mkdir(parents=True)
+    (cfgdir / "venv" / "py").symlink_to(sys.executable)
+    monkeypatch.chdir(tmp_path)  # "venv/py" is not here
+    path = cfgdir / "c.json"
+    path.write_text(json.dumps({"interpreter": "venv/py"}), encoding="utf-8")
+    interpreter = load_config(path).interpreter
+    assert interpreter == str(cfgdir / "venv" / "py")
+    assert resolve_interpreter(interpreter) == interpreter
+    path.write_text(json.dumps({"interpreter": "python3"}), encoding="utf-8")
+    assert load_config(path).interpreter == "python3"  # looked up on PATH
 
 
 def test_stage_failure_message():
