@@ -12,7 +12,8 @@ their keys (see dataset.check_fields):
 JSON-lines files are split at line feeds only (see
 dataset.read_json_lines). A problem or row that is not UTF-8, not JSON,
 or holds a key of the wrong kind is skipped with a warning naming the
-key; only an entirely empty parse is fatal.
+key, as is one whose id or kept code cannot be written as UTF-8; only
+an entirely empty parse is fatal.
 """
 
 from __future__ import annotations
@@ -104,19 +105,28 @@ def _load_apps(root: Path) -> list[Problem]:
             files = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in paths}
             check_fields(files, file_fields, required=("solutions.json",))
             meta = check_fields(files.get("metadata.json", {}), meta_fields, required=())
-        except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError included
-            logger.warning("skipping %s: %s", sub.name, exc)
-            continue
-        problems.append(
-            Problem(
+            problem = Problem(
                 problem_id=sub.name,
                 description=description,
                 source="apps",
                 solutions=tuple(Solution.from_code(c) for c in files["solutions.json"]),
                 special_judge=meta.get("special_judge", False),
             )
-        )
+            _check_writable(problem)
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError, UnicodeEncodeError and JSONDecodeError included
+            logger.warning("skipping %s: %s", sub.name, exc)
+            continue
+        problems.append(problem)
     return problems
+
+
+def _check_writable(problem: Problem) -> None:
+    """Raise UnicodeEncodeError unless the id and code of ``problem``, which a stage file holds, are UTF-8.
+
+    A JSON escape of a lone surrogate, such as ``"\\ud800"``, decodes to a string that is not.
+    """
+    for text in (problem.problem_id, *(solution.code for solution in problem.solutions)):
+        text.encode("utf-8")
 
 
 def _is_python(tag: str) -> bool:
@@ -140,18 +150,18 @@ def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -
                     {"code": entry} if isinstance(entry, str) else check_fields(entry, solution_fields, ("code",))
                     for entry in row.get("solutions", [])
                 ]
-            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
-                logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
-                continue
-            problems.append(
-                Problem(
+                problem = Problem(
                     problem_id=str(row[required[0]]),
                     description=row["description"],
                     source=row.get("source", format) if "source" in row_fields else format,
                     solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in solutions if keep(s)),
                     special_judge=row.get("special_judge", False),
                 )
-            )
+                _check_writable(problem)
+            except ValueError as exc:  # UnicodeDecodeError, UnicodeEncodeError and JSONDecodeError included
+                logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
+                continue
+            problems.append(problem)
     return problems
 
 

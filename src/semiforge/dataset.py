@@ -20,9 +20,10 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Iterable, Literal, Mapping, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Literal, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import SemiforgeError
 
@@ -40,13 +41,13 @@ def is_function_name(value) -> bool:
     return isinstance(value, str) and value.isidentifier() and not keyword.iskeyword(value)
 
 
-# What each kind that is a JSON type is called, and whether a value is of it.
+# What each kind that is a JSON type is called, and whether a value is of it; true and false are bool only.
 _TYPES = {
     bool: ("true or false", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
-    int: ("an integer", lambda value: isinstance(value, int)),
-    float: ("a number", lambda value: isinstance(value, (int, float))),
-    Count: ("an integer >= 0", lambda value: isinstance(value, int) and value >= 0),
+    int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    float: ("a number", lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)),
+    Count: ("an integer >= 0", lambda value: isinstance(value, int) and not isinstance(value, bool) and value >= 0),
     list: ("an array", lambda value: isinstance(value, list)),
     NonEmpty: ("a non-empty array", lambda value: isinstance(value, list) and len(value) > 0),
     dict: ("an object", lambda value: isinstance(value, dict)),
@@ -54,49 +55,53 @@ _TYPES = {
 }
 
 
-def describe_kind(kind) -> str:
-    """Name a kind of check_fields in words, as its messages do."""
-    origin, args = get_origin(kind) or kind, get_args(kind)
-    if origin is UnionType:
-        return " or ".join(map(describe_kind, args))
-    if origin is Literal:
-        return "one of " + ", ".join(map(repr, args))
-    if hasattr(origin, "from_dict"):
-        return f"a {origin.__name__}"
-    if is_dataclass(origin):
-        return "an object with keys " + ", ".join(get_type_hints(origin))
-    parts = zip(("key", "value") if origin is dict else ("item",), args)
-    return ", ".join([_TYPES[origin][0], *(f"each {part} {describe_kind(arg)}" for part, arg in parts)])
+@cache
+def _compile(kind) -> tuple[str, Callable]:
+    """Turn a kind of check_fields into its words and its check, once.
 
-
-def _check_value(name: str, value, kind):
-    """Return ``value`` if it is of ``kind`` (see check_fields), else raise ValueError naming ``name``."""
-    origin, args = get_origin(kind) or kind, get_args(kind)
+    A check gives None for a value of the kind, else a fault: a function of the value's name giving its text.
+    """
+    origin, args, parts = get_origin(kind) or kind, get_args(kind), None
     if origin is UnionType:
-        for member in args:
-            try:
-                return _check_value(name, value, member)
-            except ValueError:
-                pass
+        words, checks = " or ".join(map(describe_kind, args)), [_compile(arg)[1] for arg in args]
+        shape = lambda value: any(not check(value) for check in checks)
     elif origin is Literal:
-        if value in args:
-            return value
+        words, shape = "one of " + ", ".join(map(repr, args)), lambda value: value in args
     elif hasattr(origin, "from_dict"):
-        origin.from_dict(value)
-        return value
+        words, shape, parts = f"a {origin.__name__}", lambda value: True, lambda value: origin.from_dict(value) and None
     elif is_dataclass(origin):
         hints = get_type_hints(origin)
-        if isinstance(value, dict) and value.keys() == hints.keys():
-            origin(**check_fields(value, hints, name=name))  # the class's own checks raise ValueError
-            return value
-    elif isinstance(value, bool) == (origin is bool) and _TYPES[origin][1](value):  # true and false are bool only
+        words = "an object with keys " + ", ".join(hints)
+        shape = lambda value: isinstance(value, dict) and value.keys() == hints.keys()
+        parts = lambda value: origin(**check_fields(value, hints)) and None
+    else:
+        words, shape = _TYPES[origin]
+        roles = zip(("key", "value") if origin is dict else ("item",), args)
+        words = ", ".join([words, *(f"each {role} {_compile(arg)[0]}" for role, arg in roles)])
         if args:
-            for key, item in value.items() if origin is dict else enumerate(value):
-                if origin is dict:
-                    _check_value(f"{name} key", key, args[0])
-                _check_value(f"{name}[{key!r}]", item, args[-1])
-        return value
-    raise ValueError(f"{name} must be {describe_kind(kind)}, got {value!r}")
+            key_check, item_check = _compile(args[0])[1], _compile(args[-1])[1]
+
+            def parts(value):
+                for key, item in value.items() if origin is dict else enumerate(value):
+                    if origin is dict and (fault := key_check(key)):
+                        return lambda name: fault(f"{name} key")
+                    if fault := item_check(item):
+                        return lambda name: fault(f"{name}[{key!r}]")
+
+    def check(value):
+        if not shape(value):
+            return lambda name: f"{name} must be {words}, got {value!r}"
+        try:
+            return parts and parts(value)  # the fault of a part of the value, if any
+        except ValueError as exc:  # raised by a class's own checks, or by those of a dataclass's fields
+            return lambda name, exc=exc: str(exc)
+
+    return words, check
+
+
+def describe_kind(kind) -> str:
+    """Name a kind of check_fields in words, as its messages do."""
+    return _compile(kind)[0]
 
 
 def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, name: str = "row") -> dict:
@@ -109,10 +114,12 @@ def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, na
     dataclass: an object holding exactly its fields, of the kinds its annotations give, that passes its
     own checks. Else raise ValueError "<key> must be <kind>, got <value>".
     """
-    _check_value(name, obj, dict)
+    if fault := _compile(dict)[1](obj):
+        raise ValueError(fault(name))
     for key, kind in schema.items():
         if key in obj:
-            _check_value(key, obj[key], kind)
+            if fault := _compile(kind)[1](obj[key]):
+                raise ValueError(fault(key))
         elif required is None or key in required:
             raise ValueError(f"{key} must be {describe_kind(kind)}, got nothing")
     return obj

@@ -86,6 +86,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import is_function_name
@@ -377,6 +378,14 @@ def sandbox(interpreter: str | None = None):
 def using(server: _Server | None):
     """A block that yields ``server``, or a server of its own when ``server`` is None."""
     return sandbox() if server is None else contextlib.nullcontext(server)
+
+
+def map_workers(workers: int, fn, items: list) -> list:
+    """``[fn(item) for item in items]``, run on a pool of ``workers`` threads when that is more than one."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def execute(

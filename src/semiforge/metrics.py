@@ -9,12 +9,11 @@ pipeline uses for refined code.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import SemiforgeError
-from .executor import ResourceLimits, sandbox
+from .executor import ResourceLimits, map_workers, sandbox
 from .validation import TestCase, validate_refined_code
 
 
@@ -94,11 +93,7 @@ def evaluate_candidates(
         return validate_refined_code(candidate, problems[i].test_cases, limits, server) is None
 
     with sandbox(interpreter) as server:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(passes, jobs))
-        else:
-            outcomes = [passes(job) for job in jobs]
+        outcomes = map_workers(workers, passes, jobs)
 
     correct = [0] * len(problems)
     for (i, _), passed in zip(jobs, outcomes):

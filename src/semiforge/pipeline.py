@@ -25,7 +25,6 @@ import logging
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -36,7 +35,7 @@ from . import corpus as corpus_mod
 from .curriculum import STRATEGIES, order_records
 from .dataset import Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, read_json_lines, record
 from .errors import SemiforgeError
-from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, sandbox
+from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, map_workers, sandbox
 from .generation import (
     CALL_BASED,
     DEFAULT_INPUT_COUNT,
@@ -193,7 +192,8 @@ def stage_path(out_dir: str | Path, stage: str) -> Path:
     return Path(out_dir) / f"stage_{stage}.jsonl"
 
 
-def _check_row(stage: str, row) -> dict:
+def _check_row(stage: str, row, unit_ids: set) -> dict:
+    """Return ``row`` if ``stage`` could have written it after the rows of ``unit_ids``; add its unit there."""
     if stage == "order":  # order rows are dataset records, not unit rows
         return record(row)
     ok = check_fields(row, {"status": Literal["ok", "drop"]})["status"] == "ok"
@@ -202,13 +202,17 @@ def _check_row(stage: str, row) -> dict:
     count = len(row.get("test_cases", ()))
     if row.get("difficulty", count) != count:
         raise ValueError(f"difficulty must be {count}, the number of test cases, got {row['difficulty']!r}")
+    if row["unit_id"] in unit_ids:
+        raise ValueError(f"unit_id {row['unit_id']!r} is listed twice")
+    unit_ids.add(row["unit_id"])
     return row
 
 
 def _read_rows(stage: str, path: Path) -> list[dict]:
-    """Parse a stage file; a row ``stage`` could not have written is a StageFailure."""
+    """Parse a stage file; a row ``stage`` could not have written, or a unit listed twice, is a StageFailure."""
+    unit_ids: set[str] = set()
     try:
-        return read_json_lines(path, lambda row: _check_row(stage, row))
+        return read_json_lines(path, lambda row: _check_row(stage, row, unit_ids))
     except (OSError, ValueError) as exc:
         raise StageFailure(stage, str(exc)) from exc
 
@@ -234,13 +238,6 @@ def _drop(row: dict, reason: str, **fields) -> dict:
 
 def _ok_rows(rows: list[dict]) -> list[dict]:
     return [row for row in rows if row["status"] == "ok"]
-
-
-def _map_rows(workers: int, fn, items: list) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _stage_ingest(config: PipelineConfig) -> list[dict]:
@@ -302,7 +299,7 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
             raw_inputs=list(bundle.raw_inputs),
         )
 
-    return _map_rows(config.workers, work, _ok_rows(ingest_rows))
+    return map_workers(config.workers, work, _ok_rows(ingest_rows))
 
 
 def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
@@ -322,7 +319,7 @@ def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
 
 
 def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
-    cases = [TestCase.from_dict(case, check=False) for case in row["test_cases"]]  # _read_rows checked them
+    cases = [TestCase.from_dict(case) for case in row["test_cases"]]
     failure = validate_refined_code(row["refined_code"], cases, limits, server)
     if failure is None:
         return _ok(row, difficulty=len(cases), case_index=None)
@@ -365,7 +362,7 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
         for stage in chain:
             with _failing_as(stage):
                 servers[stage] = stack.enter_context(sandbox(config.interpreter))
-        units = _map_rows(config.workers, work, _ok_rows(rows))
+        units = map_workers(config.workers, work, _ok_rows(rows))
     return {stage: [unit[index] for unit in units if len(unit) > index] for index, stage in enumerate(chain)}
 
 

@@ -54,12 +54,10 @@ class TestCase:
         }
 
     @classmethod
-    def from_dict(cls, obj, check: bool = True) -> "TestCase":
-        """Decode a stored case; a value that is not one raises ValueError (unchecked if not ``check``)."""
-        if check:
-            check_fields(obj, CASE_FIELDS, required=("mode", "payload", "expected_output"), name="test case")
-        invocation = Invocation(obj["mode"], obj["payload"], obj.get("function_name"))
-        return cls(invocation=invocation, expected_output=obj["expected_output"])
+    def from_dict(cls, obj) -> "TestCase":
+        """Decode a stored case; a value that is not one raises ValueError."""
+        check_fields(obj, CASE_FIELDS, required=("mode", "payload", "expected_output"), name="test case")
+        return cls(Invocation(obj["mode"], obj["payload"], obj.get("function_name")), obj["expected_output"])
 
 
 def construct_test_cases(

@@ -130,12 +130,23 @@ KIND_CASES = [
                id="generic-non-utf-8-line"),
     jsonl_case("codecontest", b'{"name": "caf\xe9", "description": "x"}', "'utf-8' codec can't decode",
                id="codecontest-non-utf-8-line"),
+    # A JSON escape of a lone surrogate decodes to a str that cannot be written as UTF-8.
+    jsonl_case("generic", {**GOOD_ROWS["generic"], "solutions": ["print('\ud800')"]},
+               "'utf-8' codec can't encode character '\\ud800'", id="generic-surrogate-code"),
+    jsonl_case("generic", {**GOOD_ROWS["generic"], "problem_id": "p\udc80"},
+               "'utf-8' codec can't encode character '\\udc80'", id="generic-surrogate-problem_id"),
+    jsonl_case("codecontest", bad_row("codecontest", "solution.code", "print('\ud800')"),
+               "'utf-8' codec can't encode character '\\ud800'", id="codecontest-surrogate-code"),
+    jsonl_case("codecontest", {**GOOD_ROWS["codecontest"], "solutions": [{"code": "\ud800", "language": "c"}]}, None,
+               loaded=("good", "good"), id="codecontest-surrogate-in-dropped-solution-loads"),
     # A JSON error position counts within the line, not past its newline.
     jsonl_case("generic", b'{"problem_id":', "Expecting value: line 1 column 15 (char 14)", id="generic-cut-line"),
     apps_case("metadata.json", b'{"special_judge": "no"}', "special_judge must be true or false, got 'no'",
               id="apps-special_judge-string"),
     apps_case("metadata.json", b"[]", "metadata.json must be an object, got []", id="apps-metadata-list"),
     apps_case("solutions.json", b"[1, 2]", "solutions.json[0] must be a string, got 1", id="apps-solutions-numbers"),
+    apps_case("solutions.json", b'["print(\'\\ud800\')"]', "'utf-8' codec can't encode character '\\ud800'",
+              id="apps-solutions-surrogate"),
     apps_case("question.txt", b"caf\xe9", "'utf-8' codec can't decode", id="apps-question-non-utf-8"),
     apps_case("metadata.json", b"{", "Expecting property name", id="apps-metadata-not-json"),
 ]

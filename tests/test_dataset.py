@@ -1,6 +1,7 @@
 import json
 import re
 import threading
+from typing import Literal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from semiforge.dataset import (
     Count,
     FunnelStats,
+    NonEmpty,
     check_fields,
     describe_kind,
     emit_jsonl,
@@ -16,6 +18,9 @@ from semiforge.dataset import (
     retention_ratios,
 )
 from semiforge.errors import SemiforgeError
+from semiforge.executor import STATUSES
+from semiforge.generation import AnswerType
+from semiforge.validation import TestCase as Case
 from tests.conftest import load_jsonl
 
 
@@ -83,6 +88,41 @@ def test_true_and_false_are_bool_only(value, kinds):
         else:
             with pytest.raises(ValueError, match=re.escape(f"key must be {describe_kind(kind)}, got {value!r}")):
                 check_fields({"key": value}, {"key": kind})
+
+
+STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_output": "1"}
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        (Count | None, -1, "key must be an integer >= 0 or null, got -1"),
+        (dict[str, Count] | None, {"a": "b"},
+         "key must be an object, each key a string, each value an integer >= 0 or null, got {'a': 'b'}"),
+        (Literal["ok", "drop"], "maybe", "key must be one of 'ok', 'drop', got 'maybe'"),
+        (NonEmpty[Case], [], "key must be a non-empty array, each item a TestCase, got []"),
+        (NonEmpty[Case], [STDIN_CASE, {**STDIN_CASE, "payload": 1}], "payload must be a string, got 1"),
+        (NonEmpty[Case], [{**STDIN_CASE, "function_name": "f"}], "stdin mode takes no function name, got 'f'"),
+        (AnswerType, ["stdin"], "key must be an object with keys kind, function_name, got ['stdin']"),
+        (AnswerType, {"kind": 5, "function_name": None}, "kind must be a string, got 5"),
+        (AnswerType, {"kind": "stdin", "function_name": None}, "unknown answer type kind: 'stdin'"),
+        (list[str], ["a", 1], "key[1] must be a string, got 1"),
+        (list[str], "a", "key must be an array, each item a string, got 'a'"),
+        (dict[str, dict[str, Count]], {"a": {"b": -1}}, "key['a']['b'] must be an integer >= 0, got -1"),
+        (dict[Literal[STATUSES], Count], {"ok": 1, "x": 1},
+         "key key must be one of 'ok', 'runtime_error', 'timeout', 'output_overflow', got 'x'"),
+        (dict[Literal[STATUSES], Count], {"timeout": True}, "key['timeout'] must be an integer >= 0, got True"),
+    ],
+    ids=[
+        "union-no-member", "union-nested-value", "literal", "non-empty-empty", "non-empty-bad-case",
+        "from-dict-own-check", "dataclass-not-object", "dataclass-field", "dataclass-own-check", "list-item",
+        "list-not-array", "dict-nested-value", "dict-key", "dict-value",
+    ],
+)
+def test_each_kind_form_names_a_failing_value(kind, value, message):
+    with pytest.raises(ValueError) as excinfo:
+        check_fields({"key": value}, {"key": kind})
+    assert str(excinfo.value) == message
 
 
 def test_record_round_trip():

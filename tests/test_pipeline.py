@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import pipeline
+from semiforge import dataset, pipeline
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
 from semiforge.executor import SandboxSetupFailure, resolve_interpreter
@@ -259,6 +259,34 @@ def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
     emit_jsonl([{"unit_id": "p:0", "status": "drop"}], path)
     with pytest.raises(StageFailure, match="line 1: reason must be a string, got nothing"):
         _read_rows("construct", path)
+
+
+def test_reading_a_stage_file_reads_type_hints_at_most_once(golden_run, monkeypatch):
+    _, out_dir, _ = golden_run
+    calls = []
+    get_type_hints = dataset.get_type_hints
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return get_type_hints(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "get_type_hints", counted)
+    rows = _read_rows("generate", stage_path(out_dir, "generate"))
+    assert len(rows) == 33
+    assert len(calls) <= 1
+
+
+def test_a_unit_listed_twice_fails_naming_file_line_and_unit(golden_run, golden_run_copy):
+    config, _, _ = golden_run
+    path = stage_path(golden_run_copy, "dedup")
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines) + lines[0])
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed_from(config, golden_run_copy, "order"))
+    unit_id = json.loads(lines[0])["unit_id"]
+    assert excinfo.value.stage == "dedup"
+    assert f"{path} line {len(lines) + 1}: unit_id {unit_id!r} is listed twice" in str(excinfo.value)
+    assert (golden_run_copy / DATASET_FILE).read_bytes() == (GOLDEN / DATASET_FILE).read_bytes()
 
 
 def test_stages_extend_the_unit_row(golden_run):
