@@ -12,8 +12,9 @@ their keys (see dataset.check_fields):
 JSON-lines files are split at line feeds only (see
 dataset.read_json_lines). A problem or row that is not UTF-8, not JSON,
 or holds a key of the wrong kind is skipped with a warning naming the
-key, as is one whose id or kept code cannot be written as UTF-8; only
-an entirely empty parse is fatal.
+key; only an entirely empty parse is fatal. A string that UTF-8 cannot
+encode is of no kind (see dataset.check_fields), and a solution that is
+not kept has its ``code`` left unread.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def _load_apps(root: Path) -> list[Problem]:
     problems = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
         try:
+            # A directory name that is not UTF-8 reads with lone surrogates, which the str kind rejects.
+            check_fields({"problem_id": sub.name}, {"problem_id": str})
             description = (sub / "question.txt").read_text(encoding="utf-8")
             paths = [sub / name for name in file_fields if (sub / name).is_file()]
             files = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in paths}
@@ -112,21 +115,11 @@ def _load_apps(root: Path) -> list[Problem]:
                 solutions=tuple(Solution.from_code(c) for c in files["solutions.json"]),
                 special_judge=meta.get("special_judge", False),
             )
-            _check_writable(problem)
         except (OSError, ValueError) as exc:  # UnicodeDecodeError, UnicodeEncodeError and JSONDecodeError included
             logger.warning("skipping %s: %s", sub.name, exc)
             continue
         problems.append(problem)
     return problems
-
-
-def _check_writable(problem: Problem) -> None:
-    """Raise UnicodeEncodeError unless the id and code of ``problem``, which a stage file holds, are UTF-8.
-
-    A JSON escape of a lone surrogate, such as ``"\\ud800"``, decodes to a string that is not.
-    """
-    for text in (problem.problem_id, *(solution.code for solution in problem.solutions)):
-        text.encode("utf-8")
 
 
 def _is_python(tag: str) -> bool:
@@ -138,6 +131,8 @@ def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -
     if not root.is_file():
         raise SemiforgeError(f"{format} format expects a .jsonl file, got {root}")
     row_fields, solution_fields = CORPUS_FIELDS[format]
+    # keep reads the other keys of a solution; only a kept one's code is written, so only it is read.
+    picks = {key: kind for key, kind in solution_fields.items() if key != "code"}
     problems = []
     with open(root, "rb") as fh:  # split on b"\n" only, as read_json_lines does
         for lineno, line in enumerate(fh, 1):
@@ -147,17 +142,17 @@ def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -
                 # Without the newline, a JSON error position counts within the line.
                 row = check_fields(json.loads(line.removesuffix(b"\n")), row_fields, required)
                 solutions = [
-                    {"code": entry} if isinstance(entry, str) else check_fields(entry, solution_fields, ("code",))
+                    {"code": entry} if isinstance(entry, str) else check_fields(entry, picks, ())
                     for entry in row.get("solutions", [])
                 ]
+                kept = [check_fields(s, solution_fields, ("code",)) for s in solutions if keep(s)]
                 problem = Problem(
                     problem_id=str(row[required[0]]),
                     description=row["description"],
                     source=row.get("source", format) if "source" in row_fields else format,
-                    solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in solutions if keep(s)),
+                    solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in kept),
                     special_judge=row.get("special_judge", False),
                 )
-                _check_writable(problem)
             except ValueError as exc:  # UnicodeDecodeError, UnicodeEncodeError and JSONDecodeError included
                 logger.warning("skipping line %d of %s: %s", lineno, root.name, exc)
                 continue

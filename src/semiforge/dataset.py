@@ -15,7 +15,6 @@ JSON-lines file through ``emit_jsonl`` and ``read_json_lines``.
 from __future__ import annotations
 
 import json
-import keyword
 import os
 import threading
 from contextlib import contextmanager
@@ -36,15 +35,20 @@ class NonEmpty(list):
     """The kind of a non-empty array: ``NonEmpty[item kind]`` (see check_fields)."""
 
 
-def is_function_name(value) -> bool:
-    """True if ``value`` can name a function to call: an identifier that is no keyword."""
-    return isinstance(value, str) and value.isidentifier() and not keyword.iskeyword(value)
+def _encodes(value: str) -> bool:
+    """True if UTF-8 can encode ``value``, else raise UnicodeEncodeError: no file could hold it.
+
+    Such a string holds a lone surrogate, as a JSON escape like ``"\\ud800"`` reads.
+    """
+    value.encode("utf-8")
+    return True
 
 
-# What each kind that is a JSON type is called, and whether a value is of it; true and false are bool only.
+# What each kind that is a JSON type is called, and whether a value is of it; true and false are bool only,
+# and a string that UTF-8 cannot encode raises UnicodeEncodeError.
 _TYPES = {
     bool: ("true or false", lambda value: isinstance(value, bool)),
-    str: ("a string", lambda value: isinstance(value, str)),
+    str: ("a string", lambda value: isinstance(value, str) and (value.isascii() or _encodes(value))),
     int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
     float: ("a number", lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)),
     Count: ("an integer >= 0", lambda value: isinstance(value, int) and not isinstance(value, bool) and value >= 0),
@@ -93,6 +97,8 @@ def _compile(kind) -> tuple[str, Callable]:
             return lambda name: f"{name} must be {words}, got {value!r}"
         try:
             return parts and parts(value)  # the fault of a part of the value, if any
+        except UnicodeEncodeError:
+            raise  # a string no file can hold is of no kind: it fails the whole value, whatever holds it
         except ValueError as exc:  # raised by a class's own checks, or by those of a dataclass's fields
             return lambda name, exc=exc: str(exc)
 
@@ -112,7 +118,8 @@ def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, na
     as ``str | None``, a Literal of the values allowed, ``list[kind]``, ``NonEmpty[kind]``,
     ``dict[key kind, kind]``, a class whose ``from_dict`` decodes the value or raises ValueError, or a
     dataclass: an object holding exactly its fields, of the kinds its annotations give, that passes its
-    own checks. Else raise ValueError "<key> must be <kind>, got <value>".
+    own checks. Else raise ValueError "<key> must be <kind>, got <value>", or UnicodeEncodeError (a
+    ValueError) for a string anywhere in a checked value that UTF-8 cannot encode.
     """
     if fault := _compile(dict)[1](obj):
         raise ValueError(fault(name))

@@ -70,6 +70,12 @@ every child it has not yet reaped, so no child runs on without its wall
 limit, and removes that child's working directory (from its ``run``
 command), which a dead parent would leave behind. It then exits with
 ``os._exit``, skipping the interpreter's finalization.
+
+``map_workers`` spreads a pass over at most ``workers`` plain threads,
+each taking the next item in order. Once an item has raised, no new
+item starts and the items already running finish; the exception of the
+lowest-index item that raised is then raised, as ``[fn(item) for item
+in items]`` would raise it.
 """
 
 from __future__ import annotations
@@ -86,11 +92,9 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .dataset import is_function_name
-from .errors import SemiforgeError
+from .errors import SemiforgeError, is_function_name
 
 MODES = ("stdin", "call")
 STATUSES = ("ok", "runtime_error", "timeout", "output_overflow")  # of ExecResult.status
@@ -381,11 +385,58 @@ def using(server: _Server | None):
 
 
 def map_workers(workers: int, fn, items: list) -> list:
-    """``[fn(item) for item in items]``, run on a pool of ``workers`` threads when that is more than one."""
+    """``[fn(item) for item in items]``, run on ``workers`` threads when that and ``len(items)`` are more than one.
+
+    Each thread takes the next item in order. Once ``fn`` has raised,
+    or the caller is interrupted while it waits, no new item starts;
+    the items already running finish, and then the exception of the
+    lowest-index item that raised (or the interrupt) is raised.
+    """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    raised = {}  # item index -> what fn raised on it
+    state = threading.Condition()  # guards what follows; notified as each item ends
+    pending = iter(range(len(items)))
+    stopped = False  # no new item starts
+    running, left = 0, len(items)  # the items started and not ended, and all not ended
+
+    def take():
+        nonlocal running
+        with state:
+            index = None if stopped else next(pending, None)
+            running += index is not None
+            return index
+
+    def work():
+        nonlocal stopped, running, left
+        while (index := take()) is not None:
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # a KeyboardInterrupt in fn too: the caller raises it
+                with state:
+                    raised[index] = exc
+                    stopped = True
+            with state:
+                running, left = running - 1, left - 1
+                state.notify()
+
+    # The caller wakes as each item ends, not only when the threads do: a
+    # signal that arrives while a worker holds the interpreter can wait
+    # until the caller next wakes before it is raised.
+    try:
+        for _ in range(min(workers, len(items))):
+            threading.Thread(target=work).start()
+        with state:
+            state.wait_for(lambda: left == 0 or (stopped and running == 0))
+    except BaseException:  # the caller was interrupted: start no new item, let the running ones finish
+        with state:
+            stopped = True
+            state.wait_for(lambda: running == 0)
+        raise
+    if raised:
+        raise raised[min(raised)]
+    return results
 
 
 def execute(

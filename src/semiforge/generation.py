@@ -29,8 +29,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import NonEmpty, atomic_write, check_fields, is_function_name
-from .errors import SemiforgeError
+from .dataset import NonEmpty, atomic_write, check_fields
+from .errors import SemiforgeError, is_function_name
 
 logger = logging.getLogger(__name__)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
-from .dataset import check_fields
 from .errors import SemiforgeError
 from .executor import (
     Invocation,
@@ -40,6 +40,17 @@ class EmptyTestCases(SemiforgeError):
 CASE_FIELDS = {"mode": str, "payload": str, "function_name": str | None, "expected_output": str}
 
 
+@cache
+def _dataset():
+    """``semiforge.dataset``, imported on first use: only a stored case is checked, so scoring never loads it.
+
+    Cached, as an import statement in ``TestCase.from_dict`` would cost ~1.5 µs a case.
+    """
+    from . import dataset
+
+    return dataset
+
+
 @dataclass(frozen=True)
 class TestCase:
     invocation: Invocation
@@ -56,7 +67,7 @@ class TestCase:
     @classmethod
     def from_dict(cls, obj) -> "TestCase":
         """Decode a stored case; a value that is not one raises ValueError."""
-        check_fields(obj, CASE_FIELDS, required=("mode", "payload", "expected_output"), name="test case")
+        _dataset().check_fields(obj, CASE_FIELDS, required=("mode", "payload", "expected_output"), name="test case")
         return cls(Invocation(obj["mode"], obj["payload"], obj.get("function_name")), obj["expected_output"])
 
 

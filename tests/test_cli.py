@@ -347,6 +347,8 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         ("order", {"instruction": 5, "code": "y", "source": "si"}, "si.jsonl line 1: instruction must be a string, got 5"),
         ("order", {"instruction": "x", "code": "y", "source": "si", "provenance": {"seq": True}},
          "si.jsonl line 1: seq must be an integer >= 0 or null, got True"),
+        ("order", {"instruction": "say \ud800", "code": "y", "source": "si"},
+         "si.jsonl line 1: 'utf-8' codec can't encode character '\\ud800' in position 4: surrogates not allowed"),
     ],
     ids=[
         "difficulty_mismatch",
@@ -355,6 +357,7 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         "order_row",
         "si_instruction_not_str",
         "si_seq_boolean",
+        "si_instruction_lone_surrogate",
     ],
 )
 def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_from, si_row, message):

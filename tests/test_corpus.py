@@ -148,6 +148,10 @@ KIND_CASES = [
     apps_case("solutions.json", b'["print(\'\\ud800\')"]', "'utf-8' codec can't encode character '\\ud800'",
               id="apps-solutions-surrogate"),
     apps_case("question.txt", b"caf\xe9", "'utf-8' codec can't decode", id="apps-question-non-utf-8"),
+    # A directory name that is not UTF-8 reads with a lone surrogate, and would be the problem's id.
+    pytest.param("apps", {f"{problem}/{file}": data for problem in ("bad\udcff", "good") for file, data in GOOD_APPS.items()},
+                 "skipping bad\udcff: 'utf-8' codec can't encode character '\\udcff'", ["good"],
+                 id="apps-surrogate-directory"),
     apps_case("metadata.json", b"{", "Expecting property name", id="apps-metadata-not-json"),
 ]
 

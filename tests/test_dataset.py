@@ -112,11 +112,18 @@ STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_
         (dict[Literal[STATUSES], Count], {"ok": 1, "x": 1},
          "key key must be one of 'ok', 'runtime_error', 'timeout', 'output_overflow', got 'x'"),
         (dict[Literal[STATUSES], Count], {"timeout": True}, "key['timeout'] must be an integer >= 0, got True"),
+        # A string that UTF-8 cannot encode (a JSON "\ud800" reads as one) fails whatever kind holds it.
+        (str, "say \ud800", "'utf-8' codec can't encode character '\\ud800' in position 4: surrogates not allowed"),
+        (str | int, "\udc80", "'utf-8' codec can't encode character '\\udc80' in position 0: surrogates not allowed"),
+        (dict[str, Count], {"\ud800": 1}, "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+        (NonEmpty[Case], [{**STDIN_CASE, "payload": "caf\u00e9 \udfff"}],
+         "'utf-8' codec can't encode character '\\udfff' in position 5: surrogates not allowed"),
     ],
     ids=[
         "union-no-member", "union-nested-value", "literal", "non-empty-empty", "non-empty-bad-case",
         "from-dict-own-check", "dataclass-not-object", "dataclass-field", "dataclass-own-check", "list-item",
-        "list-not-array", "dict-nested-value", "dict-key", "dict-value",
+        "list-not-array", "dict-nested-value", "dict-key", "dict-value", "str-unencodable", "union-unencodable",
+        "dict-key-unencodable", "from-dict-unencodable",
     ],
 )
 def test_each_kind_form_names_a_failing_value(kind, value, message):

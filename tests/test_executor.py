@@ -15,6 +15,7 @@ from semiforge.executor import (
     ResourceLimits,
     SandboxSetupFailure,
     execute,
+    map_workers,
     normalize_output,
     outputs_match,
     resolve_interpreter,
@@ -502,6 +503,95 @@ def test_concurrent_runs_keep_their_own_output():
         assert result.ok
         assert normalize_output(result.stdout) == f"input-{i}"[::-1]
         assert elapsed <= pause + 1.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_map_workers_returns_results_in_item_order(workers):
+    items = list(range(12))
+    # Later items finish sooner, so results gathered as they finish would come back reversed.
+    assert map_workers(workers, lambda item: time.sleep((12 - item) / 1000) or item * item, items) == [
+        item * item for item in items
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_workers_runs_at_most_workers_items_at_once(workers):
+    lock = threading.Lock()
+    running, most = 0, 0
+
+    def fn(item):
+        nonlocal running, most
+        with lock:
+            running += 1
+            most = max(most, running)
+        time.sleep(0.01)
+        with lock:
+            running -= 1
+
+    map_workers(workers, fn, list(range(12)))
+    assert 1 < most <= workers
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_map_workers_starts_no_item_after_a_failure(workers):
+    started, finished = [], []
+
+    def fn(item):
+        started.append(item)
+        if item == 3:
+            raise ValueError(f"item {item}")
+        time.sleep(0.02)
+        finished.append(item)
+
+    with pytest.raises(ValueError, match="item 3"):
+        map_workers(workers, fn, list(range(20)))
+    assert max(started) <= 3 + workers
+    assert sorted(finished) == sorted(set(started) - {3})  # the items running at the failure finished
+
+
+def test_map_workers_raises_the_lowest_index_failure():
+    def fn(item):
+        if item == 0:
+            time.sleep(0.05)  # fails after item 1 has
+        if item < 2:
+            raise ValueError(f"item {item}")
+
+    with pytest.raises(ValueError, match="item 0"):
+        map_workers(2, fn, list(range(4)))
+
+
+def test_map_workers_raises_an_interrupt_from_fn():
+    def fn(item):
+        if item == 1:
+            raise KeyboardInterrupt
+        return item
+
+    with pytest.raises(KeyboardInterrupt):
+        map_workers(2, fn, list(range(6)))
+
+
+def test_an_interrupted_map_workers_lets_running_items_finish():
+    started, finished = [], []
+    both_running = threading.Event()
+
+    def fn(item):
+        started.append(item)
+        if item == 1:
+            both_running.set()
+        if item == 0 and both_running.wait(timeout=5):
+            time.sleep(0.05)  # the caller waits by now
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)  # as Ctrl-C would
+        time.sleep(0.2)
+        finished.append(item)
+
+    with pytest.raises(KeyboardInterrupt):
+        map_workers(2, fn, list(range(10)))
+    assert sorted(started) == sorted(finished) == [0, 1]
+
+
+@pytest.mark.parametrize("workers, count", [(1, 3), (4, 1)], ids=["one_worker", "one_item"])
+def test_map_workers_runs_inline_at_one_worker_or_item(workers, count):
+    assert map_workers(workers, lambda item: threading.get_ident(), list(range(count))) == [threading.get_ident()] * count
 
 
 def test_invocation_validation():

@@ -186,6 +186,16 @@ def test_the_sandbox_layer_does_not_load_generation(module):
     assert out.split() == ["False", "False"]
 
 
+@pytest.mark.parametrize("module", ["metrics", "validation", "executor"])
+def test_the_sandbox_layer_loads_no_thread_pool_and_no_dataset(module):
+    """Scoring starts cold: no ``concurrent.futures`` (and ``logging``) for a pass's threads, no ``dataset`` for a case."""
+    out = run_fresh(
+        f"import sys, semiforge.{module}",
+        "print(*(name in sys.modules for name in ('concurrent.futures', 'logging', 'semiforge.dataset')))",
+    )
+    assert out.split() == ["False", "False", "False"]
+
+
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("[!_]*.py")))
 def test_each_module_imports_on_its_own(module):
     """An import cycle fails only for the module imported first, so import each one first."""
