@@ -44,6 +44,20 @@ def _encodes(value: str) -> bool:
     return True
 
 
+def _encodes_all(value) -> None:
+    """Raise UnicodeEncodeError if UTF-8 cannot encode a string anywhere in the JSON value ``value``, keys included."""
+    stack = [value]
+    while stack:  # a loop: json.loads nests values deeper than a recursive walk from here could go
+        value = stack.pop()
+        if isinstance(value, str):
+            value.isascii() or _encodes(value)
+        elif isinstance(value, dict):
+            stack += value
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+
+
 # What each kind that is a JSON type is called, and whether a value is of it; true and false are bool only,
 # and a string that UTF-8 cannot encode raises UnicodeEncodeError.
 _TYPES = {
@@ -147,9 +161,12 @@ def record(obj) -> dict:
     """Turn a JSON value read from a file into the record that gets written.
 
     Optional keys get their defaults and unknown keys are dropped; a
-    value that cannot be a record raises ValueError naming the defect.
+    value that cannot be a record raises ValueError naming the defect, a
+    kept string that UTF-8 cannot encode UnicodeEncodeError (a ValueError).
     """
     check_fields(obj, RECORD_FIELDS, required=("instruction", "code", "source"), name="record")
+    for key in ("answer_type", "test_cases"):  # kinds that leave their contents unchecked, but a file must hold them
+        _encodes_all(obj.get(key))
     prov = check_fields(obj.get("provenance") or {}, PROVENANCE_FIELDS, required=(), name="provenance")
     if obj["source"] == "semi":
         if obj.get("difficulty") is None or obj.get("n_test_cases") is None:

@@ -42,7 +42,6 @@ from .generation import (
     TEMPLATE_VERSION,
     AnswerType,
     EmptyCode,
-    LiveClient,
     ParseError,
     PromptTemplate,
     ReplayClient,
@@ -50,6 +49,7 @@ from .generation import (
     parse_components,
     prompt_digest,
 )
+from .live import LiveClient
 from .validation import (
     DEFAULT_DEDUP_THRESHOLD,
     EmptyTestCases,

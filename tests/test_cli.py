@@ -349,6 +349,10 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
          "si.jsonl line 1: seq must be an integer >= 0 or null, got True"),
         ("order", {"instruction": "say \ud800", "code": "y", "source": "si"},
          "si.jsonl line 1: 'utf-8' codec can't encode character '\\ud800' in position 4: surrogates not allowed"),
+        ("order", {"instruction": "x", "code": "y", "source": "si", "difficulty": 1, "test_cases": ["\ud800"]},
+         "si.jsonl line 1: 'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+        ("order", {"instruction": "x", "code": "y", "source": "si", "answer_type": {"kind": [{"\ud800": 1}]}},
+         "si.jsonl line 1: 'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
     ],
     ids=[
         "difficulty_mismatch",
@@ -358,6 +362,8 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         "si_instruction_not_str",
         "si_seq_boolean",
         "si_instruction_lone_surrogate",
+        "si_test_case_lone_surrogate",
+        "si_answer_type_lone_surrogate",
     ],
 )
 def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_from, si_row, message):
@@ -370,6 +376,7 @@ def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_
         si = golden_run_copy / "si.jsonl"
         si.write_text(json.dumps(si_row) + "\n", encoding="utf-8")
         si_flags = ("--si", si)
+    order = (golden_run_copy / "stage_order.jsonl").read_bytes()
     code = run_cli(
         "run", "--config", golden_config_path, "--out", golden_run_copy, "--resume-from", resume_from, *si_flags
     )
@@ -378,6 +385,7 @@ def test_bad_record_exits_2(golden_run_copy, golden_config_path, capsys, resume_
     assert err.startswith("error: stage order: ")
     assert message in err
     assert "Traceback" not in err
+    assert (golden_run_copy / "stage_order.jsonl").read_bytes() == order  # the read fails before any write
 
 
 def with_first_case(row, **changes):

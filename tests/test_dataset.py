@@ -156,6 +156,16 @@ def test_record_fills_defaults_and_drops_unknown_keys():
     }
 
 
+def test_record_checks_every_string_its_free_form_keys_hold():
+    """answer_type and test_cases take any shape, but every string in them, keys included, must encode as UTF-8."""
+    fine = {"kind": ["caf\u00e9", {"\u00e9": [None, 1.5, True]}]}
+    base = {"instruction": "x", "code": "y", "source": "si", "extra": ["\ud800"]}  # an unknown key is dropped unread
+    assert record({**base, "answer_type": fine, "test_cases": [fine]})["test_cases"] == [fine]
+    for key, value in (("test_cases", [{"payload": "\ud800"}]), ("answer_type", {"kind": {"\udfff": 1}})):
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+            record({**base, key: value})
+
+
 def test_si_record_without_difficulty():
     rec = record(
         {

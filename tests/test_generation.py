@@ -11,7 +11,6 @@ from semiforge.generation import (
     Completion,
     EmptyCode,
     GenerationBundle,
-    LiveClient,
     ParseError,
     PromptTemplate,
     ReplayClient,
@@ -19,6 +18,7 @@ from semiforge.generation import (
     parse_components,
     prompt_digest,
 )
+from semiforge.live import LiveClient
 from tests.conftest import GOLDEN
 
 
@@ -261,7 +261,7 @@ def ok_body(text="generated"):
 @pytest.fixture()
 def no_sleep(monkeypatch):
     naps = []
-    monkeypatch.setattr("semiforge.generation.time.sleep", lambda s: naps.append(s))
+    monkeypatch.setattr("semiforge.live.time.sleep", lambda s: naps.append(s))
     return naps
 
 

@@ -153,19 +153,29 @@ def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
     assert out.split() == [str(loads_numpy), "False"]
 
 
+def imported_packages(path: Path) -> set[str]:
+    """The top-level names of the absolute imports in ``path``, those inside functions included."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
 def test_declared_dependencies_are_the_imported_packages():
-    imported = set()  # the top-level names of the absolute imports, those inside functions included
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    imported = set().union(*map(imported_packages, PACKAGE.glob("*.py")))
     third_party = imported - set(sys.stdlib_module_names) - {"semiforge"}
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL).group(1)
     declared = {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', listed)}
     assert third_party == declared
+
+
+def test_only_live_imports_the_network_stack():
+    network = {"urllib", "http", "ssl", "socket"}
+    assert sorted(path.name for path in PACKAGE.glob("*.py") if imported_packages(path) & network) == ["live.py"]
 
 
 def test_import_semiforge_loads_no_module_of_the_package():
@@ -177,6 +187,15 @@ def test_generation_does_not_load_the_sandbox():
     """Building prompts and parsing completions needs neither the executor nor ``subprocess``."""
     out = run_fresh("import sys, semiforge.generation", "print('semiforge.executor' in sys.modules, 'subprocess' in sys.modules)")
     assert out.split() == ["False", "False"]
+
+
+def test_generation_loads_no_live_client_logging_or_dataset():
+    """Prompts, replays and parsing use none of them; ``dataset`` is loaded only to store a live answer."""
+    out = run_fresh(
+        "import sys, semiforge.generation",
+        "print(*(name in sys.modules for name in ('logging', 'semiforge.dataset', 'semiforge.live')))",
+    )
+    assert out.split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize("module", ["metrics", "validation"])
