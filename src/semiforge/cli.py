@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .corpus import FORMATS
-from .dataset import FunnelStats, atomic_write, check_fields, funnel_report, read_json_lines
+from .dataset import FunnelStats, NonEmpty, atomic_write, check_fields, funnel_report, read_json_lines
 from .errors import SemiforgeError
 from .executor import ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
@@ -95,7 +95,7 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
     candidates: dict[str, list[str]] = {}  # problem_id -> its candidates, in file order
 
     def problem(row) -> tuple[str, tuple[TestCase, ...]]:
-        check_fields(row, {"problem_id": str, "test_cases": list})
+        check_fields(row, {"problem_id": str, "test_cases": NonEmpty})
         if row["problem_id"] in candidates:
             raise ValueError(f"problem_id {row['problem_id']!r} is listed twice")
         candidates[row["problem_id"]] = []

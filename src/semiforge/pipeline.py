@@ -125,7 +125,7 @@ class PipelineConfig:
     interpreter: str | None = None
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
     order: Literal[STRATEGIES] = "semi_ranked"
-    seed: Count = 0  # numpy's SeedSequence rejects a negative seed
+    seed: Count = 0  # SeedSequence seeding, as numpy's, rejects a negative seed
     scale: Count | None = None
     si_path: str | None = None
     workers: int = 4

@@ -561,7 +561,8 @@ def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "mode": "socket"}]},
          "problems.jsonl line 1: unknown execution mode: 'socket'"),
         ({"test_cases": []}, "problems.jsonl line 1: problem_id must be a string, got nothing"),
-        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases must be an array, got None"),
+        ({"problem_id": "d", "test_cases": None}, "problems.jsonl line 1: test_cases must be a non-empty array, got None"),
+        ({"problem_id": "d", "test_cases": []}, "problems.jsonl line 1: test_cases must be a non-empty array, got []"),
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "expected_output": 1}]},
          "problems.jsonl line 1: expected_output must be a string, got 1"),
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "function_name": 5}]},
@@ -573,6 +574,7 @@ def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
         "unknown_mode",
         "no_problem_id",
         "cases_not_array",
+        "no_test_cases",
         "expected_output_not_str",
         "function_name_not_str",
         "problem_id_not_str",

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiforge.curriculum import (
     STRATEGIES,
+    _PCG64,
     order_records,
     rank_by_difficulty,
 )
@@ -102,8 +104,6 @@ def test_seed_changes_shuffle():
 
 def test_ni_shuffled_matches_reference_algorithm():
     """Shuffle problem ids, assemble each problem contiguously, shuffle records."""
-    import numpy as np
-
     seed = 3
     rng = np.random.default_rng(seed)
     ids_in_order = []
@@ -173,3 +173,17 @@ def test_shuffles_are_permutations(seq_values, seed):
     for kind in ("semi_unranked", "ni_shuffled", "all_shuffled"):
         ordered = order_records(records, kind, seed=seed)
         assert sorted(ids(ordered)) == sorted(ids(records))
+
+
+@given(st.integers(min_value=0, max_value=2**128), st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_permutations_are_numpys(seed, sizes):
+    """Each permutation drawn in turn from one generator is the one numpy's default_rng draws."""
+    ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+    for n in sizes:
+        assert ours.permutation(n) == numpys.permutation(n).tolist()
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        order_records(MIXED, "all_shuffled", seed=-1)

@@ -208,7 +208,8 @@ def test_non_ascii_stdin_stdout_round_trip():
 
 
 def test_site_packages_hidden_from_snippets():
-    result = execute("import numpy", Invocation.stdin(""), FAST)
+    # pytest is installed wherever this runs, so only a hidden site-packages fails the import.
+    result = execute("import pytest", Invocation.stdin(""), FAST)
     assert result.status == "runtime_error"
     assert "ModuleNotFoundError" in result.stderr
 

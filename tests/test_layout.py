@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from semiforge.corpus import CORPUS_FIELDS
+from semiforge.curriculum import STRATEGIES
 from semiforge.dataset import describe_kind
 from semiforge.errors import SemiforgeError
 from semiforge.pipeline import UNIT_FIELDS, PipelineConfig
@@ -127,30 +128,30 @@ def run_fresh(*lines: str) -> str:
     return done.stdout
 
 
-RECORDS = '[{"difficulty": 1, "provenance": {"problem_id": "p", "seq": 0}}]'
+RECORDS = '[{"difficulty": 1, "source": "semi", "provenance": {"problem_id": "p", "seq": 0}}] * 3'
 
 
 @pytest.mark.parametrize(
-    "call, loads_numpy",
-    [
-        ("pass", False),
-        (f"order_records({RECORDS}, 'semi_ranked')", False),
-        (f"order_records({RECORDS}, 'ni_shuffled', seed=1)", True),
-    ],
-    ids=["import", "semi_ranked", "ni_shuffled"],
+    "call, printed",
+    [("pass", [])] + [(f"print(len(order_records({RECORDS}, {kind!r}, seed=1)))", ["3"]) for kind in STRATEGIES],
+    ids=["import", *STRATEGIES],
 )
-def test_numpy_is_loaded_only_by_the_shuffles(call, loads_numpy):
-    """numpy is most of the package's import time, and only the seeded shuffles need it.
+def test_numpy_is_loaded_only_by_the_shuffles(call, printed):
+    """No call loads numpy: the shuffles, which once did, compute numpy's permutations themselves.
 
+    Each case runs in an interpreter where any import of numpy raises
+    ImportError, so a strategy that still needed numpy would fail here.
     ``urllib.request`` is imported only when a live completion is asked for.
     """
     out = run_fresh(
-        "import sys, semiforge.cli",
+        "import sys",
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
+        "import semiforge.cli",
         "from semiforge.curriculum import order_records",
         call,
-        "print('numpy' in sys.modules, 'urllib.request' in sys.modules)",
+        "print('urllib.request' in sys.modules)",
     )
-    assert out.split() == [str(loads_numpy), "False"]
+    assert out.split() == printed + ["False"]
 
 
 def imported_packages(path: Path) -> set[str]:
