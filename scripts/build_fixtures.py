@@ -789,29 +789,23 @@ def write_corpus_golden() -> None:
     (same whitespace-normalized description), e_many is capped at 25.
     """
 
-    def sol(code):
-        return {"code": code, "token_count": len(code.split()), "origin": ""}
-
     golden_problems = [
         {
             "description": "Sum two integers.\n",
             "problem_id": "a_dup1",
-            "solutions": [sol(c) for c in A_SOLUTIONS + D_SOLUTIONS],
-            "source": "apps",
+            "solutions": A_SOLUTIONS + D_SOLUTIONS,
             "special_judge": False,
         },
         {
             "description": "Echo the line.\n",
             "problem_id": "c_long",
-            "solutions": [sol(SHORT_ECHO)],
-            "source": "apps",
+            "solutions": [SHORT_ECHO],
             "special_judge": False,
         },
         {
             "description": "Print your favourite number.\n",
             "problem_id": "e_many",
-            "solutions": [sol(c) for c in E_SOLUTIONS[:25]],
-            "source": "apps",
+            "solutions": E_SOLUTIONS[:25],
             "special_judge": False,
         },
     ]

@@ -14,7 +14,9 @@ dataset.read_json_lines). A problem or row that is not UTF-8, not JSON,
 or holds a key of the wrong kind is skipped with a warning naming the
 key; only an entirely empty parse is fatal. A string that UTF-8 cannot
 encode is of no kind (see dataset.check_fields), and a solution that is
-not kept has its ``code`` left unread.
+not kept has its ``code`` left unread. A generic row's ``source`` and a
+solution's ``origin`` are checked for kind but not kept: a Problem holds
+its id, description, special-judge flag and the code of each solution.
 """
 
 from __future__ import annotations
@@ -51,22 +53,10 @@ CORPUS_FIELDS = {
 
 
 @dataclass(frozen=True)
-class Solution:
-    code: str
-    token_count: int
-    origin: str = ""
-
-    @classmethod
-    def from_code(cls, code: str, origin: str = "") -> "Solution":
-        return cls(code=code, token_count=len(code.split()), origin=origin)
-
-
-@dataclass(frozen=True)
 class Problem:
     problem_id: str
     description: str
-    source: str
-    solutions: tuple[Solution, ...]
+    solutions: tuple[str, ...]  # the code of each kept solution
     special_judge: bool = False
 
 
@@ -111,8 +101,7 @@ def _load_apps(root: Path) -> list[Problem]:
             problem = Problem(
                 problem_id=sub.name,
                 description=description,
-                source="apps",
-                solutions=tuple(Solution.from_code(c) for c in files["solutions.json"]),
+                solutions=tuple(files["solutions.json"]),
                 special_judge=meta.get("special_judge", False),
             )
         except (OSError, ValueError) as exc:  # UnicodeDecodeError, UnicodeEncodeError and JSONDecodeError included
@@ -149,8 +138,7 @@ def _load_json_lines(root: Path, format: str, required: tuple[str, ...], keep) -
                 problem = Problem(
                     problem_id=str(row[required[0]]),
                     description=row["description"],
-                    source=row.get("source", format) if "source" in row_fields else format,
-                    solutions=tuple(Solution.from_code(s["code"], s.get("origin", "")) for s in kept),
+                    solutions=tuple(s["code"] for s in kept),
                     special_judge=row.get("special_judge", False),
                 )
             except ValueError as exc:  # UnicodeDecodeError, UnicodeEncodeError and JSONDecodeError included
@@ -168,7 +156,7 @@ def filter_problems(problems: Iterable[Problem], max_tokens: int = DEFAULT_MAX_T
     for problem in problems:
         if problem.special_judge:
             continue
-        kept = tuple(s for s in problem.solutions if s.token_count <= max_tokens)
+        kept = tuple(code for code in problem.solutions if len(code.split()) <= max_tokens)
         if not kept:
             continue
         out.append(replace(problem, solutions=kept))

@@ -247,14 +247,14 @@ def _stage_ingest(config: PipelineConfig) -> list[dict]:
     problems = corpus_mod.cap_solutions(problems, config.solution_cap)
     rows = []
     for problem in problems:
-        for index, solution in enumerate(problem.solutions):
+        for index, code in enumerate(problem.solutions):
             rows.append(
                 {
                     "unit_id": f"{problem.problem_id}:{index}",
                     "problem_id": problem.problem_id,
                     "solution_index": index,
                     "seq": len(rows),
-                    "code": solution.code,
+                    "code": code,
                     "status": "ok",
                     "reason": None,
                 }

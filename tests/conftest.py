@@ -56,12 +56,8 @@ def problem_to_dict(problem) -> dict:
     return {
         "problem_id": problem.problem_id,
         "description": problem.description,
-        "source": problem.source,
         "special_judge": problem.special_judge,
-        "solutions": [
-            {"code": s.code, "token_count": s.token_count, "origin": s.origin}
-            for s in problem.solutions
-        ],
+        "solutions": list(problem.solutions),
     }
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from semiforge.corpus import (
     Problem,
-    Solution,
     cap_solutions,
     filter_problems,
     load_corpus,
@@ -21,7 +20,7 @@ def test_load_apps_directory():
     problems = load_corpus(TEST_DATA / "apps_small", "apps")
     assert [p.problem_id for p in problems] == ["p1", "p2", "p3"]
     assert [len(p.solutions) for p in problems] == [2, 1, 1]
-    assert problems[0].source == "apps"
+    assert problems[0].solutions == ("print(int(input())*2)", "n=int(input());print(n+n)")
     assert problems[0].description.startswith("Double it.")
 
 
@@ -29,7 +28,7 @@ def test_load_codecontest_keeps_correct_python_only(caplog):
     problems = load_corpus(TEST_DATA / "codecontest_fixture.jsonl", "codecontest")
     assert [p.problem_id for p in problems] == ["cc1", "cc2"]
     assert len(problems[0].solutions) == 1
-    assert "sum" in problems[0].solutions[0].code
+    assert "sum" in problems[0].solutions[0]
     # "PYTHON" tag matches case-insensitively.
     assert len(problems[1].solutions) == 1
 
@@ -38,7 +37,7 @@ def test_load_generic_keeps_untagged_and_python_solutions(tmp_path):
     solutions = ["print(1)", {"code": "int main() {}", "language": "cpp"}, {"code": "print(2)", "language": " Python3"}]
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps({"problem_id": "p", "description": "d", "solutions": solutions}) + "\n", encoding="utf-8")
-    assert [s.code for s in load_corpus(path, "generic")[0].solutions] == ["print(1)", "print(2)"]
+    assert load_corpus(path, "generic")[0].solutions == ("print(1)", "print(2)")
 
 
 def test_load_generic_jsonl():
@@ -203,8 +202,7 @@ def make_problem(pid, description, codes, special=False):
     return Problem(
         problem_id=pid,
         description=description,
-        source="test",
-        solutions=tuple(Solution.from_code(c) for c in codes),
+        solutions=tuple(codes),
         special_judge=special,
     )
 
@@ -217,7 +215,7 @@ def test_filter_drops_special_judge_and_long_solutions():
     ]
     kept = filter_problems(problems, max_tokens=1000)
     assert [p.problem_id for p in kept] == ["keep"]
-    assert [s.code for s in kept[0].solutions] == ["print(1)"]
+    assert kept[0].solutions == ("print(1)",)
 
 
 def test_normalize_description_collapses_whitespace():
@@ -232,7 +230,7 @@ def test_merge_by_normalized_description():
     ]
     merged = merge_duplicate_problems(problems)
     assert [p.problem_id for p in merged] == ["first", "third"]
-    assert [s.code for s in merged[0].solutions] == ["a", "b", "c"]
+    assert merged[0].solutions == ("a", "b", "c")
     # First occurrence keeps its own description verbatim.
     assert merged[0].description == "Sum two integers.\n"
 
@@ -246,7 +244,7 @@ def test_merge_skips_a_problem_whose_id_is_taken(tmp_path, caplog):
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     merged = merge_duplicate_problems(load_corpus(path, "generic"))
-    assert [(p.problem_id, [s.code for s in p.solutions]) for p in merged] == [("p1", ["a", "c"])]
+    assert [(p.problem_id, p.solutions) for p in merged] == [("p1", ("a", "c"))]
     assert "skipping problem p1: an earlier problem has that id" in caplog.text
 
 
@@ -267,7 +265,7 @@ def test_cap_solutions():
     problem = make_problem("p", "task", [f"print({i})" for i in range(26)])
     capped = cap_solutions([problem], cap=25)
     assert len(capped[0].solutions) == 25
-    assert capped[0].solutions[0].code == "print(0)"
+    assert capped[0].solutions[0] == "print(0)"
     with pytest.raises(ValueError, match="solution_cap must be >= 1, got 0"):
         cap_solutions([problem], cap=0)
 
@@ -281,6 +279,7 @@ def test_round_trip_serialization(tmp_path):
     assert back[0].special_judge is True
 
 
-def test_solution_token_count():
-    assert Solution.from_code("a = 1\nb = 2").token_count == 6
-    assert Solution.from_code("print(1)").token_count == 1
+def test_filter_keeps_solutions_of_at_most_max_tokens():
+    # Tokens are whitespace-separated: a space, a tab and a newline each split.
+    problems = [make_problem("p", "task", ["a b\tc\nd", "a b\tc\n"])]
+    assert filter_problems(problems, max_tokens=3)[0].solutions == ("a b\tc\n",)

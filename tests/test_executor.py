@@ -117,6 +117,20 @@ def test_output_overflow_detected():
     assert result.stdout == ""
 
 
+def test_stderr_past_the_cap_is_a_runtime_error():
+    # The file-size rlimit caps stderr too; CPython ignores SIGXFSZ, so the write raises EFBIG.
+    code = "import sys\nprint('ok')\nsys.stderr.write('e' * 2 * 1024 * 1024)"
+    result = execute(code, Invocation.stdin(""), FAST)
+    assert (result.status, result.returncode, result.stdout) == ("runtime_error", 1, "ok\n")
+    assert len(result.stderr) == FAST.output_bytes == 1024 * 1024
+
+
+def test_a_file_of_the_runs_own_past_the_cap_is_a_runtime_error():
+    result = execute("open('big.bin', 'wb').write(b'x' * 2 * 1024 * 1024)", Invocation.stdin(""), FAST)
+    assert result.status == "runtime_error"
+    assert "OSError: [Errno 27] File too large" in result.stderr
+
+
 TAMPER_PRELUDE = "import os, sys\nprint('kept')\nprint('noted', file=sys.stderr)\nsys.stdout.flush()\n"
 
 
