@@ -541,11 +541,11 @@ def check_completions() -> None:
             "no_fn": "missing_function_name",
         }.get(spec["malform"])
         if expect is None:
-            bundle = parse_components(text)
-            assert bundle.instruction == spec["instruction"], problem["problem_id"]
-            assert bundle.refined_code == spec["refined"], problem["problem_id"]
-            assert len(bundle.raw_inputs) == INPUT_COUNT, problem["problem_id"]
-            assert list(bundle.raw_inputs) == spec["inputs"], problem["problem_id"]
+            fields = parse_components(text)
+            assert fields["instruction"] == spec["instruction"], problem["problem_id"]
+            assert fields["refined_code"] == spec["refined"], problem["problem_id"]
+            assert len(fields["raw_inputs"]) == INPUT_COUNT, problem["problem_id"]
+            assert fields["raw_inputs"] == spec["inputs"], problem["problem_id"]
         else:
             try:
                 parse_components(text)

@@ -1,11 +1,11 @@
 """Run untrusted snippets in a throwaway subprocess sandbox.
 
 Every execution gets a fresh temporary working directory, a session and
-process group of its own, an address-space ceiling and a hard cap on
-bytes written to stdout. The cap is enforced with RLIMIT_FSIZE set to
-one byte above the configured limit: a run that fills the extra byte is
-reported as an overflow, with empty stdout, instead of being silently
-truncated.
+process group of its own, an address-space ceiling (``MEMORY_BYTES``)
+and a hard cap on bytes written to stdout (``OUTPUT_BYTES``). The cap
+is enforced with RLIMIT_FSIZE set to one byte above it: a run that
+fills the extra byte is reported as an overflow, with empty stdout,
+instead of being silently truncated.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
 ``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
@@ -99,6 +99,8 @@ from .errors import SemiforgeError, is_function_name
 MODES = ("stdin", "call")
 STATUSES = ("ok", "runtime_error", "timeout", "output_overflow")  # of ExecResult.status
 MAX_WALL_TIMEOUT = (2**31 - 1) / 1000  # seconds: poll waits at most 2**31 - 1 ms
+MEMORY_BYTES = 256 * 1024 * 1024  # a run's address-space ceiling
+OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdout included
 
 # The fork server, run as ``python -I -S -B -X utf8 -c _SERVER``. Its
 # stdin and stdout are the command and answer pipes. Each command is a
@@ -260,15 +262,12 @@ class Invocation:
 @dataclass(frozen=True)
 class ResourceLimits:
     wall_timeout: float = 5.0
-    memory_bytes: int = 256 * 1024 * 1024
-    output_bytes: int = 1024 * 1024
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if isinstance(self.wall_timeout, float) and not math.isfinite(self.wall_timeout):
+            raise ValueError(f"wall_timeout must be finite, got {self.wall_timeout!r}")
+        if self.wall_timeout <= 0:
+            raise ValueError(f"wall_timeout must be > 0, got {self.wall_timeout!r}")
         if self.wall_timeout > MAX_WALL_TIMEOUT:
             raise ValueError(f"wall_timeout must be <= {MAX_WALL_TIMEOUT}, got {self.wall_timeout!r}")
 
@@ -344,7 +343,7 @@ class _Server:
         The seconds run from the fork to the reap, so they leave out the
         wait for the server's ``ast`` import before its first fork.
         """
-        pid = self._exchange("run", workdir, limits.memory_bytes, limits.output_bytes + 1, call)
+        pid = self._exchange("run", workdir, MEMORY_BYTES, OUTPUT_BYTES + 1, call)
         forked = time.monotonic()
         try:
             timed_out = not _wait_exit(pid, limits.wall_timeout)
@@ -482,11 +481,11 @@ def execute(
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
 
-        overflow = os.fstat(out.fileno()).st_size > limits.output_bytes
+        overflow = os.fstat(out.fileno()).st_size > OUTPUT_BYTES
         # No caller reads an overflowing run's output, and reading the
         # capped megabyte costs the parent twice that at its peak.
-        stdout = "" if overflow else _read_capped(out, limits.output_bytes)
-        stderr = _read_capped(err, limits.output_bytes)
+        stdout = "" if overflow else _read_capped(out, OUTPUT_BYTES)
+        stderr = _read_capped(err, OUTPUT_BYTES)
 
         if timed_out:
             status = "timeout"

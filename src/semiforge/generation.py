@@ -2,8 +2,9 @@
 
 A completion must contain four `### ` sections, in any order, found by
 name: Instruction, Refined Code, Answer Type, Test Case Inputs. The
-parser is total: any structural defect raises a ParseError carrying its
-drop reason, never a partial bundle and never another exception.
+parser is total: it returns the four fields the generate stage adds to
+a unit row, as the row stores them, or raises a ParseError carrying the
+drop reason of a structural defect, never another exception.
 
 Every completion is asked of a ReplayClient: it serves completions from
 a content-addressed store keyed by the SHA-256 of the prompt, which
@@ -48,7 +49,7 @@ class ParseError(SemiforgeError):
 
 @dataclass(frozen=True)
 class AnswerType:
-    """Either call-based (with a function name) or standard input."""
+    """The check of a stored answer type: call-based (with a function name) or standard input."""
 
     kind: str
     function_name: str | None = None
@@ -58,22 +59,6 @@ class AnswerType:
             raise ValueError(f"unknown answer type kind: {self.kind!r}")
         if self.kind == CALL_BASED and not is_function_name(self.function_name):
             raise ValueError(f"call-based answers need a function name, got {self.function_name!r}")
-
-    @classmethod
-    def call_based(cls, function_name: str) -> "AnswerType":
-        return cls(kind=CALL_BASED, function_name=function_name)
-
-    @classmethod
-    def standard_input(cls) -> "AnswerType":
-        return cls(kind=STANDARD_INPUT)
-
-
-@dataclass(frozen=True)
-class GenerationBundle:
-    instruction: str
-    refined_code: str
-    answer_type: AnswerType
-    raw_inputs: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -192,23 +177,23 @@ def _strip_code_fence(body: str) -> str:
     return "\n".join(lines).strip("\n")
 
 
-def _parse_answer_type(body: str) -> AnswerType:
+def _parse_answer_type(body: str) -> dict:
     first = next((line.strip() for line in body.splitlines() if line.strip()), "")
     label = first.strip("`'\". ").lower()
     if label in ("standard input", "standard-input", "stdin"):
-        return AnswerType.standard_input()
+        return {"kind": STANDARD_INPUT, "function_name": None}
     if label in ("call-based", "call based", "callbased"):
         for line in body.splitlines():
             match = _FUNCTION_NAME.match(line.strip())
             if match:
                 name = match.group("name").strip("`'\"")
                 if is_function_name(name):
-                    return AnswerType.call_based(name)
+                    return {"kind": CALL_BASED, "function_name": name}
         raise ParseError("missing_function_name", "call-based answer without a usable Function Name line")
     raise ParseError("unknown_answer_type", f"unrecognized answer type: {first!r}")
 
 
-def _parse_inputs(body: str) -> tuple[str, ...]:
+def _parse_inputs(body: str) -> list[str]:
     blocks: list[list[str]] = []
     current: list[str] | None = None
     for line in body.splitlines():
@@ -219,11 +204,15 @@ def _parse_inputs(body: str) -> tuple[str, ...]:
             current.append(line)
     if not blocks:
         raise ParseError("no_inputs", "completion contains no test case input blocks")
-    return tuple("\n".join(block).strip("\n") for block in blocks)
+    return ["\n".join(block).strip("\n") for block in blocks]
 
 
-def parse_components(raw: str) -> GenerationBundle:
-    """Parse a completion into its four components or raise a ParseError."""
+def parse_components(raw: str) -> dict:
+    """Parse a completion into the generate fields of a unit row, or raise a ParseError.
+
+    The fields are ``instruction``, ``refined_code``, ``answer_type``
+    (``{"kind", "function_name"}``) and ``raw_inputs`` (a list of strings).
+    """
     sections = _split_sections(raw)
     missing = [name for name in SECTION_NAMES if name not in sections]
     if not missing:
@@ -232,9 +221,9 @@ def parse_components(raw: str) -> GenerationBundle:
         missing = [name for name in SECTION_NAMES[:3] if not sections[name].strip()]
     if missing:
         raise ParseError(f"missing_section:{missing[0]}", f"completion is missing the {missing[0]!r} section")
-    return GenerationBundle(
-        instruction=sections["Instruction"].strip(),
-        refined_code=sections["Refined Code"],
-        answer_type=_parse_answer_type(sections["Answer Type"]),
-        raw_inputs=_parse_inputs(sections["Test Case Inputs"]),
-    )
+    return {
+        "instruction": sections["Instruction"].strip(),
+        "refined_code": sections["Refined Code"],
+        "answer_type": _parse_answer_type(sections["Answer Type"]),
+        "raw_inputs": _parse_inputs(sections["Test Case Inputs"]),
+    }

@@ -202,6 +202,14 @@ def _check_row(stage: str, row, unit_ids: set) -> dict:
     count = len(row.get("test_cases", ()))
     if row.get("difficulty", count) != count:
         raise ValueError(f"difficulty must be {count}, the number of test cases, got {row['difficulty']!r}")
+    if "answer_type" in row and "test_cases" in row:  # validate runs each case as the answer type gives
+        runs = invocation_for(row["answer_type"], "")
+        for index, case in enumerate(row["test_cases"]):
+            if (case["mode"], case.get("function_name")) != (runs.mode, runs.function_name):
+                raise ValueError(
+                    f"test_cases[{index}] must have mode {runs.mode!r} and function_name {runs.function_name!r}"
+                    f" as answer_type gives, got {case['mode']!r} and {case.get('function_name')!r}"
+                )
     if row["unit_id"] in unit_ids:
         raise ValueError(f"unit_id {row['unit_id']!r} is listed twice")
     unit_ids.add(row["unit_id"])
@@ -287,30 +295,22 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
         except SemiforgeError as exc:
             raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
         try:
-            bundle = parse_components(completion.text)
+            return _ok(row, prompt_sha256=digest, **parse_components(completion.text))
         except ParseError as exc:
             return _drop(row, exc.reason, prompt_sha256=digest)
-        return _ok(
-            row,
-            prompt_sha256=digest,
-            instruction=bundle.instruction,
-            refined_code=bundle.refined_code,
-            answer_type=asdict(bundle.answer_type),
-            raw_inputs=list(bundle.raw_inputs),
-        )
 
     return map_workers(config.workers, work, _ok_rows(ingest_rows))
 
 
-def invocation_for(answer_type: AnswerType, raw_input: str) -> Invocation:
-    if answer_type.kind == CALL_BASED:
-        return Invocation.call(answer_type.function_name, raw_input)
+def invocation_for(answer_type: Mapping, raw_input: str) -> Invocation:
+    """How a unit of ``answer_type`` (a row's ``{"kind", "function_name"}``) runs on ``raw_input``."""
+    if answer_type["kind"] == CALL_BASED:
+        return Invocation.call(answer_type["function_name"], raw_input)
     return Invocation.stdin(raw_input)
 
 
 def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
-    answer_type = AnswerType(**row["answer_type"])
-    invocations = [invocation_for(answer_type, raw_input) for raw_input in row["raw_inputs"]]
+    invocations = [invocation_for(row["answer_type"], raw_input) for raw_input in row["raw_inputs"]]
     try:
         cases, drops = construct_test_cases(row["code"], invocations, limits, server)
     except EmptyTestCases as exc:
@@ -319,7 +319,8 @@ def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
 
 
 def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
-    cases = [TestCase.from_dict(case) for case in row["test_cases"]]
+    cases = [TestCase(invocation_for(row["answer_type"], case["payload"]), case["expected_output"])
+             for case in row["test_cases"]]
     failure = validate_refined_code(row["refined_code"], cases, limits, server)
     if failure is None:
         return _ok(row, difficulty=len(cases), case_index=None)

@@ -172,7 +172,7 @@ def write_golden_config(tmp_path, golden_config_path, **overrides):
         ("dedup_compare", "everything", "unknown config keys: dedup_compare"),
         ("input_count", 0, "input_count must be >= 1, got 0"),
         ("wall_timeout", 0, "wall_timeout must be > 0, got 0"),
-        # The sandbox caps and the sampling values are constants of ResourceLimits and LiveClient.
+        # The sandbox caps and the sampling values are constants of executor and LiveClient.
         pytest.param("memory_bytes", 0, "unknown config keys: memory_bytes", id="memory_bytes-0-memory_bytes must be > 0, got 0"),
         pytest.param("output_bytes", 0, "unknown config keys: output_bytes", id="output_bytes-0-output_bytes must be > 0, got 0"),
         pytest.param("temperature", -1, "unknown config keys: temperature", id="temperature--1-temperature must be >= 0, got -1"),

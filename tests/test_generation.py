@@ -5,12 +5,12 @@ import socket
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiforge.dataset import check_fields
 from semiforge.errors import SemiforgeError
 from semiforge.generation import (
     AnswerType,
     Completion,
     EmptyCode,
-    GenerationBundle,
     ParseError,
     PromptTemplate,
     ReplayClient,
@@ -19,6 +19,7 @@ from semiforge.generation import (
     prompt_digest,
 )
 from semiforge.live import LiveClient
+from semiforge.pipeline import UNIT_FIELDS
 from tests.conftest import GOLDEN
 
 
@@ -82,17 +83,17 @@ def test_prompt_digest_is_sha256():
 
 def test_parse_round_trip():
     text = make_completion()
-    bundle = parse_components(text)
-    assert bundle.instruction == "Sum the numbers."
-    assert bundle.refined_code == "print(sum(map(int, input().split())))"
-    assert bundle.answer_type == AnswerType.standard_input()
-    assert bundle.raw_inputs == ("1 2", "3 4")
+    assert parse_components(text) == {
+        "instruction": "Sum the numbers.",
+        "refined_code": "print(sum(map(int, input().split())))",
+        "answer_type": {"kind": "standard_input", "function_name": None},
+        "raw_inputs": ["1 2", "3 4"],
+    }
 
 
 def test_parse_call_based_function_name():
     text = make_completion(answer="call-based\nFunction Name: solve")
-    bundle = parse_components(text)
-    assert bundle.answer_type == AnswerType.call_based("solve")
+    assert parse_components(text)["answer_type"] == {"kind": "call_based", "function_name": "solve"}
 
 
 @pytest.mark.parametrize(
@@ -109,13 +110,12 @@ def test_parse_call_based_function_name():
     ],
 )
 def test_answer_type_spellings(answer, expected_kind):
-    bundle = parse_components(make_completion(answer=answer))
-    assert bundle.answer_type.kind == expected_kind
+    assert parse_components(make_completion(answer=answer))["answer_type"]["kind"] == expected_kind
 
 
 def test_headers_tolerate_case_and_colon():
     text = make_completion().replace("### Instruction", "### instruction:")
-    assert parse_components(text).instruction == "Sum the numbers."
+    assert parse_components(text)["instruction"] == "Sum the numbers."
 
 
 def test_missing_section_named():
@@ -152,33 +152,36 @@ def test_no_inputs():
 
 def test_unfenced_code_kept_verbatim():
     text = make_completion().replace("```python\n", "").replace("\n```", "")
-    bundle = parse_components(text)
-    assert bundle.refined_code == "print(sum(map(int, input().split())))"
+    assert parse_components(text)["refined_code"] == "print(sum(map(int, input().split())))"
 
 
 def test_empty_input_block_preserved():
-    bundle = parse_components(make_completion(inputs=("1 2", "", "7")))
-    assert bundle.raw_inputs == ("1 2", "", "7")
+    assert parse_components(make_completion(inputs=("1 2", "", "7")))["raw_inputs"] == ["1 2", "", "7"]
 
 
 def test_multi_line_input_block():
-    bundle = parse_components(make_completion(inputs=("3\n1\n2\n3",)))
-    assert bundle.raw_inputs == ("3\n1\n2\n3",)
+    assert parse_components(make_completion(inputs=("3\n1\n2\n3",)))["raw_inputs"] == ["3\n1\n2\n3"]
 
 
 def test_first_duplicate_section_wins():
     text = make_completion() + "\n### Instruction\nA different instruction.\n"
-    assert parse_components(text).instruction == "Sum the numbers."
+    assert parse_components(text)["instruction"] == "Sum the numbers."
+
+
+def assert_generate_fields(fields):
+    """A parse is exactly the generate fields of a unit row, each of the kind the stage file holds."""
+    schema = {key: kind for key, kind in UNIT_FIELDS["generate"].items() if key != "prompt_sha256"}
+    assert check_fields(fields, schema).keys() == schema.keys()
 
 
 @given(st.text(max_size=400))
 @settings(max_examples=150)
 def test_parser_total_on_arbitrary_text(text):
     try:
-        bundle = parse_components(text)
+        fields = parse_components(text)
     except ParseError:
         return
-    assert isinstance(bundle, GenerationBundle)
+    assert_generate_fields(fields)
 
 
 section_soup = st.lists(
@@ -201,10 +204,10 @@ section_soup = st.lists(
 @settings(max_examples=150)
 def test_parser_total_on_section_soup(parts):
     try:
-        bundle = parse_components("\n".join(parts))
+        fields = parse_components("\n".join(parts))
     except ParseError:
         return
-    assert isinstance(bundle, GenerationBundle)
+    assert_generate_fields(fields)
 
 
 def test_answer_type_validation():

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import dataset, pipeline
+from semiforge import dataset, pipeline, validation
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
 from semiforge.executor import SandboxSetupFailure, resolve_interpreter
-from semiforge.generation import AnswerType, prompt_digest
+from semiforge.generation import prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
     EVENTS_FILE,
@@ -37,9 +37,9 @@ EXPECTED_FUNNEL = (33, 30, 28, 24, 21)
 
 
 def test_invocation_for_both_kinds():
-    stdin_inv = invocation_for(AnswerType.standard_input(), "1 2")
+    stdin_inv = invocation_for({"kind": "standard_input", "function_name": None}, "1 2")
     assert stdin_inv.mode == "stdin" and stdin_inv.payload == "1 2"
-    call_inv = invocation_for(AnswerType.call_based("f"), "(1,)")
+    call_inv = invocation_for({"kind": "call_based", "function_name": "f"}, "(1,)")
     assert call_inv.mode == "call" and call_inv.function_name == "f"
 
 
@@ -218,6 +218,11 @@ def with_case(ok, **changes):
         ),
         ("construct", lambda ok: with_case(ok, function_name="f"), "stdin mode takes no function name, got 'f'"),
         ("construct", lambda ok: with_case(ok, payload=1), "payload must be a string, got 1"),
+        (
+            "construct",
+            lambda ok: with_case(ok, mode="call", function_name="f"),
+            "test_cases[0] must have mode 'stdin' and function_name None as answer_type gives, got 'call' and 'f'",
+        ),
         ("construct", lambda ok: {**ok, "test_cases": []}, "test_cases must be a non-empty array, each item a TestCase, got []"),
     ],
     ids=[
@@ -236,6 +241,7 @@ def with_case(ok, **changes):
         "case_function_name_not_str",
         "stdin_case_with_function_name",
         "case_payload_not_str",
+        "call_case_of_stdin_unit",
         "no_test_cases",
     ],
 )
@@ -274,6 +280,22 @@ def test_reading_a_stage_file_reads_type_hints_at_most_once(golden_run, monkeypa
     rows = _read_rows("generate", stage_path(out_dir, "generate"))
     assert len(rows) == 33
     assert len(calls) <= 1
+
+
+def test_a_resumed_validate_decodes_each_stored_case_once(golden_run, golden_run_copy, monkeypatch):
+    config, _, _ = golden_run
+    decoded = []
+    from_dict = validation.TestCase.from_dict
+
+    def counted(obj):
+        decoded.append(obj)
+        return from_dict(obj)
+
+    monkeypatch.setattr(validation.TestCase, "from_dict", counted)
+    stats = run_pipeline(resumed_from(config, golden_run_copy, "validate"))
+    assert stats.counts() == EXPECTED_FUNNEL
+    rows = load_jsonl(stage_path(golden_run_copy, "construct"))
+    assert len(decoded) == sum(len(row.get("test_cases", ())) for row in rows) == 103
 
 
 def test_a_unit_listed_twice_fails_naming_file_line_and_unit(golden_run, golden_run_copy):

@@ -97,8 +97,8 @@ def test_validate_timeout():
 
 def test_validate_output_overflow_is_a_runtime_error():
     cases = [Case(Invocation.stdin("1"), "1"), Case(Invocation.stdin("2"), "2")]
-    refined = 'n = input()\nprint(n if n == "1" else "x" * 5000)'
-    assert validate_refined_code(refined, cases, ResourceLimits(output_bytes=1000)) == (1, "runtime_error")
+    refined = 'n = input()\nprint(n if n == "1" else "x" * 2_000_000)'
+    assert validate_refined_code(refined, cases, FAST) == (1, "runtime_error")
 
 
 def test_validate_requires_cases():
