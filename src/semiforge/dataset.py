@@ -213,13 +213,17 @@ def atomic_write(path: str | Path):
         raise
 
 
+def json_line(rec: dict) -> str:
+    """One record as a line of a JSON-lines file; byte-stable for equal input."""
+    return json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def emit_jsonl(records: Iterable[dict], path: str | Path) -> int:
     """Write records one JSON object per line; byte-stable for equal input."""
     count = 0
     with atomic_write(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+            fh.write(json_line(rec))
             count += 1
     return count
 

@@ -59,6 +59,8 @@ class AnswerType:
             raise ValueError(f"unknown answer type kind: {self.kind!r}")
         if self.kind == CALL_BASED and not is_function_name(self.function_name):
             raise ValueError(f"call-based answers need a function name, got {self.function_name!r}")
+        if self.kind == STANDARD_INPUT and self.function_name is not None:
+            raise ValueError(f"standard-input answers take no function name, got {self.function_name!r}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,12 @@ The sandbox stages a run executes, construct and validate, run as one
 chain (see _run_chain): a unit's task on the worker pool validates the
 unit as soon as construct keeps it, so neither stage waits for the
 other units, and both stage files are written once the chain ends.
-Funnel statistics are recomputed from those rows, so a run resumed
-from any stage is byte-identical to a cold run. A bad config value is
+run_pipeline is one pass over the stages: each stage's rows, read from
+its file on a resumed run or made by the stage, are counted into the
+funnel statistics and written to events.jsonl as they pass, and then
+kept only as the next stage's input. So a run resumed from any stage is
+byte-identical to a cold run, and a run holds one stage's rows at a
+time besides those a running stage reads and makes. A bad config value is
 raised as InvalidConfig before any stage runs (PipelineConfig.check); a
 fatal error in a stage is raised as StageFailure carrying the stage
 name; per-record failures only become drop rows.
@@ -33,7 +37,9 @@ from typing import Literal, Mapping, get_type_hints
 
 from . import corpus as corpus_mod
 from .curriculum import STRATEGIES, order_records
-from .dataset import Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, read_json_lines, record
+from .dataset import (
+    Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, json_line, read_json_lines, record
+)
 from .errors import SemiforgeError
 from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, map_workers, sandbox
 from .generation import (
@@ -248,7 +254,8 @@ def _ok_rows(rows: list[dict]) -> list[dict]:
     return [row for row in rows if row["status"] == "ok"]
 
 
-def _stage_ingest(config: PipelineConfig) -> list[dict]:
+def _stage_ingest(config: PipelineConfig, _: list[dict]) -> list[dict]:
+    """Read the corpus; ingest has no stage before it, so it is handed no rows."""
     problems = corpus_mod.load_corpus(config.corpus_path, config.corpus_format)
     problems = corpus_mod.filter_problems(problems, config.max_solution_tokens)
     problems = corpus_mod.merge_duplicate_problems(problems)
@@ -406,55 +413,18 @@ def _stage_emit(config: PipelineConfig, order_rows: list[dict]) -> list[dict]:
     return order_rows
 
 
-def _funnel_from_rows(rows: Mapping[str, list[dict]]) -> FunnelStats:
-    def ok_count(stage: str) -> int:
-        return sum(1 for row in rows[stage] if row["status"] == "ok")
-
-    drop_reasons: dict[str, dict[str, int]] = {}
-    for stage in ("generate", "construct", "validate", "dedup"):
-        reasons = Counter(row["reason"] for row in rows[stage] if row["status"] == "drop")
-        if reasons:
-            drop_reasons[stage] = dict(reasons)
-    input_drops: Counter = Counter()
-    for row in rows["construct"]:
-        input_drops.update(row.get("input_drops") or {})
-    if input_drops:
-        drop_reasons["construct_inputs"] = dict(input_drops)
-
-    return FunnelStats(
-        loaded_codes=len(rows["ingest"]),
-        generated_ok=ok_count("generate"),
-        with_test_cases=ok_count("construct"),
-        refined_passed=ok_count("validate"),
-        after_dedup=ok_count("dedup"),
-        drop_reasons=drop_reasons,
-    )
-
-
-def _write_events(out_dir: Path, rows: Mapping[str, list[dict]]) -> None:
-    events = (
-        {"stage": stage, "unit_id": row["unit_id"], "status": row["status"], "reason": row.get("reason")}
-        for stage in UNIT_FIELDS
-        for row in rows.get(stage, [])
-    )
-    emit_jsonl(events, out_dir / EVENTS_FILE)
-
-
-_RUNNERS = {
-    "ingest": lambda config, rows: _stage_ingest(config),
-    "generate": lambda config, rows: _stage_generate(config, rows["ingest"]),
-    "dedup": lambda config, rows: _stage_dedup(config, rows["validate"]),
-    "order": lambda config, rows: _stage_order(config, rows["dedup"]),
-    "emit": lambda config, rows: _stage_emit(config, rows["order"]),
-}
+# What each stage outside the sandbox chain makes of the rows of the stage before it.
+_RUNNERS = {"ingest": _stage_ingest, "generate": _stage_generate, "dedup": _stage_dedup, "order": _stage_order,
+            "emit": _stage_emit}
 
 
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> FunnelStats | None:
     """Run (or resume) the pipeline; returns FunnelStats once dedup is reached.
 
     ``config.resume_from`` names the first stage to execute; earlier
-    stages are loaded from their stage files. ``stop_after`` truncates
-    the run after the named stage.
+    stages are loaded from their stage files, one at a time, each
+    checked and counted as an executed stage's rows are. ``stop_after``
+    truncates the run after the named stage.
     """
     config.check()
     start = canonical_stage(config.resume_from) if config.resume_from else "ingest"
@@ -470,47 +440,61 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
     except OSError as exc:  # say, a file where it or a directory above it should be
         raise SemiforgeError(f"could not create output directory {out_dir}: {exc}") from exc
 
-    rows: dict[str, list[dict]] = {}
     loaded: list[str] = []
     executed: list[str] = []
     timings: dict[str, float] = {}
+    row_counts: dict[str, int] = {}
+    drops: dict[str, Counter] = {}  # unit stage -> its drop rows by reason; construct_inputs -> inputs by status
+    chain = tuple(stage for stage in STAGES[start_idx : stop_idx + 1] if stage in _UNIT_WORK)
+    produced: dict[str, list[dict]] = {}  # rows a run made for stages the loop has not reached
+    rows: list[dict] = []  # the rows of the stage before
 
-    for stage in STAGES[:start_idx]:
-        path = stage_path(out_dir, stage)
-        if not path.is_file():
-            raise StageFailure(stage, f"missing stage file {path}; run earlier stages first")
-        rows[stage] = _read_rows(stage, path)
-        loaded.append(stage)
-
-    executing = STAGES[start_idx : stop_idx + 1]
-    chain = tuple(stage for stage in executing if stage in _UNIT_WORK)
-    for stage in executing:
-        if stage in rows:  # run in the chain
-            continue
-        began = time.monotonic()
-        with _failing_as(stage):
-            if stage in chain:
-                produced = _run_chain(config, chain, rows[STAGES[STAGES.index(stage) - 1]])
+    with atomic_write(out_dir / EVENTS_FILE) as events:
+        for index, stage in enumerate(STAGES[: stop_idx + 1]):
+            if index < start_idx:
+                rows = []  # released before the next file is read
+                path = stage_path(out_dir, stage)
+                if not path.is_file():
+                    raise StageFailure(stage, f"missing stage file {path}; run earlier stages first")
+                rows = _read_rows(stage, path)
+                loaded.append(stage)
             else:
-                produced = {stage: _RUNNERS[stage](config, rows)}
-        for name, result in produced.items():
-            if name != "emit":
-                with _failing_as(name):
-                    emit_jsonl(result, stage_path(out_dir, name))
-            rows[name] = result
-            executed.append(name)
-        seconds = round(time.monotonic() - began, 3)
-        for name, result in produced.items():
-            timings[name] = seconds
-            logger.info("stage %s: %d rows (%.3fs)", name, len(result), seconds)
+                if stage not in produced:
+                    began = time.monotonic()
+                    with _failing_as(stage):
+                        produced = _run_chain(config, chain, rows) if stage in chain else {
+                            stage: _RUNNERS[stage](config, rows)}
+                    for name, result in produced.items():
+                        if name != "emit":
+                            with _failing_as(name):
+                                emit_jsonl(result, stage_path(out_dir, name))
+                    seconds = round(time.monotonic() - began, 3)
+                    for name, result in produced.items():
+                        executed.append(name)
+                        timings[name] = seconds
+                        logger.info("stage %s: %d rows (%.3fs)", name, len(result), seconds)
+                rows = produced.pop(stage)
 
-    stats: FunnelStats | None = None
-    if stop_idx >= STAGES.index("dedup"):
-        stats = _funnel_from_rows(rows)
-        with atomic_write(out_dir / FUNNEL_FILE) as fh:
-            fh.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
+            row_counts[stage] = len(rows)
+            if stage in UNIT_FIELDS:
+                events.writelines(json_line({"stage": stage, "unit_id": row["unit_id"], "status": row["status"],
+                                             "reason": row["reason"]}) for row in rows)
+                drops[stage] = Counter(row["reason"] for row in rows if row["status"] == "drop")
+            if stage == "construct":
+                drops["construct_inputs"] = Counter()
+                for row in rows:
+                    drops["construct_inputs"].update(row.get("input_drops") or {})
 
-    _write_events(out_dir, rows)
+        stats: FunnelStats | None = None
+        if stop_idx >= STAGES.index("dedup"):
+            def kept(stage: str) -> int:
+                return row_counts[stage] - drops[stage].total()
+
+            drop_reasons = {stage: dict(reasons) for stage, reasons in drops.items() if reasons and stage != "ingest"}
+            stats = FunnelStats(row_counts["ingest"], kept("generate"), kept("construct"), kept("validate"),
+                                kept("dedup"), drop_reasons)
+            with atomic_write(out_dir / FUNNEL_FILE) as fh:
+                fh.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
     manifest = {
         "config": config.to_dict(),
@@ -523,7 +507,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
         "stages_loaded": loaded,
         "stages_executed": executed,
         "timings_sec": timings,
-        "row_counts": {stage: len(stage_rows) for stage, stage_rows in rows.items()},
+        "row_counts": row_counts,
     }
     with atomic_write(out_dir / MANIFEST_FILE) as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -106,6 +106,8 @@ STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_
         (AnswerType, ["stdin"], "key must be an object with keys kind, function_name, got ['stdin']"),
         (AnswerType, {"kind": 5, "function_name": None}, "kind must be a string, got 5"),
         (AnswerType, {"kind": "stdin", "function_name": None}, "unknown answer type kind: 'stdin'"),
+        (AnswerType, {"kind": "standard_input", "function_name": "f"},
+         "standard-input answers take no function name, got 'f'"),
         (list[str], ["a", 1], "key[1] must be a string, got 1"),
         (list[str], "a", "key must be an array, each item a string, got 'a'"),
         (dict[str, dict[str, Count]], {"a": {"b": -1}}, "key['a']['b'] must be an integer >= 0, got -1"),
@@ -121,9 +123,9 @@ STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_
     ],
     ids=[
         "union-no-member", "union-nested-value", "literal", "non-empty-empty", "non-empty-bad-case",
-        "from-dict-own-check", "dataclass-not-object", "dataclass-field", "dataclass-own-check", "list-item",
-        "list-not-array", "dict-nested-value", "dict-key", "dict-value", "str-unencodable", "union-unencodable",
-        "dict-key-unencodable", "from-dict-unencodable",
+        "from-dict-own-check", "dataclass-not-object", "dataclass-field", "dataclass-own-check",
+        "dataclass-stdin-function-name", "list-item", "list-not-array", "dict-nested-value", "dict-key", "dict-value",
+        "str-unencodable", "union-unencodable", "dict-key-unencodable", "from-dict-unencodable",
     ],
 )
 def test_each_kind_form_names_a_failing_value(kind, value, message):

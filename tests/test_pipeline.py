@@ -4,6 +4,7 @@ import os
 import shutil
 import stat
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,17 +111,21 @@ def test_dataset_is_ranked_with_stable_ties(golden_run):
         assert seqs == sorted(seqs)
 
 
-def test_resume_reproduces_outputs(golden_run, golden_run_copy):
+def test_resume_reproduces_outputs(golden_run, tmp_path):
     config, out_dir, _ = golden_run
-    resumed = PipelineConfig.from_dict(config.to_dict())
-    resumed.out_dir = str(golden_run_copy)
-    resumed.resume_from = "dedup"
-    (golden_run_copy / DATASET_FILE).unlink()
-    (golden_run_copy / FUNNEL_FILE).unlink()
-    stats = run_pipeline(resumed)
-    assert stats.counts() == EXPECTED_FUNNEL
-    assert (golden_run_copy / DATASET_FILE).read_bytes() == (out_dir / DATASET_FILE).read_bytes()
-    assert (golden_run_copy / FUNNEL_FILE).read_bytes() == (out_dir / FUNNEL_FILE).read_bytes()
+    cold_manifest = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+    for stage in STAGES[1:]:
+        resumed_dir = tmp_path / stage
+        shutil.copytree(out_dir, resumed_dir)
+        for name in (DATASET_FILE, FUNNEL_FILE, EVENTS_FILE, MANIFEST_FILE):
+            (resumed_dir / name).unlink()
+        stats = run_pipeline(resumed_from(config, resumed_dir, stage))
+        assert stats.counts() == EXPECTED_FUNNEL, stage
+        for name in (DATASET_FILE, FUNNEL_FILE, EVENTS_FILE, *(stage_path(out_dir, s).name for s in STAGES[:-1])):
+            assert (resumed_dir / name).read_bytes() == (out_dir / name).read_bytes(), (stage, name)
+        manifest = json.loads((resumed_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+        assert manifest["row_counts"] == cold_manifest["row_counts"], stage
+        assert manifest["stages_loaded"] == list(STAGES[: STAGES.index(stage)]), stage
 
 
 def test_resume_from_emit_only(golden_run, golden_run_copy):
@@ -151,17 +156,40 @@ def truncate_mid_row(path) -> int:
     return cut + 1
 
 
-@pytest.mark.parametrize("stage", ["ingest", "generate", "construct", "validate", "dedup"])
-def test_truncated_stage_file_fails_naming_line(golden_run, golden_run_copy, stage):
+@pytest.mark.parametrize(
+    "stage, resume",
+    [pytest.param(stage, STAGES[STAGES.index(stage) + 1], id=stage) for stage in UNIT_FIELDS]
+    # A resumed run reads and checks every earlier stage file, not only the one its first stage works on.
+    + [pytest.param(stage, "order", id=f"{stage}-resumed_at_order") for stage in list(UNIT_FIELDS)[:-1]],
+)
+def test_truncated_stage_file_fails_naming_line(golden_run, golden_run_copy, stage, resume):
     config, _, _ = golden_run
     line = truncate_mid_row(stage_path(golden_run_copy, stage))
-    resumed = PipelineConfig.from_dict(config.to_dict())
-    resumed.out_dir = str(golden_run_copy)
-    resumed.resume_from = STAGES[STAGES.index(stage) + 1]
     with pytest.raises(StageFailure) as excinfo:
-        run_pipeline(resumed)
+        run_pipeline(resumed_from(config, golden_run_copy, resume))
     assert excinfo.value.stage == stage
     assert f"stage_{stage}.jsonl line {line}: " in str(excinfo.value)
+
+
+def test_resumed_run_holds_one_stage_at_a_time(golden_run, tmp_path):
+    # The golden unit-stage files 50 times over, each unit under an id of its own (1,650 units).
+    config, out_dir, _ = golden_run
+    for stage in UNIT_FIELDS:
+        rows = load_jsonl(stage_path(out_dir, stage))
+        copies = ({**row, "unit_id": f"{row['unit_id']}.{copy}"} for copy in range(50) for row in rows)
+        emit_jsonl(copies, stage_path(tmp_path, stage))
+    largest = max(UNIT_FIELDS, key=lambda stage: stage_path(tmp_path, stage).stat().st_size)
+    tracemalloc.start()
+    try:
+        _read_rows(largest, stage_path(tmp_path, largest))
+        alone = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        stats = run_pipeline(resumed_from(config, tmp_path, "order"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.counts() == tuple(50 * count for count in EXPECTED_FUNNEL)
+    assert peak <= 1.5 * alone, f"peak {peak / 2**20:.1f} MiB, reading {largest} alone {alone / 2**20:.1f} MiB"
 
 
 def resumed_from(config, out_dir, stage):
@@ -198,6 +226,11 @@ def with_case(ok, **changes):
         ),
         (
             "generate",
+            lambda ok: with_answer_type(ok, kind="standard_input", function_name="f"),
+            "standard-input answers take no function name, got 'f'",
+        ),
+        (
+            "generate",
             lambda ok: with_answer_type(ok, extra=1),
             "answer_type must be an object with keys kind, function_name, got {",
         ),
@@ -231,6 +264,7 @@ def with_case(ok, **changes):
         "ok_row_without_instruction",
         "function_name_not_identifier",
         "function_name_keyword",
+        "stdin_answer_with_function_name",
         "answer_type_extra_key",
         "answer_type_not_object",
         "raw_inputs_item_not_str",
