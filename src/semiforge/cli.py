@@ -18,12 +18,12 @@ from pathlib import Path
 from .corpus import FORMATS
 from .dataset import FunnelStats, NonEmpty, atomic_write, check_fields, funnel_report, read_json_lines
 from .errors import SemiforgeError
-from .executor import ResourceLimits
+from .executor import Invocation, ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
 from .pipeline import (
     CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, load_config, run_pipeline, stage_path
 )
-from .validation import TestCase
+from .validation import CASE_FIELDS, CASE_REQUIRED, TestCase
 
 logger = logging.getLogger(__name__)
 
@@ -94,12 +94,16 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
     """
     candidates: dict[str, list[str]] = {}  # problem_id -> its candidates, in file order
 
+    def test_case(case) -> TestCase:
+        check_fields(case, CASE_FIELDS, CASE_REQUIRED, name="test case")
+        return TestCase(Invocation(case["mode"], case["payload"], case.get("function_name")), case["expected_output"])
+
     def problem(row) -> tuple[str, tuple[TestCase, ...]]:
         check_fields(row, {"problem_id": str, "test_cases": NonEmpty})
         if row["problem_id"] in candidates:
             raise ValueError(f"problem_id {row['problem_id']!r} is listed twice")
         candidates[row["problem_id"]] = []
-        return row["problem_id"], tuple(map(TestCase.from_dict, row["test_cases"]))
+        return row["problem_id"], tuple(map(test_case, row["test_cases"]))
 
     def candidate(row) -> None:
         check_fields(row, {"problem_id": str, "candidate_code": str})

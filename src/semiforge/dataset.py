@@ -18,11 +18,11 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterable, Literal, Mapping, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Literal, Mapping, get_args, get_origin
 
 from .errors import SemiforgeError
 
@@ -85,13 +85,6 @@ def _compile(kind) -> tuple[str, Callable]:
         shape = lambda value: any(not check(value) for check in checks)
     elif origin is Literal:
         words, shape = "one of " + ", ".join(map(repr, args)), lambda value: value in args
-    elif hasattr(origin, "from_dict"):
-        words, shape, parts = f"a {origin.__name__}", lambda value: True, lambda value: origin.from_dict(value) and None
-    elif is_dataclass(origin):
-        hints = get_type_hints(origin)
-        words = "an object with keys " + ", ".join(hints)
-        shape = lambda value: isinstance(value, dict) and value.keys() == hints.keys()
-        parts = lambda value: origin(**check_fields(value, hints)) and None
     else:
         words, shape = _TYPES[origin]
         roles = zip(("key", "value") if origin is dict else ("item",), args)
@@ -109,12 +102,7 @@ def _compile(kind) -> tuple[str, Callable]:
     def check(value):
         if not shape(value):
             return lambda name: f"{name} must be {words}, got {value!r}"
-        try:
-            return parts and parts(value)  # the fault of a part of the value, if any
-        except UnicodeEncodeError:
-            raise  # a string no file can hold is of no kind: it fails the whole value, whatever holds it
-        except ValueError as exc:  # raised by a class's own checks, or by those of a dataclass's fields
-            return lambda name, exc=exc: str(exc)
+        return parts and parts(value)  # the fault of a part of the value, if any
 
     return words, check
 
@@ -129,11 +117,10 @@ def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, na
 
     A key of ``required`` (all of ``schema`` by default) must be there; keys ``schema`` lacks are
     left alone. A kind is a JSON type (bool, str, int, float, list, dict, type(None)), Count, a union such
-    as ``str | None``, a Literal of the values allowed, ``list[kind]``, ``NonEmpty[kind]``,
-    ``dict[key kind, kind]``, a class whose ``from_dict`` decodes the value or raises ValueError, or a
-    dataclass: an object holding exactly its fields, of the kinds its annotations give, that passes its
-    own checks. Else raise ValueError "<key> must be <kind>, got <value>", or UnicodeEncodeError (a
-    ValueError) for a string anywhere in a checked value that UTF-8 cannot encode.
+    as ``str | None``, a Literal of the values allowed, ``list[kind]``, ``NonEmpty[kind]`` or
+    ``dict[key kind, kind]``; a ``list`` or ``dict`` given no kinds leaves its contents unchecked. Else
+    raise ValueError "<key> must be <kind>, got <value>", or UnicodeEncodeError (a ValueError) for a
+    string of a checked kind that UTF-8 cannot encode.
     """
     if fault := _compile(dict)[1](obj):
         raise ValueError(fault(name))

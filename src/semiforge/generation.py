@@ -4,7 +4,8 @@ A completion must contain four `### ` sections, in any order, found by
 name: Instruction, Refined Code, Answer Type, Test Case Inputs. The
 parser is total: it returns the four fields the generate stage adds to
 a unit row, as the row stores them, or raises a ParseError carrying the
-drop reason of a structural defect, never another exception.
+drop reason of a structural defect, never another exception. A stored
+answer type is checked as the Invocation it runs as (pipeline.invocation_for).
 
 Every completion is asked of a ReplayClient: it serves completions from
 a content-addressed store keyed by the SHA-256 of the prompt, which
@@ -45,22 +46,6 @@ class ParseError(SemiforgeError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason  # the unit's drop reason in the generate stage
-
-
-@dataclass(frozen=True)
-class AnswerType:
-    """The check of a stored answer type: call-based (with a function name) or standard input."""
-
-    kind: str
-    function_name: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (CALL_BASED, STANDARD_INPUT):
-            raise ValueError(f"unknown answer type kind: {self.kind!r}")
-        if self.kind == CALL_BASED and not is_function_name(self.function_name):
-            raise ValueError(f"call-based answers need a function name, got {self.function_name!r}")
-        if self.kind == STANDARD_INPUT and self.function_name is not None:
-            raise ValueError(f"standard-input answers take no function name, got {self.function_name!r}")
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure,
 from .generation import (
     CALL_BASED,
     DEFAULT_INPUT_COUNT,
+    STANDARD_INPUT,
     TEMPLATE_VERSION,
-    AnswerType,
     EmptyCode,
     ParseError,
     PromptTemplate,
@@ -57,6 +57,8 @@ from .generation import (
 )
 from .live import LiveClient
 from .validation import (
+    CASE_FIELDS,
+    CASE_REQUIRED,
     DEFAULT_DEDUP_THRESHOLD,
     EmptyTestCases,
     TestCase,
@@ -73,16 +75,22 @@ STAGES = ("ingest", "generate", "construct", "validate", "dedup", "order", "emit
 # difficulty is also the number of test cases. Every row also holds "status", and a "reason":
 # null on an "ok" row, why the unit dropped on a "drop" row. An ok row holds exactly the fields
 # of its stage and the stages before it; a drop row may lack those its stage would have added.
+# An answer type holds exactly ANSWER_TYPE_FIELDS, and a test case no key but CASE_FIELDS.
 UNIT_FIELDS = {
     "ingest": {"unit_id": str, "problem_id": str, "solution_index": Count, "seq": Count, "code": str},
-    "generate": {"prompt_sha256": str, "instruction": str, "refined_code": str, "answer_type": AnswerType,
+    "generate": {"prompt_sha256": str, "instruction": str, "refined_code": str, "answer_type": dict,
                  "raw_inputs": list[str]},
-    "construct": {"test_cases": NonEmpty[TestCase],
+    "construct": {"test_cases": NonEmpty[dict],
                   "input_drops": dict[Literal[STATUSES], Count]},
     "validate": {"difficulty": Count, "case_index": Count | None},
     "dedup": {},
 }
-_ROW_FIELDS = dict(zip(UNIT_FIELDS, accumulate(UNIT_FIELDS.values(), lambda before, added: {**before, **added})))
+ANSWER_TYPE_FIELDS = {"kind": Literal[CALL_BASED, STANDARD_INPUT], "function_name": str | None}
+# Each unit stage's row schema by status: (the kinds of the keys a row may hold, the keys it must hold).
+_STATUS_FIELD = {"status": Literal["ok", "drop"]}
+_ROW_SCHEMAS = {stage: {"ok": ({**fields, **_STATUS_FIELD, "reason": type(None)}, None),
+                        "drop": ({**fields, **_STATUS_FIELD, "reason": str}, ("unit_id", "reason"))}
+                for stage, fields in zip(UNIT_FIELDS, accumulate(UNIT_FIELDS.values(), lambda a, b: {**a, **b}))}
 
 DATASET_FILE = "dataset.jsonl"
 FUNNEL_FILE = "funnel.json"
@@ -198,24 +206,32 @@ def stage_path(out_dir: str | Path, stage: str) -> Path:
     return Path(out_dir) / f"stage_{stage}.jsonl"
 
 
+def _check_only(obj, schema: Mapping, required: tuple[str, ...] | None = None, name: str = "row") -> None:
+    """check_fields, and raise ValueError for a key of ``obj`` that ``schema`` lacks: no stage writes one."""
+    if extra := check_fields(obj, schema, required, name).keys() - schema.keys():
+        raise ValueError(f"{name} must hold no key but {', '.join(schema)}, got {min(extra)!r}")
+
+
 def _check_row(stage: str, row, unit_ids: set) -> dict:
     """Return ``row`` if ``stage`` could have written it after the rows of ``unit_ids``; add its unit there."""
     if stage == "order":  # order rows are dataset records, not unit rows
         return record(row)
-    ok = check_fields(row, {"status": Literal["ok", "drop"]})["status"] == "ok"
-    schema = {**_ROW_FIELDS[stage], "reason": type(None) if ok else str}
-    check_fields(row, schema, required=None if ok else ("unit_id", "reason"))
+    status = check_fields(row, _STATUS_FIELD)["status"]
+    _check_only(row, *_ROW_SCHEMAS[stage][status])
+    runs = None  # validate runs each case as the answer type gives
+    if "answer_type" in row:
+        _check_only(row["answer_type"], ANSWER_TYPE_FIELDS, name="answer_type")
+        runs = invocation_for(row["answer_type"], "")
+    for index, case in enumerate(row.get("test_cases", ())):
+        _check_only(case, CASE_FIELDS, CASE_REQUIRED, f"test_cases[{index}]")
+        if runs and (case["mode"], case.get("function_name")) != (runs.mode, runs.function_name):
+            raise ValueError(
+                f"test_cases[{index}] must have mode {runs.mode!r} and function_name {runs.function_name!r}"
+                f" as answer_type gives, got {case['mode']!r} and {case.get('function_name')!r}"
+            )
     count = len(row.get("test_cases", ()))
     if row.get("difficulty", count) != count:
         raise ValueError(f"difficulty must be {count}, the number of test cases, got {row['difficulty']!r}")
-    if "answer_type" in row and "test_cases" in row:  # validate runs each case as the answer type gives
-        runs = invocation_for(row["answer_type"], "")
-        for index, case in enumerate(row["test_cases"]):
-            if (case["mode"], case.get("function_name")) != (runs.mode, runs.function_name):
-                raise ValueError(
-                    f"test_cases[{index}] must have mode {runs.mode!r} and function_name {runs.function_name!r}"
-                    f" as answer_type gives, got {case['mode']!r} and {case.get('function_name')!r}"
-                )
     if row["unit_id"] in unit_ids:
         raise ValueError(f"unit_id {row['unit_id']!r} is listed twice")
     unit_ids.add(row["unit_id"])
@@ -310,10 +326,9 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
 
 
 def invocation_for(answer_type: Mapping, raw_input: str) -> Invocation:
-    """How a unit of ``answer_type`` (a row's ``{"kind", "function_name"}``) runs on ``raw_input``."""
-    if answer_type["kind"] == CALL_BASED:
-        return Invocation.call(answer_type["function_name"], raw_input)
-    return Invocation.stdin(raw_input)
+    """How a unit of ``answer_type`` (``{"kind", "function_name"}``) runs on ``raw_input``; Invocation checks the name."""
+    mode = "call" if answer_type["kind"] == CALL_BASED else "stdin"
+    return Invocation(mode, raw_input, answer_type["function_name"])
 
 
 def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:

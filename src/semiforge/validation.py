@@ -4,7 +4,8 @@ Expected outputs are never generated: they come from executing the
 original corpus code on the generated inputs. Inputs whose execution
 fails are dropped; a sample whose inputs all fail is discarded
 outright. Refined code is retained only when it passes every surviving
-case.
+case. A stored case (``TestCase.to_dict``) is checked by its reader
+against ``CASE_FIELDS`` and the Invocation it runs as.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import SemiforgeError
@@ -36,19 +36,9 @@ class EmptyTestCases(SemiforgeError):
         self.drops = dict(drops or {})
 
 
-# The kinds of a stored test case's keys (see TestCase.to_dict); function_name may be absent.
+# The kinds of a stored test case's keys (see TestCase.to_dict, dataset.check_fields); function_name may be absent.
 CASE_FIELDS = {"mode": str, "payload": str, "function_name": str | None, "expected_output": str}
-
-
-@cache
-def _dataset():
-    """``semiforge.dataset``, imported on first use: only a stored case is checked, so scoring never loads it.
-
-    Cached, as an import statement in ``TestCase.from_dict`` would cost ~1.5 µs a case.
-    """
-    from . import dataset
-
-    return dataset
+CASE_REQUIRED = ("mode", "payload", "expected_output")
 
 
 @dataclass(frozen=True)
@@ -63,12 +53,6 @@ class TestCase:
             "function_name": self.invocation.function_name,
             "expected_output": self.expected_output,
         }
-
-    @classmethod
-    def from_dict(cls, obj) -> "TestCase":
-        """Decode a stored case; a value that is not one raises ValueError."""
-        _dataset().check_fields(obj, CASE_FIELDS, required=("mode", "payload", "expected_output"), name="test case")
-        return cls(Invocation(obj["mode"], obj["payload"], obj.get("function_name")), obj["expected_output"])
 
 
 def construct_test_cases(

@@ -19,8 +19,6 @@ from semiforge.dataset import (
 )
 from semiforge.errors import SemiforgeError
 from semiforge.executor import STATUSES
-from semiforge.generation import AnswerType
-from semiforge.validation import TestCase as Case
 from tests.conftest import load_jsonl
 
 
@@ -90,9 +88,6 @@ def test_true_and_false_are_bool_only(value, kinds):
                 check_fields({"key": value}, {"key": kind})
 
 
-STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_output": "1"}
-
-
 @pytest.mark.parametrize(
     "kind, value, message",
     [
@@ -100,14 +95,8 @@ STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_
         (dict[str, Count] | None, {"a": "b"},
          "key must be an object, each key a string, each value an integer >= 0 or null, got {'a': 'b'}"),
         (Literal["ok", "drop"], "maybe", "key must be one of 'ok', 'drop', got 'maybe'"),
-        (NonEmpty[Case], [], "key must be a non-empty array, each item a TestCase, got []"),
-        (NonEmpty[Case], [STDIN_CASE, {**STDIN_CASE, "payload": 1}], "payload must be a string, got 1"),
-        (NonEmpty[Case], [{**STDIN_CASE, "function_name": "f"}], "stdin mode takes no function name, got 'f'"),
-        (AnswerType, ["stdin"], "key must be an object with keys kind, function_name, got ['stdin']"),
-        (AnswerType, {"kind": 5, "function_name": None}, "kind must be a string, got 5"),
-        (AnswerType, {"kind": "stdin", "function_name": None}, "unknown answer type kind: 'stdin'"),
-        (AnswerType, {"kind": "standard_input", "function_name": "f"},
-         "standard-input answers take no function name, got 'f'"),
+        (NonEmpty[dict], [], "key must be a non-empty array, each item an object, got []"),
+        (NonEmpty[dict], [{"mode": "stdin"}, "stdin"], "key[1] must be an object, got 'stdin'"),
         (list[str], ["a", 1], "key[1] must be a string, got 1"),
         (list[str], "a", "key must be an array, each item a string, got 'a'"),
         (dict[str, dict[str, Count]], {"a": {"b": -1}}, "key['a']['b'] must be an integer >= 0, got -1"),
@@ -118,14 +107,11 @@ STDIN_CASE = {"mode": "stdin", "payload": "1", "function_name": None, "expected_
         (str, "say \ud800", "'utf-8' codec can't encode character '\\ud800' in position 4: surrogates not allowed"),
         (str | int, "\udc80", "'utf-8' codec can't encode character '\\udc80' in position 0: surrogates not allowed"),
         (dict[str, Count], {"\ud800": 1}, "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
-        (NonEmpty[Case], [{**STDIN_CASE, "payload": "caf\u00e9 \udfff"}],
-         "'utf-8' codec can't encode character '\\udfff' in position 5: surrogates not allowed"),
     ],
     ids=[
         "union-no-member", "union-nested-value", "literal", "non-empty-empty", "non-empty-bad-case",
-        "from-dict-own-check", "dataclass-not-object", "dataclass-field", "dataclass-own-check",
-        "dataclass-stdin-function-name", "list-item", "list-not-array", "dict-nested-value", "dict-key", "dict-value",
-        "str-unencodable", "union-unencodable", "dict-key-unencodable", "from-dict-unencodable",
+        "list-item", "list-not-array", "dict-nested-value", "dict-key", "dict-value",
+        "str-unencodable", "union-unencodable", "dict-key-unencodable",
     ],
 )
 def test_each_kind_form_names_a_failing_value(kind, value, message):

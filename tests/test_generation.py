@@ -5,10 +5,8 @@ import socket
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiforge.dataset import check_fields
 from semiforge.errors import SemiforgeError
 from semiforge.generation import (
-    AnswerType,
     Completion,
     EmptyCode,
     ParseError,
@@ -19,7 +17,7 @@ from semiforge.generation import (
     prompt_digest,
 )
 from semiforge.live import LiveClient
-from semiforge.pipeline import UNIT_FIELDS
+from semiforge.pipeline import UNIT_FIELDS, _check_row
 from tests.conftest import GOLDEN
 
 
@@ -168,10 +166,17 @@ def test_first_duplicate_section_wins():
     assert parse_components(text)["instruction"] == "Sum the numbers."
 
 
+INGEST_ROW = {"unit_id": "p:0", "problem_id": "p", "solution_index": 0, "seq": 0, "code": "x = 1", "prompt_sha256": ""}
+
+
+def generate_row(**fields):
+    return {**INGEST_ROW, **fields, "status": "ok", "reason": None}
+
+
 def assert_generate_fields(fields):
-    """A parse is exactly the generate fields of a unit row, each of the kind the stage file holds."""
-    schema = {key: kind for key, kind in UNIT_FIELDS["generate"].items() if key != "prompt_sha256"}
-    assert check_fields(fields, schema).keys() == schema.keys()
+    """A parse is exactly the generate fields of a unit row, as a resumed run reads them back."""
+    assert fields.keys() == UNIT_FIELDS["generate"].keys() - {"prompt_sha256"}
+    _check_row("generate", generate_row(**fields), set())
 
 
 @given(st.text(max_size=400))
@@ -211,13 +216,21 @@ def test_parser_total_on_section_soup(parts):
 
 
 def test_answer_type_validation():
-    with pytest.raises(ValueError):
-        AnswerType(kind="mystery")
-    with pytest.raises(ValueError):
-        AnswerType(kind="call_based", function_name=None)
-    for name in (5, "None", "1bad"):
-        with pytest.raises(ValueError, match="call-based answers need a function name"):
-            AnswerType(kind="call_based", function_name=name)
+    """A stored answer type is checked as the Invocation it runs as."""
+    fields = parse_components(make_completion())
+
+    def check(**answer_type):
+        _check_row("generate", generate_row(**{**fields, "answer_type": answer_type}), set())
+
+    with pytest.raises(ValueError, match="kind must be one of 'call_based', 'standard_input', got 'mystery'"):
+        check(kind="mystery", function_name=None)
+    with pytest.raises(ValueError, match="call mode needs a valid function name, got None"):
+        check(kind="call_based", function_name=None)
+    with pytest.raises(ValueError, match="function_name must be a string or null, got 5"):
+        check(kind="call_based", function_name=5)
+    for name in ("None", "1bad"):
+        with pytest.raises(ValueError, match=f"call mode needs a valid function name, got '{name}'"):
+            check(kind="call_based", function_name=name)
 
 
 def test_replay_client_round_trip(tmp_path):

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import dataset, pipeline, validation
+from semiforge import pipeline
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
-from semiforge.executor import SandboxSetupFailure, resolve_interpreter
+from semiforge.executor import Invocation, SandboxSetupFailure, resolve_interpreter
 from semiforge.generation import prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
@@ -217,27 +217,32 @@ def with_case(ok, **changes):
         (
             "generate",
             lambda ok: with_answer_type(ok, kind="call_based", function_name="1bad"),
-            "call-based answers need a function name, got '1bad'",
+            "call mode needs a valid function name, got '1bad'",
         ),
         (
             "generate",
             lambda ok: with_answer_type(ok, kind="call_based", function_name="None"),
-            "call-based answers need a function name, got 'None'",
+            "call mode needs a valid function name, got 'None'",
         ),
         (
             "generate",
             lambda ok: with_answer_type(ok, kind="standard_input", function_name="f"),
-            "standard-input answers take no function name, got 'f'",
+            "stdin mode takes no function name, got 'f'",
         ),
         (
             "generate",
             lambda ok: with_answer_type(ok, extra=1),
-            "answer_type must be an object with keys kind, function_name, got {",
+            "answer_type must hold no key but kind, function_name, got 'extra'",
         ),
         (
             "generate",
             lambda ok: {**ok, "answer_type": "stdin"},
-            "answer_type must be an object with keys kind, function_name, got 'stdin'",
+            "answer_type must be an object, got 'stdin'",
+        ),
+        (
+            "generate",
+            lambda ok: with_answer_type(ok, kind="stdin"),
+            "kind must be one of 'call_based', 'standard_input', got 'stdin'",
         ),
         ("generate", lambda ok: {**ok, "raw_inputs": [1]}, "raw_inputs[0] must be a string, got 1"),
         ("generate", lambda ok: {**ok, "raw_inputs": "abc"}, "raw_inputs must be an array, each item a string, got 'abc'"),
@@ -249,14 +254,34 @@ def with_case(ok, **changes):
             lambda ok: with_case(ok, mode="call", function_name=5),
             "function_name must be a string or null, got 5",
         ),
-        ("construct", lambda ok: with_case(ok, function_name="f"), "stdin mode takes no function name, got 'f'"),
+        (
+            "construct",
+            lambda ok: with_case(ok, function_name="f"),
+            "test_cases[0] must have mode 'stdin' and function_name None as answer_type gives, got 'stdin' and 'f'",
+        ),
         ("construct", lambda ok: with_case(ok, payload=1), "payload must be a string, got 1"),
         (
             "construct",
             lambda ok: with_case(ok, mode="call", function_name="f"),
             "test_cases[0] must have mode 'stdin' and function_name None as answer_type gives, got 'call' and 'f'",
         ),
-        ("construct", lambda ok: {**ok, "test_cases": []}, "test_cases must be a non-empty array, each item a TestCase, got []"),
+        ("construct", lambda ok: {**ok, "test_cases": []}, "test_cases must be a non-empty array, each item an object, got []"),
+        (
+            "construct",
+            lambda ok: {**ok, "extra_field": 1},
+            "row must hold no key but unit_id, problem_id, solution_index, seq, code, prompt_sha256, instruction,"
+            " refined_code, answer_type, raw_inputs, test_cases, input_drops, status, reason, got 'extra_field'",
+        ),
+        (
+            "construct",
+            lambda ok: {**ok, "test_cases": [{**ok["test_cases"][0], "note": "hand-added"}, *ok["test_cases"][1:]]},
+            "test_cases[0] must hold no key but mode, payload, function_name, expected_output, got 'note'",
+        ),
+        (
+            "construct",
+            lambda ok: with_case(ok, payload="caf\udfff"),
+            "'utf-8' codec can't encode character '\\udfff' in position 3: surrogates not allowed",
+        ),
     ],
     ids=[
         "array",
@@ -267,6 +292,7 @@ def with_case(ok, **changes):
         "stdin_answer_with_function_name",
         "answer_type_extra_key",
         "answer_type_not_object",
+        "answer_type_unknown_kind",
         "raw_inputs_item_not_str",
         "raw_inputs_str",
         "code_not_str",
@@ -277,6 +303,9 @@ def with_case(ok, **changes):
         "case_payload_not_str",
         "call_case_of_stdin_unit",
         "no_test_cases",
+        "row_extra_key",
+        "case_extra_key",
+        "case_payload_unencodable",
     ],
 )
 def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, stage, make_row, problem):
@@ -301,35 +330,24 @@ def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
         _read_rows("construct", path)
 
 
-def test_reading_a_stage_file_reads_type_hints_at_most_once(golden_run, monkeypatch):
-    _, out_dir, _ = golden_run
-    calls = []
-    get_type_hints = dataset.get_type_hints
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return get_type_hints(*args, **kwargs)
-
-    monkeypatch.setattr(dataset, "get_type_hints", counted)
-    rows = _read_rows("generate", stage_path(out_dir, "generate"))
-    assert len(rows) == 33
-    assert len(calls) <= 1
-
-
 def test_a_resumed_validate_decodes_each_stored_case_once(golden_run, golden_run_copy, monkeypatch):
+    """Validate builds one Invocation per stored case; the check of a stage file one per answer type, none per case."""
     config, _, _ = golden_run
-    decoded = []
-    from_dict = validation.TestCase.from_dict
+    built = []
+    post_init = Invocation.__post_init__
 
-    def counted(obj):
-        decoded.append(obj)
-        return from_dict(obj)
+    def counted(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(validation.TestCase, "from_dict", counted)
+    monkeypatch.setattr(Invocation, "__post_init__", counted)
     stats = run_pipeline(resumed_from(config, golden_run_copy, "validate"))
     assert stats.counts() == EXPECTED_FUNNEL
-    rows = load_jsonl(stage_path(golden_run_copy, "construct"))
-    assert len(decoded) == sum(len(row.get("test_cases", ())) for row in rows) == 103
+    checked = [row for stage in ("ingest", "generate", "construct") for row in load_jsonl(stage_path(golden_run_copy, stage))]
+    cases = sum(len(row["test_cases"]) for row in load_jsonl(stage_path(golden_run_copy, "construct")) if row["status"] == "ok")
+    answer_types = sum("answer_type" in row for row in checked)
+    assert (cases, answer_types) == (103, 60)
+    assert len(built) == cases + answer_types
 
 
 def test_a_unit_listed_twice_fails_naming_file_line_and_unit(golden_run, golden_run_copy):
