@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .corpus import FORMATS
-from .dataset import FunnelStats, NonEmpty, atomic_write, check_fields, funnel_report, read_json_lines
+from .dataset import FunnelStats, NonEmpty, atomic_write, check_fields, check_only, funnel_report, read_json_lines
 from .errors import SemiforgeError
 from .executor import Invocation, ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
@@ -95,7 +95,7 @@ def _load_eval_problems(problems_path: str, candidates_path: str) -> list[EvalPr
     candidates: dict[str, list[str]] = {}  # problem_id -> its candidates, in file order
 
     def test_case(case) -> TestCase:
-        check_fields(case, CASE_FIELDS, CASE_REQUIRED, name="test case")
+        check_only(case, CASE_FIELDS, CASE_REQUIRED, name="test case")
         return TestCase(Invocation(case["mode"], case["payload"], case.get("function_name")), case["expected_output"])
 
     def problem(row) -> tuple[str, tuple[TestCase, ...]]:

@@ -133,6 +133,12 @@ def check_fields(obj, schema: Mapping, required: Iterable[str] | None = None, na
     return obj
 
 
+def check_only(obj, schema: Mapping, required: Iterable[str] | None = None, name: str = "row") -> None:
+    """check_fields, and raise ValueError for a key of ``obj`` that ``schema`` lacks: no writer puts one there."""
+    if extra := check_fields(obj, schema, required, name).keys() - schema.keys():
+        raise ValueError(f"{name} must hold no key but {', '.join(schema)}, got {min(extra)!r}")
+
+
 SOURCES = ("semi", "ni", "si")
 
 # The kinds of a record's keys; instruction, code and source are required.

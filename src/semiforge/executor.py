@@ -11,9 +11,9 @@ Runs are forked from a fork server (``_SERVER``): one single-threaded
 ``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
 instead of an interpreter start-up. ``with sandbox(interpreter) as
 server`` starts one and closes it when the block ends; callers share it
-by passing ``server`` down to ``execute`` (and to the validation
-functions), from any number of threads. A call given no server starts
-one for itself, and so pays the start-up below. The flags make the
+by passing ``server`` down to ``execute`` (the validation functions
+take one too), from any number of threads. ``execute`` given no server
+starts one for that run and pays the start-up below. The flags make the
 server ignore ``PYTHON*`` variables and user site-packages, skip
 ``site`` (so solutions see only the standard library), write no
 bytecode and use UTF-8; its environment holds only ``PATH``, so
@@ -378,11 +378,6 @@ def sandbox(interpreter: str | None = None):
         server.close()
 
 
-def using(server: _Server | None):
-    """A block that yields ``server``, or a server of its own when ``server`` is None."""
-    return sandbox() if server is None else contextlib.nullcontext(server)
-
-
 def map_workers(workers: int, fn, items: list) -> list:
     """``[fn(item) for item in items]``, run on ``workers`` threads when that and ``len(items)`` are more than one.
 
@@ -476,7 +471,7 @@ def execute(
             raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
 
         try:
-            with using(server) as forking:
+            with sandbox() if server is None else contextlib.nullcontext(server) as forking:
                 timed_out, returncode, duration = forking.run(workdir, limits, call)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc

@@ -38,7 +38,8 @@ from typing import Literal, Mapping, get_type_hints
 from . import corpus as corpus_mod
 from .curriculum import STRATEGIES, order_records
 from .dataset import (
-    Count, FunnelStats, NonEmpty, atomic_write, check_fields, emit_jsonl, json_line, read_json_lines, record
+    Count, FunnelStats, NonEmpty, atomic_write, check_fields, check_only, emit_jsonl, json_line, read_json_lines,
+    record,
 )
 from .errors import SemiforgeError
 from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, map_workers, sandbox
@@ -60,7 +61,6 @@ from .validation import (
     CASE_FIELDS,
     CASE_REQUIRED,
     DEFAULT_DEDUP_THRESHOLD,
-    EmptyTestCases,
     TestCase,
     construct_test_cases,
     dedup_instructions,
@@ -87,10 +87,12 @@ UNIT_FIELDS = {
 }
 ANSWER_TYPE_FIELDS = {"kind": Literal[CALL_BASED, STANDARD_INPUT], "function_name": str | None}
 # Each unit stage's row schema by status: (the kinds of the keys a row may hold, the keys it must hold).
-_STATUS_FIELD = {"status": Literal["ok", "drop"]}
-_ROW_SCHEMAS = {stage: {"ok": ({**fields, **_STATUS_FIELD, "reason": type(None)}, None),
-                        "drop": ({**fields, **_STATUS_FIELD, "reason": str}, ("unit_id", "reason"))}
+# Ingest drops no unit, so its rows have no drop form.
+_ROW_SCHEMAS = {stage: {"ok": ({**fields, "status": str, "reason": type(None)}, None),
+                        "drop": ({**fields, "status": str, "reason": str}, ("unit_id", "reason"))}
                 for stage, fields in zip(UNIT_FIELDS, accumulate(UNIT_FIELDS.values(), lambda a, b: {**a, **b}))}
+del _ROW_SCHEMAS["ingest"]["drop"]
+_STATUS_FIELDS = {stage: {"status": Literal[tuple(schemas)]} for stage, schemas in _ROW_SCHEMAS.items()}
 
 DATASET_FILE = "dataset.jsonl"
 FUNNEL_FILE = "funnel.json"
@@ -206,24 +208,18 @@ def stage_path(out_dir: str | Path, stage: str) -> Path:
     return Path(out_dir) / f"stage_{stage}.jsonl"
 
 
-def _check_only(obj, schema: Mapping, required: tuple[str, ...] | None = None, name: str = "row") -> None:
-    """check_fields, and raise ValueError for a key of ``obj`` that ``schema`` lacks: no stage writes one."""
-    if extra := check_fields(obj, schema, required, name).keys() - schema.keys():
-        raise ValueError(f"{name} must hold no key but {', '.join(schema)}, got {min(extra)!r}")
-
-
 def _check_row(stage: str, row, unit_ids: set) -> dict:
     """Return ``row`` if ``stage`` could have written it after the rows of ``unit_ids``; add its unit there."""
     if stage == "order":  # order rows are dataset records, not unit rows
         return record(row)
-    status = check_fields(row, _STATUS_FIELD)["status"]
-    _check_only(row, *_ROW_SCHEMAS[stage][status])
+    status = check_fields(row, _STATUS_FIELDS[stage])["status"]
+    check_only(row, *_ROW_SCHEMAS[stage][status])
     runs = None  # validate runs each case as the answer type gives
     if "answer_type" in row:
-        _check_only(row["answer_type"], ANSWER_TYPE_FIELDS, name="answer_type")
+        check_only(row["answer_type"], ANSWER_TYPE_FIELDS, name="answer_type")
         runs = invocation_for(row["answer_type"], "")
     for index, case in enumerate(row.get("test_cases", ())):
-        _check_only(case, CASE_FIELDS, CASE_REQUIRED, f"test_cases[{index}]")
+        check_only(case, CASE_FIELDS, CASE_REQUIRED, f"test_cases[{index}]")
         if runs and (case["mode"], case.get("function_name")) != (runs.mode, runs.function_name):
             raise ValueError(
                 f"test_cases[{index}] must have mode {runs.mode!r} and function_name {runs.function_name!r}"
@@ -333,10 +329,9 @@ def invocation_for(answer_type: Mapping, raw_input: str) -> Invocation:
 
 def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
     invocations = [invocation_for(row["answer_type"], raw_input) for raw_input in row["raw_inputs"]]
-    try:
-        cases, drops = construct_test_cases(row["code"], invocations, limits, server)
-    except EmptyTestCases as exc:
-        return _drop(row, "empty_test_cases", input_drops=exc.drops)
+    cases, drops = construct_test_cases(row["code"], invocations, limits, server)
+    if not cases:
+        return _drop(row, "empty_test_cases", input_drops=dict(drops))
     return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
 
 
@@ -391,7 +386,7 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
 
 def _stage_dedup(config: PipelineConfig, validate_rows: list[dict]) -> list[dict]:
     ok_rows = _ok_rows(validate_rows)
-    retained = dedup_instructions(ok_rows, threshold=config.dedup_threshold, key=lambda row: row["instruction"])
+    retained = dedup_instructions(ok_rows, threshold=config.dedup_threshold)
     retained_ids = {id(row) for row in retained}
     return [row if id(row) in retained_ids else _drop(row, "near_duplicate") for row in ok_rows]
 
@@ -505,7 +500,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
             def kept(stage: str) -> int:
                 return row_counts[stage] - drops[stage].total()
 
-            drop_reasons = {stage: dict(reasons) for stage, reasons in drops.items() if reasons and stage != "ingest"}
+            drop_reasons = {stage: dict(reasons) for stage, reasons in drops.items() if reasons}
             stats = FunnelStats(row_counts["ingest"], kept("generate"), kept("construct"), kept("validate"),
                                 kept("dedup"), drop_reasons)
             with atomic_write(out_dir / FUNNEL_FILE) as fh:

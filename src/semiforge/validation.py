@@ -2,10 +2,12 @@
 
 Expected outputs are never generated: they come from executing the
 original corpus code on the generated inputs. Inputs whose execution
-fails are dropped; a sample whose inputs all fail is discarded
-outright. Refined code is retained only when it passes every surviving
-case. A stored case (``TestCase.to_dict``) is checked by its reader
-against ``CASE_FIELDS`` and the Invocation it runs as.
+fails are dropped; a sample whose inputs all fail gets no test cases,
+and the pipeline drops it. Refined code is retained only when it passes
+every surviving case. Both run every snippet on the fork server they
+are given (see ``executor.sandbox``). A stored case
+(``TestCase.to_dict``) is checked by its reader against ``CASE_FIELDS``
+and the Invocation it runs as.
 """
 
 from __future__ import annotations
@@ -13,27 +15,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import SemiforgeError
-from .executor import (
-    Invocation,
-    ResourceLimits,
-    _Server,
-    execute,
-    normalize_output,
-    outputs_match,
-    using,
-)
+from .executor import Invocation, ResourceLimits, _Server, execute, normalize_output, outputs_match
 from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
-
-
-class EmptyTestCases(SemiforgeError):
-    def __init__(self, message: str, drops: dict | None = None):
-        super().__init__(message)
-        self.drops = dict(drops or {})
 
 
 # The kinds of a stored test case's keys (see TestCase.to_dict, dataset.check_fields); function_name may be absent.
@@ -56,54 +44,41 @@ class TestCase:
 
 
 def construct_test_cases(
-    original_code: str,
-    invocations: Sequence[Invocation],
-    limits: ResourceLimits | None = None,
-    server: _Server | None = None,
+    original_code: str, invocations: Sequence[Invocation], limits: ResourceLimits | None, server: _Server
 ) -> tuple[list[TestCase], Counter]:
-    """Execute the original code on every invocation; keep the Ok pairs.
+    """Execute the original code on every invocation, each run forked from ``server``; keep the Ok pairs.
 
-    Every run forks from ``server``, or from one server started for this
-    call. Returns the cases and a count of dropped inputs by exit status.
+    Returns the cases, none if every input failed, and a count of the
+    dropped inputs by exit status.
     """
     cases: list[TestCase] = []
     drops: Counter = Counter()
-    with using(server) as server:
-        for invocation in invocations:
-            result = execute(original_code, invocation, limits, server)
-            if result.ok:
-                cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
-            else:
-                drops[result.status] += 1
-    if not cases:
-        raise EmptyTestCases(
-            f"all {len(invocations)} inputs failed: {dict(drops)}", drops=dict(drops)
-        )
+    for invocation in invocations:
+        result = execute(original_code, invocation, limits, server)
+        if result.ok:
+            cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
+        else:
+            drops[result.status] += 1
     return cases, drops
 
 
 def validate_refined_code(
-    refined_code: str,
-    test_cases: Sequence[TestCase],
-    limits: ResourceLimits | None = None,
-    server: _Server | None = None,
+    refined_code: str, test_cases: Sequence[TestCase], limits: ResourceLimits | None, server: _Server
 ) -> tuple[int, str] | None:
-    """Run the code on each case in turn; None if every run is ok and matches.
+    """Run the code on each case in turn, forked from ``server``; None if every run is ok and matches.
 
     Otherwise return the index of the first failing case and why it
     failed: "wrong_output", "timeout", or "runtime_error" (an output
-    overflow included). Every run forks from ``server``, or from one
-    server started for this call.
+    overflow included).
     """
     if not test_cases:
         raise ValueError("validation needs at least one test case")
-    with using(server) as server:
-        for index, case in enumerate(test_cases):
-            result = execute(refined_code, case.invocation, limits, server)
-            if not result.ok:
-                return index, "timeout" if result.status == "timeout" else "runtime_error"
-            if not outputs_match(result.stdout, case.expected_output):
-                return index, "wrong_output"
+    for index, case in enumerate(test_cases):
+        result = execute(refined_code, case.invocation, limits, server)
+        if not result.ok:
+            return index, "timeout" if result.status == "timeout" else "runtime_error"
+        if not outputs_match(result.stdout, case.expected_output):
+            return index, "wrong_output"
     return None
 
 
@@ -135,22 +110,20 @@ def _f1_upper_bound(len_a: int, len_b: int) -> float:
 def dedup_instructions(
     samples: Iterable,
     threshold: float = DEFAULT_DEDUP_THRESHOLD,
-    key=None,
+    key=itemgetter("instruction"),
 ) -> list:
-    """Streaming greedy dedup on sample.instruction similarity.
+    """Streaming greedy dedup on instruction similarity.
 
     A sample is kept iff its maximal ROUGE-L against the previously
     retained instructions stays at or below the threshold; the kept
     samples are returned in input order. ``key`` extracts the
-    instruction text from a sample (defaults to ``.instruction``).
+    instruction text from a sample (by default its "instruction" item).
     """
     # A NaN threshold would make every pair look distinct and keep exact duplicates.
     if not math.isfinite(threshold):
         raise ValueError(f"dedup_threshold must be finite, got {threshold!r}")
     if not 0 <= threshold <= 1:
         raise ValueError(f"dedup_threshold must be in [0, 1], got {threshold!r}")
-    if key is None:
-        key = lambda sample: sample.instruction
     retained = []
     pool: list[list[str]] = []  # the tokens of each retained sample
     for sample in samples:

@@ -10,10 +10,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from semiforge.corpus import (
     cap_solutions,
@@ -23,11 +21,10 @@ from semiforge.corpus import (
 )
 from semiforge.curriculum import STRATEGIES, order_records
 from semiforge.dataset import FunnelStats, retention_ratios
-from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output
+from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output, sandbox
 from semiforge.metrics import pass_at_k
 from semiforge.pipeline import DATASET_FILE, FUNNEL_FILE, load_config, run_pipeline, stage_path
 from semiforge.validation import (
-    EmptyTestCases,
     TestCase as Case,
     construct_test_cases,
     dedup_instructions,
@@ -95,23 +92,24 @@ def test_criterion_03_mutation_rejection():
     limits = ResourceLimits(wall_timeout=1.5)
     accepted_refactors = rejected_mutants = 0
     refactors = mutants = 0
-    for entry in suite:
-        cases = []
-        for raw in entry["inputs"]:
-            if entry["mode"] == "call":
-                inv = Invocation.call(entry["function_name"], raw)
+    with sandbox() as server:
+        for entry in suite:
+            cases = []
+            for raw in entry["inputs"]:
+                if entry["mode"] == "call":
+                    inv = Invocation.call(entry["function_name"], raw)
+                else:
+                    inv = Invocation.stdin(raw)
+                result = execute(entry["original"], inv, limits, server)
+                assert result.ok, f"{entry['name']}: original must pass its own inputs"
+                cases.append(Case(inv, normalize_output(result.stdout)))
+            failure = validate_refined_code(entry["refined"], cases, limits, server)
+            if entry["kind"] == "refactor":
+                refactors += 1
+                accepted_refactors += failure is None
             else:
-                inv = Invocation.stdin(raw)
-            result = execute(entry["original"], inv, limits)
-            assert result.ok, f"{entry['name']}: original must pass its own inputs"
-            cases.append(Case(inv, normalize_output(result.stdout)))
-        failure = validate_refined_code(entry["refined"], cases, limits)
-        if entry["kind"] == "refactor":
-            refactors += 1
-            accepted_refactors += failure is None
-        else:
-            mutants += 1
-            rejected_mutants += failure is not None
+                mutants += 1
+                rejected_mutants += failure is not None
     elapsed = time.monotonic() - started
     ok = (
         refactors >= 10
@@ -146,22 +144,20 @@ def test_criterion_04_construction_soundness(golden_run):
         invocation = Invocation(
             mode=case["mode"], payload=case["payload"], function_name=case["function_name"]
         )
-        result = execute(code, invocation, limits)
+        result = execute(code, invocation, limits, server)
         return result.ok and normalize_output(result.stdout) == case["expected_output"]
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        sound = all(pool.map(recheck, jobs))
-
     crash_inputs = [Invocation.stdin("0"), Invocation.stdin("zero")]
-    with pytest.raises(EmptyTestCases):
-        construct_test_cases("print(10 // int(input()))", crash_inputs, limits)
+    with sandbox() as server, ThreadPoolExecutor(max_workers=8) as pool:
+        sound = all(pool.map(recheck, jobs))
+        crash_cases, _ = construct_test_cases("print(10 // int(input()))", crash_inputs, limits, server)
 
     elapsed = time.monotonic() - started
     record(
         4,
         f"re-executing originals reproduces all {len(jobs)} expected outputs; "
-        "all-crash input sets raise EmptyTestCases",
-        sound and len(jobs) > 0,
+        "all-crash input sets give no test cases",
+        sound and len(jobs) > 0 and crash_cases == [],
         elapsed,
     )
 
@@ -176,9 +172,9 @@ def test_criterion_05_dedup_soundness():
     for i, dup in zip(dup_of, dups):
         assert rouge_oracle(dup, bases[i]) > 0.7
     stream = bases + dups
-    samples = [SimpleNamespace(instruction=text) for text in stream]
+    samples = [{"instruction": text} for text in stream]
     retained = dedup_instructions(samples, threshold=0.7)
-    texts = [s.instruction for s in retained]
+    texts = [s["instruction"] for s in retained]
     pairwise_ok = all(
         rouge_oracle(a, b) <= 0.7 for i, a in enumerate(texts) for b in texts[:i]
     )

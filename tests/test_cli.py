@@ -568,6 +568,9 @@ def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
         ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "function_name": 5}]},
          "problems.jsonl line 1: function_name must be a string or null, got 5"),
         ({"problem_id": 5, "test_cases": [DOUBLE_CASE]}, "problems.jsonl line 1: problem_id must be a string, got 5"),
+        ({"problem_id": "d", "test_cases": [{**DOUBLE_CASE, "note": "x"}]},
+         "problems.jsonl line 1: test case must hold no key but mode, payload, function_name, expected_output,"
+         " got 'note'"),
     ],
     ids=[
         "case_without_expected_output",
@@ -578,6 +581,7 @@ def test_eval_reads_candidate_with_line_separator(tmp_path, capsys):
         "expected_output_not_str",
         "function_name_not_str",
         "problem_id_not_str",
+        "case_extra_key",
     ],
 )
 def test_eval_malformed_problem_exits_2(tmp_path, capsys, problem, message):

@@ -24,6 +24,15 @@ def test_load_apps_directory():
     assert problems[0].description.startswith("Double it.")
 
 
+def test_load_corpus_needs_a_directory_for_apps_and_a_file_for_generic(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus([Problem("p", "Echo.", ("print(input())",))], path)
+    with pytest.raises(SemiforgeError, match="^apps format expects a directory, got "):
+        load_corpus(path, "apps")
+    with pytest.raises(SemiforgeError, match="^generic format expects a .jsonl file, got "):
+        load_corpus(tmp_path, "generic")
+
+
 def test_load_codecontest_keeps_correct_python_only(caplog):
     problems = load_corpus(TEST_DATA / "codecontest_fixture.jsonl", "codecontest")
     assert [p.problem_id for p in problems] == ["cc1", "cc2"]

@@ -418,6 +418,12 @@ def test_racing_calls_close_their_servers():
     assert _live_children() - before == set()
 
 
+def test_execute_given_no_server_starts_one_for_its_run(sandbox_counts):
+    for _ in range(2):
+        assert execute("print(1)", Invocation.stdin(""), FAST).ok
+    assert len(sandbox_counts["starts"]) == len(sandbox_counts["runs"]) == 2
+
+
 def test_dead_server_is_a_setup_failure():
     errors = []
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from semiforge import pipeline
+from semiforge.corpus import Problem
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
 from semiforge.executor import Invocation, SandboxSetupFailure, resolve_interpreter
@@ -31,7 +32,7 @@ from semiforge.pipeline import (
     run_pipeline,
     stage_path,
 )
-from tests.conftest import FIXTURES, GOLDEN, load_jsonl
+from tests.conftest import FIXTURES, GOLDEN, load_jsonl, write_corpus
 from tests.test_generation import ok_body
 
 EXPECTED_FUNNEL = (33, 30, 28, 24, 21)
@@ -211,6 +212,11 @@ def with_case(ok, **changes):
 @pytest.mark.parametrize(
     "stage, make_row, problem",
     [
+        (
+            "ingest",
+            lambda ok: {"unit_id": "new:0", "status": "drop", "reason": "made_up"},
+            "status must be one of 'ok', got 'drop'",
+        ),
         ("validate", lambda ok: [1, 2], "row must be an object, got [1, 2]"),
         ("validate", lambda ok: "text", "row must be an object, got 'text'"),
         ("validate", lambda ok: {k: v for k, v in ok.items() if k != "instruction"}, "instruction must be a string, got nothing"),
@@ -284,6 +290,7 @@ def with_case(ok, **changes):
         ),
     ],
     ids=[
+        "ingest_drop",
         "array",
         "string",
         "ok_row_without_instruction",
@@ -473,6 +480,26 @@ BAD_SI = {
 }
 
 
+@pytest.mark.parametrize(
+    "order, missing, problem",
+    [
+        ("si_generated_order", "seq", "si_generated_order needs a generation sequence number on every record"),
+        ("ni_shuffled", "problem_id", "ni_shuffled needs a problem id on every record"),
+    ],
+)
+def test_si_record_without_what_its_ordering_reads_fails_order(golden_run, golden_run_copy, order, missing, problem):
+    config, _, _ = golden_run
+    resumed = resumed_from(config, golden_run_copy, "order")
+    provenance = {key: value for key, value in {"problem_id": "si-9", "seq": 9}.items() if key != missing}
+    si = {"instruction": "x", "code": "y", "source": "si", "provenance": provenance}
+    resumed.si_path = str(write_si(golden_run_copy / "si.jsonl", [si]))
+    resumed.order = order
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed)
+    assert excinfo.value.stage == "order"
+    assert problem in str(excinfo.value)
+
+
 @pytest.mark.parametrize("case", sorted(BAD_SI))
 def test_bad_si_record_fails_naming_line(golden_run, golden_run_copy, case):
     config, _, _ = golden_run
@@ -575,6 +602,7 @@ RECORD_TYPES = {
         (stage, status, field)
         for stage in UNIT_FIELDS
         for status in ("ok", "drop")
+        if (stage, status) != ("ingest", "drop")  # ingest drops no unit
         for field in stage_row(stage, status)
     ]
     + [("order", "ok", field) for field in ORDER_RECORD],
@@ -593,6 +621,31 @@ def test_field_of_wrong_json_type_fails_naming_file_and_line(tmp_path, stage, st
             _read_rows(stage, path)
         assert excinfo.value.stage == stage
         assert f"{path} line 2: {field} must be " in str(excinfo.value), json_type
+
+
+def corpus_config(golden_config_path, tmp_path, problems):
+    """The golden config, run on a generic corpus of ``problems`` into ``tmp_path / "out"``."""
+    config = load_config(golden_config_path)
+    config.corpus_path = str(tmp_path / "corpus.jsonl")
+    config.out_dir = str(tmp_path / "out")
+    write_corpus(problems, config.corpus_path)
+    return config
+
+
+def test_corpus_of_special_judge_problems_fails_ingest(tmp_path, golden_config_path):
+    config = corpus_config(golden_config_path, tmp_path, [Problem("p", "Echo.", ("print(input())",), special_judge=True)])
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(config)
+    assert excinfo.value.stage == "ingest"
+    assert str(excinfo.value) == "stage ingest: corpus is empty after preprocessing"
+
+
+def test_whitespace_only_code_drops_at_generate(tmp_path, golden_config_path):
+    # Generate drops it before it asks for a completion: the replay store holds none for it.
+    config = corpus_config(golden_config_path, tmp_path, [Problem("p", "Nothing.", ("   \n",))])
+    run_pipeline(config, stop_after="generate")
+    [row] = load_jsonl(stage_path(config.out_dir, "generate"))
+    assert (row["unit_id"], row["status"], row["reason"]) == ("p:0", "drop", "empty_code")
 
 
 def test_stop_after_ingest(tmp_path, golden_config_path):

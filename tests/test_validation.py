@@ -1,10 +1,10 @@
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiforge import executor
-from semiforge.executor import Invocation, ResourceLimits
+from semiforge.executor import Invocation, ResourceLimits, sandbox
 from semiforge.validation import (
-    EmptyTestCases,
     TestCase as Case,
     construct_test_cases,
     dedup_instructions,
@@ -21,51 +21,36 @@ def stdin_invocations(inputs):
     return [Invocation.stdin(raw) for raw in inputs]
 
 
+@pytest.fixture(scope="module")
+def server():
+    with sandbox() as server:
+        yield server
+
+
 # ------------------------------------------------------------ construction
 
-@pytest.mark.parametrize("phase", ["construct", "validate"])
-def test_one_call_starts_one_sandbox_server(monkeypatch, phase):
-    starts = []
-
-    class CountingServer(executor._Server):
-        def __init__(self, python):
-            starts.append(python)
-            super().__init__(python)
-
-    monkeypatch.setattr(executor, "_Server", CountingServer)
-    inputs = ["1", "2", "3", "4"]
-    if phase == "construct":
-        cases, _ = construct_test_cases("print(input())", stdin_invocations(inputs), FAST)
-        assert len(cases) == 4
-    else:
-        cases = [Case(Invocation.stdin(raw), raw) for raw in inputs]
-        assert validate_refined_code("print(input())", cases, FAST) is None
-    assert len(starts) == 1
-
-
-def test_construct_executes_original():
-    cases, _ = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "5", "0"]), FAST)
+def test_construct_executes_original(server):
+    cases, _ = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "5", "0"]), FAST, server)
     assert [c.expected_output for c in cases] == ["4", "10", "0"]
     assert all(c.invocation.mode == "stdin" for c in cases)
 
 
-def test_construct_drops_crashing_inputs():
-    cases, drops = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "oops", "5"]), FAST)
+def test_construct_drops_crashing_inputs(server):
+    cases, drops = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "oops", "5"]), FAST, server)
     assert [c.expected_output for c in cases] == ["4", "10"]
     assert drops == {"runtime_error": 1}
 
 
-def test_construct_call_based_uses_repr():
+def test_construct_call_based_uses_repr(server):
     code = "def join_up(items):\n    return '-'.join(items)"
-    cases, _ = construct_test_cases(code, [Invocation.call("join_up", "(['a', 'b'],)")], FAST)
+    cases, _ = construct_test_cases(code, [Invocation.call("join_up", "(['a', 'b'],)")], FAST, server)
     assert cases[0].expected_output == "'a-b'"
     assert cases[0].invocation.function_name == "join_up"
 
 
-def test_construct_all_crash_raises_empty():
-    with pytest.raises(EmptyTestCases) as excinfo:
-        construct_test_cases("print(10 // int(input()))", stdin_invocations(["0", "x"]), FAST)
-    assert excinfo.value.drops == {"runtime_error": 2}
+def test_construct_all_crash_returns_no_cases(server):
+    cases, drops = construct_test_cases("print(10 // int(input()))", stdin_invocations(["0", "x"]), FAST, server)
+    assert (cases, drops) == ([], {"runtime_error": 2})
 
 
 # -------------------------------------------------------------- validation
@@ -77,33 +62,33 @@ DOUBLE_CASES = [
 ]
 
 
-def test_validate_passes_equivalent_code():
-    assert validate_refined_code("n = int(input())\nprint(n + n)", DOUBLE_CASES, FAST) is None
+def test_validate_passes_equivalent_code(server):
+    assert validate_refined_code("n = int(input())\nprint(n + n)", DOUBLE_CASES, FAST, server) is None
 
 
-def test_validate_wrong_output_reports_index():
+def test_validate_wrong_output_reports_index(server):
     cases = [Case(Invocation.stdin("0"), "0"), Case(Invocation.stdin("2"), "4")]
-    assert validate_refined_code("print(int(input()) * 3)", cases, FAST) == (1, "wrong_output")
+    assert validate_refined_code("print(int(input()) * 3)", cases, FAST, server) == (1, "wrong_output")
 
 
-def test_validate_runtime_error():
-    assert validate_refined_code("raise RuntimeError('no')", DOUBLE_CASES, FAST) == (0, "runtime_error")
+def test_validate_runtime_error(server):
+    assert validate_refined_code("raise RuntimeError('no')", DOUBLE_CASES, FAST, server) == (0, "runtime_error")
 
 
-def test_validate_timeout():
-    failure = validate_refined_code("while True:\n    pass", DOUBLE_CASES[:1], ResourceLimits(wall_timeout=1.0))
+def test_validate_timeout(server):
+    failure = validate_refined_code("while True:\n    pass", DOUBLE_CASES[:1], ResourceLimits(wall_timeout=1.0), server)
     assert failure == (0, "timeout")
 
 
-def test_validate_output_overflow_is_a_runtime_error():
+def test_validate_output_overflow_is_a_runtime_error(server):
     cases = [Case(Invocation.stdin("1"), "1"), Case(Invocation.stdin("2"), "2")]
     refined = 'n = input()\nprint(n if n == "1" else "x" * 2_000_000)'
-    assert validate_refined_code(refined, cases, FAST) == (1, "runtime_error")
+    assert validate_refined_code(refined, cases, FAST, server) == (1, "runtime_error")
 
 
-def test_validate_requires_cases():
+def test_validate_requires_cases(server):
     with pytest.raises(ValueError):
-        validate_refined_code("print(1)", [], FAST)
+        validate_refined_code("print(1)", [], FAST, server)
 
 
 # ------------------------------------------------------------------ ROUGE
@@ -166,7 +151,7 @@ def test_dedup_first_occurrence_wins():
         Sample("alpha beta gamma delta epsilon"),  # F1 vs first = 8/9 > 0.7
         Sample("totally different words here"),
     ]
-    retained = dedup_instructions(samples, threshold=0.7)
+    retained = dedup_instructions(samples, threshold=0.7, key=attrgetter("instruction"))
     assert retained == [samples[0], samples[2]]
 
 
@@ -174,15 +159,15 @@ def test_dedup_threshold_is_strict():
     a = "a b c d"
     b = "a b x d"  # scores exactly 0.75 against a
     assert rouge_oracle(a, b) == pytest.approx(0.75)
-    keeps = dedup_instructions([Sample(a), Sample(b)], threshold=0.75)
+    keeps = dedup_instructions([Sample(a), Sample(b)], threshold=0.75, key=attrgetter("instruction"))
     assert len(keeps) == 2  # equal to the threshold is not above it -> retained
-    drops = dedup_instructions([Sample(a), Sample(b)], threshold=0.74)
+    drops = dedup_instructions([Sample(a), Sample(b)], threshold=0.74, key=attrgetter("instruction"))
     assert len(drops) == 1
 
 
 def test_dedup_returns_retained_list():
     samples = [Sample("one two three four"), Sample("one two three four five"), Sample("zz yy")]
-    retained = dedup_instructions(iter(samples), threshold=0.7)
+    retained = dedup_instructions(iter(samples), threshold=0.7, key=attrgetter("instruction"))
     assert isinstance(retained, list)
     assert retained == [samples[0], samples[2]]
 
@@ -193,7 +178,7 @@ def test_dedup_compares_against_retained_only():
     c = Sample("w1 w2 w3 w4 w5 x1 x2 x3")  # vs a: 8/12 <= 0.7; vs the dropped b: 10/13 > 0.7
     assert rouge_oracle(c.instruction, a.instruction) == pytest.approx(2 * 4 / 12)
     assert rouge_oracle(c.instruction, b.instruction) == pytest.approx(2 * 5 / 13)
-    assert dedup_instructions([a, b, c], threshold=0.7) == [a, c]
+    assert dedup_instructions([a, b, c], threshold=0.7, key=attrgetter("instruction")) == [a, c]
 
 
 def test_dedup_custom_key():
@@ -210,7 +195,7 @@ def test_dedup_empty_stream():
 @settings(max_examples=50)
 def test_dedup_keeps_subsequence_of_input(texts):
     samples = [Sample(t) for t in texts]
-    retained = dedup_instructions(samples)
+    retained = dedup_instructions(samples, key=attrgetter("instruction"))
     it = iter(samples)
     assert all(any(r is s for s in it) for r in retained)  # order-preserving subsequence
 
@@ -218,7 +203,7 @@ def test_dedup_keeps_subsequence_of_input(texts):
 @given(st.lists(token_texts, max_size=12))
 @settings(max_examples=50)
 def test_dedup_retained_pairs_below_threshold(texts):
-    retained = dedup_instructions([Sample(t) for t in texts], threshold=0.7)
+    retained = dedup_instructions([Sample(t) for t in texts], threshold=0.7, key=attrgetter("instruction"))
     for i, a in enumerate(retained):
         for b in retained[:i]:
             assert rouge_oracle(a.instruction, b.instruction) <= 0.7
