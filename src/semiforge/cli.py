@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands map onto pipeline stages: `run` executes everything,
-`ingest`/`generate`/`validate`/`rank`/`emit` execute slices against the
-stage files in the output directory, `eval` scores candidate files with
-pass@k, and `report` renders a stored funnel. Options layer as
-defaults < --config file < explicit flags.
+The pipeline commands are one table, STAGE_COMMANDS: each runs a slice
+of the stages against the stage files in the output directory (`run`
+from its config's `resume_from` to the end), and prints the funnel
+report once its run reached dedup and the dataset path once it reached
+emit; the run logs each stage's kept rows. `eval` scores candidate
+files with pass@k, and `report` renders a stored funnel. Options layer
+as defaults < --config file < explicit flags.
 """
 
 from __future__ import annotations
@@ -20,12 +22,19 @@ from .dataset import FunnelStats, NonEmpty, atomic_write, check_fields, check_on
 from .errors import SemiforgeError
 from .executor import Invocation, ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
-from .pipeline import (
-    CLIENT_MODES, DATASET_FILE, STAGES, PipelineConfig, load_config, run_pipeline, stage_path
-)
+from .pipeline import CLIENT_MODES, DATASET_FILE, PipelineConfig, load_config, run_pipeline
 from .validation import CASE_FIELDS, CASE_REQUIRED, TestCase
 
-logger = logging.getLogger(__name__)
+# Each pipeline command: (its help, the first stage it runs, the last); run's first is its config's resume_from.
+STAGE_COMMANDS = {
+    "ingest": ("load, filter, merge and cap the corpus", "ingest", "ingest"),
+    "generate": ("run LLM generation over ingested codes", "generate", "generate"),
+    "validate": ("construct test cases, validate refined code, dedup", "construct", "dedup"),
+    "rank": ("order validated records by the configured strategy", "order", "order"),
+    "emit": ("write the final dataset from the ordered records", "emit", "emit"),
+    "run": ("run the full pipeline", None, "emit"),
+}
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Add one flag per overridable config field; each flag's dest is its field."""
@@ -57,32 +66,15 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _print_stage_summary(config: PipelineConfig, stages: list[str]) -> None:
-    for stage in stages:
-        path = stage_path(config.out_dir, stage)
-        if not path.is_file():
-            continue
-        # The run has just written and checked the file; order rows have no status: all kept.
-        statuses = read_json_lines(path, lambda row: row.get("status", "ok"))
-        print(f"{stage}: {statuses.count('ok')}/{len(statuses)} rows kept -> {path}")
-
-
-def _cmd_slice(args: argparse.Namespace, resume_from: str | None, stop_after: str) -> int:
+def _cmd_stages(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    config.resume_from = resume_from
-    run_pipeline(config, stop_after=stop_after)
-    start = STAGES.index(resume_from) if resume_from else 0
-    _print_stage_summary(config, list(STAGES[start : STAGES.index(stop_after) + 1]))
-    if stop_after == "emit":
+    _, first, last = STAGE_COMMANDS[args.command]
+    config.resume_from = first or config.resume_from
+    stats = run_pipeline(config, stop_after=last)
+    if stats is not None:
+        print(funnel_report(stats))
+    if last == "emit":
         print(f"dataset -> {Path(config.out_dir) / DATASET_FILE}")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    stats = run_pipeline(config)
-    print(funnel_report(stats))
-    print(f"dataset -> {Path(config.out_dir) / DATASET_FILE}")
     return 0
 
 
@@ -162,17 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("ingest", "load, filter, merge and cap the corpus"),
-        ("generate", "run LLM generation over ingested codes"),
-        ("validate", "construct test cases, validate refined code, dedup"),
-        ("rank", "order validated records by the configured strategy"),
-        ("emit", "write the final dataset from the ordered records"),
-        ("run", "run the full pipeline"),
-    ):
+    for name, (help_text, first, _) in STAGE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_stages)
         _add_config_flags(p)
-        if name == "run":
+        if first is None:
             p.add_argument(
                 "--resume-from",
                 dest="resume_from",
@@ -180,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_eval = sub.add_parser("eval", help="score candidate completions with pass@k")
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("--problems", required=True, help="JSONL of {problem_id, test_cases}")
     p_eval.add_argument("--candidates", required=True, help="JSONL of {problem_id, candidate_code}")
     p_eval.add_argument("--k", default="1", help="comma-separated k values (default 1)")
@@ -189,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="write the JSON report here as well")
 
     p_report = sub.add_parser("report", help="render a stored funnel report")
+    p_report.set_defaults(handler=_cmd_report)
     p_report.add_argument("--funnel", required=True, help="funnel.json produced by run")
     p_report.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -202,23 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "ingest":
-            return _cmd_slice(args, None, "ingest")
-        if args.command == "generate":
-            return _cmd_slice(args, "generate", "generate")
-        if args.command == "validate":
-            return _cmd_slice(args, "construct", "dedup")
-        if args.command == "rank":
-            return _cmd_slice(args, "order", "order")
-        if args.command == "emit":
-            return _cmd_slice(args, "emit", "emit")
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise ValueError(f"unknown command: {args.command!r}")
+        return args.handler(args)
     except SemiforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

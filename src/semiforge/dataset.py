@@ -166,6 +166,9 @@ def record(obj) -> dict:
             raise ValueError("semi records must carry difficulty and n_test_cases")
         if obj["difficulty"] != obj["n_test_cases"]:
             raise ValueError("semi difficulty must equal the test-case count")
+        count = len(obj.get("test_cases") or ())
+        if obj["n_test_cases"] != count:
+            raise ValueError(f"n_test_cases must be {count}, the number of test cases, got {obj['n_test_cases']!r}")
     return {
         **{key: obj.get(key) for key in RECORD_FIELDS},
         "answer_type": obj.get("answer_type") or None,
@@ -275,7 +278,7 @@ class FunnelStats:
     @classmethod
     def from_dict(cls, obj) -> "FunnelStats":
         """Read what to_dict wrote; a value it could not have written raises ValueError."""
-        check_fields(obj, FUNNEL_FIELDS, required=STAGE_FIELDS, name="funnel")
+        check_only(obj, FUNNEL_FIELDS, STAGE_FIELDS, name="funnel")
         return cls(**{name: obj[name] for name in STAGE_FIELDS}, drop_reasons=obj.get("drop_reasons", {}))
 
 

@@ -53,8 +53,7 @@ class PromptTemplate:
     """Template text plus the number of inputs to request.
 
     ``preamble`` holds the template body with its placeholders:
-    ``{{original_code}}`` (exactly once) and ``{{input_count}}``. An
-    ``{{exemplars}}`` slot is rendered empty.
+    ``{{original_code}}`` (exactly once) and ``{{input_count}}``.
     """
 
     preamble: str
@@ -82,7 +81,6 @@ def build_generation_prompt(original_code: str, template: PromptTemplate) -> str
         raise EmptyCode("refusing to build a prompt for empty code")
     text = template.preamble
     text = text.replace("{{input_count}}", str(template.input_count))
-    text = text.replace("{{exemplars}}", "")
     text = text.replace("{{original_code}}", original_code.rstrip("\n"))
     return re.sub(r"\n{3,}", "\n\n", text)
 

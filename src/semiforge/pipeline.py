@@ -4,9 +4,9 @@ One corpus solution moves through ingest -> generate -> construct ->
 validate -> dedup as a *unit row*: one flat dict that each stage
 extends with its own fields (see UNIT_FIELDS) and a new status and
 reason, never rebuilds. Order turns the kept rows into dataset records
-(see dataset.record) and emit writes them as they are. Each stage
+(see dataset.record) and emit passes them on as they are. Each stage
 persists its full row list (kept and dropped records alike) to
-``stage_<name>.jsonl`` in the output directory.
+``stage_<name>.jsonl`` in the output directory, emit to ``dataset.jsonl``.
 The sandbox stages a run executes, construct and validate, run as one
 chain (see _run_chain): a unit's task on the worker pool validates the
 unit as soon as construct keeps it, so neither stage waits for the
@@ -16,10 +16,12 @@ its file on a resumed run or made by the stage, are counted into the
 funnel statistics and written to events.jsonl as they pass, and then
 kept only as the next stage's input. So a run resumed from any stage is
 byte-identical to a cold run, and a run holds one stage's rows at a
-time besides those a running stage reads and makes. A bad config value is
-raised as InvalidConfig before any stage runs (PipelineConfig.check); a
-fatal error in a stage is raised as StageFailure carrying the stage
-name; per-record failures only become drop rows.
+time besides those a running stage reads and makes. Once an executed
+stage's rows are counted, one INFO line reports how many it kept. A bad
+config value is raised as InvalidConfig before any stage runs
+(PipelineConfig.check); a fatal error in a stage is raised as
+StageFailure carrying the stage name; per-record failures only become
+drop rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import logging
 import os
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -417,15 +419,14 @@ def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
     return ordered
 
 
-def _stage_emit(config: PipelineConfig, order_rows: list[dict]) -> list[dict]:
-    count = emit_jsonl(order_rows, Path(config.out_dir) / DATASET_FILE)
-    logger.info("emitted %d records", count)
-    return order_rows
-
-
-# What each stage outside the sandbox chain makes of the rows of the stage before it.
+# What each stage outside the sandbox chain makes of the rows of the stage before it; emit's rows,
+# the ordered records as they are, are the dataset.
 _RUNNERS = {"ingest": _stage_ingest, "generate": _stage_generate, "dedup": _stage_dedup, "order": _stage_order,
-            "emit": _stage_emit}
+            "emit": lambda _, order_rows: order_rows}
+
+
+def _output_path(out_dir: Path, stage: str) -> Path:
+    return out_dir / DATASET_FILE if stage == "emit" else stage_path(out_dir, stage)
 
 
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> FunnelStats | None:
@@ -454,10 +455,13 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
     executed: list[str] = []
     timings: dict[str, float] = {}
     row_counts: dict[str, int] = {}
-    drops: dict[str, Counter] = {}  # unit stage -> its drop rows by reason; construct_inputs -> inputs by status
+    drops = defaultdict(Counter)  # stage -> its drop rows by reason; construct_inputs -> inputs by status
     chain = tuple(stage for stage in STAGES[start_idx : stop_idx + 1] if stage in _UNIT_WORK)
     produced: dict[str, list[dict]] = {}  # rows a run made for stages the loop has not reached
     rows: list[dict] = []  # the rows of the stage before
+
+    def kept(stage: str) -> int:
+        return row_counts[stage] - drops[stage].total()
 
     with atomic_write(out_dir / EVENTS_FILE) as events:
         for index, stage in enumerate(STAGES[: stop_idx + 1]):
@@ -475,14 +479,11 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
                         produced = _run_chain(config, chain, rows) if stage in chain else {
                             stage: _RUNNERS[stage](config, rows)}
                     for name, result in produced.items():
-                        if name != "emit":
-                            with _failing_as(name):
-                                emit_jsonl(result, stage_path(out_dir, name))
+                        with _failing_as(name):
+                            emit_jsonl(result, _output_path(out_dir, name))
                     seconds = round(time.monotonic() - began, 3)
-                    for name, result in produced.items():
-                        executed.append(name)
-                        timings[name] = seconds
-                        logger.info("stage %s: %d rows (%.3fs)", name, len(result), seconds)
+                    executed.extend(produced)
+                    timings.update(dict.fromkeys(produced, seconds))
                 rows = produced.pop(stage)
 
             row_counts[stage] = len(rows)
@@ -491,15 +492,14 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
                                              "reason": row["reason"]}) for row in rows)
                 drops[stage] = Counter(row["reason"] for row in rows if row["status"] == "drop")
             if stage == "construct":
-                drops["construct_inputs"] = Counter()
                 for row in rows:
                     drops["construct_inputs"].update(row.get("input_drops") or {})
+            if index >= start_idx:
+                logger.info("stage %s: %d/%d rows kept (%.3fs) -> %s", stage, kept(stage), len(rows),
+                            timings[stage], _output_path(out_dir, stage))
 
         stats: FunnelStats | None = None
         if stop_idx >= STAGES.index("dedup"):
-            def kept(stage: str) -> int:
-                return row_counts[stage] - drops[stage].total()
-
             drop_reasons = {stage: dict(reasons) for stage, reasons in drops.items() if reasons}
             stats = FunnelStats(row_counts["ingest"], kept("generate"), kept("construct"), kept("validate"),
                                 kept("dedup"), drop_reasons)

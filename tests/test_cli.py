@@ -1,11 +1,12 @@
 import argparse
 import json
+import logging
 import shutil
 from dataclasses import fields, replace
 
 import pytest
 
-from semiforge.cli import _config_from_args, build_parser, main
+from semiforge.cli import STAGE_COMMANDS, _config_from_args, build_parser, main
 from semiforge.dataset import emit_jsonl
 from semiforge.pipeline import STAGES, PipelineConfig
 from tests.conftest import GOLDEN, load_jsonl
@@ -41,15 +42,40 @@ def test_staged_subcommands_match_single_run(tmp_path, golden_config_path, capsy
     assert (tmp_path / "funnel.json").read_bytes() == (GOLDEN / "funnel_stats.json").read_bytes()
 
 
-def test_stage_summaries_report_kept_counts(tmp_path, golden_config_path, capsys):
-    assert run_cli("ingest", "--config", golden_config_path, "--out", tmp_path) == 0
-    assert run_cli("generate", "--config", golden_config_path, "--out", tmp_path) == 0
-    assert run_cli("validate", "--config", golden_config_path, "--out", tmp_path) == 0
-    assert run_cli("rank", "--config", golden_config_path, "--out", tmp_path) == 0
+def kept_lines(caplog) -> list[str]:
+    """The run's per-stage reports, each cut before its timing."""
+    return [record.getMessage().split(" (")[0] for record in caplog.records if " rows kept " in record.getMessage()]
+
+
+def test_stage_summaries_report_kept_counts(tmp_path, golden_config_path, caplog):
+    caplog.set_level(logging.INFO, logger="semiforge.pipeline")
+    for command in ("ingest", "generate", "validate", "rank", "emit"):
+        assert run_cli(command, "--config", golden_config_path, "--out", tmp_path) == 0, command
+    assert kept_lines(caplog) == [
+        "stage ingest: 33/33 rows kept",
+        "stage generate: 30/33 rows kept",
+        "stage construct: 28/30 rows kept",
+        "stage validate: 24/28 rows kept",
+        "stage dedup: 21/24 rows kept",
+        "stage order: 21/21 rows kept",
+        "stage emit: 21/21 rows kept",
+    ]
+    messages = [record.getMessage() for record in caplog.records]
+    assert any(m.endswith(f"s) -> {tmp_path / 'stage_generate.jsonl'}") for m in messages)
+    assert any(m.endswith(f"s) -> {tmp_path / 'dataset.jsonl'}") for m in messages)
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+def test_each_pipeline_command_runs_its_slice(golden_run_copy, golden_config_path, capsys, command):
+    _, first, last = STAGE_COMMANDS[command]
+    assert run_cli(command, "--config", golden_config_path, "--out", golden_run_copy) == 0
+    manifest = json.loads((golden_run_copy / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages_executed"] == list(STAGES[STAGES.index(first or "ingest") : STAGES.index(last) + 1])
     out = capsys.readouterr().out
-    assert "ingest: 33/33 rows kept" in out
-    assert "generate: 30/33 rows kept" in out
-    assert "order: 21/21 rows kept" in out
+    assert ("after_dedup: 21" in out) == (STAGES.index(last) >= STAGES.index("dedup"))
+    assert ("dataset ->" in out) == (last == "emit")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {*STAGE_COMMANDS, "eval", "report"}
 
 
 # (flag, value given, config field, value expected in the field)
@@ -441,7 +467,7 @@ def test_negative_scale_exits_2(tmp_path, golden_config_path, capsys):
     assert not (tmp_path / "dataset.jsonl").exists()
 
 
-def test_stage_summary_reads_rows_with_line_separators(tmp_path, golden_config_path, capsys):
+def test_stage_summary_reads_rows_with_line_separators(tmp_path, golden_config_path, caplog):
     assert run_cli("ingest", "--config", golden_config_path, "--out", tmp_path) == 0
     assert run_cli("generate", "--config", golden_config_path, "--out", tmp_path) == 0
     path = tmp_path / "stage_generate.jsonl"
@@ -449,12 +475,13 @@ def test_stage_summary_reads_rows_with_line_separators(tmp_path, golden_config_p
     ok = next(row for row in rows if row["status"] == "ok")
     ok["instruction"] = ok["instruction"].replace(" ", "\u2028", 1)
     emit_jsonl(rows, path)
-    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="semiforge.pipeline")
     assert run_cli("validate", "--config", golden_config_path, "--out", tmp_path) == 0
-    out = capsys.readouterr().out
-    assert "construct: 28/30 rows kept" in out
-    assert "validate: 24/28 rows kept" in out
-    assert "dedup: 21/24 rows kept" in out
+    assert kept_lines(caplog) == [
+        "stage construct: 28/30 rows kept",
+        "stage validate: 24/28 rows kept",
+        "stage dedup: 21/24 rows kept",
+    ]
 
 
 def test_report_text_and_json(tmp_path, capsys):
@@ -480,8 +507,12 @@ COUNTS = {"loaded_codes": 3, "generated_ok": 2, "with_test_cases": 2, "refined_p
         (json.dumps({**COUNTS, "drop_reasons": {"generate": {"x": "y"}}}),
          "drop_reasons['generate']['x'] must be an integer >= 0, got 'y'"),
         (json.dumps([3, 2, 1]), "funnel must be an object, got [3, 2, 1]"),
+        (json.dumps({**COUNTS, "extra": 5}),
+         "funnel must hold no key but loaded_codes, generated_ok, with_test_cases, refined_passed, after_dedup,"
+         " drop_reasons, got 'extra'"),
     ],
-    ids=["missing_file", "missing_count", "count_not_integer", "count_boolean", "reason_count_not_integer", "array"],
+    ids=["missing_file", "missing_count", "count_not_integer", "count_boolean", "reason_count_not_integer", "array",
+         "extra_key"],
 )
 def test_report_unreadable_funnel_exits_2(tmp_path, capsys, content, message):
     funnel = tmp_path / "funnel.json"

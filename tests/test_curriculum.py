@@ -23,6 +23,10 @@ def semi(problem_id, seq, difficulty):
             "provenance": {"problem_id": problem_id, "solution_index": 0, "seq": seq},
             "difficulty": difficulty,
             "n_test_cases": difficulty,
+            "test_cases": [
+                {"mode": "stdin", "payload": str(i), "function_name": None, "expected_output": str(seq)}
+                for i in range(difficulty)
+            ],
         }
     )
 

@@ -22,15 +22,15 @@ from semiforge.executor import STATUSES
 from tests.conftest import load_jsonl
 
 
-def semi_record(difficulty=1, seq=0):
+def semi_record(seq=0):
     return record(
         {
             "instruction": "do the thing",
             "code": "print(1)",
             "source": "semi",
             "provenance": {"problem_id": "p1", "solution_index": 0, "seq": seq},
-            "difficulty": difficulty,
-            "n_test_cases": difficulty,
+            "difficulty": 1,
+            "n_test_cases": 1,
             "answer_type": {"kind": "standard_input", "function_name": None},
             "test_cases": [
                 {"mode": "stdin", "payload": "1", "function_name": None, "expected_output": "1"}
@@ -47,6 +47,8 @@ def test_semi_record_requires_matching_difficulty():
         record(base)
     with pytest.raises(ValueError, match="must carry difficulty"):
         record({**base, "difficulty": None, "n_test_cases": None})
+    with pytest.raises(ValueError, match="n_test_cases must be 1, the number of test cases, got 4"):
+        record({**semi_record(), "difficulty": 4, "n_test_cases": 4})
 
 
 def test_unknown_source_rejected():
