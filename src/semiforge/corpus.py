@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dataset import check_fields
 from .errors import SemiforgeError
@@ -52,8 +51,7 @@ CORPUS_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     problem_id: str
     description: str
     solutions: tuple[str, ...]  # the code of each kept solution
@@ -159,7 +157,7 @@ def filter_problems(problems: Iterable[Problem], max_tokens: int = DEFAULT_MAX_T
         kept = tuple(code for code in problem.solutions if len(code.split()) <= max_tokens)
         if not kept:
             continue
-        out.append(replace(problem, solutions=kept))
+        out.append(problem._replace(solutions=kept))
     return out
 
 
@@ -180,7 +178,7 @@ def merge_duplicate_problems(problems: Iterable[Problem]) -> list[Problem]:
     for problem in problems:
         k = normalize_description(problem.description)
         first = groups.get(k)
-        groups[k] = problem if first is None else replace(first, solutions=first.solutions + problem.solutions)
+        groups[k] = problem if first is None else first._replace(solutions=first.solutions + problem.solutions)
     by_id: dict[str, Problem] = {}
     for problem in groups.values():
         if problem.problem_id in by_id:
@@ -194,4 +192,4 @@ def cap_solutions(problems: Iterable[Problem], cap: int = DEFAULT_SOLUTION_CAP) 
     """Keep at most the first ``cap`` solutions of every problem."""
     if cap < 1:
         raise ValueError(f"solution_cap must be >= 1, got {cap!r}")
-    return [replace(p, solutions=p.solutions[:cap]) for p in problems]
+    return [p._replace(solutions=p.solutions[:cap]) for p in problems]

@@ -18,11 +18,10 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from types import UnionType
-from typing import Callable, Iterable, Literal, Mapping, get_args, get_origin
+from types import MappingProxyType, UnionType
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, get_args, get_origin
 
 from .errors import SemiforgeError
 
@@ -250,14 +249,13 @@ STAGE_FIELDS = ("loaded_codes", "generated_ok", "with_test_cases", "refined_pass
 FUNNEL_FIELDS = {**dict.fromkeys(STAGE_FIELDS, Count), "drop_reasons": dict[str, dict[str, Count]]}
 
 
-@dataclass(frozen=True)
-class FunnelStats:
+class FunnelStats(NamedTuple):
     loaded_codes: int
     generated_ok: int
     with_test_cases: int
     refined_passed: int
     after_dedup: int
-    drop_reasons: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    drop_reasons: Mapping[str, Mapping[str, int]] = MappingProxyType({})  # unchangeable: every default shares it
 
     def counts(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in STAGE_FIELDS)

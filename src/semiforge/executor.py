@@ -92,12 +92,13 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SemiforgeError, is_function_name
 
 MODES = ("stdin", "call")
 STATUSES = ("ok", "runtime_error", "timeout", "output_overflow")  # of ExecResult.status
+DEFAULT_WALL_TIMEOUT = 5.0  # seconds: a run's wall limit unless it is given one
 MAX_WALL_TIMEOUT = (2**31 - 1) / 1000  # seconds: poll waits at most 2**31 - 1 ms
 MEMORY_BYTES = 256 * 1024 * 1024  # a run's address-space ceiling
 OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdout included
@@ -228,27 +229,31 @@ class SandboxSetupFailure(SemiforgeError):
     pass
 
 
-@dataclass(frozen=True)
-class Invocation:
+class _Invocation(NamedTuple):
+    mode: str
+    payload: str
+    function_name: str | None = None
+
+
+class Invocation(_Invocation):
     """One way of feeding a program: stdin text, or a literal call.
 
     ``payload`` is the stdin text in stdin mode and the argument
     literal (tuple syntax for several arguments) in call mode.
     """
 
-    mode: str
-    payload: str
-    function_name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown execution mode: {self.mode!r}")
-        if not isinstance(self.payload, str):
-            raise ValueError(f"payload must be a string, got {self.payload!r}")
-        if self.mode == "call" and not is_function_name(self.function_name):
-            raise ValueError(f"call mode needs a valid function name, got {self.function_name!r}")
-        if self.mode == "stdin" and self.function_name is not None:
-            raise ValueError(f"stdin mode takes no function name, got {self.function_name!r}")
+    def __new__(cls, mode: str, payload: str, function_name: str | None = None) -> "Invocation":
+        if mode not in MODES:
+            raise ValueError(f"unknown execution mode: {mode!r}")
+        if not isinstance(payload, str):
+            raise ValueError(f"payload must be a string, got {payload!r}")
+        if mode == "call" and not is_function_name(function_name):
+            raise ValueError(f"call mode needs a valid function name, got {function_name!r}")
+        if mode == "stdin" and function_name is not None:
+            raise ValueError(f"stdin mode takes no function name, got {function_name!r}")
+        return super().__new__(cls, mode, payload, function_name)
 
     @classmethod
     def stdin(cls, stdin_text: str) -> "Invocation":
@@ -259,21 +264,24 @@ class Invocation:
         return cls(mode="call", payload=args_literal, function_name=function_name)
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
-    wall_timeout: float = 5.0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.wall_timeout, float) and not math.isfinite(self.wall_timeout):
-            raise ValueError(f"wall_timeout must be finite, got {self.wall_timeout!r}")
-        if self.wall_timeout <= 0:
-            raise ValueError(f"wall_timeout must be > 0, got {self.wall_timeout!r}")
-        if self.wall_timeout > MAX_WALL_TIMEOUT:
-            raise ValueError(f"wall_timeout must be <= {MAX_WALL_TIMEOUT}, got {self.wall_timeout!r}")
+class _ResourceLimits(NamedTuple):
+    wall_timeout: float = DEFAULT_WALL_TIMEOUT
 
 
-@dataclass(frozen=True)
-class ExecResult:
+class ResourceLimits(_ResourceLimits):
+    __slots__ = ()
+
+    def __new__(cls, wall_timeout: float = DEFAULT_WALL_TIMEOUT) -> "ResourceLimits":
+        if isinstance(wall_timeout, float) and not math.isfinite(wall_timeout):
+            raise ValueError(f"wall_timeout must be finite, got {wall_timeout!r}")
+        if wall_timeout <= 0:
+            raise ValueError(f"wall_timeout must be > 0, got {wall_timeout!r}")
+        if wall_timeout > MAX_WALL_TIMEOUT:
+            raise ValueError(f"wall_timeout must be <= {MAX_WALL_TIMEOUT}, got {wall_timeout!r}")
+        return super().__new__(cls, wall_timeout)
+
+
+class ExecResult(NamedTuple):
     status: str  # one of STATUSES
     stdout: str
     stderr: str
@@ -519,8 +527,8 @@ def _read_capped(fh, cap: int) -> str:
 
 
 def normalize_output(text: str) -> str:
-    """Strip trailing whitespace per line, drop trailing blank lines, use \\n."""
-    lines = [line.rstrip() for line in text.splitlines()]
+    """Strip trailing whitespace per line and drop trailing blank lines; a line ends at \\n only."""
+    lines = [line.rstrip() for line in text.split("\n")]
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines)

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import SemiforgeError, is_function_name
 
@@ -48,22 +48,26 @@ class ParseError(SemiforgeError):
         self.reason = reason  # the unit's drop reason in the generate stage
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class _PromptTemplate(NamedTuple):
+    preamble: str
+    input_count: int = DEFAULT_INPUT_COUNT
+
+
+class PromptTemplate(_PromptTemplate):
     """Template text plus the number of inputs to request.
 
     ``preamble`` holds the template body with its placeholders:
     ``{{original_code}}`` (exactly once) and ``{{input_count}}``.
     """
 
-    preamble: str
-    input_count: int = DEFAULT_INPUT_COUNT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.input_count < 1:
-            raise ValueError(f"input_count must be >= 1, got {self.input_count!r}")
-        if self.preamble.count("{{original_code}}") != 1:
+    def __new__(cls, preamble: str, input_count: int = DEFAULT_INPUT_COUNT) -> "PromptTemplate":
+        if input_count < 1:
+            raise ValueError(f"input_count must be >= 1, got {input_count!r}")
+        if preamble.count("{{original_code}}") != 1:
             raise ValueError("template must contain exactly one {{original_code}} slot")
+        return super().__new__(cls, preamble, input_count)
 
     @classmethod
     def default(cls, input_count: int = DEFAULT_INPUT_COUNT) -> "PromptTemplate":
@@ -89,11 +93,10 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     text: str
     finish_reason: str = "stop"
-    usage: Mapping[str, int] = field(default_factory=dict)
+    usage: Mapping[str, int] = MappingProxyType({})  # unchangeable: every default shares it
 
 
 class ReplayClient:

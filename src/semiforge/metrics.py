@@ -9,8 +9,7 @@ pipeline uses for refined code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import SemiforgeError
 from .executor import ResourceLimits, map_workers, sandbox
@@ -28,22 +27,19 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return 1.0 - math.prod(1.0 - k / i for i in range(n - c + 1, n + 1))
 
 
-@dataclass(frozen=True)
-class EvalProblem:
+class EvalProblem(NamedTuple):
     problem_id: str
     test_cases: tuple[TestCase, ...]
     candidates: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ProblemEval:
+class ProblemEval(NamedTuple):
     problem_id: str
     n: int
     c: int
 
 
-@dataclass(frozen=True)
-class PassAtKReport:
+class PassAtKReport(NamedTuple):
     estimates: Mapping[int, float]
     problems: tuple[ProblemEval, ...]
 

@@ -44,7 +44,9 @@ from .dataset import (
     record,
 )
 from .errors import SemiforgeError
-from .executor import STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, map_workers, sandbox
+from .executor import (
+    DEFAULT_WALL_TIMEOUT, STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, map_workers, sandbox,
+)
 from .generation import (
     CALL_BASED,
     DEFAULT_INPUT_COUNT,
@@ -139,7 +141,7 @@ class PipelineConfig:
     model_id: str = "default"
     max_solution_tokens: int = corpus_mod.DEFAULT_MAX_TOKENS
     solution_cap: int = corpus_mod.DEFAULT_SOLUTION_CAP
-    wall_timeout: float = ResourceLimits.wall_timeout
+    wall_timeout: float = DEFAULT_WALL_TIMEOUT
     interpreter: str | None = None
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
     order: Literal[STRATEGIES] = "semi_ranked"

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .executor import Invocation, ResourceLimits, _Server, execute, normalize_output, outputs_match
 from .lcs import lcs_length
@@ -29,8 +28,7 @@ CASE_FIELDS = {"mode": str, "payload": str, "function_name": str | None, "expect
 CASE_REQUIRED = ("mode", "payload", "expected_output")
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     invocation: Invocation
     expected_output: str
 

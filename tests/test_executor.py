@@ -670,6 +670,13 @@ def test_outputs_match_examples():
     assert not outputs_match("1", "2")
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"])
+def test_a_line_ends_at_line_feed_only(separator):
+    """str.splitlines() also breaks at these; output that holds one differs from output that breaks the line."""
+    assert normalize_output(f"a{separator}b\n") == f"a{separator}b"
+    assert not outputs_match(f"a{separator}b", "a\nb")
+
+
 plain_lines = st.lists(
     st.text(
         alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=0, max_size=12

@@ -54,6 +54,26 @@ def test_only_dataset_writes_files():
     assert found == [("executor.py", "execute")]
 
 
+def decorator_names(node: ast.ClassDef) -> set[str]:
+    """The names of a class's decorators: ``dataclass`` for ``@dataclass`` or ``@dataclasses.dataclass(...)``."""
+    called = (getattr(decorator, "func", decorator) for decorator in node.decorator_list)
+    return {getattr(name, "id", getattr(name, "attr", None)) for name in called}
+
+
+def test_only_pipeline_config_is_a_dataclass():
+    """A record is a NamedTuple: a dataclass builds and execs its methods' source at every import.
+
+    PipelineConfig stays one: it is changed in place, and read through ``asdict``, ``fields`` and ``replace``.
+    """
+    found = sorted(
+        (path.name, node.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and "dataclass" in decorator_names(node)
+    )
+    assert found == [("pipeline.py", "PipelineConfig")]
+
+
 @pytest.mark.parametrize(
     "expr, writes",
     [
@@ -194,9 +214,10 @@ def test_generation_loads_no_live_client_logging_or_dataset():
     """Prompts, replays and parsing use none of them; ``dataset`` is loaded only to store a live answer."""
     out = run_fresh(
         "import sys, semiforge.generation",
-        "print(*(name in sys.modules for name in ('logging', 'semiforge.dataset', 'semiforge.live')))",
+        "print(*(name in sys.modules for name in ('logging', 'semiforge.dataset', 'semiforge.live', 'dataclasses', "
+        "'inspect')))",
     )
-    assert out.split() == ["False", "False", "False"]
+    assert out.split() == ["False"] * 5
 
 
 @pytest.mark.parametrize("module", ["metrics", "validation"])
@@ -208,12 +229,16 @@ def test_the_sandbox_layer_does_not_load_generation(module):
 
 @pytest.mark.parametrize("module", ["metrics", "validation", "executor"])
 def test_the_sandbox_layer_loads_no_thread_pool_and_no_dataset(module):
-    """Scoring starts cold: no ``concurrent.futures`` (and ``logging``) for a pass's threads, no ``dataset`` for a case."""
+    """Scoring starts cold: no ``concurrent.futures`` (and ``logging``) for a pass's threads, no ``dataset`` for a case.
+
+    Nor ``dataclasses`` (and ``inspect``): a record is a NamedTuple, whose methods are not generated at import.
+    """
     out = run_fresh(
         f"import sys, semiforge.{module}",
-        "print(*(name in sys.modules for name in ('concurrent.futures', 'logging', 'semiforge.dataset')))",
+        "print(*(name in sys.modules for name in ('concurrent.futures', 'logging', 'semiforge.dataset', 'dataclasses', "
+        "'inspect')))",
     )
-    assert out.split() == ["False", "False", "False"]
+    assert out.split() == ["False"] * 5
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("[!_]*.py")))

@@ -341,13 +341,13 @@ def test_a_resumed_validate_decodes_each_stored_case_once(golden_run, golden_run
     """Validate builds one Invocation per stored case; the check of a stage file one per answer type, none per case."""
     config, _, _ = golden_run
     built = []
-    post_init = Invocation.__post_init__
+    new = Invocation.__new__  # where an Invocation's check runs
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(Invocation, "__post_init__", counted)
+    monkeypatch.setattr(Invocation, "__new__", counted)
     stats = run_pipeline(resumed_from(config, golden_run_copy, "validate"))
     assert stats.counts() == EXPECTED_FUNNEL
     checked = [row for stage in ("ingest", "generate", "construct") for row in load_jsonl(stage_path(golden_run_copy, stage))]
