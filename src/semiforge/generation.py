@@ -1,4 +1,4 @@
-"""Prompt rendering, the replay client, and completion parsing.
+r"""Prompt rendering, the replay client, and completion parsing.
 
 A completion must contain four `### ` sections, in any order, found by
 name: Instruction, Refined Code, Answer Type, Test Case Inputs. The
@@ -6,6 +6,10 @@ parser is total: it returns the four fields the generate stage adds to
 a unit row, as the row stores them, or raises a ParseError carrying the
 drop reason of a structural defect, never another exception. A stored
 answer type is checked as the Invocation it runs as (pipeline.invocation_for).
+A line of a completion ends at ``\n`` only, and the ``\r`` of a ``\r\n``
+belongs to the line end; a lone ``\r``, ``\f``, U+2028 or any other
+character where ``str.splitlines`` would also break is kept in the
+code and inputs the parser returns.
 
 Every completion is asked of a ReplayClient: it serves completions from
 a content-addressed store keyed by the SHA-256 of the prompt, which
@@ -14,6 +18,8 @@ makes pipeline runs deterministic and offline. Given a live client
 lacks and records the answer in the store before returning it. Only
 that branch loads ``semiforge.dataset``: building prompts, replaying
 and parsing load no network client, no ``logging`` and no ``dataset``.
+The store is read as written, with no newline translation, so a
+replayed completion parses as the live answer did.
 """
 
 from __future__ import annotations
@@ -115,8 +121,8 @@ class ReplayClient:
         digest = prompt_digest(prompt)
         path = self.store / f"{digest}.txt"
         if path.is_file():
-            try:
-                return Completion(text=path.read_text(encoding="utf-8"), finish_reason="replay")
+            try:  # read as written: read_text would turn a lone \r into \n
+                return Completion(text=path.read_bytes().decode("utf-8"), finish_reason="replay")
             except UnicodeDecodeError as exc:
                 raise SemiforgeError(f"recorded completion {path} is not UTF-8: {exc}") from exc
         if self.live is None:
@@ -135,45 +141,38 @@ _INPUT_HEADER = re.compile(r"^####\s+Input\b.*$", re.IGNORECASE)
 _FUNCTION_NAME = re.compile(r"^function\s+name\s*:\s*(?P<name>.+?)\s*$", re.IGNORECASE)
 
 
-def _split_sections(raw: str) -> dict[str, str]:
-    """Map canonical section names to body text, first occurrence wins."""
+def _split_sections(lines: list[str]) -> dict[str, list[str]]:
+    """Map canonical section names to their body lines, first occurrence wins."""
     canonical = {name.lower(): name for name in SECTION_NAMES}
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
-    for line in raw.splitlines():
-        match = _HEADER.match(line)
-        if match:
+    for line in lines:
+        if match := _HEADER.match(line):
             name = canonical.get(match.group("name").strip().lower())
+            current = None
             if name is not None and name not in sections:
-                sections[name] = []
-                current = sections[name]
-            else:
-                current = None
-            continue
-        if current is not None:
+                current = sections[name] = []
+        elif current is not None:
             current.append(line)
-    return {name: "\n".join(body) for name, body in sections.items()}
+    return sections
 
 
-def _strip_code_fence(body: str) -> str:
-    lines = body.splitlines()
-    fence_idx = [i for i, line in enumerate(lines) if line.lstrip().startswith("```")]
-    if len(fence_idx) >= 2:
-        lines = lines[fence_idx[0] + 1 : fence_idx[-1]]
-    elif len(fence_idx) == 1:
-        lines = lines[fence_idx[0] + 1 :]
-    return "\n".join(lines).strip("\n")
+def _strip_code_fence(lines: list[str]) -> list[str]:
+    fences = [i for i, line in enumerate(lines) if line.lstrip().startswith("```")]
+    if not fences:
+        return lines
+    return lines[fences[0] + 1 : fences[-1] if len(fences) > 1 else None]
 
 
-def _parse_answer_type(body: str) -> dict:
-    first = next((line.strip() for line in body.splitlines() if line.strip()), "")
+def _parse_answer_type(lines: list[str]) -> dict:
+    stripped = [line.strip() for line in lines]
+    first = next(filter(None, stripped), "")
     label = first.strip("`'\". ").lower()
     if label in ("standard input", "standard-input", "stdin"):
         return {"kind": STANDARD_INPUT, "function_name": None}
     if label in ("call-based", "call based", "callbased"):
-        for line in body.splitlines():
-            match = _FUNCTION_NAME.match(line.strip())
-            if match:
+        for line in stripped:
+            if match := _FUNCTION_NAME.match(line):
                 name = match.group("name").strip("`'\"")
                 if is_function_name(name):
                     return {"kind": CALL_BASED, "function_name": name}
@@ -181,18 +180,11 @@ def _parse_answer_type(body: str) -> dict:
     raise ParseError("unknown_answer_type", f"unrecognized answer type: {first!r}")
 
 
-def _parse_inputs(body: str) -> list[str]:
-    blocks: list[list[str]] = []
-    current: list[str] | None = None
-    for line in body.splitlines():
-        if _INPUT_HEADER.match(line):
-            current = []
-            blocks.append(current)
-        elif current is not None:
-            current.append(line)
-    if not blocks:
+def _parse_inputs(lines: list[str]) -> list[str]:
+    starts = [i for i, line in enumerate(lines) if _INPUT_HEADER.match(line)]
+    if not starts:
         raise ParseError("no_inputs", "completion contains no test case input blocks")
-    return ["\n".join(block).strip("\n") for block in blocks]
+    return ["\n".join(lines[start + 1 : end]).strip("\n") for start, end in zip(starts, [*starts[1:], len(lines)])]
 
 
 def parse_components(raw: str) -> dict:
@@ -201,17 +193,17 @@ def parse_components(raw: str) -> dict:
     The fields are ``instruction``, ``refined_code``, ``answer_type``
     (``{"kind", "function_name"}``) and ``raw_inputs`` (a list of strings).
     """
-    sections = _split_sections(raw)
+    sections = _split_sections(raw.replace("\r\n", "\n").split("\n"))
     missing = [name for name in SECTION_NAMES if name not in sections]
     if not missing:
         sections["Refined Code"] = _strip_code_fence(sections["Refined Code"])
         # An empty Test Case Inputs section is left to _parse_inputs.
-        missing = [name for name in SECTION_NAMES[:3] if not sections[name].strip()]
+        missing = [name for name in SECTION_NAMES[:3] if not "".join(sections[name]).strip()]
     if missing:
         raise ParseError(f"missing_section:{missing[0]}", f"completion is missing the {missing[0]!r} section")
     return {
-        "instruction": sections["Instruction"].strip(),
-        "refined_code": sections["Refined Code"],
+        "instruction": "\n".join(sections["Instruction"]).strip(),
+        "refined_code": "\n".join(sections["Refined Code"]).strip("\n"),
         "answer_type": _parse_answer_type(sections["Answer Type"]),
         "raw_inputs": _parse_inputs(sections["Test Case Inputs"]),
     }

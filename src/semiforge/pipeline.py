@@ -85,7 +85,7 @@ UNIT_FIELDS = {
     "generate": {"prompt_sha256": str, "instruction": str, "refined_code": str, "answer_type": dict,
                  "raw_inputs": list[str]},
     "construct": {"test_cases": NonEmpty[dict],
-                  "input_drops": dict[Literal[STATUSES], Count]},
+                  "input_drops": dict[Literal[STATUSES[1:]], Count]},  # the inputs dropped, by status: any but "ok"
     "validate": {"difficulty": Count, "case_index": Count | None},
     "dedup": {},
 }
@@ -232,6 +232,16 @@ def _check_row(stage: str, row, unit_ids: set) -> dict:
     count = len(row.get("test_cases", ()))
     if row.get("difficulty", count) != count:
         raise ValueError(f"difficulty must be {count}, the number of test cases, got {row['difficulty']!r}")
+    if "input_drops" in row:  # construct drops each input that makes no test case
+        inputs, dropped = len(row.get("raw_inputs", ())), sum(row["input_drops"].values())
+        if count + dropped != inputs:
+            raise ValueError(f"input_drops must count {inputs - count}, the inputs of raw_inputs that made no test case,"
+                             f" got {dropped}")
+    if row.get("case_index") is not None:  # validate's drop rows alone name a failing case
+        if status == "ok" or stage == "dedup":
+            raise ValueError(f"case_index must be null on an ok row or a dedup row, got {row['case_index']!r}")
+        if row["case_index"] >= count:
+            raise ValueError(f"case_index must be below {count}, the number of test cases, got {row['case_index']!r}")
     if row["unit_id"] in unit_ids:
         raise ValueError(f"unit_id {row['unit_id']!r} is listed twice")
     unit_ids.add(row["unit_id"])
@@ -453,8 +463,6 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
     except OSError as exc:  # say, a file where it or a directory above it should be
         raise SemiforgeError(f"could not create output directory {out_dir}: {exc}") from exc
 
-    loaded: list[str] = []
-    executed: list[str] = []
     timings: dict[str, float] = {}
     row_counts: dict[str, int] = {}
     drops = defaultdict(Counter)  # stage -> its drop rows by reason; construct_inputs -> inputs by status
@@ -473,7 +481,6 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
                 if not path.is_file():
                     raise StageFailure(stage, f"missing stage file {path}; run earlier stages first")
                 rows = _read_rows(stage, path)
-                loaded.append(stage)
             else:
                 if stage not in produced:
                     began = time.monotonic()
@@ -484,7 +491,6 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
                         with _failing_as(name):
                             emit_jsonl(result, _output_path(out_dir, name))
                     seconds = round(time.monotonic() - began, 3)
-                    executed.extend(produced)
                     timings.update(dict.fromkeys(produced, seconds))
                 rows = produced.pop(stage)
 
@@ -516,8 +522,8 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Funne
             "version": TEMPLATE_VERSION,
             "input_count": config.input_count,
         },
-        "stages_loaded": loaded,
-        "stages_executed": executed,
+        "stages_loaded": STAGES[:start_idx],
+        "stages_executed": STAGES[start_idx : stop_idx + 1],
         "timings_sec": timings,
         "row_counts": row_counts,
     }

@@ -428,7 +428,7 @@ BAD_UNIT_ROWS = {
     "seq_not_integer": ("validate", lambda row: {**row, "seq": "a"}, "seq must be an integer >= 0, got 'a'"),
     "problem_id_not_str": ("validate", lambda row: {**row, "problem_id": 5}, "problem_id must be a string, got 5"),
     "input_drops_unknown_status": ("construct", lambda row: {**row, "input_drops": {"x": "y"}},
-                                   "input_drops key must be one of 'ok', 'runtime_error', 'timeout', "
+                                   "input_drops key must be one of 'runtime_error', 'timeout', "
                                    "'output_overflow', got 'x'"),
     "case_index_not_integer": ("validate", lambda row: {**row, "case_index": "q"},
                                "case_index must be an integer >= 0 or null, got 'q'"),

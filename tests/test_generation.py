@@ -18,7 +18,7 @@ from semiforge.generation import (
 )
 from semiforge.live import LiveClient
 from semiforge.pipeline import UNIT_FIELDS, _check_row
-from tests.conftest import GOLDEN
+from tests.conftest import FIXTURES, GOLDEN
 
 
 def make_completion(
@@ -166,6 +166,44 @@ def test_first_duplicate_section_wins():
     assert parse_components(text)["instruction"] == "Sum the numbers."
 
 
+# Characters where str.splitlines() breaks a line and a completion's line goes on: it ends at "\n" only.
+NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda char: f"U+{ord(char):04X}")
+def test_code_and_inputs_are_verbatim_slices_of_the_completion(char):
+    code = f'print("a{char}b")\nx = "p{char}q"'
+    inputs = (f"foo{char}bar", f"1{char}2\n3")
+    text = make_completion(refined=code, inputs=inputs)
+    fields = parse_components(text)
+    assert fields["refined_code"] == code
+    assert fields["raw_inputs"] == list(inputs)
+    assert all(part in text for part in [fields["refined_code"], *fields["raw_inputs"]])
+
+
+def parsed(text):
+    """The fields of a completion, or the drop reason of its ParseError."""
+    try:
+        return parse_components(text)
+    except ParseError as exc:
+        return exc.reason
+
+
+COMPLETIONS = {
+    "made": make_completion(inputs=("3\n1 2", "", "  x  ")),
+    "call_based": make_completion(answer="call-based\nFunction Name: solve"),
+    "unfenced": make_completion().replace("```python\n", "").replace("\n```", ""),
+    "missing_section": make_completion().replace("### Answer Type", "### Other"),
+    **{path.stem[:12]: path.read_bytes().decode("utf-8") for path in sorted(FIXTURES.glob("completions/*.txt"))},
+}
+
+
+@pytest.mark.parametrize("text", COMPLETIONS.values(), ids=COMPLETIONS)
+def test_a_crlf_completion_parses_as_its_lf_copy(text):
+    assert "\r" not in text
+    assert parsed(text.replace("\n", "\r\n")) == parsed(text)
+
+
 INGEST_ROW = {"unit_id": "p:0", "problem_id": "p", "solution_index": 0, "seq": 0, "code": "x = 1", "prompt_sha256": ""}
 
 
@@ -260,6 +298,15 @@ def test_replay_client_records_live_completion(tmp_path):
     assert completion.text == "stored text"
     replay = ReplayClient(tmp_path / "store").complete("record me")
     assert replay.text == "stored text"
+
+
+def test_a_replayed_completion_parses_as_the_live_answer(tmp_path):
+    text = make_completion(refined="print('a\rb')", inputs=("x\ry",))
+    live = ReplayClient(tmp_path, live=StubClient(text)).complete("ask once")
+    replay = ReplayClient(tmp_path).complete("ask once")
+    assert replay.text == live.text == text
+    assert parse_components(replay.text) == parse_components(live.text)
+    assert parse_components(text)["refined_code"] == "print('a\rb')"
 
 
 def test_replay_client_failed_write_leaves_no_fixture(tmp_path):

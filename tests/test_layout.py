@@ -34,24 +34,33 @@ def opens_for_writing(call: ast.Call) -> bool:
     return any(isinstance(s, str) and re.fullmatch("[rwxabt+]+", s) and set("wxa+") & set(s) for s in strings)
 
 
-def writing_functions(node: ast.AST, function: str | None = None):
-    """Yield the enclosing function of every call under ``node`` that opens a file for writing."""
+def calling_functions(node: ast.AST, matches, function: str | None = None):
+    """Yield the enclosing function of every call under ``node`` that ``matches``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and opens_for_writing(child):
+        if isinstance(child, ast.Call) and matches(child):
             yield function
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from writing_functions(child, inner)
+        yield from calling_functions(child, matches, inner)
+
+
+def package_calls(matches) -> list[tuple[str, str | None]]:
+    """(module file, enclosing function) of every call in the package that ``matches``."""
+    return sorted(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in calling_functions(ast.parse(path.read_text(encoding="utf-8")), matches)
+    )
 
 
 def test_only_dataset_writes_files():
-    found = sorted(
-        (path.name, function)
-        for path in PACKAGE.glob("*.py")
-        if path.name != "dataset.py"
-        for function in writing_functions(ast.parse(path.read_text(encoding="utf-8")))
-    )
+    found = [(name, function) for name, function in package_calls(opens_for_writing) if name != "dataset.py"]
     # executor.execute stages snippet.py and the std stream files in the sandbox's temp dir.
     assert found == [("executor.py", "execute")]
+
+
+def test_no_module_calls_splitlines():
+    """A line ends at ``\\n`` only; ``str.splitlines()`` also breaks at a lone ``\\r``, ``\\f``, U+2028 and more."""
+    assert package_calls(lambda call: getattr(call.func, "attr", None) == "splitlines") == []
 
 
 def decorator_names(node: ast.ClassDef) -> set[str]:

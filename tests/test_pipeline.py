@@ -288,6 +288,27 @@ def with_case(ok, **changes):
             lambda ok: with_case(ok, payload="caf\udfff"),
             "'utf-8' codec can't encode character '\\udfff' in position 3: surrogates not allowed",
         ),
+        (
+            "construct",
+            lambda ok: {**ok, "input_drops": {"ok": 5, "timeout": 40}},
+            "input_drops key must be one of 'runtime_error', 'timeout', 'output_overflow', got 'ok'",
+        ),
+        (
+            "construct",
+            lambda ok: {**ok, "input_drops": {"timeout": 40}},
+            "input_drops must count 0, the inputs of raw_inputs that made no test case, got 40",
+        ),
+        ("validate", lambda ok: {**ok, "case_index": 7}, "case_index must be null on an ok row or a dedup row, got 7"),
+        (
+            "validate",
+            lambda ok: {**ok, "status": "drop", "reason": "wrong_output", "case_index": 99},
+            "case_index must be below 4, the number of test cases, got 99",
+        ),
+        (
+            "dedup",
+            lambda ok: {**ok, "status": "drop", "reason": "near_duplicate", "case_index": 0},
+            "case_index must be null on an ok row or a dedup row, got 0",
+        ),
     ],
     ids=[
         "ingest_drop",
@@ -313,6 +334,11 @@ def with_case(ok, **changes):
         "row_extra_key",
         "case_extra_key",
         "case_payload_unencodable",
+        "input_drops_ok_status",
+        "input_drops_miscount",
+        "ok_row_with_case_index",
+        "case_index_past_cases",
+        "dedup_row_with_case_index",
     ],
 )
 def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, stage, make_row, problem):
@@ -535,7 +561,7 @@ OK_DEDUP_ROW = {
     "instruction": "Print one.",
     "refined_code": "print(1)",
     "answer_type": {"kind": "standard_input", "function_name": None},
-    "raw_inputs": [""],
+    "raw_inputs": ["", "9"],
     "test_cases": [{"mode": "stdin", "payload": "", "function_name": None, "expected_output": "1"}],
     "input_drops": {"timeout": 1},
     "difficulty": 1,
@@ -896,6 +922,7 @@ def test_cold_run_starts_one_server_per_sandbox_stage(tmp_path, golden_config_pa
     config.out_dir = str(tmp_path)
     config.workers = workers
     assert run_pipeline(config).counts() == EXPECTED_FUNNEL
+    assert (tmp_path / DATASET_FILE).read_bytes() == (GOLDEN / "dataset.jsonl").read_bytes()
     assert len(sandbox_counts["starts"]) == 2
     assert len(sandbox_counts["calls"]) == len(sandbox_counts["runs"]) > 0
     assert all(isinstance(code, str) for code in sandbox_counts["calls"])
