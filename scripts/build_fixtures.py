@@ -25,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from semiforge.dataset import read_json_lines
 from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output, outputs_match
 from semiforge.generation import ParseError, PromptTemplate, build_generation_prompt, parse_components, prompt_digest
 from semiforge.pipeline import load_config, run_pipeline
@@ -837,9 +838,8 @@ def run_golden_pipeline() -> None:
         }, stats.drop_reasons["validate"]
         assert stats.drop_reasons["dedup"] == {"near_duplicate": 3}
 
-        dataset_lines = (workdir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
-        assert len(dataset_lines) == EXPECTED_FUNNEL[-1]
-        records = [json.loads(line) for line in dataset_lines]
+        records = read_json_lines(workdir / "dataset.jsonl", lambda record: record)
+        assert len(records) == EXPECTED_FUNNEL[-1]
         difficulties = [r["difficulty"] for r in records]
         assert difficulties == sorted(difficulties, reverse=True), difficulties
         assert difficulties.count(4) == 13 and difficulties.count(3) == 7 and difficulties.count(2) == 1

@@ -5,7 +5,10 @@ process group of its own, an address-space ceiling (``MEMORY_BYTES``)
 and a hard cap on bytes written to stdout (``OUTPUT_BYTES``). The cap
 is enforced with RLIMIT_FSIZE set to one byte above it: a run that
 fills the extra byte is reported as an overflow, with empty stdout,
-instead of being silently truncated.
+instead of being silently truncated. Both, and RLIMIT_CORE 0, are set
+once on each fork server, soft equal to hard, and every run inherits
+them; a host that cannot give them, or pidfds (below), fails at
+``sandbox()`` with ``SandboxSetupFailure``, before any run.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
 ``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
@@ -39,10 +42,10 @@ least the parent's anonymous RSS (``RssAnon``), not its whole RSS, at
 any server start. A server is reaped when its block ends, so
 ``RUSAGE_CHILDREN`` covers every run.
 
-Each child calls ``setsid``, enters the working directory, sets the
-rlimits, ``dup2``s the staged ``stdin.txt``/``stdout.txt``/
-``stderr.txt`` over fds 0-2 (dropping the server's command pipes),
-sets ``HOME`` and rebuilds ``sys.std*``. It binds the ``exit`` and
+Each child calls ``setsid``, enters the working directory, ``dup2``s
+the staged ``stdin.txt``/``stdout.txt``/``stderr.txt`` over fds 0-2
+(dropping the server's command pipes), sets ``HOME`` and rebuilds
+``sys.std*``. It binds the ``exit`` and
 ``quit`` builtins, which ``site`` would have defined, to ``sys.exit``
 (``help`` and the like stay undefined), runs the snippet in a new
 ``__main__`` with the ``__file__`` and ``sys.argv`` of a script run,
@@ -51,16 +54,16 @@ in both modes: a call-based child then reads the argument literal with
 ``ast.literal_eval``, looks the function up in the snippet's globals,
 then the builtins, calls it (a tuple gives the positional arguments)
 and prints ``repr`` of a non-None result, binding no name of its own.
-The parent reads the output through ``stdout.txt`` and ``stderr.txt``
-files it opened before the run, so a snippet that removes or replaces
+The parent reads the output through the descriptors that created
+``stdout.txt`` and ``stderr.txt``, so a snippet that removes or replaces
 them by name changes nothing the parent reads. A run's status is one
 of ``STATUSES``.
 
 The parent waits on a pidfd of the child with ``poll``, which returns
 as soon as the child exits, and bounds the wait by the wall timeout
 (at most ``MAX_WALL_TIMEOUT``, 2**31 - 1 ms, the most ``poll`` waits);
-pidfds need Linux 5.3 or later, and elsewhere ``execute`` raises
-``SandboxSetupFailure``, as it does when the server is gone. On every
+pidfds need Linux 5.3 or later. ``execute`` raises
+``SandboxSetupFailure`` when the server is gone. On every
 exit the server kills the child's process group and the child while
 the child is an unreaped zombie (so its group id cannot have been
 reused), and only then reaps it: a background process forked by the
@@ -84,6 +87,7 @@ import contextlib
 import marshal
 import math
 import os
+import resource
 import select
 import shutil
 import signal
@@ -106,22 +110,20 @@ OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdo
 # The fork server, run as ``python -I -S -B -X utf8 -c _SERVER``. Its
 # stdin and stdout are the command and answer pipes. Each command is a
 # marshalled tuple answered by one marshalled value: ("run", workdir,
-# memory, fsize, call) forks a child for the snippet staged in workdir
-# and answers its pid, where call is None in stdin mode and (function
-# name, stripped argument literal) in call mode; ("reap", pid) kills the
-# child's group and the child, reaps it and answers its exit code. A str
-# answer is an error. The server first answers its own pid, to show that
-# it started, before it imports ast.
+# call) forks a child for the snippet staged in workdir and answers its
+# pid, where call is None in stdin mode and (function name, stripped
+# argument literal) in call mode; ("reap", pid) kills the child's group
+# and the child, reaps it and answers its exit code. A str answer is an
+# error. The server first answers its own pid, to show that it started,
+# before it imports ast; the parent then sets the rlimits children inherit.
 _SERVER = r"""
-import atexit, builtins, marshal, os, resource, sys
+import atexit, builtins, marshal, os, sys
 os.write(1, marshal.dumps(os.getpid()))  # started: the parent goes on while ast loads
 import ast  # preloaded for the children; see the module docstring
 
-def run(workdir, memory, fsize, call):
+def run(workdir, call):
     os.setsid()
     os.chdir(workdir)
-    for limit, value in ((resource.RLIMIT_AS, memory), (resource.RLIMIT_FSIZE, fsize), (resource.RLIMIT_CORE, 0)):
-        resource.setrlimit(limit, (value, value))
     for fd, name in enumerate(("stdin.txt", "stdout.txt", "stderr.txt")):
         staged = os.open(name, os.O_WRONLY if fd else os.O_RDONLY)
         os.dup2(staged, fd)
@@ -324,7 +326,16 @@ class _Server:
             raise SandboxSetupFailure(f"could not start the sandbox server: {exc}") from exc
         self._lock = threading.Lock()
         try:
-            self._exchange()
+            pid = self._exchange()
+            # Once for all runs: each child inherits these limits, and cannot raise them as soft equals hard.
+            for name, value in (("RLIMIT_AS", MEMORY_BYTES), ("RLIMIT_FSIZE", OUTPUT_BYTES + 1), ("RLIMIT_CORE", 0)):
+                setup = f"set {name} to {value}"
+                resource.prlimit(pid, getattr(resource, name), (value, value))
+            setup = "open a pidfd (Linux 5.3 or later)"  # each run is waited on through one
+            os.close(os.pidfd_open(pid))
+        except (AttributeError, OSError) as exc:
+            self.close()
+            raise SandboxSetupFailure(f"the sandbox cannot start: cannot {setup}: {exc}") from exc
         except SandboxSetupFailure:
             self.close()
             raise
@@ -351,7 +362,7 @@ class _Server:
         The seconds run from the fork to the reap, so they leave out the
         wait for the server's ``ast`` import before its first fork.
         """
-        pid = self._exchange("run", workdir, MEMORY_BYTES, OUTPUT_BYTES + 1, call)
+        pid = self._exchange("run", workdir, call)
         forked = time.monotonic()
         try:
             timed_out = not _wait_exit(pid, limits.wall_timeout)
@@ -376,8 +387,8 @@ def sandbox(interpreter: str | None = None):
 
     Pass the server to ``execute`` to fork a run from it; several
     threads may use it at once. Every run forked from one server shares
-    its ``str`` hash secret. Raises ``SandboxSetupFailure`` if the
-    interpreter is not found or the server cannot start.
+    its ``str`` hash secret and rlimits. Raises ``SandboxSetupFailure`` if
+    the interpreter is not found or the server cannot start or be set up.
     """
     server = _Server(resolve_interpreter(interpreter))
     try:
@@ -452,31 +463,23 @@ def execute(
     Without a server, the call starts one for itself (see ``sandbox``).
     """
     limits = limits or ResourceLimits()
-    if not hasattr(os, "pidfd_open"):
-        raise SandboxSetupFailure("the sandbox needs os.pidfd_open (Linux 5.3 or later)")
-
     if invocation.mode == "call":
         call, stdin_payload = (invocation.function_name, invocation.payload.strip()), ""
     else:
         call, stdin_payload = None, invocation.payload
 
-    try:
-        workdir = tempfile.mkdtemp(prefix="semiforge-run-")
-    except OSError as exc:
-        raise SandboxSetupFailure(f"could not create sandbox directory: {exc}") from exc
-
     with contextlib.ExitStack() as stack:
-        stack.callback(shutil.rmtree, workdir, ignore_errors=True)
-        staged = {"snippet.py": code, "stdin.txt": stdin_payload, "stdout.txt": "", "stderr.txt": ""}
         try:
-            for name, text in staged.items():
+            workdir = tempfile.mkdtemp(prefix="semiforge-run-")
+            stack.callback(shutil.rmtree, workdir, ignore_errors=True)
+            for name, text in (("snippet.py", code), ("stdin.txt", stdin_payload)):
                 with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                     fh.write(text)
-            # Opened before the run: the snippet may remove or replace the files by name.
-            out = stack.enter_context(open(os.path.join(workdir, "stdout.txt"), "rb"))
-            err = stack.enter_context(open(os.path.join(workdir, "stderr.txt"), "rb"))
+            # Read through the descriptors that create them: the snippet may remove or replace the files by name.
+            out, err = (stack.enter_context(open(os.path.join(workdir, name), "w+b"))
+                        for name in ("stdout.txt", "stderr.txt"))
         except OSError as exc:
-            raise SandboxSetupFailure(f"could not stage snippet: {exc}") from exc
+            raise SandboxSetupFailure(f"could not stage snippet in a sandbox directory: {exc}") from exc
 
         try:
             with sandbox() if server is None else contextlib.nullcontext(server) as forking:
@@ -487,8 +490,8 @@ def execute(
         overflow = os.fstat(out.fileno()).st_size > OUTPUT_BYTES
         # No caller reads an overflowing run's output, and reading the
         # capped megabyte costs the parent twice that at its peak.
-        stdout = "" if overflow else _read_capped(out, OUTPUT_BYTES)
-        stderr = _read_capped(err, OUTPUT_BYTES)
+        stdout = "" if overflow else out.read(OUTPUT_BYTES).decode("utf-8", errors="replace")
+        stderr = err.read(OUTPUT_BYTES).decode("utf-8", errors="replace")
 
         if timed_out:
             status = "timeout"
@@ -520,10 +523,6 @@ def _wait_exit(pid: int, timeout: float) -> bool:
         return bool(poller.poll(timeout * 1000))
     finally:
         os.close(pidfd)
-
-
-def _read_capped(fh, cap: int) -> str:
-    return fh.read(cap).decode("utf-8", errors="replace")
 
 
 def normalize_output(text: str) -> str:

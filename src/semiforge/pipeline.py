@@ -212,13 +212,9 @@ def stage_path(out_dir: str | Path, stage: str) -> Path:
     return Path(out_dir) / f"stage_{stage}.jsonl"
 
 
-def _check_row(stage: str, row, unit_ids: set) -> dict:
-    """Return ``row`` if ``stage`` could have written it after the rows of ``unit_ids``; add its unit there."""
-    if stage == "order":  # order rows are dataset records, not unit rows
-        return record(row)
-    status = check_fields(row, _STATUS_FIELDS[stage])["status"]
-    check_only(row, *_ROW_SCHEMAS[stage][status])
-    runs = None  # validate runs each case as the answer type gives
+def _check_cases(row: Mapping) -> None:
+    """Check the answer type and test cases ``row`` holds; validate runs each case as the answer type gives."""
+    runs = None
     if "answer_type" in row:
         check_only(row["answer_type"], ANSWER_TYPE_FIELDS, name="answer_type")
         runs = invocation_for(row["answer_type"], "")
@@ -229,6 +225,18 @@ def _check_row(stage: str, row, unit_ids: set) -> dict:
                 f"test_cases[{index}] must have mode {runs.mode!r} and function_name {runs.function_name!r}"
                 f" as answer_type gives, got {case['mode']!r} and {case.get('function_name')!r}"
             )
+
+
+def _check_row(stage: str, row, unit_ids: set) -> dict:
+    """Return ``row`` if ``stage`` could have written it after the rows of ``unit_ids``; add its unit there."""
+    if stage == "order":  # order rows are dataset records, not unit rows; a semi one holds a validated unit's cases
+        row = record(row)
+        if row["source"] == "semi":
+            _check_cases(row)
+        return row
+    status = check_fields(row, _STATUS_FIELDS[stage])["status"]
+    check_only(row, *_ROW_SCHEMAS[stage][status])
+    _check_cases(row)
     count = len(row.get("test_cases", ()))
     if row.get("difficulty", count) != count:
         raise ValueError(f"difficulty must be {count}, the number of test cases, got {row['difficulty']!r}")

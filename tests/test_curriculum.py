@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiforge.curriculum import (
     STRATEGIES,
@@ -181,6 +181,8 @@ def test_shuffles_are_permutations(seq_values, seed):
 
 @given(st.integers(min_value=0, max_value=2**128), st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
+@example(2**128, [0, 7, 1000])  # seeds of five 32-bit words or more mix each word past the fourth into the pool
+@example(2**200 + 12345, [1, 3000])
 def test_permutations_are_numpys(seed, sizes):
     """Each permutation drawn in turn from one generator is the one numpy's default_rng draws."""
     ours, numpys = _PCG64(seed), np.random.default_rng(seed)

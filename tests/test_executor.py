@@ -175,6 +175,44 @@ def test_fifo_in_place_of_stderr_does_not_block_the_parent():
     assert done.stdout == "True kept noted\n", done.stderr
 
 
+def test_runs_inherit_the_servers_limits():
+    code = (
+        "import resource\n"
+        "print(*(resource.getrlimit(getattr(resource, name)) for name in ('RLIMIT_AS', 'RLIMIT_FSIZE', 'RLIMIT_CORE')))"
+    )
+    expected = [(executor.MEMORY_BYTES,) * 2, (executor.OUTPUT_BYTES + 1,) * 2, (0, 0)]
+    result = execute(code, Invocation.stdin(""), FAST)
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == " ".join(map(str, expected))
+
+
+def test_a_hard_file_size_limit_below_the_cap_fails_at_server_start():
+    """A server cannot be given a file-size limit above its parent's hard one, so ``sandbox()`` fails before any run."""
+    parent = (
+        "import resource\n"
+        "from semiforge.executor import OUTPUT_BYTES, SandboxSetupFailure, sandbox\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (OUTPUT_BYTES // 2, OUTPUT_BYTES // 2))\n"
+        "try:\n"
+        "    resource.setrlimit(resource.RLIMIT_FSIZE, (OUTPUT_BYTES + 1, OUTPUT_BYTES + 1))\n"
+        "    print('raised')\n"
+        "except ValueError:  # setrlimit's EPERM\n"
+        "    try:\n"
+        "        with sandbox():\n"
+        "            print('started')\n"
+        "    except SandboxSetupFailure as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(executor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", parent], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    if done.stdout == "raised\n":
+        pytest.skip("this process may raise its hard file-size limit (CAP_SYS_RESOURCE)")
+    assert done.stdout.startswith(f"the sandbox cannot start: cannot set RLIMIT_FSIZE to {executor.OUTPUT_BYTES + 1}: ")
+
+
 def test_memory_limit_enforced():
     code = "data = bytearray(1024 * 1024 * 1024)\nprint(len(data))"
     result = execute(code, Invocation.stdin(""), FAST)
@@ -255,6 +293,9 @@ def test_snippet_runs_as_a_plain_main_script():
 
 def test_missing_pidfd_open_is_a_setup_failure(monkeypatch):
     monkeypatch.delattr(os, "pidfd_open")
+    with pytest.raises(SandboxSetupFailure, match="the sandbox cannot start: cannot open a pidfd"):
+        with sandbox():
+            pass  # the server checks for pidfds when it starts, before any run
     with pytest.raises(SandboxSetupFailure):
         execute("print(1)", Invocation.stdin(""), FAST)
 
@@ -442,6 +483,32 @@ def test_dead_server_is_a_setup_failure():
         worker.join(timeout=10)
         assert not worker.is_alive()
     assert len(errors) == 1
+
+
+def test_a_server_killed_mid_run_leaves_no_child(tmp_path):
+    """The parent kills the group of a run whose server died, which would otherwise run on past its wall limit."""
+    pid_file = tmp_path / "pid"
+    code = f"import os, time\nwith open({str(pid_file)!r}, 'w') as fh:\n    fh.write(str(os.getpid()))\ntime.sleep(30)"
+
+    def kill_server():
+        deadline = time.monotonic() + 10.0
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        server._proc.kill()
+
+    with sandbox() as server:
+        killer = threading.Thread(target=kill_server)
+        killer.start()
+        try:
+            with pytest.raises(SandboxSetupFailure, match="the sandbox server is gone"):
+                execute(code, Invocation.stdin(""), ResourceLimits(wall_timeout=1.0), server)
+        finally:
+            killer.join()
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2.0
+    while _proc_state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _proc_state(pid) in (None, "Z", "X")
 
 
 def test_duration_excludes_server_start(monkeypatch):

@@ -43,24 +43,29 @@ def calling_functions(node: ast.AST, matches, function: str | None = None):
         yield from calling_functions(child, matches, inner)
 
 
-def package_calls(matches) -> list[tuple[str, str | None]]:
-    """(module file, enclosing function) of every call in the package that ``matches``."""
+def package_calls(matches, paths=None) -> list[tuple[str, str | None]]:
+    """(file name, enclosing function) of every call that ``matches`` in ``paths``, by default the package's modules."""
     return sorted(
         (path.name, function)
-        for path in PACKAGE.glob("*.py")
+        for path in paths or PACKAGE.glob("*.py")
         for function in calling_functions(ast.parse(path.read_text(encoding="utf-8")), matches)
     )
 
 
 def test_only_dataset_writes_files():
     found = [(name, function) for name, function in package_calls(opens_for_writing) if name != "dataset.py"]
-    # executor.execute stages snippet.py and the std stream files in the sandbox's temp dir.
-    assert found == [("executor.py", "execute")]
+    # executor.execute stages snippet.py and stdin.txt in the sandbox's temp dir, and creates
+    # stdout.txt and stderr.txt with the descriptors it reads them through.
+    assert found == [("executor.py", "execute")] * 2
 
 
 def test_no_module_calls_splitlines():
-    """A line ends at ``\\n`` only; ``str.splitlines()`` also breaks at a lone ``\\r``, ``\\f``, U+2028 and more."""
-    assert package_calls(lambda call: getattr(call.func, "attr", None) == "splitlines") == []
+    """A line ends at ``\\n`` only; ``str.splitlines()`` also breaks at a lone ``\\r``, ``\\f``, U+2028 and more.
+
+    The fixture builder reads the dataset it writes, so it is held to the rule too.
+    """
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    assert package_calls(lambda call: getattr(call.func, "attr", None) == "splitlines", paths) == []
 
 
 def decorator_names(node: ast.ClassDef) -> set[str]:

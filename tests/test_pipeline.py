@@ -550,6 +550,66 @@ def test_order_row_without_instruction_fails_emit(golden_run, golden_run_copy):
     assert "stage_order.jsonl line 1: instruction must be a string, got nothing" in str(excinfo.value)
 
 
+def first_case_as(record, case):
+    return {**record, "test_cases": [case, *record["test_cases"][1:]]}
+
+
+STDIN = {"kind": "standard_input", "function_name": None}
+SEMI_SI = {"instruction": "x", "code": "y", "source": "semi", "difficulty": 1, "n_test_cases": 1, "answer_type": STDIN,
+           "test_cases": [{"mode": "stdin", "payload": "1", "expected_output": "2"}]}
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda r: {**first_case_as(r, {"bogus": 1}), "answer_type": {"kind": "nonsense"}},
+         "kind must be one of 'call_based', 'standard_input', got 'nonsense'"),
+        (lambda r: first_case_as(r, {"bogus": 1}), "mode must be a string, got nothing"),
+        (lambda r: first_case_as(r, {**r["test_cases"][0], "bogus": 1}),
+         "test_cases[0] must hold no key but mode, payload, function_name, expected_output, got 'bogus'"),
+        (lambda r: first_case_as(r, {**r["test_cases"][0], "mode": "call", "function_name": "f"}),
+         "test_cases[0] must have mode 'stdin' and function_name None as answer_type gives, got 'call' and 'f'"),
+        (lambda r: {**r, "answer_type": {"kind": "call_based", "function_name": "1bad"}},
+         "call mode needs a valid function name, got '1bad'"),
+        (lambda r: {**r, "answer_type": None}, "answer_type must be an object, got None"),
+    ],
+    ids=["bogus_case_and_answer_type", "bogus_case", "case_extra_key", "case_mode_not_answer_types", "answer_type_cannot_run",
+         "no_answer_type"],
+)
+@pytest.mark.parametrize("where", ["stage_order", "si"])
+def test_semi_record_is_checked_as_a_validated_unit(golden_run, golden_run_copy, change, problem, where):
+    """A semi record's answer type and test cases are checked as on a validate row; a resumed emit once wrote them."""
+    config, _, _ = golden_run
+    if where == "stage_order":
+        path = stage_path(golden_run_copy, "order")
+        rows = load_jsonl(path)
+        rows[0] = change(rows[0])
+        emit_jsonl(rows, path)
+        resumed, line = resumed_from(config, golden_run_copy, "emit"), 1
+    else:
+        resumed = resumed_from(config, golden_run_copy, "order")
+        path = write_si(golden_run_copy / "si.jsonl", [SEMI_SI, change(SEMI_SI)])
+        resumed.si_path, line = str(path), 2
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed)
+    assert excinfo.value.stage == "order"
+    assert f"{path} line {line}: {problem}" in str(excinfo.value)
+
+
+def test_si_and_ni_records_keep_any_answer_type_and_cases(golden_run, golden_run_copy):
+    config, _, _ = golden_run
+    resumed = resumed_from(config, golden_run_copy, "order")
+    records = [{"instruction": "x", "code": "y", "source": source, "difficulty": 1, "answer_type": {"kind": "nonsense"},
+                "test_cases": [{"bogus": 1}], "provenance": {"problem_id": "p", "seq": seq}}
+               for seq, source in enumerate(("si", "ni"))]
+    resumed.si_path = str(write_si(golden_run_copy / "si.jsonl", records))
+    run_pipeline(resumed)
+    emitted = [r for r in load_jsonl(golden_run_copy / DATASET_FILE) if r["source"] != "semi"]
+    assert [(r["source"], r["answer_type"], r["test_cases"]) for r in emitted] == [
+        (source, {"kind": "nonsense"}, [{"bogus": 1}]) for source in ("si", "ni")
+    ]
+
+
 # A dedup row as the stages write it: every unit field, each of its type.
 OK_DEDUP_ROW = {
     "unit_id": "p:0",
@@ -823,6 +883,16 @@ def test_empty_corpus_fails_ingest(tmp_path):
     with pytest.raises(StageFailure) as excinfo:
         run_pipeline(config, stop_after="ingest")
     assert excinfo.value.stage == "ingest"
+
+
+def test_a_host_without_pidfds_fails_construct(golden_run, golden_run_copy, monkeypatch):
+    """The server checks for pidfds when it starts, so the stage fails instead of dropping every unit."""
+    config, _, _ = golden_run
+    monkeypatch.delattr(os, "pidfd_open")
+    with pytest.raises(StageFailure) as excinfo:
+        run_pipeline(resumed_from(config, golden_run_copy, "construct"))
+    assert excinfo.value.stage == "construct"
+    assert "the sandbox cannot start: cannot open a pidfd" in str(excinfo.value)
 
 
 def test_missing_interpreter_fails_construct(golden_run, golden_run_copy):
