@@ -26,9 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from semiforge.dataset import read_json_lines
-from semiforge.executor import Invocation, ResourceLimits, execute, normalize_output, outputs_match
+from semiforge.executor import Invocation, ResourceLimits, sandbox
 from semiforge.generation import ParseError, PromptTemplate, build_generation_prompt, parse_components, prompt_digest
 from semiforge.pipeline import load_config, run_pipeline
+from semiforge.validation import construct_test_cases, validate_refined_code
 
 FIXTURES = ROOT / "fixtures"
 TEST_DATA = ROOT / "tests" / "data"
@@ -671,30 +672,24 @@ MUTATION_SUITE = [
 
 
 def check_mutation_suite() -> None:
+    """Every refactor passes the tests its original's runs make, and every mutant fails them."""
     limits = ResourceLimits(wall_timeout=1.5)
     refactors = mutants = 0
-    for entry in MUTATION_SUITE:
-        cases = []
-        for raw in entry["inputs"]:
+    with sandbox(limits=limits) as originals, sandbox(limits=limits) as refined:
+        for entry in MUTATION_SUITE:
             if entry["mode"] == "call":
-                inv = Invocation.call(entry["function_name"], raw)
+                invocations = [Invocation.call(entry["function_name"], raw) for raw in entry["inputs"]]
             else:
-                inv = Invocation.stdin(raw)
-            result = execute(entry["original"], inv, limits)
-            assert result.ok, f"{entry['name']}: original failed on {raw!r}: {result.status}"
-            cases.append((inv, normalize_output(result.stdout)))
-        failed = False
-        for inv, expected in cases:
-            result = execute(entry["refined"], inv, limits)
-            if not result.ok or not outputs_match(result.stdout, expected):
-                failed = True
-                break
-        if entry["kind"] == "refactor":
-            assert not failed, f"{entry['name']}: refactor did not pass"
-            refactors += 1
-        else:
-            assert failed, f"{entry['name']}: mutant was not rejected"
-            mutants += 1
+                invocations = [Invocation.stdin(raw) for raw in entry["inputs"]]
+            cases, drops = construct_test_cases(entry["original"], invocations, originals)
+            assert not drops, f"{entry['name']}: original failed on some inputs: {dict(drops)}"
+            failure = validate_refined_code(entry["refined"], cases, refined)
+            if entry["kind"] == "refactor":
+                assert failure is None, f"{entry['name']}: refactor did not pass: {failure}"
+                refactors += 1
+            else:
+                assert failure is not None, f"{entry['name']}: mutant was not rejected"
+                mutants += 1
     assert refactors == 10 and mutants == 10
 
 

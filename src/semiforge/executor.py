@@ -8,19 +8,21 @@ fills the extra byte is reported as an overflow, with empty stdout,
 instead of being silently truncated. Both, and RLIMIT_CORE 0, are set
 once on each fork server, soft equal to hard, and every run inherits
 them; a host that cannot give them, or pidfds (below), fails at
-``sandbox()`` with ``SandboxSetupFailure``, before any run.
+``sandbox()`` with ``SandboxSetupFailure``, before any run. The wall
+limit is the server's too: ``sandbox(interpreter, limits)`` fixes it
+for every run forked from that server.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
 ``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
-instead of an interpreter start-up. ``with sandbox(interpreter) as
-server`` starts one and closes it when the block ends; callers share it
-by passing ``server`` down to ``execute`` (the validation functions
+instead of an interpreter start-up. ``with sandbox(interpreter, limits)
+as server`` starts one and closes it when the block ends; callers share
+it by passing ``server`` down to ``execute`` (the validation functions
 take one too), from any number of threads. ``execute`` given no server
-starts one for that run and pays the start-up below. The flags make the
-server ignore ``PYTHON*`` variables and user site-packages, skip
-``site`` (so solutions see only the standard library), write no
-bytecode and use UTF-8; its environment holds only ``PATH``, so
-credentials never reach it. It answers its pid as soon as it starts,
+starts one with the default limits for that run and pays the start-up
+below. The flags make the server ignore ``PYTHON*`` variables and user
+site-packages, skip ``site`` (so solutions see only the standard
+library), write no bytecode and use UTF-8; its environment holds only
+``PATH``, so credentials never reach it. It answers its pid as soon as it starts,
 and then imports ``ast`` before it serves its first command, so the
 parent goes on, and may start a second server, while it loads; the
 first run of a server may wait for that import. Without the preload
@@ -60,9 +62,9 @@ them by name changes nothing the parent reads. A run's status is one
 of ``STATUSES``.
 
 The parent waits on a pidfd of the child with ``poll``, which returns
-as soon as the child exits, and bounds the wait by the wall timeout
-(at most ``MAX_WALL_TIMEOUT``, 2**31 - 1 ms, the most ``poll`` waits);
-pidfds need Linux 5.3 or later. ``execute`` raises
+as soon as the child exits, and bounds the wait by the server's wall
+timeout (at most ``MAX_WALL_TIMEOUT``, 2**31 - 1 ms, the most ``poll``
+waits); pidfds need Linux 5.3 or later. ``execute`` raises
 ``SandboxSetupFailure`` when the server is gone. On every
 exit the server kills the child's process group and the child while
 the child is an unreaped zombie (so its group id cannot have been
@@ -102,7 +104,7 @@ from .errors import SemiforgeError, is_function_name
 
 MODES = ("stdin", "call")
 STATUSES = ("ok", "runtime_error", "timeout", "output_overflow")  # of ExecResult.status
-DEFAULT_WALL_TIMEOUT = 5.0  # seconds: a run's wall limit unless it is given one
+DEFAULT_WALL_TIMEOUT = 5.0  # seconds: a run's wall limit unless its server is given one
 MAX_WALL_TIMEOUT = (2**31 - 1) / 1000  # seconds: poll waits at most 2**31 - 1 ms
 MEMORY_BYTES = 256 * 1024 * 1024  # a run's address-space ceiling
 OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdout included
@@ -308,7 +310,8 @@ def resolve_interpreter(interpreter: str | None = None) -> str:
 class _Server:
     """A running fork server and the pipes to it; see ``_SERVER``."""
 
-    def __init__(self, python: str):
+    def __init__(self, python: str, limits: ResourceLimits):
+        self.wall_timeout = limits.wall_timeout
         try:
             # Any uid change (here a no-op one) makes _posixsubprocess fork
             # instead of vfork, with no Python code between fork and exec.
@@ -354,18 +357,17 @@ class _Server:
             raise SandboxSetupFailure(f"the sandbox server failed: {answer}")
         return answer
 
-    def run(
-        self, workdir: str, limits: ResourceLimits, call: tuple[str, str] | None
-    ) -> tuple[bool, int, float]:
+    def run(self, workdir: str, call: tuple[str, str] | None) -> tuple[bool, int, float]:
         """Run the snippet staged in ``workdir``; return (timed out, exit code, seconds).
 
-        The seconds run from the fork to the reap, so they leave out the
-        wait for the server's ``ast`` import before its first fork.
+        The run times out at the server's ``wall_timeout``. The seconds
+        run from the fork to the reap, so they leave out the wait for
+        the server's ``ast`` import before its first fork.
         """
         pid = self._exchange("run", workdir, call)
         forked = time.monotonic()
         try:
-            timed_out = not _wait_exit(pid, limits.wall_timeout)
+            timed_out = not _wait_exit(pid, self.wall_timeout)
         finally:
             try:
                 returncode = self._exchange("reap", pid)
@@ -382,15 +384,16 @@ class _Server:
 
 
 @contextlib.contextmanager
-def sandbox(interpreter: str | None = None):
+def sandbox(interpreter: str | None = None, limits: ResourceLimits | None = None):
     """Start a fork server for ``interpreter``, yield it, and close it when the block ends.
 
     Pass the server to ``execute`` to fork a run from it; several
     threads may use it at once. Every run forked from one server shares
-    its ``str`` hash secret and rlimits. Raises ``SandboxSetupFailure`` if
+    its ``str`` hash secret, rlimits and wall limit, ``limits`` (by
+    default ``ResourceLimits()``). Raises ``SandboxSetupFailure`` if
     the interpreter is not found or the server cannot start or be set up.
     """
-    server = _Server(resolve_interpreter(interpreter))
+    server = _Server(resolve_interpreter(interpreter), limits or ResourceLimits())
     try:
         yield server
     finally:
@@ -452,17 +455,12 @@ def map_workers(workers: int, fn, items: list) -> list:
     return results
 
 
-def execute(
-    code: str,
-    invocation: Invocation,
-    limits: ResourceLimits | None = None,
-    server: _Server | None = None,
-) -> ExecResult:
-    """Run one snippet against one invocation in a child forked from ``server``.
+def execute(code: str, invocation: Invocation, server: _Server | None = None) -> ExecResult:
+    """Run one snippet against one invocation in a child forked from ``server``, within its wall limit.
 
-    Without a server, the call starts one for itself (see ``sandbox``).
+    Without a server, the call starts one for itself with the default
+    limits (see ``sandbox``).
     """
-    limits = limits or ResourceLimits()
     if invocation.mode == "call":
         call, stdin_payload = (invocation.function_name, invocation.payload.strip()), ""
     else:
@@ -483,7 +481,7 @@ def execute(
 
         try:
             with sandbox() if server is None else contextlib.nullcontext(server) as forking:
-                timed_out, returncode, duration = forking.run(workdir, limits, call)
+                timed_out, returncode, duration = forking.run(workdir, call)
         except OSError as exc:
             raise SandboxSetupFailure(f"could not launch sandbox: {exc}") from exc
 

@@ -86,9 +86,9 @@ def evaluate_candidates(
 
     def passes(job) -> bool:
         i, candidate = job
-        return validate_refined_code(candidate, problems[i].test_cases, limits, server) is None
+        return validate_refined_code(candidate, problems[i].test_cases, server) is None
 
-    with sandbox(interpreter) as server:
+    with sandbox(interpreter, limits) as server:
         outcomes = map_workers(workers, passes, jobs)
 
     correct = [0] * len(problems)

@@ -232,6 +232,7 @@ def _check_row(stage: str, row, unit_ids: set) -> dict:
     if stage == "order":  # order rows are dataset records, not unit rows; a semi one holds a validated unit's cases
         row = record(row)
         if row["source"] == "semi":
+            check_fields(row, {"test_cases": NonEmpty})  # validate keeps no unit without a case
             _check_cases(row)
         return row
     status = check_fields(row, _STATUS_FIELDS[stage])["status"]
@@ -349,18 +350,18 @@ def invocation_for(answer_type: Mapping, raw_input: str) -> Invocation:
     return Invocation(mode, raw_input, answer_type["function_name"])
 
 
-def _construct_unit(limits: ResourceLimits, server, row: dict) -> dict:
+def _construct_unit(server, row: dict) -> dict:
     invocations = [invocation_for(row["answer_type"], raw_input) for raw_input in row["raw_inputs"]]
-    cases, drops = construct_test_cases(row["code"], invocations, limits, server)
+    cases, drops = construct_test_cases(row["code"], invocations, server)
     if not cases:
         return _drop(row, "empty_test_cases", input_drops=dict(drops))
     return _ok(row, test_cases=[c.to_dict() for c in cases], input_drops=dict(drops))
 
 
-def _validate_unit(limits: ResourceLimits, server, row: dict) -> dict:
+def _validate_unit(server, row: dict) -> dict:
     cases = [TestCase(invocation_for(row["answer_type"], case["payload"]), case["expected_output"])
              for case in row["test_cases"]]
-    failure = validate_refined_code(row["refined_code"], cases, limits, server)
+    failure = validate_refined_code(row["refined_code"], cases, server)
     if failure is None:
         return _ok(row, difficulty=len(cases), case_index=None)
     case_index, reason = failure
@@ -376,12 +377,11 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
 
     A unit goes on to the next stage as soon as the one before keeps it,
     so no stage waits for the other units. Each stage forks its runs
-    from a server of its own, started before any unit runs, so that its
-    runs get a ``str`` hash secret of their own. A sandbox failure drops
-    its unit as ``sandbox_failure`` and the other units go on. Returns
-    each stage's rows in unit order.
+    from a server of its own with the config's limits, started before
+    any unit runs, so that its runs get a ``str`` hash secret of their
+    own. A sandbox failure drops its unit as ``sandbox_failure`` and the
+    other units go on. Returns each stage's rows in unit order.
     """
-    limits = config.limits()
     servers = {}  # stage -> the fork server of its runs
 
     def work(row: dict) -> list[dict]:
@@ -389,7 +389,7 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
         for stage in chain:
             with _failing_as(stage):
                 try:
-                    row = _UNIT_WORK[stage](limits, servers[stage], row)
+                    row = _UNIT_WORK[stage](servers[stage], row)
                 except SandboxSetupFailure as exc:
                     logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
                     row = _drop(row, "sandbox_failure")
@@ -401,7 +401,7 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
     with ExitStack() as stack:
         for stage in chain:
             with _failing_as(stage):
-                servers[stage] = stack.enter_context(sandbox(config.interpreter))
+                servers[stage] = stack.enter_context(sandbox(config.interpreter, config.limits()))
         units = map_workers(config.workers, work, _ok_rows(rows))
     return {stage: [unit[index] for unit in units if len(unit) > index] for index, stage in enumerate(chain)}
 

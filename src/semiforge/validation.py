@@ -5,9 +5,9 @@ original corpus code on the generated inputs. Inputs whose execution
 fails are dropped; a sample whose inputs all fail gets no test cases,
 and the pipeline drops it. Refined code is retained only when it passes
 every surviving case. Both run every snippet on the fork server they
-are given (see ``executor.sandbox``). A stored case
-(``TestCase.to_dict``) is checked by its reader against ``CASE_FIELDS``
-and the Invocation it runs as.
+are given, within its wall limit (see ``executor.sandbox``). A stored
+case (``TestCase.to_dict``) is checked by its reader against
+``CASE_FIELDS`` and the Invocation it runs as.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .executor import Invocation, ResourceLimits, _Server, execute, normalize_output, outputs_match
+from .executor import Invocation, _Server, execute, normalize_output, outputs_match
 from .lcs import lcs_length
 
 DEFAULT_DEDUP_THRESHOLD = 0.7
@@ -42,7 +42,7 @@ class TestCase(NamedTuple):
 
 
 def construct_test_cases(
-    original_code: str, invocations: Sequence[Invocation], limits: ResourceLimits | None, server: _Server
+    original_code: str, invocations: Sequence[Invocation], server: _Server
 ) -> tuple[list[TestCase], Counter]:
     """Execute the original code on every invocation, each run forked from ``server``; keep the Ok pairs.
 
@@ -52,7 +52,7 @@ def construct_test_cases(
     cases: list[TestCase] = []
     drops: Counter = Counter()
     for invocation in invocations:
-        result = execute(original_code, invocation, limits, server)
+        result = execute(original_code, invocation, server)
         if result.ok:
             cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
         else:
@@ -60,9 +60,7 @@ def construct_test_cases(
     return cases, drops
 
 
-def validate_refined_code(
-    refined_code: str, test_cases: Sequence[TestCase], limits: ResourceLimits | None, server: _Server
-) -> tuple[int, str] | None:
+def validate_refined_code(refined_code: str, test_cases: Sequence[TestCase], server: _Server) -> tuple[int, str] | None:
     """Run the code on each case in turn, forked from ``server``; None if every run is ok and matches.
 
     Otherwise return the index of the first failing case and why it
@@ -72,7 +70,7 @@ def validate_refined_code(
     if not test_cases:
         raise ValueError("validation needs at least one test case")
     for index, case in enumerate(test_cases):
-        result = execute(refined_code, case.invocation, limits, server)
+        result = execute(refined_code, case.invocation, server)
         if not result.ok:
             return index, "timeout" if result.status == "timeout" else "runtime_error"
         if not outputs_match(result.stdout, case.expected_output):

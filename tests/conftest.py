@@ -77,9 +77,9 @@ def sandbox_counts(monkeypatch):
     counts = {"starts": [], "runs": [], "calls": []}
 
     class CountingServer(executor._Server):
-        def __init__(self, python):
+        def __init__(self, python, limits):
             counts["starts"].append(python)
-            super().__init__(python)
+            super().__init__(python, limits)
 
         def run(self, *args):
             counts["runs"].append(args)

@@ -89,10 +89,9 @@ def test_criterion_02_rouge_oracle_equivalence():
 def test_criterion_03_mutation_rejection():
     started = time.monotonic()
     suite = json.loads((TEST_DATA / "mutation_suite.json").read_text(encoding="utf-8"))
-    limits = ResourceLimits(wall_timeout=1.5)
     accepted_refactors = rejected_mutants = 0
     refactors = mutants = 0
-    with sandbox() as server:
+    with sandbox(limits=ResourceLimits(wall_timeout=1.5)) as server:
         for entry in suite:
             cases = []
             for raw in entry["inputs"]:
@@ -100,10 +99,10 @@ def test_criterion_03_mutation_rejection():
                     inv = Invocation.call(entry["function_name"], raw)
                 else:
                     inv = Invocation.stdin(raw)
-                result = execute(entry["original"], inv, limits, server)
+                result = execute(entry["original"], inv, server)
                 assert result.ok, f"{entry['name']}: original must pass its own inputs"
                 cases.append(Case(inv, normalize_output(result.stdout)))
-            failure = validate_refined_code(entry["refined"], cases, limits, server)
+            failure = validate_refined_code(entry["refined"], cases, server)
             if entry["kind"] == "refactor":
                 refactors += 1
                 accepted_refactors += failure is None
@@ -137,20 +136,18 @@ def test_criterion_04_construction_soundness(golden_run):
         for case in row["test_cases"]:
             jobs.append((row["code"], case))
 
-    limits = ResourceLimits(wall_timeout=5.0)
-
     def recheck(job):
         code, case = job
         invocation = Invocation(
             mode=case["mode"], payload=case["payload"], function_name=case["function_name"]
         )
-        result = execute(code, invocation, limits, server)
+        result = execute(code, invocation, server)
         return result.ok and normalize_output(result.stdout) == case["expected_output"]
 
     crash_inputs = [Invocation.stdin("0"), Invocation.stdin("zero")]
     with sandbox() as server, ThreadPoolExecutor(max_workers=8) as pool:
         sound = all(pool.map(recheck, jobs))
-        crash_cases, _ = construct_test_cases("print(10 // int(input()))", crash_inputs, limits, server)
+        crash_cases, _ = construct_test_cases("print(10 // int(input()))", crash_inputs, server)
 
     elapsed = time.monotonic() - started
     record(
@@ -242,14 +239,13 @@ def test_criterion_07_corpus_preprocessing(tmp_path):
 
 def test_criterion_08_sandbox_limits():
     started = time.monotonic()
-    spin = execute(
-        "while True:\n    pass", Invocation.stdin(""), ResourceLimits(wall_timeout=1.0)
-    )
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
+        spin = execute("while True:\n    pass", Invocation.stdin(""), server)
     ok = spin.status == "timeout" and spin.duration <= 2.0
 
     probe = "import os\nprint(os.getcwd())\nprint(41 + 1)"
-    first = execute(probe, Invocation.stdin(""), ResourceLimits(wall_timeout=5.0))
-    second = execute(probe, Invocation.stdin(""), ResourceLimits(wall_timeout=5.0))
+    first = execute(probe, Invocation.stdin(""))
+    second = execute(probe, Invocation.stdin(""))
     ok &= first.status == second.status
     first_lines = normalize_output(first.stdout).splitlines()
     second_lines = normalize_output(second.stdout).splitlines()

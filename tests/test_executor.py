@@ -25,11 +25,9 @@ from semiforge.metrics import EvalProblem, evaluate_candidates
 from semiforge.pipeline import PipelineConfig, run_pipeline
 from semiforge.validation import TestCase as Case
 
-FAST = ResourceLimits(wall_timeout=5.0)
-
 
 def test_stdin_round_trip():
-    result = execute("print(int(input()) * 2)", Invocation.stdin("21"), FAST)
+    result = execute("print(int(input()) * 2)", Invocation.stdin("21"))
     assert result.status == "ok"
     assert result.ok
     assert normalize_output(result.stdout) == "42"
@@ -38,28 +36,28 @@ def test_stdin_round_trip():
 
 def test_multi_line_stdin():
     code = "n = int(input())\nprint(sum(int(input()) for _ in range(n)))"
-    result = execute(code, Invocation.stdin("3\n1\n2\n3"), FAST)
+    result = execute(code, Invocation.stdin("3\n1\n2\n3"))
     assert result.ok
     assert normalize_output(result.stdout) == "6"
 
 
 def test_call_based_tuple_args():
     code = "def add(a, b):\n    return a + b"
-    result = execute(code, Invocation.call("add", "(2, 3)"), FAST)
+    result = execute(code, Invocation.call("add", "(2, 3)"))
     assert result.ok
     assert normalize_output(result.stdout) == "5"
 
 
 def test_call_based_single_arg():
     code = "def shout(text):\n    return text.upper()"
-    result = execute(code, Invocation.call("shout", "'hi'"), FAST)
+    result = execute(code, Invocation.call("shout", "'hi'"))
     assert result.ok
     assert normalize_output(result.stdout) == "'HI'"  # repr of the return value
 
 
 def test_call_based_none_prints_nothing():
     code = "def quiet(x):\n    pass"
-    result = execute(code, Invocation.call("quiet", "(1,)"), FAST)
+    result = execute(code, Invocation.call("quiet", "(1,)"))
     assert result.ok
     assert normalize_output(result.stdout) == ""
 
@@ -88,13 +86,13 @@ def test_call_does_not_shadow_user_names(code, name, args, expected):
     # The child makes the call itself: snippet.py is exactly the code under
     # test, no name is bound in its namespace, and the function is looked
     # up in its globals, then in the builtins.
-    result = execute(code, Invocation.call(name, args), FAST)
+    result = execute(code, Invocation.call(name, args))
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == expected
 
 
 def test_runtime_error_captured():
-    result = execute("raise ValueError('boom')", Invocation.stdin(""), FAST)
+    result = execute("raise ValueError('boom')", Invocation.stdin(""))
     assert result.status == "runtime_error"
     assert not result.ok
     assert result.returncode != 0
@@ -103,8 +101,9 @@ def test_runtime_error_captured():
 
 def test_timeout_kills_spin_loop():
     started = time.monotonic()
-    result = execute("while True:\n    pass", Invocation.stdin(""), ResourceLimits(wall_timeout=1.0))
-    elapsed = time.monotonic() - started
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
+        result = execute("while True:\n    pass", Invocation.stdin(""), server)
+        elapsed = time.monotonic() - started
     assert result.status == "timeout"
     assert elapsed <= 2.0
     assert result.duration <= 2.0
@@ -112,7 +111,7 @@ def test_timeout_kills_spin_loop():
 
 def test_output_overflow_detected():
     code = "print('x' * 2_000_000)"
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.status == "output_overflow"
     assert result.stdout == ""
 
@@ -120,13 +119,13 @@ def test_output_overflow_detected():
 def test_stderr_past_the_cap_is_a_runtime_error():
     # The file-size rlimit caps stderr too; CPython ignores SIGXFSZ, so the write raises EFBIG.
     code = "import sys\nprint('ok')\nsys.stderr.write('e' * 2 * 1024 * 1024)"
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert (result.status, result.returncode, result.stdout) == ("runtime_error", 1, "ok\n")
     assert len(result.stderr) == executor.OUTPUT_BYTES == 1024 * 1024
 
 
 def test_a_file_of_the_runs_own_past_the_cap_is_a_runtime_error():
-    result = execute("open('big.bin', 'wb').write(b'x' * 2 * 1024 * 1024)", Invocation.stdin(""), FAST)
+    result = execute("open('big.bin', 'wb').write(b'x' * 2 * 1024 * 1024)", Invocation.stdin(""))
     assert result.status == "runtime_error"
     assert "OSError: [Errno 27] File too large" in result.stderr
 
@@ -144,7 +143,7 @@ TAMPER_PRELUDE = "import os, sys\nprint('kept')\nprint('noted', file=sys.stderr)
     ids=["stdout-removed", "stdout-directory", "stderr-directory"],
 )
 def test_parent_reads_output_the_snippet_removed_or_replaced(tamper):
-    result = execute(TAMPER_PRELUDE + tamper, Invocation.stdin(""), FAST)
+    result = execute(TAMPER_PRELUDE + tamper, Invocation.stdin(""))
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "kept"
     assert normalize_output(result.stderr) == "noted"
@@ -181,7 +180,7 @@ def test_runs_inherit_the_servers_limits():
         "print(*(resource.getrlimit(getattr(resource, name)) for name in ('RLIMIT_AS', 'RLIMIT_FSIZE', 'RLIMIT_CORE')))"
     )
     expected = [(executor.MEMORY_BYTES,) * 2, (executor.OUTPUT_BYTES + 1,) * 2, (0, 0)]
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == " ".join(map(str, expected))
 
@@ -215,21 +214,21 @@ def test_a_hard_file_size_limit_below_the_cap_fails_at_server_start():
 
 def test_memory_limit_enforced():
     code = "data = bytearray(1024 * 1024 * 1024)\nprint(len(data))"
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert executor.MEMORY_BYTES == 256 * 1024 * 1024
     assert result.status == "runtime_error"
 
 
 def test_deterministic_runs_identical():
     code = "print(sorted([3, 1, 2]))"
-    first = execute(code, Invocation.stdin(""), FAST)
-    second = execute(code, Invocation.stdin(""), FAST)
+    first = execute(code, Invocation.stdin(""))
+    second = execute(code, Invocation.stdin(""))
     assert first.status == second.status
     assert normalize_output(first.stdout) == normalize_output(second.stdout)
 
 
 def test_workdir_removed_after_run():
-    result = execute("import os\nprint(os.getcwd())", Invocation.stdin(""), FAST)
+    result = execute("import os\nprint(os.getcwd())", Invocation.stdin(""))
     assert result.ok
     workdir = normalize_output(result.stdout)
     assert not os.path.exists(workdir)
@@ -238,7 +237,7 @@ def test_workdir_removed_after_run():
 def test_child_env_has_no_credentials(monkeypatch):
     monkeypatch.setenv("SEMIFORGE_API_KEY", "sk-secret")
     code = "import os\nprint(os.environ.get('SEMIFORGE_API_KEY'))"
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.ok
     assert normalize_output(result.stdout) == "None"
 
@@ -249,32 +248,32 @@ def test_child_runs_isolated_without_site():
         "f = sys.flags\n"
         "print(f.isolated, f.no_site, f.dont_write_bytecode, f.utf8_mode)"
     )
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.ok
     assert normalize_output(result.stdout) == "1 1 1 1"
 
 
 def test_non_ascii_stdin_stdout_round_trip():
-    result = execute("print(input() + ' ✓')", Invocation.stdin("ünï"), FAST)
+    result = execute("print(input() + ' ✓')", Invocation.stdin("ünï"))
     assert result.ok
     assert normalize_output(result.stdout) == "ünï ✓"
 
 
 def test_site_packages_hidden_from_snippets():
     # pytest is installed wherever this runs, so only a hidden site-packages fails the import.
-    result = execute("import pytest", Invocation.stdin(""), FAST)
+    result = execute("import pytest", Invocation.stdin(""))
     assert result.status == "runtime_error"
     assert "ModuleNotFoundError" in result.stderr
 
 
 def test_exit_and_quit_builtins_end_the_run():
-    result = execute("print(1)\nexit()", Invocation.stdin(""), FAST)
+    result = execute("print(1)\nexit()", Invocation.stdin(""))
     assert result.ok
     assert normalize_output(result.stdout) == "1"
-    result = execute("print(2)\nquit()\nprint(3)", Invocation.stdin(""), FAST)
+    result = execute("print(2)\nquit()\nprint(3)", Invocation.stdin(""))
     assert result.ok
     assert normalize_output(result.stdout) == "2"
-    result = execute("exit(3)", Invocation.stdin(""), FAST)
+    result = execute("exit(3)", Invocation.stdin(""))
     assert result.status == "runtime_error"
     assert result.returncode == 3
 
@@ -286,7 +285,7 @@ def test_snippet_runs_as_a_plain_main_script():
         "names = sorted(k for k in globals() if not k.startswith('__'))\n"
         "print(__name__, os.path.basename(__file__), sys.argv == [__file__], names)"
     )
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "__main__ snippet.py True ['annotations', 'os', 'sys']"
 
@@ -297,7 +296,7 @@ def test_missing_pidfd_open_is_a_setup_failure(monkeypatch):
         with sandbox():
             pass  # the server checks for pidfds when it starts, before any run
     with pytest.raises(SandboxSetupFailure):
-        execute("print(1)", Invocation.stdin(""), FAST)
+        execute("print(1)", Invocation.stdin(""))
 
 
 def _proc_stat(pid: int) -> list[str] | None:
@@ -324,7 +323,7 @@ def test_forked_background_child_does_not_outlive_run():
         "    os._exit(0)\n"
         "print(pid)"
     )
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.ok
     pid = int(normalize_output(result.stdout))
     # SIGKILL is delivered asynchronously; allow the scheduler a moment.
@@ -362,7 +361,7 @@ def test_snippet_sees_only_fds_0_to_2():
         "print(open_fds)"
     )
     with sandbox() as server:
-        result = execute(code, Invocation.stdin(""), FAST, server)
+        result = execute(code, Invocation.stdin(""), server)
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "[0, 1, 2]"
 
@@ -372,7 +371,7 @@ def test_str_hash_is_shared_within_a_block_only():
     blocks = []
     for _ in range(2):
         with sandbox() as server:
-            blocks.append([execute(code, Invocation.stdin(""), FAST, server).stdout for _ in range(2)])
+            blocks.append([execute(code, Invocation.stdin(""), server).stdout for _ in range(2)])
     assert blocks[0][0] == blocks[0][1]
     assert blocks[1][0] == blocks[1][1]
     assert blocks[0][0] != blocks[1][0]
@@ -380,7 +379,7 @@ def test_str_hash_is_shared_within_a_block_only():
 
 def test_blocks_open_at_once_fork_from_servers_of_their_own():
     def run(server):
-        return execute("print(hash('semiforge'))", Invocation.stdin(""), FAST, server).stdout
+        return execute("print(hash('semiforge'))", Invocation.stdin(""), server).stdout
 
     with sandbox() as a, sandbox() as b:
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -395,8 +394,8 @@ def test_blocks_open_at_once_fork_from_servers_of_their_own():
 def test_random_is_seeded_per_run():
     code = "import random\nprint(random.random())"
     with sandbox() as server:
-        first = execute(code, Invocation.stdin(""), FAST, server)
-        second = execute(code, Invocation.stdin(""), FAST, server)
+        first = execute(code, Invocation.stdin(""), server)
+        second = execute(code, Invocation.stdin(""), server)
     assert first.ok and second.ok
     assert first.stdout != second.stdout
 
@@ -406,7 +405,7 @@ def test_server_preloads_ast_and_no_per_process_state():
     # random would share one PRNG state across the runs of a block.
     code = 'import sys\nprint([m for m in ("ast", "random", "threading") if m in sys.modules])'
     with sandbox() as server:
-        result = execute(code, Invocation.stdin(""), FAST, server)
+        result = execute(code, Invocation.stdin(""), server)
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "['ast']"
 
@@ -420,14 +419,14 @@ def test_non_daemon_thread_output_is_captured():
         "threading.Thread(target=late).start()\n"
         "print('main')"
     )
-    result = execute(code, Invocation.stdin(""), FAST)
+    result = execute(code, Invocation.stdin(""))
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == "main\nlate"
 
 
 def test_no_child_process_outlives_a_call(golden_run, golden_run_copy):
     before = _live_children()
-    assert execute("print(1)", Invocation.stdin(""), FAST).ok
+    assert execute("print(1)", Invocation.stdin("")).ok
     assert _live_children() - before == set()
 
     cases = (Case(Invocation.stdin("2"), "4"),)
@@ -451,7 +450,7 @@ def test_racing_calls_close_their_servers():
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            runs = [pool.submit(execute, f"print({i})", Invocation.stdin(""), FAST) for i in range(24)]
+            runs = [pool.submit(execute, f"print({i})", Invocation.stdin("")) for i in range(24)]
             outputs = [normalize_output(run.result(timeout=60).stdout) for run in runs]
     finally:
         sys.setswitchinterval(interval)
@@ -461,7 +460,7 @@ def test_racing_calls_close_their_servers():
 
 def test_execute_given_no_server_starts_one_for_its_run(sandbox_counts):
     for _ in range(2):
-        assert execute("print(1)", Invocation.stdin(""), FAST).ok
+        assert execute("print(1)", Invocation.stdin("")).ok
     assert len(sandbox_counts["starts"]) == len(sandbox_counts["runs"]) == 2
 
 
@@ -470,12 +469,12 @@ def test_dead_server_is_a_setup_failure():
 
     def attempt():
         try:
-            execute("print(1)", Invocation.stdin(""), FAST, server)
+            execute("print(1)", Invocation.stdin(""), server)
         except SandboxSetupFailure as exc:
             errors.append(exc)
 
     with sandbox() as server:
-        server_pid = int(execute("import os\nprint(os.getppid())", Invocation.stdin(""), FAST, server).stdout)
+        server_pid = int(execute("import os\nprint(os.getppid())", Invocation.stdin(""), server).stdout)
         os.kill(server_pid, signal.SIGKILL)
         # A daemon thread, so that a hanging call fails the test instead of blocking it.
         worker = threading.Thread(target=attempt, daemon=True)
@@ -496,12 +495,12 @@ def test_a_server_killed_mid_run_leaves_no_child(tmp_path):
             time.sleep(0.01)
         server._proc.kill()
 
-    with sandbox() as server:
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
         killer = threading.Thread(target=kill_server)
         killer.start()
         try:
             with pytest.raises(SandboxSetupFailure, match="the sandbox server is gone"):
-                execute(code, Invocation.stdin(""), ResourceLimits(wall_timeout=1.0), server)
+                execute(code, Invocation.stdin(""), server)
         finally:
             killer.join()
     pid = int(pid_file.read_text())
@@ -514,12 +513,12 @@ def test_a_server_killed_mid_run_leaves_no_child(tmp_path):
 def test_duration_excludes_server_start(monkeypatch):
     start_server = executor._Server.__init__
 
-    def slow_start(self, python):
+    def slow_start(self, python, limits):
         time.sleep(0.5)
-        start_server(self, python)
+        start_server(self, python, limits)
 
     monkeypatch.setattr(executor._Server, "__init__", slow_start)
-    result = execute("print(1)", Invocation.stdin(""), FAST)
+    result = execute("print(1)", Invocation.stdin(""))
     assert result.ok, result.stderr
     assert result.duration < 0.5
 
@@ -539,8 +538,9 @@ def test_no_child_outlives_a_killed_parent(tmp_path, sig):
     )
     parent = (
         "import sys\n"
-        "from semiforge.executor import Invocation, ResourceLimits, execute\n"
-        "execute(sys.argv[1], Invocation.stdin(''), ResourceLimits(wall_timeout=30.0))"
+        "from semiforge.executor import Invocation, ResourceLimits, execute, sandbox\n"
+        "with sandbox(limits=ResourceLimits(wall_timeout=30.0)) as server:\n"
+        "    execute(sys.argv[1], Invocation.stdin(''), server)"
     )
     src = os.path.dirname(os.path.dirname(executor.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -574,15 +574,16 @@ def test_concurrent_runs_keep_their_own_output():
     pause = 0.2
     code = f"import time\ntext = input()\ntime.sleep({pause})\nprint(text[::-1])"
 
-    def timed(snippet, invocation, limits):
+    def timed(snippet, invocation, server):
         started = time.monotonic()
-        result = execute(snippet, invocation, limits)
+        result = execute(snippet, invocation, server)
         return result, time.monotonic() - started
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        spin_limits = ResourceLimits(wall_timeout=1.0)
-        spinner = pool.submit(timed, "while True:\n    pass", Invocation.stdin(""), spin_limits)
-        runs = [pool.submit(timed, code, Invocation.stdin(f"input-{i}"), FAST) for i in range(8)]
+    # Each run times out at its own server's limit: the spinner at 1 s, the echo runs at the default.
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as spin_server, sandbox() as server, \
+            ThreadPoolExecutor(max_workers=4) as pool:
+        spinner = pool.submit(timed, "while True:\n    pass", Invocation.stdin(""), spin_server)
+        runs = [pool.submit(timed, code, Invocation.stdin(f"input-{i}"), server) for i in range(8)]
         spin_result, spin_elapsed = spinner.result(timeout=30)
         outcomes = [future.result(timeout=30) for future in runs]
 
@@ -717,7 +718,7 @@ def test_parse_args_literal(tmp_path):
     # that is not a literal is rejected before it can run.
     marker = tmp_path / "ran"
     payload = f"__import__('pathlib').Path({str(marker)!r}).touch()"
-    result = execute("def f(x):\n    return x", Invocation.call("f", payload), FAST)
+    result = execute("def f(x):\n    return x", Invocation.call("f", payload))
     assert result.status == "runtime_error"
     assert "ValueError" in result.stderr
     assert not marker.exists()

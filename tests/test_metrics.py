@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -120,6 +121,14 @@ def test_evaluate_candidates_basic():
     blob = report.to_dict()
     assert blob["pass_at_k"]["1"] == pytest.approx(2 / 3)
     assert blob["problems"][0]["problem_id"] == "double"
+
+
+def test_evaluate_candidates_applies_its_limits():
+    problems = [EvalProblem("double", DOUBLE_CASES, (GOOD, "while True:\n    pass"))]
+    started = time.monotonic()
+    report = evaluate_candidates(problems, limits=ResourceLimits(wall_timeout=0.5))
+    assert report.problems[0].c == 1
+    assert time.monotonic() - started < 2.5  # the default limit alone is 5 s
 
 
 def test_evaluate_averages_over_problems():

@@ -572,9 +572,10 @@ SEMI_SI = {"instruction": "x", "code": "y", "source": "semi", "difficulty": 1, "
         (lambda r: {**r, "answer_type": {"kind": "call_based", "function_name": "1bad"}},
          "call mode needs a valid function name, got '1bad'"),
         (lambda r: {**r, "answer_type": None}, "answer_type must be an object, got None"),
+        (lambda r: {**r, "difficulty": 0, "n_test_cases": 0, "test_cases": []}, "test_cases must be a non-empty array, got []"),
     ],
     ids=["bogus_case_and_answer_type", "bogus_case", "case_extra_key", "case_mode_not_answer_types", "answer_type_cannot_run",
-         "no_answer_type"],
+         "no_answer_type", "no_test_cases"],
 )
 @pytest.mark.parametrize("where", ["stage_order", "si"])
 def test_semi_record_is_checked_as_a_validated_unit(golden_run, golden_run_copy, change, problem, where):

@@ -14,8 +14,6 @@ from semiforge.validation import (
 )
 from tests.conftest import rouge_oracle
 
-FAST = ResourceLimits(wall_timeout=5.0)
-
 
 def stdin_invocations(inputs):
     return [Invocation.stdin(raw) for raw in inputs]
@@ -30,26 +28,26 @@ def server():
 # ------------------------------------------------------------ construction
 
 def test_construct_executes_original(server):
-    cases, _ = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "5", "0"]), FAST, server)
+    cases, _ = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "5", "0"]), server)
     assert [c.expected_output for c in cases] == ["4", "10", "0"]
     assert all(c.invocation.mode == "stdin" for c in cases)
 
 
 def test_construct_drops_crashing_inputs(server):
-    cases, drops = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "oops", "5"]), FAST, server)
+    cases, drops = construct_test_cases("print(int(input()) * 2)", stdin_invocations(["2", "oops", "5"]), server)
     assert [c.expected_output for c in cases] == ["4", "10"]
     assert drops == {"runtime_error": 1}
 
 
 def test_construct_call_based_uses_repr(server):
     code = "def join_up(items):\n    return '-'.join(items)"
-    cases, _ = construct_test_cases(code, [Invocation.call("join_up", "(['a', 'b'],)")], FAST, server)
+    cases, _ = construct_test_cases(code, [Invocation.call("join_up", "(['a', 'b'],)")], server)
     assert cases[0].expected_output == "'a-b'"
     assert cases[0].invocation.function_name == "join_up"
 
 
 def test_construct_all_crash_returns_no_cases(server):
-    cases, drops = construct_test_cases("print(10 // int(input()))", stdin_invocations(["0", "x"]), FAST, server)
+    cases, drops = construct_test_cases("print(10 // int(input()))", stdin_invocations(["0", "x"]), server)
     assert (cases, drops) == ([], {"runtime_error": 2})
 
 
@@ -63,32 +61,33 @@ DOUBLE_CASES = [
 
 
 def test_validate_passes_equivalent_code(server):
-    assert validate_refined_code("n = int(input())\nprint(n + n)", DOUBLE_CASES, FAST, server) is None
+    assert validate_refined_code("n = int(input())\nprint(n + n)", DOUBLE_CASES, server) is None
 
 
 def test_validate_wrong_output_reports_index(server):
     cases = [Case(Invocation.stdin("0"), "0"), Case(Invocation.stdin("2"), "4")]
-    assert validate_refined_code("print(int(input()) * 3)", cases, FAST, server) == (1, "wrong_output")
+    assert validate_refined_code("print(int(input()) * 3)", cases, server) == (1, "wrong_output")
 
 
 def test_validate_runtime_error(server):
-    assert validate_refined_code("raise RuntimeError('no')", DOUBLE_CASES, FAST, server) == (0, "runtime_error")
+    assert validate_refined_code("raise RuntimeError('no')", DOUBLE_CASES, server) == (0, "runtime_error")
 
 
-def test_validate_timeout(server):
-    failure = validate_refined_code("while True:\n    pass", DOUBLE_CASES[:1], ResourceLimits(wall_timeout=1.0), server)
+def test_validate_timeout():
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
+        failure = validate_refined_code("while True:\n    pass", DOUBLE_CASES[:1], server)
     assert failure == (0, "timeout")
 
 
 def test_validate_output_overflow_is_a_runtime_error(server):
     cases = [Case(Invocation.stdin("1"), "1"), Case(Invocation.stdin("2"), "2")]
     refined = 'n = input()\nprint(n if n == "1" else "x" * 2_000_000)'
-    assert validate_refined_code(refined, cases, FAST, server) == (1, "runtime_error")
+    assert validate_refined_code(refined, cases, server) == (1, "runtime_error")
 
 
 def test_validate_requires_cases(server):
     with pytest.raises(ValueError):
-        validate_refined_code("print(1)", [], FAST, server)
+        validate_refined_code("print(1)", [], server)
 
 
 # ------------------------------------------------------------------ ROUGE
