@@ -9,31 +9,39 @@ instead of being silently truncated. Both, and RLIMIT_CORE 0, are set
 once on each fork server, soft equal to hard, and every run inherits
 them; a host that cannot give them, or pidfds (below), fails at
 ``sandbox()`` with ``SandboxSetupFailure``, before any run. The wall
-limit is the server's too: ``sandbox(interpreter, limits)`` fixes it
-for every run forked from that server.
+limit and the ``str`` hash secret are the server's too:
+``sandbox(interpreter, limits, secret)`` fixes them for every run
+forked from that server.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
-``python -I -S -B -X utf8`` interpreter, so a run costs a ``fork``
-instead of an interpreter start-up. ``with sandbox(interpreter, limits)
-as server`` starts one and closes it when the block ends; callers share
-it by passing ``server`` down to ``execute`` (the validation functions
+``python -s -S -B -X utf8`` interpreter, so a run costs a ``fork``
+instead of an interpreter start-up. ``with sandbox(interpreter, limits,
+secret) as server`` starts one and closes it when the block ends;
+callers share it by passing ``server`` down to ``execute`` (the validation functions
 take one too), from any number of threads. ``execute`` given no server
 starts one with the default limits for that run and pays the start-up
-below. The flags make the server ignore ``PYTHON*`` variables and user
-site-packages, skip ``site`` (so solutions see only the standard
-library), write no bytecode and use UTF-8; its environment holds only
-``PATH``, so credentials never reach it. It answers its pid as soon as it starts,
-and then imports ``ast`` before it serves its first command, so the
-parent goes on, and may start a second server, while it loads; the
-first run of a server may wait for that import. Without the preload
+below. The flags make the server ignore user site-packages, skip
+``site`` (so solutions see only the standard library), write no
+bytecode and use UTF-8; it runs under ``-s``, not ``-I``, which would
+ignore ``PYTHONHASHSEED``. Its environment holds only ``PATH`` and,
+when a secret is given, ``PYTHONHASHSEED``, so credentials and other
+``PYTHON*`` variables never reach it. Before anything else it drops
+``""`` (its working directory, which ``-I`` kept off the path, and
+Python 3.10 has no ``-P``) from ``sys.path``, and it deletes
+``PYTHONHASHSEED`` from its environment before its first fork. It
+answers its pid as soon as it starts, and then imports ``ast`` before
+it serves its first command, so the parent goes on, and may start a
+second server, while it loads; the first run of a server may wait for
+that import. Without the preload
 every child would build the AST types on its first ``compile()`` (~3 ms
 of CPU), and ``literal_eval`` would cost each call-based child 15-19 ms
 more to import ``ast`` and the modules it pulls in. ``ast`` holds no
 per-process state (it brings in no ``random`` and no ``threading``), so
 each child still starts like a fresh interpreter, with one exception:
-the ``str`` hash secret is drawn once per server, so runs forked from
-one server share it and runs forked from different servers do not. The
-pipeline opens one server per sandbox stage, and both stay open while
+the ``str`` hash secret is the server's, ``secret`` or (for ``None``)
+one drawn at random when it starts, so runs forked from one server
+share it. The pipeline opens one server per sandbox stage, each with a
+secret of its own fixed by the run's seed, and both stay open while
 its units run. The server is started with a real ``fork``, not
 ``vfork``, which would charge it the parent's RSS high-water mark. The
 ``exec`` after the fork still carries the forked copy's RSS into the
@@ -109,7 +117,7 @@ MAX_WALL_TIMEOUT = (2**31 - 1) / 1000  # seconds: poll waits at most 2**31 - 1 m
 MEMORY_BYTES = 256 * 1024 * 1024  # a run's address-space ceiling
 OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdout included
 
-# The fork server, run as ``python -I -S -B -X utf8 -c _SERVER``. Its
+# The fork server, run as ``python -s -S -B -X utf8 -c _SERVER``. Its
 # stdin and stdout are the command and answer pipes. Each command is a
 # marshalled tuple answered by one marshalled value: ("run", workdir,
 # call) forks a child for the snippet staged in workdir and answers its
@@ -119,7 +127,10 @@ OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdo
 # error. The server first answers its own pid, to show that it started,
 # before it imports ast; the parent then sets the rlimits children inherit.
 _SERVER = r"""
-import atexit, builtins, marshal, os, sys
+import sys
+sys.path = [entry for entry in sys.path if entry]  # no "" (the working directory): nothing there shadows the stdlib
+import atexit, builtins, marshal, os
+os.environ.pop("PYTHONHASHSEED", None)  # the server's secret: no child sees it or passes it on
 os.write(1, marshal.dumps(os.getpid()))  # started: the parent goes on while ast loads
 import ast  # preloaded for the children; see the module docstring
 
@@ -310,18 +321,21 @@ def resolve_interpreter(interpreter: str | None = None) -> str:
 class _Server:
     """A running fork server and the pipes to it; see ``_SERVER``."""
 
-    def __init__(self, python: str, limits: ResourceLimits):
+    def __init__(self, python: str, limits: ResourceLimits, secret: int | None):
         self.wall_timeout = limits.wall_timeout
+        env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
+        if secret is not None:
+            env["PYTHONHASHSEED"] = str(secret)
         try:
             # Any uid change (here a no-op one) makes _posixsubprocess fork
             # instead of vfork, with no Python code between fork and exec.
             # A session of its own keeps a terminal's Ctrl-C to the parent
             # from killing the server mid-run.
             self._proc = subprocess.Popen(
-                [python, "-I", "-S", "-B", "-X", "utf8", "-c", _SERVER],
+                [python, "-s", "-S", "-B", "-X", "utf8", "-c", _SERVER],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                env={"PATH": os.environ.get("PATH", "/usr/bin:/bin")},
+                env=env,
                 start_new_session=True,
                 user=os.geteuid(),
             )
@@ -384,16 +398,18 @@ class _Server:
 
 
 @contextlib.contextmanager
-def sandbox(interpreter: str | None = None, limits: ResourceLimits | None = None):
+def sandbox(interpreter: str | None = None, limits: ResourceLimits | None = None, secret: int | None = None):
     """Start a fork server for ``interpreter``, yield it, and close it when the block ends.
 
     Pass the server to ``execute`` to fork a run from it; several
     threads may use it at once. Every run forked from one server shares
-    its ``str`` hash secret, rlimits and wall limit, ``limits`` (by
-    default ``ResourceLimits()``). Raises ``SandboxSetupFailure`` if
-    the interpreter is not found or the server cannot start or be set up.
+    its rlimits, its wall limit, ``limits`` (by default
+    ``ResourceLimits()``), and its ``str`` hash secret, ``secret`` (an
+    integer from 0 to 2**32 - 1, as ``PYTHONHASHSEED`` takes; drawn at
+    random for ``None``). Raises ``SandboxSetupFailure`` if the
+    interpreter is not found or the server cannot start or be set up.
     """
-    server = _Server(resolve_interpreter(interpreter), limits or ResourceLimits())
+    server = _Server(resolve_interpreter(interpreter), limits or ResourceLimits(), secret)
     try:
         yield server
     finally:

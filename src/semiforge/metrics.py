@@ -88,7 +88,8 @@ def evaluate_candidates(
         i, candidate = job
         return validate_refined_code(candidate, problems[i].test_cases, server) is None
 
-    with sandbox(interpreter, limits) as server:
+    # One fixed str hash secret: a program whose output follows set order scores alike in every call.
+    with sandbox(interpreter, limits, secret=0) as server:
         outcomes = map_workers(workers, passes, jobs)
 
     correct = [0] * len(problems)

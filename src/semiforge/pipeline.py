@@ -7,10 +7,12 @@ reason, never rebuilds. Order turns the kept rows into dataset records
 (see dataset.record) and emit passes them on as they are. Each stage
 persists its full row list (kept and dropped records alike) to
 ``stage_<name>.jsonl`` in the output directory, emit to ``dataset.jsonl``.
-The sandbox stages a run executes, construct and validate, run as one
-chain (see _run_chain): a unit's task on the worker pool validates the
-unit as soon as construct keeps it, so neither stage waits for the
-other units, and both stage files are written once the chain ends.
+The unit stages a run executes (those of generate, construct and
+validate) run as one chain (see _run_chain): a unit's task on the worker pool
+constructs the unit's test cases as soon as generate keeps it, and
+validates it as soon as construct does, so no stage waits for the other
+units, a completion's wait overlaps other units' sandbox runs, and the
+chain's stage files are written together once it ends.
 run_pipeline is one pass over the stages: each stage's rows, read from
 its file on a resumed run or made by the stage, are counted into the
 funnel statistics and written to events.jsonl as they pass, and then
@@ -26,6 +28,7 @@ drop rows.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -314,7 +317,8 @@ def _stage_ingest(config: PipelineConfig, _: list[dict]) -> list[dict]:
     return rows
 
 
-def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dict]:
+def _generation_tools(config: PipelineConfig) -> tuple[PromptTemplate, ReplayClient]:
+    """Generate's prompt template and completion client."""
     try:
         template = (
             PromptTemplate.from_file(config.template_path, config.input_count)
@@ -324,24 +328,24 @@ def _stage_generate(config: PipelineConfig, ingest_rows: list[dict]) -> list[dic
     except ValueError as exc:  # no single {{original_code}} slot, or not UTF-8
         raise StageFailure("generate", f"template {config.template_path}: {exc}") from exc
     live = LiveClient(config.endpoint, config.model_id) if config.client_mode == "live" else None
-    client = ReplayClient(config.replay_store, live)
+    return template, ReplayClient(config.replay_store, live)
 
-    def work(row: dict) -> dict:
-        try:
-            prompt = build_generation_prompt(row["code"], template)
-        except EmptyCode:
-            return _drop(row, "empty_code")
-        digest = prompt_digest(prompt)
-        try:
-            completion = client.complete(prompt)
-        except SemiforgeError as exc:
-            raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
-        try:
-            return _ok(row, prompt_sha256=digest, **parse_components(completion.text))
-        except ParseError as exc:
-            return _drop(row, exc.reason, prompt_sha256=digest)
 
-    return map_workers(config.workers, work, _ok_rows(ingest_rows))
+def _generate_unit(tools: tuple[PromptTemplate, ReplayClient], row: dict) -> dict:
+    template, client = tools
+    try:
+        prompt = build_generation_prompt(row["code"], template)
+    except EmptyCode:
+        return _drop(row, "empty_code")
+    digest = prompt_digest(prompt)
+    try:
+        completion = client.complete(prompt)
+    except SemiforgeError as exc:
+        raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
+    try:
+        return _ok(row, prompt_sha256=digest, **parse_components(completion.text))
+    except ParseError as exc:
+        return _drop(row, exc.reason, prompt_sha256=digest)
 
 
 def invocation_for(answer_type: Mapping, raw_input: str) -> Invocation:
@@ -368,28 +372,38 @@ def _validate_unit(server, row: dict) -> dict:
     return _drop(row, reason, difficulty=len(cases), case_index=case_index)
 
 
-# The sandbox stages, in order, and what each does to one unit row.
-_UNIT_WORK = {"construct": _construct_unit, "validate": _validate_unit}
+def _hash_secret(seed: int, stage: str) -> int:
+    """The ``str`` hash secret of ``stage``'s sandbox server: fixed by the run's seed, and the stage's own."""
+    return int.from_bytes(hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()[:4], "big")
+
+
+# The unit stages, in order, and what each does to one unit row, given what its setup in _run_chain made.
+_UNIT_WORK = {"generate": _generate_unit, "construct": _construct_unit, "validate": _validate_unit}
 
 
 def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict]) -> dict[str, list[dict]]:
-    """Run each ok row through the sandbox stages of ``chain``, one unit task per row.
+    """Run each ok row through the unit stages of ``chain``, one unit task per row.
 
     A unit goes on to the next stage as soon as the one before keeps it,
-    so no stage waits for the other units. Each stage forks its runs
-    from a server of its own with the config's limits, started before
-    any unit runs, so that its runs get a ``str`` hash secret of their
-    own. A sandbox failure drops its unit as ``sandbox_failure`` and the
-    other units go on. Returns each stage's rows in unit order.
+    so no stage waits for the other units, and a unit's sandbox runs
+    overlap the other units' completions. Every stage is set up before
+    any unit runs, in chain order: generate's template and client, then
+    each sandbox stage's fork server, with the config's limits and a
+    ``str`` hash secret of the stage's own (see _hash_secret). So a bad
+    template starts no server, and a server that cannot start asks for
+    no completion. A missing completion fails the run once the unit
+    tasks already running have ended; a sandbox failure drops its unit
+    as ``sandbox_failure`` and the other units go on. Returns each
+    stage's rows in unit order.
     """
-    servers = {}  # stage -> the fork server of its runs
+    tools = {}  # stage -> what its unit work is given: generate's template and client, a sandbox stage's server
 
     def work(row: dict) -> list[dict]:
         passed = []
         for stage in chain:
             with _failing_as(stage):
                 try:
-                    row = _UNIT_WORK[stage](servers[stage], row)
+                    row = _UNIT_WORK[stage](tools[stage], row)
                 except SandboxSetupFailure as exc:
                     logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
                     row = _drop(row, "sandbox_failure")
@@ -401,7 +415,8 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
     with ExitStack() as stack:
         for stage in chain:
             with _failing_as(stage):
-                servers[stage] = stack.enter_context(sandbox(config.interpreter, config.limits()))
+                tools[stage] = _generation_tools(config) if stage == "generate" else stack.enter_context(
+                    sandbox(config.interpreter, config.limits(), _hash_secret(config.seed, stage)))
         units = map_workers(config.workers, work, _ok_rows(rows))
     return {stage: [unit[index] for unit in units if len(unit) > index] for index, stage in enumerate(chain)}
 
@@ -439,10 +454,9 @@ def _stage_order(config: PipelineConfig, dedup_rows: list[dict]) -> list[dict]:
     return ordered
 
 
-# What each stage outside the sandbox chain makes of the rows of the stage before it; emit's rows,
+# What each stage outside the unit chain makes of the rows of the stage before it; emit's rows,
 # the ordered records as they are, are the dataset.
-_RUNNERS = {"ingest": _stage_ingest, "generate": _stage_generate, "dedup": _stage_dedup, "order": _stage_order,
-            "emit": lambda _, order_rows: order_rows}
+_RUNNERS = {"ingest": _stage_ingest, "dedup": _stage_dedup, "order": _stage_order, "emit": lambda _, rows: rows}
 
 
 def _output_path(out_dir: Path, stage: str) -> Path:

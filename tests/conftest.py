@@ -77,9 +77,9 @@ def sandbox_counts(monkeypatch):
     counts = {"starts": [], "runs": [], "calls": []}
 
     class CountingServer(executor._Server):
-        def __init__(self, python, limits):
+        def __init__(self, python, *args):
             counts["starts"].append(python)
-            super().__init__(python, limits)
+            super().__init__(python, *args)
 
         def run(self, *args):
             counts["runs"].append(args)

@@ -242,15 +242,39 @@ def test_child_env_has_no_credentials(monkeypatch):
     assert normalize_output(result.stdout) == "None"
 
 
-def test_child_runs_isolated_without_site():
+def test_child_runs_isolated_without_site(tmp_path, monkeypatch):
+    # What -I gave, under -s: no user site, no working directory on sys.path, no PYTHON* variable seen.
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "f = sys.flags\n"
-        "print(f.isolated, f.no_site, f.dont_write_bytecode, f.utf8_mode)"
+        "print(f.no_user_site, f.no_site, f.dont_write_bytecode, f.utf8_mode)\n"
+        f"print([entry for entry in sys.path if entry in ('', '.', os.getcwd(), {str(tmp_path)!r})])\n"
+        "print([name for name in os.environ if name.startswith('PYTHON')], sys.warnoptions)"
     )
     result = execute(code, Invocation.stdin(""))
-    assert result.ok
-    assert normalize_output(result.stdout) == "1 1 1 1"
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "1 1 1 1\n[]\n[] []"
+
+
+def test_no_module_in_the_servers_working_directory_shadows_the_standard_library(tmp_path, monkeypatch):
+    # The server imports ast from its parent's working directory unless "" leaves sys.path first.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ast.py").write_text("raise SystemExit('shadowed')\n", encoding="utf-8")
+    result = execute("import ast\nprint(ast.literal_eval('[1, 2]'))", Invocation.stdin(""))
+    assert result.ok, result.stderr
+    assert normalize_output(result.stdout) == "[1, 2]"
+
+
+def test_a_fixed_secret_gives_every_server_of_it_one_str_hash():
+    code = "import os\nprint(hash('semiforge'), 'PYTHONHASHSEED' in os.environ)"
+    outputs = []
+    for secret in (7, 7, 8):
+        with sandbox(secret=secret) as server:
+            outputs.append(normalize_output(execute(code, Invocation.stdin(""), server).stdout).split())
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert [seen for _, seen in outputs] == ["False"] * 3
 
 
 def test_non_ascii_stdin_stdout_round_trip():
@@ -513,9 +537,9 @@ def test_a_server_killed_mid_run_leaves_no_child(tmp_path):
 def test_duration_excludes_server_start(monkeypatch):
     start_server = executor._Server.__init__
 
-    def slow_start(self, python, limits):
+    def slow_start(self, *args):
         time.sleep(0.5)
-        start_server(self, python, limits)
+        start_server(self, *args)
 
     monkeypatch.setattr(executor._Server, "__init__", slow_start)
     result = execute("print(1)", Invocation.stdin(""))

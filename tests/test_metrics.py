@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge.errors import SemiforgeError
-from semiforge.executor import Invocation, ResourceLimits
+from semiforge.executor import Invocation, ResourceLimits, execute, sandbox
 from semiforge.metrics import (
     EvalProblem,
     evaluate_candidates,
@@ -188,3 +188,12 @@ def test_evaluate_invalid_inputs():
     for workers in (0, -2):
         with pytest.raises(SemiforgeError, match=f"workers must be >= 1, got {workers}"):
             evaluate_candidates([EvalProblem("p", DOUBLE_CASES, (GOOD,))], ks=(1,), workers=workers)
+
+
+def test_a_set_order_candidate_scores_alike_in_every_call():
+    # Every scoring server has one fixed str hash secret, so a set prints in one order in every call.
+    code = 'print(*{"alpha", "beta", "gamma", "delta", "epsilon"})'
+    with sandbox(secret=0) as server:
+        expected = execute(code, Invocation.stdin(""), server).stdout
+    problem = EvalProblem("p", (Case(Invocation.stdin(""), expected),), (code,))
+    assert [evaluate_candidates([problem]).problems[0].c for _ in range(3)] == [1, 1, 1]

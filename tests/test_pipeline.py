@@ -4,6 +4,7 @@ import os
 import shutil
 import stat
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from semiforge.corpus import Problem
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
 from semiforge.executor import Invocation, SandboxSetupFailure, resolve_interpreter
-from semiforge.generation import prompt_digest
+from semiforge.generation import ReplayClient, prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
     EVENTS_FILE,
@@ -1026,6 +1027,77 @@ def test_validate_starts_before_construct_ends(tmp_path, golden_config_path, mon
     first_validate = calls.index(("validate_refined_code", "start", 0))
     last_construct = calls.index(("construct_test_cases", "end", 3))
     assert first_validate < last_construct
+
+
+def test_construct_starts_before_the_last_completion_returns(golden_run, tmp_path, monkeypatch):
+    # The last unit's completion is slow, so only a barrier between generate
+    # and construct would hold back unit 0's construct until it returns.
+    config, out_dir, _ = golden_run
+    generated = load_jsonl(stage_path(out_dir, "generate"))
+    first = next(row for row in generated if row["status"] == "ok")
+    complete, construct = ReplayClient.complete, pipeline.construct_test_cases
+    events = []
+
+    def slow_last(self, prompt):
+        last = prompt_digest(prompt) == generated[-1]["prompt_sha256"]
+        if last:
+            time.sleep(0.5)
+        try:
+            return complete(self, prompt)
+        finally:
+            if last:
+                events.append("last completion returned")
+
+    def recorded(code, *args):
+        if code == first["code"]:
+            events.append("unit 0 construct started")
+        return construct(code, *args)
+
+    monkeypatch.setattr(ReplayClient, "complete", slow_last)
+    monkeypatch.setattr("semiforge.pipeline.construct_test_cases", recorded)
+    cold = PipelineConfig.from_dict({**config.to_dict(), "out_dir": str(tmp_path), "workers": 2})
+    run_pipeline(cold, stop_after="validate")
+    assert events.index("unit 0 construct started") < events.index("last completion returned")
+    for stage in ("generate", "construct", "validate"):
+        assert stage_path(tmp_path, stage).read_bytes() == stage_path(out_dir, stage).read_bytes(), stage
+
+
+def test_a_sandbox_that_cannot_start_asks_for_no_completion(tmp_path, golden_config_path, monkeypatch,
+                                                          loopback_server):
+    store, _, asked = serve_removed_completions(tmp_path, monkeypatch, loopback_server, k=5)
+    config = live_config(golden_config_path, loopback_server, store, tmp_path / "out")
+    config.interpreter = "no-such-python-anywhere"
+    with pytest.raises(StageFailure, match="interpreter not found") as excinfo:
+        run_pipeline(config)
+    assert excinfo.value.stage == "construct"
+    assert asked == [] and loopback_server.received == []
+    assert stage_path(tmp_path / "out", "ingest").exists()
+    assert not stage_path(tmp_path / "out", "generate").exists()
+
+
+def test_a_missing_completion_fails_the_chain_naming_its_unit(golden_run, tmp_path):
+    config, out_dir, _ = golden_run
+    missing = load_jsonl(stage_path(out_dir, "generate"))[5]
+    store = tmp_path / "store"
+    shutil.copytree(FIXTURES / "completions", store)
+    (store / f"{missing['prompt_sha256']}.txt").unlink()
+    cold = PipelineConfig.from_dict({**config.to_dict(), "out_dir": str(tmp_path / "out"), "replay_store": str(store)})
+    with pytest.raises(StageFailure, match=rf"^stage generate: {missing['unit_id']}: no recorded completion") as excinfo:
+        run_pipeline(cold, stop_after="validate")
+    assert excinfo.value.stage == "generate"
+    assert [path.name for path in (tmp_path / "out").glob("stage_*")] == ["stage_ingest.jsonl"]
+
+
+def test_set_order_outputs_agree_between_cold_runs(tmp_path, golden_config_path):
+    # Each sandbox stage's str hash secret is fixed by the run's seed, so a program
+    # that prints a set of strings makes the same cases, and verdict, in every run.
+    codes = ['print(*{"alpha", "beta", "gamma", "delta", "epsilon", input()})', "print(input())"]
+    files = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        run_pipeline(units_config(golden_config_path, tmp_path / run, codes), stop_after="validate")
+        files.append([stage_path(tmp_path / run, stage).read_bytes() for stage in ("construct", "validate")])
+    assert files[0] == files[1]
 
 
 def test_construct_and_validate_run_alone(golden_run, tmp_path, golden_config_path):
