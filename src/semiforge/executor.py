@@ -66,8 +66,11 @@ then the builtins, calls it (a tuple gives the positional arguments)
 and prints ``repr`` of a non-None result, binding no name of its own.
 The parent reads the output through the descriptors that created
 ``stdout.txt`` and ``stderr.txt``, so a snippet that removes or replaces
-them by name changes nothing the parent reads. A run's status is one
-of ``STATUSES``.
+them by name changes nothing the parent reads. It decodes stdout as
+UTF-8 with ``surrogateescape``, as the child writes it, so each byte
+that is not UTF-8 reads as a lone surrogate and different bytes never
+read as the same text; stderr, which is only shown, is decoded with
+``errors="replace"``. A run's status is one of ``STATUSES``.
 
 The parent waits on a pidfd of the child with ``poll``, which returns
 as soon as the child exits, and bounds the wait by the server's wall
@@ -504,7 +507,7 @@ def execute(code: str, invocation: Invocation, server: _Server | None = None) ->
         overflow = os.fstat(out.fileno()).st_size > OUTPUT_BYTES
         # No caller reads an overflowing run's output, and reading the
         # capped megabyte costs the parent twice that at its peak.
-        stdout = "" if overflow else out.read(OUTPUT_BYTES).decode("utf-8", errors="replace")
+        stdout = "" if overflow else out.read(OUTPUT_BYTES).decode("utf-8", errors="surrogateescape")
         stderr = err.read(OUTPUT_BYTES).decode("utf-8", errors="replace")
 
         if timed_out:

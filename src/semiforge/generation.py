@@ -15,7 +15,8 @@ Every completion is asked of a ReplayClient: it serves completions from
 a content-addressed store keyed by the SHA-256 of the prompt, which
 makes pipeline runs deterministic and offline. Given a live client
 (``semiforge.live.LiveClient``), it asks that for a prompt the store
-lacks and records the answer in the store before returning it. Only
+lacks, once however many threads want it, and records the answer in
+the store before returning it. Only
 that branch loads ``semiforge.dataset``: building prompts, replaying
 and parsing load no network client, no ``logging`` and no ``dataset``.
 The store is read as written, with no newline translation, so a
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -109,31 +111,47 @@ class ReplayClient:
     """Serve ``<store>/<sha256(prompt)>.txt``; ask ``live`` for a prompt the store lacks.
 
     A live completion is written to the store before it is returned, so
-    a run that fails later keeps every completion it was given. With no
-    live client, a prompt the store lacks raises SemiforgeError naming its digest.
+    a run that fails later keeps every completion it was given. A prompt
+    is asked once, however many threads want it at once: the first
+    asks, and each other waits for it and then reads its answer from the
+    store, or asks in turn if it failed. With no live client, a prompt
+    the store lacks raises SemiforgeError naming its digest.
     """
 
     def __init__(self, store: str | Path, live: LiveClient | None = None):
         self.store = Path(store)
         self.live = live
+        self._lock = threading.Lock()  # guards _asking
+        self._asking: dict[str, threading.Lock] = {}  # digest -> held by the thread asking for it, until stored
 
     def complete(self, prompt: str) -> Completion:
         digest = prompt_digest(prompt)
         path = self.store / f"{digest}.txt"
         if path.is_file():
-            try:  # read as written: read_text would turn a lone \r into \n
-                return Completion(text=path.read_bytes().decode("utf-8"), finish_reason="replay")
-            except UnicodeDecodeError as exc:
-                raise SemiforgeError(f"recorded completion {path} is not UTF-8: {exc}") from exc
+            return _replayed(path)
         if self.live is None:
             raise SemiforgeError(f"no recorded completion for prompt {digest[:16]}")
-        completion = self.live.complete(prompt)
-        from .dataset import atomic_write  # only a live answer is written, so replaying never loads dataset
+        with self._lock:
+            asking = self._asking.setdefault(digest, threading.Lock())
+        with asking:
+            if path.is_file():  # stored by the thread this one waited for
+                return _replayed(path)
+            completion = self.live.complete(prompt)
+            from .dataset import atomic_write  # only a live answer is written, so replaying never loads dataset
 
-        self.store.mkdir(parents=True, exist_ok=True)
-        with atomic_write(path) as fh:
-            fh.write(completion.text)
+            self.store.mkdir(parents=True, exist_ok=True)
+            with atomic_write(path) as fh:
+                fh.write(completion.text)
+            with self._lock:
+                del self._asking[digest]
         return completion
+
+
+def _replayed(path: Path) -> Completion:
+    try:  # read as written: read_text would turn a lone \r into \n
+        return Completion(text=path.read_bytes().decode("utf-8"), finish_reason="replay")
+    except UnicodeDecodeError as exc:
+        raise SemiforgeError(f"recorded completion {path} is not UTF-8: {exc}") from exc
 
 
 _HEADER = re.compile(r"^###\s+(?P<name>[^#].*?)\s*:?\s*$")

@@ -12,7 +12,7 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import SemiforgeError
-from .executor import ResourceLimits, map_workers, sandbox
+from .executor import ResourceLimits, SandboxSetupFailure, map_workers, sandbox
 from .validation import TestCase, validate_refined_code
 
 
@@ -59,7 +59,12 @@ def evaluate_candidates(
     interpreter: str | None = None,
     workers: int = 1,
 ) -> PassAtKReport:
-    """Score candidates per problem and average pass@k across problems."""
+    """Score candidates per problem and average pass@k across problems.
+
+    A sandbox server lost mid-evaluation raises SandboxSetupFailure
+    naming the problem and the candidate (counted from 0 in the
+    problem's order) whose run found it gone.
+    """
     if not ks:
         raise SemiforgeError("ks must be nonempty")
     if not problems:
@@ -79,21 +84,24 @@ def evaluate_candidates(
             )
 
     jobs = [
-        (i, candidate)
+        (i, j, candidate)
         for i, entry in enumerate(problems)
-        for candidate in entry.candidates
+        for j, candidate in enumerate(entry.candidates)
     ]
 
     def passes(job) -> bool:
-        i, candidate = job
-        return validate_refined_code(candidate, problems[i].test_cases, server) is None
+        i, j, candidate = job
+        try:
+            return validate_refined_code(candidate, problems[i].test_cases, server) is None
+        except SandboxSetupFailure as exc:  # the server is gone: say whose run found it so
+            raise SandboxSetupFailure(f"{problems[i].problem_id} candidate {j}: {exc}") from exc
 
     # One fixed str hash secret: a program whose output follows set order scores alike in every call.
     with sandbox(interpreter, limits, secret=0) as server:
         outcomes = map_workers(workers, passes, jobs)
 
     correct = [0] * len(problems)
-    for (i, _), passed in zip(jobs, outcomes):
+    for (i, _, _), passed in zip(jobs, outcomes):
         if passed:
             correct[i] += 1
 

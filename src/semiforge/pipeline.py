@@ -21,9 +21,11 @@ byte-identical to a cold run, and a run holds one stage's rows at a
 time besides those a running stage reads and makes. Once an executed
 stage's rows are counted, one INFO line reports how many it kept. A bad
 config value is raised as InvalidConfig before any stage runs
-(PipelineConfig.check); a fatal error in a stage is raised as
-StageFailure carrying the stage name; per-record failures only become
-drop rows.
+(PipelineConfig.check); a fatal error in a stage, a sandbox server
+lost mid-stage included, is raised as StageFailure carrying the stage
+name and, in the chain, the unit whose work met it; a unit's own
+failures (a completion that does not parse, a run that fails) only
+become drop rows.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .dataset import (
 )
 from .errors import SemiforgeError
 from .executor import (
-    DEFAULT_WALL_TIMEOUT, STATUSES, Invocation, ResourceLimits, SandboxSetupFailure, map_workers, sandbox,
+    DEFAULT_WALL_TIMEOUT, STATUSES, Invocation, ResourceLimits, map_workers, sandbox,
 )
 from .generation import (
     CALL_BASED,
@@ -270,14 +272,14 @@ def _read_rows(stage: str, path: Path) -> list[dict]:
 
 
 @contextmanager
-def _failing_as(stage: str):
-    """Raise an error of the block as a StageFailure naming ``stage``."""
+def _failing_as(stage: str, unit_id: str | None = None):
+    """Raise an error of the block as a StageFailure naming ``stage``, and ``unit_id`` when given."""
     try:
         yield
     except StageFailure:
         raise
     except (SemiforgeError, OSError) as exc:
-        raise StageFailure(stage, str(exc)) from exc
+        raise StageFailure(stage, f"{unit_id}: {exc}" if unit_id else str(exc)) from exc
 
 
 def _ok(row: dict, **fields) -> dict:
@@ -338,10 +340,7 @@ def _generate_unit(tools: tuple[PromptTemplate, ReplayClient], row: dict) -> dic
     except EmptyCode:
         return _drop(row, "empty_code")
     digest = prompt_digest(prompt)
-    try:
-        completion = client.complete(prompt)
-    except SemiforgeError as exc:
-        raise StageFailure("generate", f"{row['unit_id']}: {exc}") from exc
+    completion = client.complete(prompt)
     try:
         return _ok(row, prompt_sha256=digest, **parse_components(completion.text))
     except ParseError as exc:
@@ -391,22 +390,19 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
     each sandbox stage's fork server, with the config's limits and a
     ``str`` hash secret of the stage's own (see _hash_secret). So a bad
     template starts no server, and a server that cannot start asks for
-    no completion. A missing completion fails the run once the unit
-    tasks already running have ended; a sandbox failure drops its unit
-    as ``sandbox_failure`` and the other units go on. Returns each
-    stage's rows in unit order.
+    no completion. An error in a unit's work, such as a missing
+    completion or a sandbox server that one unit's code killed, is a
+    StageFailure naming the stage and the unit: no further unit starts,
+    and it is raised once the unit tasks already running have ended, so
+    the chain returns no rows. Returns each stage's rows in unit order.
     """
     tools = {}  # stage -> what its unit work is given: generate's template and client, a sandbox stage's server
 
     def work(row: dict) -> list[dict]:
         passed = []
         for stage in chain:
-            with _failing_as(stage):
-                try:
-                    row = _UNIT_WORK[stage](tools[stage], row)
-                except SandboxSetupFailure as exc:
-                    logger.warning("sandbox failure on %s: %s", row["unit_id"], exc)
-                    row = _drop(row, "sandbox_failure")
+            with _failing_as(stage, row["unit_id"]):
+                row = _UNIT_WORK[stage](tools[stage], row)
             passed.append(row)
             if row["status"] != "ok":
                 break

@@ -47,25 +47,39 @@ def construct_test_cases(
     """Execute the original code on every invocation, each run forked from ``server``; keep the Ok pairs.
 
     Returns the cases, none if every input failed, and a count of the
-    dropped inputs by exit status.
+    dropped inputs by exit status. An ok run whose stdout is not UTF-8
+    gives no text to expect, and counts as a ``runtime_error``.
     """
     cases: list[TestCase] = []
     drops: Counter = Counter()
     for invocation in invocations:
         result = execute(original_code, invocation, server)
-        if result.ok:
+        status = "runtime_error" if result.ok and not _is_utf8(result.stdout) else result.status
+        if status == "ok":
             cases.append(TestCase(invocation=invocation, expected_output=normalize_output(result.stdout)))
         else:
-            drops[result.status] += 1
+            drops[status] += 1
     return cases, drops
+
+
+def _is_utf8(stdout: str) -> bool:
+    """False if ``stdout`` holds a byte that was not UTF-8, which ``execute`` decodes to a lone surrogate."""
+    if stdout.isascii():
+        return True
+    try:
+        stdout.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def validate_refined_code(refined_code: str, test_cases: Sequence[TestCase], server: _Server) -> tuple[int, str] | None:
     """Run the code on each case in turn, forked from ``server``; None if every run is ok and matches.
 
     Otherwise return the index of the first failing case and why it
-    failed: "wrong_output", "timeout", or "runtime_error" (an output
-    overflow included).
+    failed: "wrong_output" (stdout that is not UTF-8 included, as no
+    expected output holds such bytes), "timeout", or "runtime_error" (an
+    output overflow included).
     """
     if not test_cases:
         raise ValueError("validation needs at least one test case")

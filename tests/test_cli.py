@@ -10,6 +10,7 @@ from semiforge.cli import STAGE_COMMANDS, _config_from_args, build_parser, main
 from semiforge.dataset import emit_jsonl
 from semiforge.pipeline import STAGES, PipelineConfig
 from tests.conftest import GOLDEN, load_jsonl
+from tests.test_pipeline import killing_config
 
 
 def run_cli(*argv):
@@ -130,6 +131,14 @@ def test_run_resume_from(tmp_path, golden_config_path, capsys):
     )
     assert code == 0
     assert "after_dedup: 21" in capsys.readouterr().out
+
+
+def test_run_exits_2_when_a_unit_kills_its_server(tmp_path, golden_config_path, capsys):
+    config = killing_config(golden_config_path, tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    assert run_cli("run", "--config", tmp_path / "config.json", "--workers", 1) == 2
+    assert capsys.readouterr().err.startswith("error: stage construct: u2:0: the sandbox server is gone: ")
+    assert not (tmp_path / "stage_construct.jsonl").exists()
 
 
 def test_truncated_stage_file_exits_2(tmp_path, golden_config_path, capsys):

@@ -283,6 +283,21 @@ def test_non_ascii_stdin_stdout_round_trip():
     assert normalize_output(result.stdout) == "ünï ✓"
 
 
+def test_stdout_bytes_that_are_not_utf8_stay_apart():
+    # A decode that replaced them would read both as "\ufffd\n", and the outputs would match.
+    with sandbox() as server:
+        ff, fe = (execute(f"import sys\nsys.stdout.buffer.write({raw!r})", Invocation.stdin(""), server)
+                  for raw in (b"\xff\n", b"\xfe\n"))
+    assert ff.ok and fe.ok
+    assert ff.stdout.encode("utf-8", "surrogateescape") == b"\xff\n"
+    assert not outputs_match(ff.stdout, fe.stdout)
+
+
+def test_stderr_bytes_that_are_not_utf8_read_as_replacement_characters():
+    result = execute("import sys\nsys.stderr.buffer.write(b'\\xff!')", Invocation.stdin(""))
+    assert result.stderr == "\ufffd!"
+
+
 def test_site_packages_hidden_from_snippets():
     # pytest is installed wherever this runs, so only a hidden site-packages fails the import.
     result = execute("import pytest", Invocation.stdin(""))

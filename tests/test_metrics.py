@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge.errors import SemiforgeError
-from semiforge.executor import Invocation, ResourceLimits, execute, sandbox
+from semiforge.executor import Invocation, ResourceLimits, SandboxSetupFailure, execute, sandbox
 from semiforge.metrics import (
     EvalProblem,
     evaluate_candidates,
@@ -161,6 +161,12 @@ def test_one_evaluation_starts_one_server(sandbox_counts):
     assert report.problems[0].c == 2
     assert len(sandbox_counts["starts"]) == 1
     assert len(sandbox_counts["calls"]) == len(sandbox_counts["runs"]) == 6
+
+
+def test_a_candidate_that_kills_the_server_is_named():
+    problems = [EvalProblem("double", DOUBLE_CASES, (GOOD, "import os; os.kill(os.getppid(), 9)", WRONG))]
+    with pytest.raises(SandboxSetupFailure, match=r"^double candidate 1: the sandbox server is gone: "):
+        evaluate_candidates(problems)
 
 
 def test_evaluate_parallel_matches_serial():

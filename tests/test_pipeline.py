@@ -4,17 +4,19 @@ import os
 import shutil
 import stat
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiforge import pipeline
 from semiforge.corpus import Problem
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
-from semiforge.executor import Invocation, SandboxSetupFailure, resolve_interpreter
+from semiforge.executor import Invocation, resolve_interpreter
 from semiforge.generation import ReplayClient, prompt_digest
 from semiforge.pipeline import (
     DATASET_FILE,
@@ -357,7 +359,7 @@ def test_non_unit_stage_row_fails_naming_line(golden_run, golden_run_copy, stage
 
 def test_drop_row_needs_only_unit_id_status_and_reason(tmp_path):
     path = stage_path(tmp_path, "construct")
-    emit_jsonl([{"unit_id": "p:0", "status": "drop", "reason": "sandbox_failure"}], path)
+    emit_jsonl([{"unit_id": "p:0", "status": "drop", "reason": "empty_test_cases"}], path)
     assert len(_read_rows("construct", path)) == 1
     emit_jsonl([{"unit_id": "p:0", "status": "drop"}], path)
     with pytest.raises(StageFailure, match="line 1: reason must be a string, got nothing"):
@@ -878,6 +880,34 @@ def test_failed_store_write_names_the_unit(tmp_path, golden_config_path, monkeyp
     assert not list(store.glob("*.tmp"))
 
 
+def test_one_request_per_prompt(tmp_path, golden_config_path, monkeypatch, loopback_server):
+    # Two problems share one solution, so their units build one prompt. The endpoint is slow,
+    # so both unit tasks miss the store at once, and it answers each request differently.
+    problems = [Problem(f"p{i}", f"Problem {i}.", ("print(input())",)) for i in range(2)]
+    config = corpus_config(golden_config_path, tmp_path, problems)
+    config.client_mode, config.endpoint, config.workers = "live", loopback_server.url, 2
+    config.replay_store = str(tmp_path / "store")
+    monkeypatch.setenv("SEMIFORGE_API_KEY", "test-key")
+
+    def answer(request):
+        time.sleep(0.3)
+        completion = (f"### Instruction\nEcho, answer {len(loopback_server.received)}.\n"
+                      "### Refined Code\nprint(input())\n### Answer Type\nstandard input\n"
+                      "### Test Case Inputs\n#### Input\n1\n")
+        return 200, {}, ok_body(completion)
+
+    loopback_server.answer = answer
+    run_pipeline(config, stop_after="generate")
+    assert len(loopback_server.received) == 1
+    assert len(list((tmp_path / "store").iterdir())) == 1
+    live = stage_path(config.out_dir, "generate").read_bytes()
+    assert [row["instruction"] for row in load_jsonl(stage_path(config.out_dir, "generate"))] == ["Echo, answer 1."] * 2
+
+    config.client_mode, config.out_dir = "replay", str(tmp_path / "replayed")
+    run_pipeline(config, stop_after="generate")
+    assert stage_path(config.out_dir, "generate").read_bytes() == live
+
+
 def test_empty_corpus_fails_ingest(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("", encoding="utf-8")
@@ -912,8 +942,11 @@ def test_missing_interpreter_fails_construct(golden_run, golden_run_copy):
     assert excinfo.value.stage == "validate"
 
 
-def units_config(golden_config_path, out_dir, codes, refined=None, raw_inputs=("1",)):
-    """A run resumed at construct over one stdin unit per code, refined to ``refined`` (the same code if None)."""
+def units_config(golden_config_path, out_dir, codes, refined=None, raw_inputs=("1",), generated=None):
+    """A run resumed at construct over one stdin unit per code, refined to ``refined`` (the same code if None).
+
+    ``generated``, if given, holds for each unit the generate fields that replace those defaults.
+    """
     ingest = [
         {"unit_id": f"u{i}:0", "problem_id": f"u{i}", "solution_index": 0, "seq": i, "code": code}
         for i, code in enumerate(codes)
@@ -926,6 +959,7 @@ def units_config(golden_config_path, out_dir, codes, refined=None, raw_inputs=("
             "refined_code": (refined or codes)[row["seq"]],
             "answer_type": {"kind": "standard_input", "function_name": None},
             "raw_inputs": list(raw_inputs),
+            **(generated[row["seq"]] if generated else {}),
         }
         for row in ingest
     ]
@@ -935,6 +969,64 @@ def units_config(golden_config_path, out_dir, codes, refined=None, raw_inputs=("
     config.out_dir = str(out_dir)
     config.resume_from = "construct"
     return config
+
+
+STDIN_TYPE = {"kind": "standard_input", "function_name": None}
+NOT_UTF8 = "import sys\nsys.stdout.buffer.write(b'\\xff\\n')"
+# Unit kinds with known fates: (original, refined, answer type, inputs, how the unit's last row ends:
+# (status, reason, input_drops)). A set printer's fate rests on the stage secrets, so it is None here;
+# of the near-duplicates, which share one instruction, the first is kept and the others drop.
+UNIT_KINDS = {
+    "stdin_pass": ("print(int(input()) + 1)", None, STDIN_TYPE, ["1", "2"], ("ok", None, {})),
+    "call_pass": ("def f(x):\n    return x * 2", None, {"kind": "call_based", "function_name": "f"}, ["3", "(4,)"],
+                  ("ok", None, {})),
+    "wrong_output": ("print(int(input()) + 1)", "print(int(input()) + 2)", STDIN_TYPE, ["1", "2"],
+                     ("drop", "wrong_output", {})),
+    "partial_crash": ("print(10 // int(input()))", None, STDIN_TYPE, ["0", "5"], ("ok", None, {"runtime_error": 1})),
+    "near_duplicate": ("print(input())", None, STDIN_TYPE, ["1"], ("drop", "near_duplicate", {})),
+    "set_printer": ('print(*{"alpha", "beta", "gamma", "delta", input()})', None, STDIN_TYPE, ["x"], None),
+    "not_utf8_original": (NOT_UTF8, None, STDIN_TYPE, ["1", "2"], ("drop", "empty_test_cases", {"runtime_error": 2})),
+    # Read with replacement characters, the refined output would match the original's U+FFFD.
+    "not_utf8_refined": ('print("\\ufffd")', NOT_UTF8, STDIN_TYPE, ["1"], ("drop", "wrong_output", {})),
+}
+COMPARED_FILES = [f"stage_{stage}.jsonl" for stage in ("construct", "validate", "dedup", "order")] + [
+    FUNNEL_FILE, DATASET_FILE]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(UNIT_KINDS)), min_size=1, max_size=6),
+       resume=st.sampled_from(STAGES[3:]))
+def test_drawn_units_end_as_their_kinds_say_at_any_width_and_when_resumed(golden_config_path, kinds, resume):
+    codes = [UNIT_KINDS[kind][0] for kind in kinds]
+    refined = [UNIT_KINDS[kind][1] or UNIT_KINDS[kind][0] for kind in kinds]
+    generated = [{"instruction": "Echo the line." if kind == "near_duplicate" else f"task{seq}",
+                  "answer_type": UNIT_KINDS[kind][2], "raw_inputs": UNIT_KINDS[kind][3]}
+                 for seq, kind in enumerate(kinds)]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp, name) for name in ("serial", "pool", "resumed")]
+        for out, workers in zip(outs[:2], (1, 4)):
+            out.mkdir()
+            config = units_config(golden_config_path, out, codes, refined, generated=generated)
+            config.workers = workers
+            run_pipeline(config)
+        outs[2].mkdir()
+        for stage in STAGES[: STAGES.index(resume)]:
+            shutil.copy(stage_path(outs[0], stage), outs[2])
+        run_pipeline(PipelineConfig.from_dict({**config.to_dict(), "out_dir": str(outs[2]), "resume_from": resume}))
+        files = [[(out / name).read_bytes() for name in COMPARED_FILES] for out in outs]
+        assert files[0] == files[1] == files[2]
+        last_rows = {}  # unit_id -> its row of the last stage it reached
+        for stage in ("construct", "validate", "dedup"):
+            last_rows.update((row["unit_id"], row) for row in load_jsonl(stage_path(outs[0], stage)))
+    for seq, kind in enumerate(kinds):
+        row = last_rows[f"u{seq}:0"]
+        fate = (row["status"], row["reason"], row.get("input_drops") or {})
+        if kind == "set_printer":
+            assert fate in (("ok", None, {}), ("drop", "wrong_output", {})), kind
+        elif kind == "near_duplicate" and kinds.index(kind) == seq:
+            assert fate == ("ok", None, {}), kind
+        else:
+            assert fate == UNIT_KINDS[kind][4], kind
 
 
 def test_construct_and_validate_fork_from_different_servers(tmp_path, golden_config_path):
@@ -957,35 +1049,37 @@ def test_output_overflow_fails_validation_as_runtime_error(tmp_path, golden_conf
     assert (row["status"], row["reason"], row["case_index"], row["difficulty"]) == ("drop", "runtime_error", 1, 2)
 
 
-def test_sandbox_failure_drops_the_unit_and_the_run_goes_on(tmp_path, golden_config_path, monkeypatch):
-    codes = ["print(input())", "print(int(input()) + 1)", "print(int(input()) + 2)"]
-    config = units_config(golden_config_path, tmp_path, codes)
-    failing = {"construct_test_cases": codes[0], "validate_refined_code": codes[1]}
+KILL_SERVER = "import os; os.kill(os.getppid(), 9)"  # a run's parent is the fork server it was forked from
 
-    def failing_on(name, function):
-        def wrapper(code, *args):
-            if code == failing[name]:
-                raise SandboxSetupFailure("the sandbox server is gone")
-            return function(code, *args)
 
-        return wrapper
+def killing_config(golden_config_path, out_dir):
+    """Eight stdin units resumed at construct, where unit u2:0's original kills construct's server."""
+    codes = ["print(input())"] * 8
+    codes[2] = KILL_SERVER
+    return units_config(golden_config_path, out_dir, codes)
 
-    for name in failing:
-        monkeypatch.setattr(f"semiforge.pipeline.{name}", failing_on(name, getattr(pipeline, name)))
-    stats = run_pipeline(config, stop_after="dedup")
-    construct, validate = (load_jsonl(stage_path(tmp_path, stage)) for stage in ("construct", "validate"))
-    assert [(row["unit_id"], row["status"], row["reason"]) for row in construct] == [
-        ("u0:0", "drop", "sandbox_failure"),
-        ("u1:0", "ok", None),
-        ("u2:0", "ok", None),
-    ]
-    assert [(row["unit_id"], row["status"], row["reason"]) for row in validate] == [
-        ("u1:0", "drop", "sandbox_failure"),
-        ("u2:0", "ok", None),
-    ]
-    assert stats.counts() == (3, 3, 2, 1, 1)
-    funnel = json.loads((tmp_path / FUNNEL_FILE).read_text(encoding="utf-8"))
-    assert funnel["drop_reasons"] == {"construct": {"sandbox_failure": 1}, "validate": {"sandbox_failure": 1}}
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_unit_that_kills_its_server_fails_construct(tmp_path, golden_config_path, sandbox_counts, workers):
+    config = killing_config(golden_config_path, tmp_path)
+    config.workers = workers
+    with pytest.raises(StageFailure, match=r"^stage construct: u\d:0: the sandbox server is gone") as excinfo:
+        run_pipeline(config)
+    assert excinfo.value.stage == "construct"
+    if workers == 1:  # u0:0 and u1:0 ran construct and validate, u2:0 construct, and no unit after it started
+        assert str(excinfo.value).startswith("stage construct: u2:0: the sandbox server is gone: ")
+        assert len(sandbox_counts["runs"]) == 5
+    assert sorted(path.name for path in tmp_path.glob("stage_*")) == ["stage_generate.jsonl", "stage_ingest.jsonl"]
+
+
+def test_a_refined_program_that_kills_its_server_fails_validate_naming_its_unit(tmp_path, golden_config_path):
+    codes = ["print(input())"] * 3
+    config = units_config(golden_config_path, tmp_path, codes, [codes[0], KILL_SERVER, codes[2]])
+    config.workers = 1
+    with pytest.raises(StageFailure, match=r"^stage validate: u1:0: the sandbox server is gone: ") as excinfo:
+        run_pipeline(config)
+    assert excinfo.value.stage == "validate"
+    assert not stage_path(tmp_path, "construct").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 4])

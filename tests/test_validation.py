@@ -51,6 +51,13 @@ def test_construct_all_crash_returns_no_cases(server):
     assert (cases, drops) == ([], {"runtime_error": 2})
 
 
+def test_construct_drops_an_input_whose_output_is_not_utf8(server):
+    code = "import sys\nn = input()\nsys.stdout.buffer.write(b'\\xff\\n' if n == '1' else n.encode() + b'\\n')"
+    cases, drops = construct_test_cases(code, stdin_invocations(["1", "2"]), server)
+    assert [c.expected_output for c in cases] == ["2"]
+    assert drops == {"runtime_error": 1}
+
+
 # -------------------------------------------------------------- validation
 
 DOUBLE_CASES = [
@@ -67,6 +74,13 @@ def test_validate_passes_equivalent_code(server):
 def test_validate_wrong_output_reports_index(server):
     cases = [Case(Invocation.stdin("0"), "0"), Case(Invocation.stdin("2"), "4")]
     assert validate_refined_code("print(int(input()) * 3)", cases, server) == (1, "wrong_output")
+
+
+def test_validate_output_that_is_not_utf8_is_wrong_output(server):
+    # U+FFFD is the text a decode that replaced the byte would have read.
+    cases = [Case(Invocation.stdin(""), "\ufffd")]
+    code = "import sys\nsys.stdout.buffer.write(b'\\xff\\n')"
+    assert validate_refined_code(code, cases, server) == (0, "wrong_output")
 
 
 def test_validate_runtime_error(server):
