@@ -20,7 +20,7 @@ from pathlib import Path
 from .corpus import FORMATS
 from .dataset import FunnelStats, NonEmpty, atomic_write, check_fields, check_only, funnel_report, read_json_lines
 from .errors import SemiforgeError
-from .executor import Invocation, ResourceLimits
+from .executor import DEFAULT_WALL_TIMEOUT, Invocation, ResourceLimits
 from .metrics import EvalProblem, evaluate_candidates
 from .pipeline import CLIENT_MODES, DATASET_FILE, PipelineConfig, load_config, run_pipeline
 from .validation import CASE_FIELDS, CASE_REQUIRED, TestCase
@@ -49,7 +49,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoint", dest="endpoint", help="live chat-completion endpoint URL")
     parser.add_argument("--model", dest="model_id", help="model id sent to the live endpoint")
     parser.add_argument("--interpreter", dest="interpreter", help="interpreter for sandboxed runs")
-    parser.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run timeout seconds")
+    parser.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run CPU seconds")
     parser.add_argument("--threshold", type=float, dest="dedup_threshold", help="ROUGE-L dedup threshold")
     parser.add_argument("--order", dest="order", help="ordering strategy")
     parser.add_argument("--seed", type=int, dest="seed", help="RNG seed for randomized orderings")
@@ -118,7 +118,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise SemiforgeError(f"--k takes comma-separated integers, got {args.k!r}") from exc
     problems = _load_eval_problems(args.problems, args.candidates)
     try:
-        limits = ResourceLimits(wall_timeout=args.wall_timeout) if args.wall_timeout is not None else None
+        limits = ResourceLimits(wall_timeout=args.wall_timeout)
     except ValueError as exc:
         raise SemiforgeError(str(exc)) from exc
     report = evaluate_candidates(
@@ -170,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--problems", required=True, help="JSONL of {problem_id, test_cases}")
     p_eval.add_argument("--candidates", required=True, help="JSONL of {problem_id, candidate_code}")
     p_eval.add_argument("--k", default="1", help="comma-separated k values (default 1)")
-    p_eval.add_argument("--wall-timeout", type=float, dest="wall_timeout", help="per-run timeout seconds")
+    p_eval.add_argument("--wall-timeout", type=float, dest="wall_timeout", default=DEFAULT_WALL_TIMEOUT,
+                        help="per-run CPU seconds (default %(default)s)")
     p_eval.add_argument("--interpreter", help="interpreter for sandboxed runs")
     p_eval.add_argument("--workers", type=int, default=1, help="worker pool width (default 1)")
     p_eval.add_argument("--out", help="write the JSON report here as well")

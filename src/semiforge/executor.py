@@ -7,11 +7,14 @@ is enforced with RLIMIT_FSIZE set to one byte above it: a run that
 fills the extra byte is reported as an overflow, with empty stdout,
 instead of being silently truncated. Both, and RLIMIT_CORE 0, are set
 once on each fork server, soft equal to hard, and every run inherits
-them; a host that cannot give them, or pidfds (below), fails at
-``sandbox()`` with ``SandboxSetupFailure``, before any run. The wall
+them; a host that cannot give them, pidfds (below), or an unlimited
+RLIMIT_CPU for the server (whose CPU adds up over all its runs) fails
+at ``sandbox()`` with ``SandboxSetupFailure``, before any run. The time
 limit and the ``str`` hash secret are the server's too:
 ``sandbox(interpreter, limits, secret)`` fixes them for every run
-forked from that server.
+forked from that server, and a server is always given a secret, 0 by
+default, so the same program and input get one verdict from every
+server of the same settings.
 
 Runs are forked from a fork server (``_SERVER``): one single-threaded
 ``python -s -S -B -X utf8`` interpreter, so a run costs a ``fork``
@@ -23,9 +26,9 @@ starts one with the default limits for that run and pays the start-up
 below. The flags make the server ignore user site-packages, skip
 ``site`` (so solutions see only the standard library), write no
 bytecode and use UTF-8; it runs under ``-s``, not ``-I``, which would
-ignore ``PYTHONHASHSEED``. Its environment holds only ``PATH`` and,
-when a secret is given, ``PYTHONHASHSEED``, so credentials and other
-``PYTHON*`` variables never reach it. Before anything else it drops
+ignore ``PYTHONHASHSEED``. Its environment holds only ``PATH`` and
+``PYTHONHASHSEED``, so credentials and other ``PYTHON*`` variables
+never reach it. Before anything else it drops
 ``""`` (its working directory, which ``-I`` kept off the path, and
 Python 3.10 has no ``-P``) from ``sys.path``, and it deletes
 ``PYTHONHASHSEED`` from its environment before its first fork. It
@@ -38,10 +41,9 @@ of CPU), and ``literal_eval`` would cost each call-based child 15-19 ms
 more to import ``ast`` and the modules it pulls in. ``ast`` holds no
 per-process state (it brings in no ``random`` and no ``threading``), so
 each child still starts like a fresh interpreter, with one exception:
-the ``str`` hash secret is the server's, ``secret`` or (for ``None``)
-one drawn at random when it starts, so runs forked from one server
-share it. The pipeline opens one server per sandbox stage, each with a
-secret of its own fixed by the run's seed, and both stay open while
+the ``str`` hash secret is the server's, ``secret``, so runs forked
+from one server share it. The pipeline opens one server per sandbox
+stage, each with a secret of its own fixed by the run's seed, and both stay open while
 its units run. The server is started with a real ``fork``, not
 ``vfork``, which would charge it the parent's RSS high-water mark. The
 ``exec`` after the fork still carries the forked copy's RSS into the
@@ -72,18 +74,26 @@ that is not UTF-8 reads as a lone surrogate and different bytes never
 read as the same text; stderr, which is only shown, is decoded with
 ``errors="replace"``. A run's status is one of ``STATUSES``.
 
-The parent waits on a pidfd of the child with ``poll``, which returns
-as soon as the child exits, and bounds the wait by the server's wall
-timeout (at most ``MAX_WALL_TIMEOUT``, 2**31 - 1 ms, the most ``poll``
-waits); pidfds need Linux 5.3 or later. ``execute`` raises
-``SandboxSetupFailure`` when the server is gone. On every
+A run's time limit counts the CPU its process uses, so a verdict does
+not depend on how many runs share the host's CPUs. Each child sets
+RLIMIT_CPU to ``wall_timeout`` rounded up to whole seconds (the kernel
+counts this rlimit in seconds): SIGXCPU at that soft limit, SIGKILL one
+second later. ``reap`` answers the child's CPU with its exit code
+(``wait4``). The parent waits on a pidfd of the child with ``poll``,
+which returns as soon as the child exits; the wait is a backstop for a
+child that sleeps or blocks, bounded at 3x ``wall_timeout`` of wall
+time (at most ``MAX_WALL_TIMEOUT``, 2**31 - 1 ms, the most ``poll``
+waits); pidfds need Linux 5.3 or later. A run is ``timeout`` when the
+backstop fired, the child died of SIGXCPU, or its CPU reached the
+limit; a snippet that kills itself otherwise is a ``runtime_error``.
+``execute`` raises ``SandboxSetupFailure`` when the server is gone. On every
 exit the server kills the child's process group and the child while
 the child is an unreaped zombie (so its group id cannot have been
 reused), and only then reaps it: a background process forked by the
 snippet does not outlive the call. At EOF on its commands, which is
 also what it reads when its parent dies, the server does the same to
 every child it has not yet reaped, so no child runs on without its wall
-limit, and removes that child's working directory (from its ``run``
+backstop, and removes that child's working directory (from its ``run``
 command), which a dead parent would leave behind. It then exits with
 ``os._exit``, skipping the interpreter's finalization.
 
@@ -115,30 +125,35 @@ from .errors import SemiforgeError, is_function_name
 
 MODES = ("stdin", "call")
 STATUSES = ("ok", "runtime_error", "timeout", "output_overflow")  # of ExecResult.status
-DEFAULT_WALL_TIMEOUT = 5.0  # seconds: a run's wall limit unless its server is given one
+DEFAULT_WALL_TIMEOUT = 5.0  # seconds: a run's time limit unless its server is given one
 MAX_WALL_TIMEOUT = (2**31 - 1) / 1000  # seconds: poll waits at most 2**31 - 1 ms
 MEMORY_BYTES = 256 * 1024 * 1024  # a run's address-space ceiling
 OUTPUT_BYTES = 1024 * 1024  # the most a run may write to any one file, its stdout included
 
-# The fork server, run as ``python -s -S -B -X utf8 -c _SERVER``. Its
-# stdin and stdout are the command and answer pipes. Each command is a
+# The fork server, run as ``python -s -S -B -X utf8 -c _SERVER cpu_seconds``.
+# Its stdin and stdout are the command and answer pipes. Each command is a
 # marshalled tuple answered by one marshalled value: ("run", workdir,
 # call) forks a child for the snippet staged in workdir and answers its
 # pid, where call is None in stdin mode and (function name, stripped
 # argument literal) in call mode; ("reap", pid) kills the child's group
-# and the child, reaps it and answers its exit code. A str answer is an
-# error. The server first answers its own pid, to show that it started,
-# before it imports ast; the parent then sets the rlimits children inherit.
+# and the child, reaps it and answers its exit code and the seconds of
+# CPU (user plus system) it used. A str answer is an error. The server
+# first answers its own pid, to show that it started, before it imports
+# ast; the parent then sets the rlimits children inherit.
 _SERVER = r"""
 import sys
 sys.path = [entry for entry in sys.path if entry]  # no "" (the working directory): nothing there shadows the stdlib
-import atexit, builtins, marshal, os
+import atexit, builtins, marshal, os, resource
+CPU_SECONDS = int(sys.argv[1])  # each run's CPU limit
 os.environ.pop("PYTHONHASHSEED", None)  # the server's secret: no child sees it or passes it on
 os.write(1, marshal.dumps(os.getpid()))  # started: the parent goes on while ast loads
 import ast  # preloaded for the children; see the module docstring
 
 def run(workdir, call):
     os.setsid()
+    # SIGXCPU at the soft limit, and SIGKILL a second later for a snippet that ignores it. Set per
+    # child, not on the server, whose own CPU would count against it.
+    resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS + 1))
     os.chdir(workdir)
     for fd, name in enumerate(("stdin.txt", "stdout.txt", "stderr.txt")):
         staged = os.open(name, os.O_WRONLY if fd else os.O_RDONLY)
@@ -203,7 +218,8 @@ def reap(pid):
             kill(pid, 9)  # SIGKILL; the signal module would import enum
         except (ProcessLookupError, PermissionError):
             pass
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime
 
 def serve():
     commands = sys.stdin.buffer
@@ -287,6 +303,8 @@ class _ResourceLimits(NamedTuple):
 
 
 class ResourceLimits(_ResourceLimits):
+    """A run's time limit: ``wall_timeout`` seconds of CPU, rounded up to whole seconds, and 3x that of wall time."""
+
     __slots__ = ()
 
     def __new__(cls, wall_timeout: float = DEFAULT_WALL_TIMEOUT) -> "ResourceLimits":
@@ -324,18 +342,17 @@ def resolve_interpreter(interpreter: str | None = None) -> str:
 class _Server:
     """A running fork server and the pipes to it; see ``_SERVER``."""
 
-    def __init__(self, python: str, limits: ResourceLimits, secret: int | None):
-        self.wall_timeout = limits.wall_timeout
-        env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
-        if secret is not None:
-            env["PYTHONHASHSEED"] = str(secret)
+    def __init__(self, python: str, limits: ResourceLimits, secret: int):
+        self.cpu_seconds = math.ceil(limits.wall_timeout)  # RLIMIT_CPU counts whole seconds
+        self.backstop = min(3 * limits.wall_timeout, MAX_WALL_TIMEOUT)  # the wall time of a run that sleeps or blocks
+        env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONHASHSEED": str(secret)}
         try:
             # Any uid change (here a no-op one) makes _posixsubprocess fork
             # instead of vfork, with no Python code between fork and exec.
             # A session of its own keeps a terminal's Ctrl-C to the parent
             # from killing the server mid-run.
             self._proc = subprocess.Popen(
-                [python, "-s", "-S", "-B", "-X", "utf8", "-c", _SERVER],
+                [python, "-s", "-S", "-B", "-X", "utf8", "-c", _SERVER, str(self.cpu_seconds)],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 env=env,
@@ -351,6 +368,8 @@ class _Server:
             for name, value in (("RLIMIT_AS", MEMORY_BYTES), ("RLIMIT_FSIZE", OUTPUT_BYTES + 1), ("RLIMIT_CORE", 0)):
                 setup = f"set {name} to {value}"
                 resource.prlimit(pid, getattr(resource, name), (value, value))
+            setup = "lift RLIMIT_CPU"  # the server's CPU adds up over all its runs; each child sets its own limit
+            resource.prlimit(pid, resource.RLIMIT_CPU, (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
             setup = "open a pidfd (Linux 5.3 or later)"  # each run is waited on through one
             os.close(os.pidfd_open(pid))
         except (AttributeError, OSError) as exc:
@@ -377,22 +396,27 @@ class _Server:
     def run(self, workdir: str, call: tuple[str, str] | None) -> tuple[bool, int, float]:
         """Run the snippet staged in ``workdir``; return (timed out, exit code, seconds).
 
-        The run times out at the server's ``wall_timeout``. The seconds
+        The run times out when the kernel stopped it at its CPU limit,
+        when its CPU reached that limit, or when it outlived the wall
+        backstop. The kernel checks the limit against CPU sampled at
+        each tick, which ``wait4``'s precise figure can fall short of,
+        so a SIGXCPU death counts whatever CPU was reported. The seconds
         run from the fork to the reap, so they leave out the wait for
         the server's ``ast`` import before its first fork.
         """
         pid = self._exchange("run", workdir, call)
         forked = time.monotonic()
         try:
-            timed_out = not _wait_exit(pid, self.wall_timeout)
+            exited = _wait_exit(pid, self.backstop)
         finally:
             try:
-                returncode = self._exchange("reap", pid)
+                returncode, cpu = self._exchange("reap", pid)
             except SandboxSetupFailure:
                 # The server died mid-run; its orphaned child would run on.
                 with contextlib.suppress(OSError):
                     os.killpg(pid, signal.SIGKILL)
                 raise
+        timed_out = not exited or returncode == -signal.SIGXCPU or cpu >= self.cpu_seconds
         return timed_out, returncode, time.monotonic() - forked
 
     def close(self) -> None:
@@ -401,18 +425,19 @@ class _Server:
 
 
 @contextlib.contextmanager
-def sandbox(interpreter: str | None = None, limits: ResourceLimits | None = None, secret: int | None = None):
+def sandbox(interpreter: str | None = None, limits: ResourceLimits = ResourceLimits(), secret: int = 0):
     """Start a fork server for ``interpreter``, yield it, and close it when the block ends.
 
     Pass the server to ``execute`` to fork a run from it; several
     threads may use it at once. Every run forked from one server shares
-    its rlimits, its wall limit, ``limits`` (by default
-    ``ResourceLimits()``), and its ``str`` hash secret, ``secret`` (an
-    integer from 0 to 2**32 - 1, as ``PYTHONHASHSEED`` takes; drawn at
-    random for ``None``). Raises ``SandboxSetupFailure`` if the
-    interpreter is not found or the server cannot start or be set up.
+    its rlimits, its time limits, set by ``limits``, and its ``str``
+    hash secret, ``secret`` (an integer from 0 to 2**32 - 1, as
+    ``PYTHONHASHSEED`` takes). So a program run twice with the same
+    settings gets the same verdict, set order included. Raises
+    ``SandboxSetupFailure`` if the interpreter is not found or the
+    server cannot start or be set up.
     """
-    server = _Server(resolve_interpreter(interpreter), limits or ResourceLimits(), secret)
+    server = _Server(resolve_interpreter(interpreter), limits, secret)
     try:
         yield server
     finally:

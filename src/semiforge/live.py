@@ -39,6 +39,7 @@ class LiveClient:
 
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
     ATTEMPTS = 4
+    IN_FLIGHT = 16  # the completions a live pipeline run asks for at once
     BACKOFF_S = 0.5  # the wait after the first failed attempt; it doubles after each
     MAX_WAIT_S = 600.0  # the longest Retry-After honored; time.sleep raises from threading.TIMEOUT_MAX up
     TIMEOUT_S = 120.0

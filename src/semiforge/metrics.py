@@ -54,7 +54,7 @@ class PassAtKReport(NamedTuple):
 
 def evaluate_candidates(
     problems: Sequence[EvalProblem],
-    limits: ResourceLimits | None = None,
+    limits: ResourceLimits = ResourceLimits(),
     ks: Sequence[int] = (1,),
     interpreter: str | None = None,
     workers: int = 1,
@@ -96,8 +96,7 @@ def evaluate_candidates(
         except SandboxSetupFailure as exc:  # the server is gone: say whose run found it so
             raise SandboxSetupFailure(f"{problems[i].problem_id} candidate {j}: {exc}") from exc
 
-    # One fixed str hash secret: a program whose output follows set order scores alike in every call.
-    with sandbox(interpreter, limits, secret=0) as server:
+    with sandbox(interpreter, limits) as server:
         outcomes = map_workers(workers, passes, jobs)
 
     correct = [0] * len(problems)

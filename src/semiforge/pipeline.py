@@ -34,9 +34,10 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from collections import Counter, defaultdict
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -385,23 +386,28 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
 
     A unit goes on to the next stage as soon as the one before keeps it,
     so no stage waits for the other units, and a unit's sandbox runs
-    overlap the other units' completions. Every stage is set up before
-    any unit runs, in chain order: generate's template and client, then
-    each sandbox stage's fork server, with the config's limits and a
-    ``str`` hash secret of the stage's own (see _hash_secret). So a bad
-    template starts no server, and a server that cannot start asks for
-    no completion. An error in a unit's work, such as a missing
-    completion or a sandbox server that one unit's code killed, is a
-    StageFailure naming the stage and the unit: no further unit starts,
-    and it is raised once the unit tasks already running have ended, so
-    the chain returns no rows. Returns each stage's rows in unit order.
+    overlap the other units' completions. ``config.workers`` bounds the
+    units in a sandbox stage at once; a live run that generates runs
+    more unit tasks than that (``LiveClient.IN_FLIGHT``), so that many
+    completions are in flight while the sandbox runs go on. Every stage
+    is set up before any unit runs, in chain order: generate's template
+    and client, then each sandbox stage's fork server, with the config's
+    limits and a ``str`` hash secret of the stage's own (see
+    _hash_secret). So a bad template starts no server, and a server
+    that cannot start asks for no completion. An error in a unit's
+    work, such as a missing completion or a sandbox server that one
+    unit's code killed, is a StageFailure naming the stage and the
+    unit: no further unit starts, and it is raised once the unit tasks
+    already running have ended, so the chain returns no rows. Returns
+    each stage's rows in unit order.
     """
     tools = {}  # stage -> what its unit work is given: generate's template and client, a sandbox stage's server
+    sandbox_slots = threading.BoundedSemaphore(config.workers)
 
     def work(row: dict) -> list[dict]:
         passed = []
         for stage in chain:
-            with _failing_as(stage, row["unit_id"]):
+            with _failing_as(stage, row["unit_id"]), nullcontext() if stage == "generate" else sandbox_slots:
                 row = _UNIT_WORK[stage](tools[stage], row)
             passed.append(row)
             if row["status"] != "ok":
@@ -413,7 +419,9 @@ def _run_chain(config: PipelineConfig, chain: tuple[str, ...], rows: list[dict])
             with _failing_as(stage):
                 tools[stage] = _generation_tools(config) if stage == "generate" else stack.enter_context(
                     sandbox(config.interpreter, config.limits(), _hash_secret(config.seed, stage)))
-        units = map_workers(config.workers, work, _ok_rows(rows))
+        live = "generate" in chain and config.client_mode == "live"
+        units = map_workers(max(config.workers, LiveClient.IN_FLIGHT) if live else config.workers, work,
+                            _ok_rows(rows))
     return {stage: [unit[index] for unit in units if len(unit) > index] for index, stage in enumerate(chain)}
 
 

@@ -102,17 +102,19 @@ class LoopbackServer:
     ``script`` holds ``(status, headers, body)`` answers given in turn; the
     last one repeats. A body is bytes, or a dict sent as JSON. A ``Content-Length``
     in ``headers`` replaces the true one, so a larger value cuts the body
-    short. Assign ``answer`` to compute an answer from the request instead.
+    short. Assign ``answer`` to compute an answer from the request instead;
+    it is called outside ``lock``, so requests in flight at once are
+    answered at once.
     """
 
     def __init__(self, url: str):
         self.url = url
         self.script: list[tuple[int, dict, object]] = [(200, {}, b"")]
-        self.received: list[dict] = []  # {"method", "path", "headers", "json"}, in arrival order
+        self.received: list[dict] = []  # {"method", "path", "headers", "json", "index"}, in arrival order
         self.lock = threading.Lock()
 
     def answer(self, request: dict) -> tuple[int, dict, object]:
-        return self.script[min(len(self.received), len(self.script)) - 1]
+        return self.script[min(request["index"], len(self.script) - 1)]
 
 
 @pytest.fixture()
@@ -128,16 +130,16 @@ def start_loopback_server(monkeypatch):
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                request = {
+                    "method": self.command,
+                    "path": self.path,
+                    "headers": self.headers,
+                    "json": json.loads(body) if body else None,
+                }
                 with state.lock:
-                    state.received.append(
-                        {
-                            "method": self.command,
-                            "path": self.path,
-                            "headers": self.headers,
-                            "json": json.loads(body) if body else None,
-                        }
-                    )
-                    status, headers, payload = state.answer(state.received[-1])
+                    request["index"] = len(state.received)
+                    state.received.append(request)
+                status, headers, payload = state.answer(request)
                 if isinstance(payload, dict):
                     payload = json.dumps(payload).encode("utf-8")
                 self.send_response(status)

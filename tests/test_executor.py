@@ -99,6 +99,38 @@ def test_runtime_error_captured():
     assert "boom" in result.stderr
 
 
+def test_cpu_bound_runs_that_share_the_cpus_stay_within_their_limit():
+    """Each run needs 0.7 s of CPU under a 1.0 s limit; four at once on fewer CPUs take longer than that in wall time."""
+    code = "import time\nwhile time.process_time() < 0.7:\n    pass\nprint('done')"
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server, ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [pool.submit(execute, code, Invocation.stdin(""), server) for _ in range(4)]
+        results = [run.result(timeout=30) for run in runs]
+    assert [(result.status, result.stdout) for result in results] == [("ok", "done\n")] * 4
+
+
+def test_a_run_that_sleeps_times_out_at_the_wall_backstop():
+    with sandbox(limits=ResourceLimits(wall_timeout=0.2)) as server:
+        result = execute("import time\ntime.sleep(60)", Invocation.stdin(""), server)
+    assert result.status == "timeout"
+    assert result.returncode is None
+    assert 0.6 <= result.duration < 5.0  # 3x the limit
+
+
+def test_a_run_that_kills_itself_is_a_runtime_error():
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
+        result = execute("import os\nos.kill(os.getpid(), 9)", Invocation.stdin(""), server)
+    assert result.status == "runtime_error"
+    assert result.returncode == -signal.SIGKILL
+
+
+def test_a_run_that_ignores_sigxcpu_still_times_out():
+    code = "import signal\nsignal.signal(signal.SIGXCPU, signal.SIG_IGN)\nwhile True:\n    pass"
+    with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
+        result = execute(code, Invocation.stdin(""), server)
+    assert result.status == "timeout"
+    assert result.returncode is None
+
+
 def test_timeout_kills_spin_loop():
     started = time.monotonic()
     with sandbox(limits=ResourceLimits(wall_timeout=1.0)) as server:
@@ -177,9 +209,11 @@ def test_fifo_in_place_of_stderr_does_not_block_the_parent():
 def test_runs_inherit_the_servers_limits():
     code = (
         "import resource\n"
-        "print(*(resource.getrlimit(getattr(resource, name)) for name in ('RLIMIT_AS', 'RLIMIT_FSIZE', 'RLIMIT_CORE')))"
+        "names = ('RLIMIT_AS', 'RLIMIT_FSIZE', 'RLIMIT_CORE', 'RLIMIT_CPU')\n"
+        "print(*(resource.getrlimit(getattr(resource, name)) for name in names))"
     )
-    expected = [(executor.MEMORY_BYTES,) * 2, (executor.OUTPUT_BYTES + 1,) * 2, (0, 0)]
+    # The CPU limit is the run's own: whole seconds, and SIGKILL one second past it.
+    expected = [(executor.MEMORY_BYTES,) * 2, (executor.OUTPUT_BYTES + 1,) * 2, (0, 0), (5, 6)]
     result = execute(code, Invocation.stdin(""))
     assert result.ok, result.stderr
     assert normalize_output(result.stdout) == " ".join(map(str, expected))
@@ -405,26 +439,31 @@ def test_snippet_sees_only_fds_0_to_2():
     assert normalize_output(result.stdout) == "[0, 1, 2]"
 
 
-def test_str_hash_is_shared_within_a_block_only():
+def test_str_hash_is_shared_by_the_runs_of_one_secret():
     code = "print(hash('semiforge'))"
     blocks = []
-    for _ in range(2):
-        with sandbox() as server:
+    for secret in ({}, {}, {"secret": 1}):
+        with sandbox(**secret) as server:
             blocks.append([execute(code, Invocation.stdin(""), server).stdout for _ in range(2)])
-    assert blocks[0][0] == blocks[0][1]
-    assert blocks[1][0] == blocks[1][1]
-    assert blocks[0][0] != blocks[1][0]
+    assert [len(set(block)) for block in blocks] == [1, 1, 1]  # the runs of a block share it
+    assert blocks[0] == blocks[1] != blocks[2]  # two blocks of the default secret agree
+
+
+def test_execute_without_a_server_prints_one_set_order():
+    # Each call starts a server of its own, of the default secret.
+    code = "print({'alpha', 'beta', 'gamma', 'delta', 'epsilon'})"
+    assert len({execute(code, Invocation.stdin("")).stdout for _ in range(2)}) == 1
 
 
 def test_blocks_open_at_once_fork_from_servers_of_their_own():
     def run(server):
         return execute("print(hash('semiforge'))", Invocation.stdin(""), server).stdout
 
-    with sandbox() as a, sandbox() as b:
+    with sandbox(secret=1) as a, sandbox(secret=2) as b:
         with ThreadPoolExecutor(max_workers=2) as pool:
             runs = [pool.submit(run, server) for server in (a, b, a, b)]
             on_workers = [future.result(timeout=30) for future in runs]
-        # A server gives the same hash on every thread, and each block a hash of its own.
+        # A server gives the same hash on every thread, and each block, of a secret of its own, a hash of its own.
         assert on_workers[0] == on_workers[2] == run(a)
         assert on_workers[1] == on_workers[3] == run(b)
         assert on_workers[0] != on_workers[1]

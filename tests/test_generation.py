@@ -1,6 +1,8 @@
 import json
 import re
 import socket
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,6 +366,20 @@ def test_live_client_success(loopback_server, api_key, no_sleep):
     }
     assert sent["headers"]["Authorization"] == "Bearer test-key"
     assert sent["headers"]["Content-Type"] == "application/json"
+
+
+def test_loopback_server_answers_requests_at_once(loopback_server, api_key):
+    def answer(request):
+        time.sleep(0.3)
+        return 200, {}, ok_body()
+
+    loopback_server.answer = answer
+    started = time.monotonic()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        texts = [run.result(timeout=10).text for run in [pool.submit(ask, loopback_server) for _ in range(2)]]
+    assert texts == ["generated"] * 2
+    assert time.monotonic() - started < 0.5
+    assert sorted(request["index"] for request in loopback_server.received) == [0, 1]
 
 
 def test_live_client_retries_with_backoff(loopback_server, api_key, no_sleep):

@@ -5,14 +5,16 @@ import shutil
 import stat
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiforge import pipeline
+from semiforge import executor, pipeline
 from semiforge.corpus import Problem
 from semiforge.dataset import emit_jsonl
 from semiforge.errors import SemiforgeError
@@ -52,6 +54,16 @@ def test_golden_funnel_counts(golden_run):
     _, _, stats = golden_run
     assert stats.counts() == EXPECTED_FUNNEL
     assert stats.is_monotonic()
+
+
+def test_cold_golden_runs_at_4_workers_write_the_golden_funnel(tmp_path, golden_config_path):
+    # A timeout counts the run's own CPU, so the verdicts do not depend on how many runs share the CPUs.
+    config = load_config(golden_config_path)
+    config.workers = 4
+    for attempt in range(5):
+        config.out_dir = str(tmp_path / str(attempt))
+        run_pipeline(config)
+        assert (tmp_path / str(attempt) / FUNNEL_FILE).read_bytes() == (GOLDEN / "funnel_stats.json").read_bytes()
 
 
 def test_golden_drop_reasons(golden_run):
@@ -811,10 +823,11 @@ def serve_removed_completions(tmp_path, monkeypatch, server, k, fail_on=None):
     asked = []
 
     def answer(request):
-        asked.append(prompt_digest(request["json"]["messages"][0]["content"]))
+        digest = prompt_digest(request["json"]["messages"][0]["content"])
+        asked.append(digest)
         if len(asked) == fail_on:
             return 400, {}, b""
-        return 200, {}, ok_body(removed[f"{asked[-1]}.txt"].decode("utf-8"))
+        return 200, {}, ok_body(removed[f"{digest}.txt"].decode("utf-8"))
 
     server.answer = answer
     monkeypatch.setenv("SEMIFORGE_API_KEY", "test-key")
@@ -878,6 +891,47 @@ def test_failed_store_write_names_the_unit(tmp_path, golden_config_path, monkeyp
     with pytest.raises(StageFailure, match=rf"^stage generate: mp\d+:\d+: could not write {store}/.*injected failure"):
         run_pipeline(config)
     assert not list(store.glob("*.tmp"))
+
+
+def test_a_live_run_keeps_more_completions_in_flight_than_workers(tmp_path, golden_config_path, monkeypatch,
+                                                                 loopback_server):
+    """``workers`` bounds the sandbox runs at once, not the completions asked for at once."""
+    store, _, _ = serve_removed_completions(tmp_path, monkeypatch, loopback_server,
+                                            k=len(list((FIXTURES / "completions").iterdir())))
+    config = live_config(golden_config_path, loopback_server, store, tmp_path / "out")
+    config.workers = 2
+    lock = threading.Lock()
+    at_once = {"asked": 0, "runs": 0}
+    most = dict(at_once)
+
+    @contextmanager
+    def counted(kind):
+        with lock:
+            at_once[kind] += 1
+            most[kind] = max(most[kind], at_once[kind])
+        try:
+            yield
+        finally:
+            with lock:
+                at_once[kind] -= 1
+
+    serve, run = loopback_server.answer, executor._Server.run
+
+    def slow_answer(request):
+        with counted("asked"):
+            time.sleep(0.3)
+            return serve(request)
+
+    def counted_run(server, *args):
+        with counted("runs"):
+            return run(server, *args)
+
+    loopback_server.answer = slow_answer
+    monkeypatch.setattr(executor._Server, "run", counted_run)
+    assert run_pipeline(config).counts() == EXPECTED_FUNNEL
+    assert most["asked"] > 2
+    assert most["runs"] <= 2
+    assert (tmp_path / "out" / DATASET_FILE).read_bytes() == (GOLDEN / "dataset.jsonl").read_bytes()
 
 
 def test_one_request_per_prompt(tmp_path, golden_config_path, monkeypatch, loopback_server):
